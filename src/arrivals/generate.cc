@@ -149,14 +149,11 @@ generateTrace(const TraceGenSpec &spec)
         trace.name = oss.str();
     }
     const std::vector<std::string> &rotation = defaultModelRotation();
+    trace.jobs.reserve(times.size());
     for (std::size_t i = 0; i < times.size(); ++i) {
         TenantJob job;
         job.model = rotation[i % rotation.size()];
-        {
-            std::ostringstream oss;
-            oss << "a" << i << ":" << job.model;
-            job.name = oss.str();
-        }
+        job.name = defaultSessionName(i, job.model);
         job.batch = spec.batch;
         job.steps = spec.steps;
         job.arrivalSec = times[i];

@@ -290,6 +290,18 @@ traceCsvHeader()
     return header;
 }
 
+std::string
+defaultSessionName(std::size_t index, const std::string &model)
+{
+    // Appends only: GCC 12 flags the inlined _M_replace behind both
+    // `"a" + std::string` and `name = "a"` with a false -Wrestrict.
+    std::string name(1, 'a');
+    name += std::to_string(index);
+    name += ':';
+    name += model;
+    return name;
+}
+
 void
 writeTraceCsv(std::ostream &os, const ArrivalTrace &trace)
 {
@@ -359,8 +371,7 @@ loadTraceCsv(std::istream &is, std::string *error)
                 return failTrace(error, lineno, err);
         }
         if (job.name.empty())
-            job.name = "a" + std::to_string(trace.jobs.size()) + ":" +
-                       job.model;
+            job.name = defaultSessionName(trace.jobs.size(), job.model);
         trace.jobs.push_back(std::move(job));
     }
     if (columns.empty())
@@ -414,8 +425,7 @@ loadTraceJsonl(std::istream &is, std::string *error)
         if (job.model.empty())
             return failTrace(error, lineno, "record needs a 'model'");
         if (job.name.empty())
-            job.name = "a" + std::to_string(trace.jobs.size()) + ":" +
-                       job.model;
+            job.name = defaultSessionName(trace.jobs.size(), job.model);
         trace.jobs.push_back(std::move(job));
     }
     if (trace.jobs.empty())

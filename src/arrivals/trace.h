@@ -54,6 +54,10 @@ struct ArrivalTrace
 /** Header of the canonical trace CSV. */
 std::string traceCsvHeader();
 
+/** Name of the `index`-th session when the trace gives none (loaded
+ *  rows without a name, generated traces): "a<index>:<model>". */
+std::string defaultSessionName(std::size_t index, const std::string &model);
+
 /** Write `trace` in the canonical CSV form (header + one row/job). */
 void writeTraceCsv(std::ostream &os, const ArrivalTrace &trace);
 

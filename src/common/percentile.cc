@@ -7,6 +7,8 @@
 #include <limits>
 #include <memory>
 
+#include "common/task_pool.h"
+
 namespace diva
 {
 
@@ -14,49 +16,62 @@ namespace
 {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/** Below this, a comparison sort beats the radix passes' setup. */
+/** Below this, a comparison sort beats the radix passes' setup, and a
+ *  merge slice is too small to be worth a pool lane. */
 constexpr std::size_t kRadixMin = 4096;
 
+/** The raw bits of `v`. */
+std::uint64_t
+doubleBits(double v)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+/** The double whose raw bits are `b`. */
+double
+bitsToDouble(std::uint64_t b)
+{
+    double v;
+    std::memcpy(&v, &b, sizeof v);
+    return v;
+}
+
 /**
- * LSD radix sort, ascending, for strictly positive NaN-free doubles.
- * Positive IEEE-754 doubles order the same as their raw bit patterns,
- * so eight byte-wide counting passes reproduce std::sort's order
- * exactly (equal doubles are bit-identical, so stability questions
- * cannot surface in the output).  All eight histograms come out of one
- * fused widening pass (16 KB of counters, L1-resident), which also
- * verifies the positivity precondition: on the first sample that is
- * not > 0 (NaN compares false) the function bails out with `v`
+ * LSD radix sort, ascending, for n > 0 strictly positive NaN-free
+ * doubles.  Positive IEEE-754 doubles order the same as their raw bit
+ * patterns, so eight byte-wide counting passes reproduce std::sort's
+ * order exactly (equal doubles are bit-identical, so stability
+ * questions cannot surface in the output).  All eight histograms come
+ * out of one fused read-only pass (16 KB of counters, L1-resident),
+ * which also verifies the positivity precondition: on the first sample
+ * that is not > 0 (NaN compares false) the function bails out with `v`
  * untouched and returns false so the caller can comparison-sort.
- * Scatter passes whose byte is constant across the whole array --
- * most of them, for latency samples that share an exponent range --
- * are skipped.  The fleet's aggregate latency sort is O(n log n)
- * worth avoiding: n is the total step count.
+ * Scatter passes whose byte is constant across the whole array are
+ * skipped; the rest ping-pong between `v` and `scratch` (room for n
+ * doubles), with one copy back when the sorted order ends up in
+ * `scratch`.
  */
 bool
-radixSortPositive(std::vector<double> &v)
+radixSortPositive(double *v, std::size_t n, double *scratch)
 {
-    const std::size_t n = v.size();
-    // new[] (not vector) so the scratch stays uninitialized: every
-    // slot is written before it is read.
-    std::unique_ptr<std::uint64_t[]> lo(new std::uint64_t[n]);
-    std::unique_ptr<std::uint64_t[]> hi(new std::uint64_t[n]);
-    std::uint64_t *a = lo.get();
-    std::uint64_t *b = hi.get();
     std::size_t count[8][256] = {};
     for (std::size_t i = 0; i < n; ++i) {
         if (!(v[i] > 0.0))
             return false;
-        std::uint64_t bits;
-        std::memcpy(&bits, &v[i], sizeof bits);
-        a[i] = bits;
+        const std::uint64_t bits = doubleBits(v[i]);
         for (int pass = 0; pass < 8; ++pass)
             ++count[pass][(bits >> (pass * 8)) & 255];
     }
+    double *a = v;
+    double *b = scratch;
     for (int pass = 0; pass < 8; ++pass) {
         const int shift = pass * 8;
         std::size_t *c = count[pass];
-        if (c[(a[0] >> shift) & 255] == n)
+        if (c[(doubleBits(a[0]) >> shift) & 255] == n)
             continue; // constant byte: the pass is a no-op
         std::size_t offset = 0;
         for (std::size_t slot = 0; slot < 256; ++slot) {
@@ -64,22 +79,24 @@ radixSortPositive(std::vector<double> &v)
             c[slot] = offset;
             offset += here;
         }
-        for (std::size_t i = 0; i < n; ++i)
-            b[c[(a[i] >> shift) & 255]++] = a[i];
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint64_t bits = doubleBits(a[i]);
+            std::memcpy(&b[c[(bits >> shift) & 255]++], &bits,
+                        sizeof bits);
+        }
         std::swap(a, b);
     }
-    for (std::size_t i = 0; i < n; ++i)
-        std::memcpy(&v[i], &a[i], sizeof(double));
+    if (a != v)
+        std::memcpy(v, a, n * sizeof(double));
     return true;
 }
 
 /**
  * Distinct-value census of a strictly positive, NaN-free sample set.
- * Fleet latency samples repeat heavily -- a replay's millions of steps
- * share a few thousand distinct queueing delays -- so order statistics
- * over (value, count) pairs beat both a full sort and per-rank
- * selection.  The census keeps the same precondition as
- * radixSortPositive (every sample > 0.0): positive doubles order by
+ * Order statistics over (value, count) pairs beat both a full sort and
+ * per-rank selection when a set repeats heavily (a steady tenant's few
+ * distinct step latencies).  The census keeps the same precondition
+ * as radixSortPositive (every sample > 0.0): positive doubles order by
  * their raw bits and carry one bit pattern per value, so "distinct
  * bits" and "distinct value" coincide and the derived statistics are
  * bit-identical to sorting the raw array.  Gives up (returning false,
@@ -106,8 +123,7 @@ censusPositive(const double *s, std::size_t n,
     for (std::size_t i = 0; i < n; ++i) {
         if (!(s[i] > 0.0))
             return false;
-        std::uint64_t b;
-        std::memcpy(&b, &s[i], sizeof b);
+        const std::uint64_t b = doubleBits(s[i]);
         std::size_t at = std::size_t((b * kMul) >> 49) & (kSlots - 1);
         for (;;) {
             Slot &sl = table[at];
@@ -153,15 +169,6 @@ censusPositive(const double *s, std::size_t n,
     bits.swap(sb);
     cnt.swap(sc);
     return true;
-}
-
-/** The double whose raw bits are `b`. */
-double
-bitsToDouble(std::uint64_t b)
-{
-    double v;
-    std::memcpy(&v, &b, sizeof v);
-    return v;
 }
 
 /** Nearest rank for percentile p over n samples: 1-based, clamped. */
@@ -221,11 +228,7 @@ statsOverBuffer(double *s, std::size_t n)
             return out;
         }
         std::sort(s, s + n);
-        out.maxSec = s[n - 1];
-        out.p50Sec = s[nearestRank(50.0, n) - 1];
-        out.p95Sec = s[nearestRank(95.0, n) - 1];
-        out.p99Sec = s[nearestRank(99.0, n) - 1];
-        return out;
+        return sortedRunStats(s, n, sum);
     }
 
     // Large positive sets: rank lookups over the distinct-value census
@@ -282,6 +285,98 @@ statsOverBuffer(double *s, std::size_t n)
     return out;
 }
 
+/** Samples at or below `v` across every run. */
+std::size_t
+countAtMost(const std::vector<std::span<const double>> &runs, double v)
+{
+    std::size_t c = 0;
+    for (const std::span<const double> &r : runs)
+        c += std::size_t(std::upper_bound(r.begin(), r.end(), v) -
+                         r.begin());
+    return c;
+}
+
+/**
+ * The `rank`-th smallest sample (0-based, below the sample count) of
+ * ascending positive runs: a binary search over the raw bits of
+ * non-negative doubles, which order like their values, for the
+ * smallest pattern with more than `rank` samples at or below it.
+ */
+double
+rankValue(const std::vector<std::span<const double>> &runs,
+          std::size_t rank)
+{
+    std::uint64_t lo = 0;
+    std::uint64_t hi = doubleBits(kInf);
+    while (lo < hi) {
+        const std::uint64_t mid = lo + (hi - lo) / 2;
+        if (countAtMost(runs, bitsToDouble(mid)) > rank)
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return bitsToDouble(lo);
+}
+
+/**
+ * K-way merge of the ascending ranges [from[r], to[r]) of `runs` into
+ * `out` through a tournament tree of losers over the samples' raw
+ * bits: log2(K) branch-free matches per sample.  A finished run plays
+ * on with all-ones bits, above every positive double (+inf included),
+ * and the merge ends when such a run wins.
+ */
+void
+mergeSlice(const std::vector<std::span<const double>> &runs,
+           const std::size_t *from, const std::size_t *to, double *out)
+{
+    constexpr std::uint64_t kDone = ~std::uint64_t(0);
+    std::size_t leaves = 1;
+    while (leaves < runs.size())
+        leaves *= 2;
+    std::vector<const double *> at(leaves, nullptr);
+    std::vector<const double *> end(leaves, nullptr);
+    // First-round winners, with the leaves at [leaves, 2 * leaves).
+    std::vector<std::uint64_t> winKey(2 * leaves, kDone);
+    std::vector<std::uint32_t> winRun(2 * leaves, 0);
+    for (std::size_t r = 0; r < leaves; ++r) {
+        winRun[leaves + r] = std::uint32_t(r);
+        if (r < runs.size() && from[r] < to[r]) {
+            at[r] = runs[r].data() + from[r];
+            end[r] = runs[r].data() + to[r];
+            winKey[leaves + r] = doubleBits(*at[r]);
+        }
+    }
+    // Node i in [1, leaves) keeps the loser of its match.
+    std::vector<std::uint64_t> loseKey(leaves, kDone);
+    std::vector<std::uint32_t> loseRun(leaves, 0);
+    for (std::size_t i = leaves - 1; i > 0; --i) {
+        const std::size_t w =
+            winKey[2 * i + 1] < winKey[2 * i] ? 2 * i + 1 : 2 * i;
+        winKey[i] = winKey[w];
+        winRun[i] = winRun[w];
+        loseKey[i] = winKey[w ^ 1];
+        loseRun[i] = winRun[w ^ 1];
+    }
+    std::uint64_t key = winKey[1];
+    std::uint32_t run = winRun[1];
+    while (key != kDone) {
+        std::memcpy(out++, &key, sizeof key);
+        const std::size_t leaf = leaves + run;
+        const double *next = ++at[run];
+        key = next != end[run] ? doubleBits(*next) : kDone;
+        // Replay the advanced run's matches on the way to the root.
+        for (std::size_t i = leaf / 2; i > 0; i /= 2) {
+            const std::uint64_t k = loseKey[i];
+            const std::uint32_t r = loseRun[i];
+            const bool up = k < key;
+            loseKey[i] = up ? key : k;
+            loseRun[i] = up ? run : r;
+            key = up ? k : key;
+            run = up ? r : run;
+        }
+    }
+}
+
 } // namespace
 
 double
@@ -312,14 +407,7 @@ LatencyStats
 computeLatencyStatsSortedMean(std::vector<double> samples)
 {
     dropNaNs(samples);
-    LatencyStats out;
-    if (samples.empty()) {
-        out.meanSec = out.p50Sec = out.p95Sec = out.p99Sec = out.maxSec =
-            kNaN;
-        return out;
-    }
     const std::size_t n = samples.size();
-    out.count = n;
 
     // First choice for big sample sets: the distinct-value census.
     // Summing each value `count` times in ascending value order
@@ -331,6 +419,8 @@ computeLatencyStatsSortedMean(std::vector<double> samples)
         std::vector<std::uint64_t> bits;
         std::vector<std::size_t> cnt;
         if (censusPositive(samples.data(), n, bits, cnt)) {
+            LatencyStats out;
+            out.count = n;
             double sum = 0.0;
             for (std::size_t i = 0; i < bits.size(); ++i) {
                 const double v = bitsToDouble(bits[i]);
@@ -359,19 +449,95 @@ computeLatencyStatsSortedMean(std::vector<double> samples)
     // The radix path requires strictly positive samples: with zeros of
     // both signs in play, a comparison sort's placement among "equal"
     // elements would be observable.  Real latencies are positive; any
-    // other input makes radixSortPositive bail and takes the
-    // comparison sort.
-    if (n < kRadixMin || !radixSortPositive(samples))
+    // other input makes the radix sort bail and takes the comparison
+    // sort.
+    bool sorted = false;
+    if (n >= kRadixMin) {
+        // new[] (not vector) so the scratch stays uninitialized: every
+        // slot is written before it is read.
+        std::unique_ptr<double[]> scratch(new double[n]);
+        sorted = radixSortPositive(samples.data(), n, scratch.get());
+    }
+    if (!sorted)
         std::sort(samples.begin(), samples.end());
     double sum = 0.0;
     for (double v : samples)
         sum += v;
-    out.meanSec = sum / double(samples.size());
-    out.p50Sec = percentileSorted(samples, 50.0);
-    out.p95Sec = percentileSorted(samples, 95.0);
-    out.p99Sec = percentileSorted(samples, 99.0);
-    out.maxSec = samples.back();
+    return sortedRunStats(samples.data(), n, sum);
+}
+
+bool
+sortPositiveRun(double *run, std::size_t n, double *scratch)
+{
+    if (n >= kRadixMin)
+        return radixSortPositive(run, n, scratch);
+    if (!std::all_of(run, run + n, [](double v) { return v > 0.0; }))
+        return false;
+    std::sort(run, run + n);
+    return true;
+}
+
+LatencyStats
+sortedRunStats(const double *sorted, std::size_t n, double sum)
+{
+    LatencyStats out;
+    if (n == 0) {
+        out.meanSec = out.p50Sec = out.p95Sec = out.p99Sec = out.maxSec =
+            kNaN;
+        return out;
+    }
+    out.count = n;
+    out.meanSec = sum / double(n);
+    out.p50Sec = sorted[nearestRank(50.0, n) - 1];
+    out.p95Sec = sorted[nearestRank(95.0, n) - 1];
+    out.p99Sec = sorted[nearestRank(99.0, n) - 1];
+    out.maxSec = sorted[n - 1];
     return out;
+}
+
+LatencyStats
+mergeSortedRuns(const std::vector<std::span<const double>> &runs,
+                double *out, int threads)
+{
+    const std::size_t R = runs.size();
+    std::size_t n = 0;
+    for (const std::span<const double> &r : runs)
+        n += r.size();
+    if (n == 0)
+        return sortedRunStats(out, 0, 0.0);
+
+    // One value-range slice per lane, kRadixMin samples or more each.
+    // Slice k opens, in every run, at the first occurrence of the
+    // union's (k*n/slices)-th smallest sample, so it holds exactly the
+    // values in [edge k, edge k+1): a tie never straddles two slices,
+    // and the merged array does not depend on the slice count.
+    const std::size_t slices = std::clamp<std::size_t>(
+        n / kRadixMin, 1, std::size_t(std::max(threads, 1)));
+    std::vector<std::size_t> cut((slices + 1) * R, 0); // [k * R + r]
+    for (std::size_t r = 0; r < R; ++r)
+        cut[slices * R + r] = runs[r].size();
+    TaskPool &pool = TaskPool::shared();
+    pool.parallelFor(slices - 1, threads, [&](std::size_t j) {
+        const std::size_t k = j + 1;
+        const double edge = rankValue(runs, n * k / slices);
+        for (std::size_t r = 0; r < R; ++r)
+            cut[k * R + r] = std::size_t(
+                std::lower_bound(runs[r].begin(), runs[r].end(), edge) -
+                runs[r].begin());
+    });
+    pool.parallelFor(slices, threads, [&](std::size_t k) {
+        std::size_t at = 0;
+        for (std::size_t r = 0; r < R; ++r)
+            at += cut[k * R + r];
+        mergeSlice(runs, &cut[k * R], &cut[(k + 1) * R], out + at);
+    });
+
+    // The addition sequence of summing a full sort, so the mean is
+    // computeLatencyStatsSortedMean's to the bit.
+    double sum = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+        sum += out[i];
+    return sortedRunStats(out, n, sum);
 }
 
 } // namespace diva

@@ -4,18 +4,28 @@
  * tail-latency reporting (p50/p95/p99) uses the nearest-rank
  * definition -- no interpolation, no streaming sketches -- so two
  * runs over the same samples produce the same bytes and a percentile
- * is always a value that actually occurred. The workhorse
- * computeLatencyStats selects each rank with std::nth_element (O(n)
- * per rank instead of one O(n log n) sort; the selected values are
- * bit-identical to indexing a full sort). NaN samples (e.g. steps
+ * is always a value that actually occurred. NaN samples (e.g. steps
  * that never ran) are excluded up front rather than poisoning the
- * selection.
+ * ranks.
+ *
+ * Two shapes of input have their own entry points, and both index the
+ * same elements a full sort would:
+ *   - one sample set (computeLatencyStats and its variants): a
+ *     duplicate-heavy set is ranked from a distinct-value census, any
+ *     other one by std::nth_element selections or, for the
+ *     sorted-mean variant, by a radix sort;
+ *   - one sample set split into runs (the fleet's per-pod step
+ *     latencies): each run sorts in place (sortPositiveRun) and is
+ *     ranked by index (sortedRunStats), then the sorted runs merge on
+ *     TaskPool lanes into one ascending array (mergeSortedRuns) that
+ *     yields the union's stats with no further sort.
  */
 
 #ifndef DIVA_COMMON_PERCENTILE_H
 #define DIVA_COMMON_PERCENTILE_H
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace diva
@@ -67,6 +77,42 @@ LatencyStats computeLatencyStatsScratch(double *samples,
  * are bit-identical between the two functions.
  */
 LatencyStats computeLatencyStatsSortedMean(std::vector<double> samples);
+
+/**
+ * Sort `run` (n samples) ascending in place and return true if every
+ * sample is > 0; on any other sample (NaN included) return false with
+ * the run untouched. Runs of 4,096 samples or more take an LSD radix
+ * sort over the raw bits that ping-pongs between `run` and `scratch`
+ * (room for n doubles, contents clobbered); shorter runs take
+ * std::sort. A positive double has one bit pattern per value, so the
+ * result is exactly std::sort's.
+ */
+bool sortPositiveRun(double *run, std::size_t n, double *scratch);
+
+/**
+ * Stats of an ascending, NaN-free run of n samples: count, max and the
+ * nearest-rank percentiles by direct index, and meanSec = sum / n for
+ * a `sum` the caller accumulated in the order its contract names --
+ * input order gives computeLatencyStats' mean, ascending order
+ * computeLatencyStatsSortedMean's. n == 0 yields count 0 with every
+ * statistic NaN.
+ */
+LatencyStats sortedRunStats(const double *sorted, std::size_t n,
+                            double sum);
+
+/**
+ * Merge ascending runs of strictly positive samples into `out` (room
+ * for their total, overlapping no run) on up to `threads` TaskPool
+ * lanes, and return the union's stats, bit-identical to
+ * computeLatencyStatsSortedMean over the runs' concatenation: one
+ * sequential ascending sum over `out` gives the mean, and the ranks
+ * index `out`. Each lane merges one value range whose edges are found
+ * by binary search over the raw bits of the positive doubles, so equal
+ * values never straddle two lanes and `out` is the same at any thread
+ * count.
+ */
+LatencyStats mergeSortedRuns(const std::vector<std::span<const double>> &runs,
+                             double *out, int threads);
 
 } // namespace diva
 

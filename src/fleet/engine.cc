@@ -1267,24 +1267,20 @@ FleetSim::assemble(int threads)
     out.meanQosAttainmentPct =
         qos_count > 0 ? qos_sum / double(qos_count) : kNaN;
 
-    std::size_t total_lat = 0;
-    for (const PodRt &pod : pods)
-        total_lat += pod.latencySec.size();
-    std::vector<double> all_lat;
-    all_lat.reserve(total_lat);
-    for (const PodRt &pod : pods)
-        all_lat.insert(all_lat.end(), pod.latencySec.begin(),
-                       pod.latencySec.end());
-
+    // Step latencies: the row pass sums each pod's run in input order
+    // (the pod mean), the run then sorts in place and yields its ranks
+    // by index, and the fleet-wide stats merge the sorted runs.
+    std::vector<double> lat_sum(pods.size(), 0.0);
+    std::vector<char> lat_positive(pods.size(), 0);
+    std::vector<double> all_lat; // exact fallback only
+    bool sorted_runs = false;
     {
     obs::ScopedPhase pods_phase("assemble_pods");
-    // Same split as the tenant rows: per-pod latency selections run
-    // in parallel (the fleet-wide sample list was captured above, in
-    // pod-index order, before the moves), totals accumulate
-    // sequentially afterwards.
+    // Same split as the tenant rows: per-pod rows build in parallel,
+    // totals accumulate sequentially afterwards.
     out.pods.resize(pods.size());
     forEachPod(pods.size(), threads, [&](std::size_t p) {
-        PodRt &pod = pods[p];
+        const PodRt &pod = pods[p];
         const PodSpec &ps = spec.pods[p];
         FleetPodReport &r = out.pods[p];
         r.name = ps.name;
@@ -1309,12 +1305,66 @@ FleetSim::assemble(int threads)
             pod_qos_count[p] > 0
                 ? pod_qos_sum[p] / double(pod_qos_count[p])
                 : kNaN;
-        r.stepLatency = computeLatencyStats(std::move(pod.latencySec));
+        double sum = 0.0;
+        bool positive = true;
+        for (const double v : pod.latencySec) {
+            sum += v;
+            if (!(v > 0.0))
+                positive = false;
+        }
+        lat_sum[p] = sum;
+        lat_positive[p] = positive;
     });
     for (const PodRt &pod : pods) {
         out.totalEnergyJ += pod.energyJ;
         out.contextSwitches += pod.switches;
         out.coreCounters += pod.core.counters;
+    }
+    // The histogram reads every run in input order, before any sort.
+    if (auto &metrics = obs::MetricsRegistry::instance();
+        metrics.enabled())
+        for (const PodRt &pod : pods)
+            metrics.recordValues("fleet.step_latency_sec",
+                                 pod.latencySec.data(),
+                                 pod.latencySec.size());
+
+    std::size_t total_lat = 0;
+    std::vector<std::size_t> lat_off(pods.size());
+    for (std::size_t p = 0; p < pods.size(); ++p) {
+        lat_off[p] = total_lat;
+        total_lat += pods[p].latencySec.size();
+    }
+    sorted_runs = std::all_of(lat_positive.begin(), lat_positive.end(),
+                              [](char ok) { return ok != 0; });
+    if (sorted_runs) {
+        // latArena is dead once the tenant rows have read their
+        // slices: here it is the pods' disjoint radix scratch, in
+        // assemble_agg the merged fleet-wide run. Only unbounded
+        // sessions, whose samples live outside it, can push the step
+        // count past its size.
+        if (latArena.size() < total_lat) {
+            std::vector<double>().swap(latArena);
+            latArena.resize(total_lat);
+        }
+        forEachPod(pods.size(), threads, [&](std::size_t p) {
+            std::vector<double> &lat = pods[p].latencySec;
+            // Every sample passed the > 0 check, so the sort succeeds.
+            sortPositiveRun(lat.data(), lat.size(),
+                            latArena.data() + lat_off[p]);
+            out.pods[p].stepLatency =
+                sortedRunStats(lat.data(), lat.size(), lat_sum[p]);
+        });
+    } else {
+        // A NaN or non-positive latency keeps the exact selection
+        // path, over every run and over their concatenation.
+        all_lat.reserve(total_lat);
+        for (const PodRt &pod : pods)
+            all_lat.insert(all_lat.end(), pod.latencySec.begin(),
+                           pod.latencySec.end());
+        forEachPod(pods.size(), threads, [&](std::size_t p) {
+            out.pods[p].stepLatency =
+                computeLatencyStats(std::move(pods[p].latencySec));
+        });
     }
     }
     for (FleetPodReport &r : out.pods)
@@ -1357,13 +1407,20 @@ FleetSim::assemble(int threads)
         metrics.addCounter("serve_core.idle_jumps", c.idleJumps);
         metrics.addCounter("serve_core.context_switches", c.switches);
         metrics.addCounter("serve_core.retired", c.retired);
-        for (double latency : all_lat)
-            metrics.recordValue("fleet.step_latency_sec", latency);
     }
     {
         obs::ScopedPhase agg_phase("assemble_agg");
-        out.aggStepLatency =
-            computeLatencyStatsSortedMean(std::move(all_lat));
+        if (sorted_runs) {
+            std::vector<std::span<const double>> runs;
+            runs.reserve(pods.size());
+            for (const PodRt &pod : pods)
+                runs.emplace_back(pod.latencySec);
+            out.aggStepLatency =
+                mergeSortedRuns(runs, latArena.data(), threads);
+        } else {
+            out.aggStepLatency =
+                computeLatencyStatsSortedMean(std::move(all_lat));
+        }
     }
 }
 

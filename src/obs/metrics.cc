@@ -120,17 +120,33 @@ MetricsRegistry::bucketUpperBound(int index)
 void
 MetricsRegistry::recordValue(const std::string &name, double value)
 {
+    recordValues(name, &value, 1);
+}
+
+void
+MetricsRegistry::recordValues(const std::string &name, const double *values,
+                              std::size_t count)
+{
     if (!enabled())
         return;
-    if (std::isnan(value))
-        return; // mirror percentile.cc: NaN samples are excluded
+    // Mirror percentile.cc: NaN samples are excluded.
+    std::size_t i = 0;
+    while (i < count && std::isnan(values[i]))
+        ++i;
+    if (i == count)
+        return;
     Shard &shard = localShard();
     std::lock_guard<std::mutex> lock(shard.mutex);
     Shard::Hist &h = shard.hists[name];
-    ++h.count;
-    h.min = std::min(h.min, value);
-    h.max = std::max(h.max, value);
-    ++h.buckets[bucketIndex(value)];
+    for (; i < count; ++i) {
+        const double v = values[i];
+        if (std::isnan(v))
+            continue;
+        ++h.count;
+        h.min = std::min(h.min, v);
+        h.max = std::max(h.max, v);
+        ++h.buckets[bucketIndex(v)];
+    }
 }
 
 MetricsSnapshot

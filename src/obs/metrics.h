@@ -100,6 +100,13 @@ class MetricsRegistry
     /** Record one sample into the named histogram (thread-safe). */
     void recordValue(const std::string &name, double value);
 
+    /** Record `count` samples into the named histogram under one
+     *  lookup and one shard lock; NaN samples are skipped, as by
+     *  recordValue, and a batch without any other sample records
+     *  nothing. */
+    void recordValues(const std::string &name, const double *values,
+                      std::size_t count);
+
     /** Merge every shard into one name-sorted snapshot. */
     MetricsSnapshot snapshot() const;
 

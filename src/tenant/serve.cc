@@ -349,8 +349,8 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
         metrics.addCounter("serve_core.context_switches", c.switches);
         metrics.addCounter("serve_core.retired", c.retired);
         for (const TenantRun &r : run)
-            for (double latency : r.latencySec)
-                metrics.recordValue("serve.step_latency_sec", latency);
+            metrics.recordValues("serve.step_latency_sec",
+                                 r.latencySec.data(), r.latencySec.size());
     }
     const std::vector<serve_core::TaskCore> &cores = client.cores;
 

@@ -10,6 +10,7 @@
  * and warm plan caches.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -422,6 +423,51 @@ TEST(FleetDeterminism, EmittersAreByteIdenticalAcrossThreads)
     // cache accounting never leaks into the output.
     const std::string warm = emit(simulateFleet(spec, t, four, 4));
     EXPECT_EQ(serial, warm);
+}
+
+TEST(FleetDeterminism, SortedRunMergeIsByteIdenticalAcrossThreads)
+{
+    // Enough steps that the fleet-wide latency stats merge the sorted
+    // pod runs on up to 8 lanes (a lane per 4,096 samples), with
+    // first-fit stacking and rebalance migrations moving sessions
+    // between pod runs.
+    std::string err;
+    const auto gen = parseTraceGenSpec(
+        "diurnal:rate=50,horizon=60,seed=5,cap=2400", &err);
+    ASSERT_TRUE(gen.has_value()) << err;
+    const ArrivalTrace t = generateTrace(*gen);
+
+    FleetSpec spec =
+        fleetOf({podsOf("df=DiVa,count=3"), podsOf("df=OS")},
+                PlacementKind::kFirstFit);
+    spec.rebalance.enabled = true;
+    spec.controlIntervalSec = 1.0;
+
+    std::string serial;
+    for (int threads : {1, 2, 4, 8}) {
+        SweepOptions opts;
+        opts.threads = threads;
+        SweepRunner runner(opts);
+        const FleetResult r = simulateFleet(spec, t, runner, threads);
+        ASSERT_TRUE(r.ok()) << r.error;
+        EXPECT_GT(r.migrations, 0u);
+        EXPECT_GE(r.totalSteps, 8u * 4096u);
+        EXPECT_EQ(r.aggStepLatency.count, r.totalSteps);
+        double pod_max = 0.0;
+        for (const FleetPodReport &p : r.pods)
+            if (p.stepLatency.count > 0)
+                pod_max = std::max(pod_max, p.stepLatency.maxSec);
+        EXPECT_EQ(r.aggStepLatency.maxSec, pod_max);
+
+        std::ostringstream os;
+        writeFleetTenantCsv(os, r);
+        writeFleetPodCsv(os, r);
+        writeFleetJson(os, r, true);
+        if (threads == 1)
+            serial = os.str();
+        else
+            EXPECT_EQ(os.str(), serial) << threads << " threads";
+    }
 }
 
 } // namespace

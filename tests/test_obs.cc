@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -138,6 +139,40 @@ TEST(ObsHistogram, PercentilesTrackExactNearestRank)
         const double est = h.percentile(p);
         EXPECT_GE(est, exact) << "p" << p;
         EXPECT_LE(est, exact * 1.25 + 1e-12) << "p" << p;
+    }
+}
+
+TEST(ObsHistogram, BatchRecordMatchesOneByOne)
+{
+    // recordValues takes one lookup and one lock for a whole run; it
+    // must build the histogram per-sample recordValue calls build,
+    // skipping NaNs alike, and a batch with nothing but NaNs must
+    // leave no histogram behind.
+    ScopedMetrics scoped;
+    auto &reg = obs::MetricsRegistry::instance();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<double> samples = {0.004, nan,  0.5, 0.004,
+                                         3.0,   1e-6, nan, 0.25};
+    for (double v : samples)
+        reg.recordValue("test.one", v);
+    reg.recordValues("test.batch", samples.data(), samples.size());
+    reg.recordValues("test.none", &nan, 1);
+    reg.recordValues("test.none", samples.data(), 0);
+
+    const auto snap = reg.snapshot();
+    ASSERT_EQ(snap.histograms.count("test.one"), 1u);
+    ASSERT_EQ(snap.histograms.count("test.batch"), 1u);
+    EXPECT_EQ(snap.histograms.count("test.none"), 0u);
+    const obs::HistogramSnapshot &one = snap.histograms.at("test.one");
+    const obs::HistogramSnapshot &batch = snap.histograms.at("test.batch");
+    EXPECT_EQ(batch.count, 6u);
+    EXPECT_EQ(batch.count, one.count);
+    EXPECT_EQ(batch.min, one.min);
+    EXPECT_EQ(batch.max, one.max);
+    ASSERT_EQ(batch.buckets.size(), one.buckets.size());
+    for (std::size_t i = 0; i < one.buckets.size(); ++i) {
+        EXPECT_EQ(batch.buckets[i].le, one.buckets[i].le);
+        EXPECT_EQ(batch.buckets[i].count, one.buckets[i].count);
     }
 }
 
