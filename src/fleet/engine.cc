@@ -1267,20 +1267,31 @@ FleetSim::assemble(int threads)
     out.meanQosAttainmentPct =
         qos_count > 0 ? qos_sum / double(qos_count) : kNaN;
 
-    // Step latencies: the row pass sums each pod's run in input order
-    // (the pod mean), the run then sorts in place and yields its ranks
-    // by index, and the fleet-wide stats merge the sorted runs.
-    std::vector<double> lat_sum(pods.size(), 0.0);
-    std::vector<char> lat_positive(pods.size(), 0);
-    std::vector<double> all_lat; // exact fallback only
-    bool sorted_runs = false;
+    // Step latencies: each pod sums its run in input order (the pod
+    // mean), sorts it in place and reads its ranks by index; the
+    // fleet-wide stats then merge the sorted runs.
+    std::size_t total_lat = 0;
+    std::vector<std::size_t> lat_off(pods.size());
+    for (std::size_t p = 0; p < pods.size(); ++p) {
+        lat_off[p] = total_lat;
+        total_lat += pods[p].latencySec.size();
+    }
+    std::vector<char> run_sorted(pods.size(), 0);
     {
     obs::ScopedPhase pods_phase("assemble_pods");
+    // latArena is dead once the tenant rows have read their slices:
+    // here it is the pods' disjoint radix scratch, in assemble_agg the
+    // merged fleet-wide run. Only unbounded sessions, whose samples
+    // live outside it, can push the step count past its size.
+    if (latArena.size() < total_lat) {
+        std::vector<double>().swap(latArena);
+        latArena.resize(total_lat);
+    }
     // Same split as the tenant rows: per-pod rows build in parallel,
     // totals accumulate sequentially afterwards.
     out.pods.resize(pods.size());
     forEachPod(pods.size(), threads, [&](std::size_t p) {
-        const PodRt &pod = pods[p];
+        PodRt &pod = pods[p];
         const PodSpec &ps = spec.pods[p];
         FleetPodReport &r = out.pods[p];
         r.name = ps.name;
@@ -1305,66 +1316,25 @@ FleetSim::assemble(int threads)
             pod_qos_count[p] > 0
                 ? pod_qos_sum[p] / double(pod_qos_count[p])
                 : kNaN;
+        std::vector<double> &lat = pod.latencySec;
         double sum = 0.0;
-        bool positive = true;
-        for (const double v : pod.latencySec) {
+        for (const double v : lat)
             sum += v;
-            if (!(v > 0.0))
-                positive = false;
+        if (sortPositiveRun(lat.data(), lat.size(),
+                            latArena.data() + lat_off[p])) {
+            run_sorted[p] = 1;
+            r.stepLatency = sortedRunStats(lat.data(), lat.size(), sum);
+        } else {
+            // A NaN or non-positive latency keeps the exact selection
+            // path, on a copy: the refused run stays as it was for the
+            // fleet-wide fallback below.
+            r.stepLatency = computeLatencyStats(lat);
         }
-        lat_sum[p] = sum;
-        lat_positive[p] = positive;
     });
     for (const PodRt &pod : pods) {
         out.totalEnergyJ += pod.energyJ;
         out.contextSwitches += pod.switches;
         out.coreCounters += pod.core.counters;
-    }
-    // The histogram reads every run in input order, before any sort.
-    if (auto &metrics = obs::MetricsRegistry::instance();
-        metrics.enabled())
-        for (const PodRt &pod : pods)
-            metrics.recordValues("fleet.step_latency_sec",
-                                 pod.latencySec.data(),
-                                 pod.latencySec.size());
-
-    std::size_t total_lat = 0;
-    std::vector<std::size_t> lat_off(pods.size());
-    for (std::size_t p = 0; p < pods.size(); ++p) {
-        lat_off[p] = total_lat;
-        total_lat += pods[p].latencySec.size();
-    }
-    sorted_runs = std::all_of(lat_positive.begin(), lat_positive.end(),
-                              [](char ok) { return ok != 0; });
-    if (sorted_runs) {
-        // latArena is dead once the tenant rows have read their
-        // slices: here it is the pods' disjoint radix scratch, in
-        // assemble_agg the merged fleet-wide run. Only unbounded
-        // sessions, whose samples live outside it, can push the step
-        // count past its size.
-        if (latArena.size() < total_lat) {
-            std::vector<double>().swap(latArena);
-            latArena.resize(total_lat);
-        }
-        forEachPod(pods.size(), threads, [&](std::size_t p) {
-            std::vector<double> &lat = pods[p].latencySec;
-            // Every sample passed the > 0 check, so the sort succeeds.
-            sortPositiveRun(lat.data(), lat.size(),
-                            latArena.data() + lat_off[p]);
-            out.pods[p].stepLatency =
-                sortedRunStats(lat.data(), lat.size(), lat_sum[p]);
-        });
-    } else {
-        // A NaN or non-positive latency keeps the exact selection
-        // path, over every run and over their concatenation.
-        all_lat.reserve(total_lat);
-        for (const PodRt &pod : pods)
-            all_lat.insert(all_lat.end(), pod.latencySec.begin(),
-                           pod.latencySec.end());
-        forEachPod(pods.size(), threads, [&](std::size_t p) {
-            out.pods[p].stepLatency =
-                computeLatencyStats(std::move(pods[p].latencySec));
-        });
     }
     }
     for (FleetPodReport &r : out.pods)
@@ -1407,10 +1377,17 @@ FleetSim::assemble(int threads)
         metrics.addCounter("serve_core.idle_jumps", c.idleJumps);
         metrics.addCounter("serve_core.context_switches", c.switches);
         metrics.addCounter("serve_core.retired", c.retired);
+        // A histogram keeps counts, min and max only, so it cannot
+        // tell the sorted runs from the input order.
+        for (const PodRt &pod : pods)
+            metrics.recordValues("fleet.step_latency_sec",
+                                 pod.latencySec.data(),
+                                 pod.latencySec.size());
     }
     {
         obs::ScopedPhase agg_phase("assemble_agg");
-        if (sorted_runs) {
+        if (std::all_of(run_sorted.begin(), run_sorted.end(),
+                        [](char ok) { return ok != 0; })) {
             std::vector<std::span<const double>> runs;
             runs.reserve(pods.size());
             for (const PodRt &pod : pods)
@@ -1418,6 +1395,15 @@ FleetSim::assemble(int threads)
             out.aggStepLatency =
                 mergeSortedRuns(runs, latArena.data(), threads);
         } else {
+            // The concatenation of sorted and refused runs: the sorted
+            // mean sorts it anyway, and a step latency (now - eligible
+            // after a step of positive cost) is never -0.0, so no
+            // +0/-0 tie can make the order show.
+            std::vector<double> all_lat;
+            all_lat.reserve(total_lat);
+            for (const PodRt &pod : pods)
+                all_lat.insert(all_lat.end(), pod.latencySec.begin(),
+                               pod.latencySec.end());
             out.aggStepLatency =
                 computeLatencyStatsSortedMean(std::move(all_lat));
         }
