@@ -282,7 +282,7 @@ struct FleetSim
     std::size_t unfinished = 0;
     std::uint64_t epochId = 0;
 
-    /** Mode flags for the shared event core (fleet semantics). */
+    /** Policy, quantum and wall budget for the shared event core. */
     serve_core::Config coreCfg;
 
     /**
@@ -788,7 +788,9 @@ FleetSim::enforceBudget(double nowSec, double intervalSec)
     active.clear();
     for (std::size_t i = 0; i < n; ++i) {
         const TenantRt &rt = tenants[i];
-        if (!rt.admitted || rt.core.state == TaskState::kDone ||
+        // No pod yet: an arrival on the boundary (or within kEps past
+        // it) is placed only after this round.
+        if (rt.pod == kNoPod || rt.core.state == TaskState::kDone ||
             rt.arrival > nowSec + kEps)
             continue;
         const IterationCost &c = costOf(pods[rt.pod].type, rt.cls);
@@ -961,9 +963,7 @@ FleetSim::globalNextEventSec()
     for (PodRt &pod : pods) {
         if (!pod.core.ready.empty())
             ev = std::min(ev, pod.core.nowSec);
-        ev = std::min(
-            ev, serve_core::peekNextEvent(*this, pod.core, coreCfg)
-                    .atSec);
+        ev = std::min(ev, serve_core::nextEventSec(*this, pod.core));
     }
     return ev;
 }
@@ -1048,9 +1048,8 @@ FleetSim::run(int threads)
                 sink->track(int(p) + 1, "pod " + spec.pods[p].name);
     }
 
-    // Fleet semantics on the shared core: enqueue-order round robin,
-    // rate gating always on, raw arrival preemption, epoch-form
-    // boundary comparisons (every tenant-mode flag stays off).
+    // Fleet sessions are open-loop trace replays, so rate gates stay
+    // on (the Config default).
     coreCfg.policy = corePolicy(spec.policy);
     coreCfg.quantumIters = spec.quantumIters;
     coreCfg.wallLimitSec = wall;
@@ -1192,7 +1191,9 @@ FleetSim::assemble(int threads)
         m.suspensions = rt.suspensions;
         m.energyJ = rt.energyJ;
 
-        if (!rt.admitted) {
+        if (rt.pod == kNoPod) {
+            // Rejected, or cut off by the wall before placement: no
+            // pod, no service window.
             m.resolvedBatch = job.batch;
             m.endSec = job.arrivalSec;
             m.achievedStepsPerSec = kNaN;
@@ -1252,7 +1253,7 @@ FleetSim::assemble(int threads)
     for (std::size_t i = 0; i < n; ++i) {
         const FleetTenantMetrics &m = out.tenants[i];
         out.totalSteps += m.stepsDone;
-        if (!m.admitted)
+        if (m.finalPod == kNoPod)
             continue;
         ++pod_ended[m.finalPod];
         if (std::isfinite(m.qosAttainmentPct)) {
@@ -1263,7 +1264,7 @@ FleetSim::assemble(int threads)
         }
     }
     }
-    out.placedCount = n - out.rejectedCount;
+    out.placedCount = placeCursor - out.rejectedCount;
     out.meanQosAttainmentPct =
         qos_count > 0 ? qos_sum / double(qos_count) : kNaN;
 

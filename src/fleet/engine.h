@@ -52,10 +52,11 @@ struct FleetTenantMetrics
 
     int resolvedBatch = 0;
 
-    /** Pod the session ended on (kNoPod when it was rejected). */
+    /** Pod the session ended on (kNoPod when it was rejected, or when
+     *  the wall ended the run before its arrival was placed). */
     std::size_t finalPod = kNoPod;
 
-    /** Whether placement found a feasible pod. */
+    /** False when placement found no feasible pod. */
     bool admitted = true;
 
     bool completed = false;
@@ -154,6 +155,8 @@ struct FleetResult
     /** One entry per trace session, in trace order. */
     std::vector<FleetTenantMetrics> tenants;
 
+    /** Sessions placed on a pod / refused by placement.  Sessions
+     *  arriving at or after the wall are neither. */
     std::size_t placedCount = 0;
     std::size_t rejectedCount = 0;
 

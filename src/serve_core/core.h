@@ -7,20 +7,22 @@
  * (src/fleet/engine.cc).
  *
  * The core replaces the old per-quantum all-tenant scan loops with a
- * logical priority queue of typed events:
+ * logical priority queue of events:
  *
- *   kArrival       a placed task's arrival time is reached
- *                  (sorted arrival list consumed by a cursor)
- *   kGateDue       an open-loop / migration-gated task's next step
- *                  comes due (lazily-invalidated min-heap)
- *   kQuantumExpiry the running task's quantum ends and a fresh
- *                  scheduling decision is due (implicit in the
- *                  dispatch loop; coalesced away when it would be a
- *                  guaranteed no-op re-pick)
- *   kControlEpoch  the caller's epoch boundary `t1` (the fleet's
- *                  budget / rebalance / placement rounds run between
- *                  epochs; the tenant loop passes one infinite epoch)
- *   kRunEnd        the wall budget, or no event left to serve
+ *   arrival         a placed task's arrival time is reached
+ *                   (sorted arrival list consumed by a cursor)
+ *   gate due        an open-loop / migration-gated task's next step
+ *                   comes due (lazily-invalidated min-heap)
+ *   quantum expiry  the running task's quantum ends and a fresh
+ *                   scheduling decision is due (implicit in the
+ *                   dispatch loop; coalesced away when it would be a
+ *                   guaranteed no-op re-pick)
+ *   epoch end       the caller's boundary `t1`: the fleet's budget /
+ *                   rebalance / placement rounds run between epochs,
+ *                   and the wall budget is the last boundary (the
+ *                   tenant loop passes the wall, or +inf, as its one
+ *                   epoch)
+ *   run end         no event left to serve
  *
  * Ready tasks sit in a `ReadySet` (a sorted small-vector with
  * std::set<ReadyKey> ordering) whose first element is always the
@@ -39,10 +41,12 @@
  * every emitted double is bit-identical to the one-quantum-at-a-time
  * loops this file replaced.
  *
- * The two historical loops differ in small, output-visible ways
- * (comparator forms, preemption windows, gating conditions); those
- * differences are preserved behind `Config` flags rather than silently
- * unified -- byte-identical CSV/JSON output is a hard contract here.
+ * The tenant loop and the fleet follow the same event rules: round
+ * robin in enqueue order, preemption by any arrival at or before
+ * `now`, idle jumps to the next arrival or gate due, and retirement of
+ * a task whose next step no longer fits its departure or the wall.
+ * The one choice left to the caller is `Config::rateGates`, closed
+ * loop or open loop.
  *
  * Clients provide task scalars, costs, and billing through a duck-typed
  * interface (see `runUntil` for the expected members).  Cross-executor
@@ -75,24 +79,6 @@ enum class Policy : std::uint8_t
     kRoundRobin,
     kPriority,
     kEdf,
-};
-
-enum class EventType : std::uint8_t
-{
-    kNone,
-    kArrival,
-    kGateDue,
-    kQuantumExpiry,
-    kControlEpoch,
-    kRunEnd,
-};
-
-/** One entry of the logical event queue, as seen by the idle path. */
-struct Event
-{
-    EventType type = EventType::kNone;
-    double atSec = kInfSec;
-    std::uint32_t idx = 0;
 };
 
 /**
@@ -167,11 +153,6 @@ class ReadySet
     iterator begin() { return keys_.begin(); }
     iterator end() { return keys_.end(); }
 
-    iterator lower_bound(const ReadyKey &k)
-    {
-        return std::lower_bound(keys_.begin(), keys_.end(), k);
-    }
-
     void insert(const ReadyKey &k) { keys_.insert(lower_bound(k), k); }
 
     /** Remove `k` if present (std::set::erase(key) semantics). */
@@ -185,6 +166,11 @@ class ReadySet
     iterator erase(iterator it) { return keys_.erase(it); }
 
   private:
+    iterator lower_bound(const ReadyKey &k)
+    {
+        return std::lower_bound(keys_.begin(), keys_.end(), k);
+    }
+
     SmallVector<ReadyKey, 8> keys_;
 };
 
@@ -285,40 +271,24 @@ struct Executor
     std::size_t arrCursor = 0;
     GatedHeap gated;
     std::uint64_t rrSeq = 0;
-    /** Round-robin index-rotation cursor (Config::rrIndexRotation). */
-    std::uint32_t rrNext = 0;
 
     Counters counters;
 };
 
-/** Mode flags preserving the two historical loops' exact semantics. */
+/** Scheduling policy, quantum, wall budget and loop mode of one run. */
 struct Config
 {
     Policy policy = Policy::kRoundRobin;
     std::uint64_t quantumIters = 1;
-    /** Wall-clock budget in simulated seconds; 0 = unbounded. */
+    /** Wall-clock budget in simulated seconds; 0 = unbounded.  A step
+     *  that would end past it never starts; the caller also passes it
+     *  as the last epoch boundary `t1`. */
     double wallLimitSec = 0.0;
 
-    /** Tenant round-robin rotates over task indices (first ready index
-     *  at or after the previous pick + 1) instead of enqueue order. */
-    bool rrIndexRotation = false;
-    /** Rate-target tasks gate on their next due time.  The fleet
-     *  always gates; the tenant loop only under --steps 0 replay. */
+    /** Open loop: a rate-target task only becomes runnable when its
+     *  next step is due (trace replay and the fleet).  Off is closed
+     *  loop: tasks run back to back (the static `diva_serve` mixes). */
     bool rateGates = true;
-    /** An arrival only preempts the quantum if it lands strictly after
-     *  the current iteration's start (tenant loop); the fleet preempts
-     *  on any arrival at or before `now`. */
-    bool strictArrivalPreempt = false;
-    /** The idle jump skips events whose task could never run a step
-     *  before its departure (tenant loop). */
-    bool idleSkipsBlocked = false;
-    /** No wall-fitting candidate ends the whole run (tenant loop); the
-     *  fleet retires unfitting tasks and keeps serving. */
-    bool endRunWhenNoWallFit = false;
-    /** Boundary comparisons use the tenant loop's wall-based forms
-     *  (`wall - now <= eps`) instead of the fleet's epoch forms
-     *  (`now + eps >= t1`).  Algebraically equal, bitwise not. */
-    bool wallBoundary = false;
 
     /** Test/debug: take the multi-quantum fast path.  Off forces a
      *  full scheduler round trip at every quantum expiry; the
@@ -362,16 +332,15 @@ makeKey(const Client &c, Executor &ex, const Config &cfg,
         key.k2 = c.arrivalSec(idx);
         break;
       case Policy::kRoundRobin:
-        if (!cfg.rrIndexRotation)
-            key.seq = ++ex.rrSeq;
+        key.seq = ++ex.rrSeq;
         break;
     }
     return key;
 }
 
-/** `kSteady` statically selects the fleet's round-robin enqueue-order
- *  key (see runUntil): the policy switch folds away and the key is
- *  just the next sequence number. */
+/** `kSteady` statically selects the round-robin key (see runUntil):
+ *  the policy switch folds away and the key is just the next sequence
+ *  number. */
 template <bool kSteady, class Client>
 inline void
 enqueueReadyT(Client &c, Executor &ex, const Config &cfg,
@@ -388,14 +357,6 @@ enqueueReadyT(Client &c, Executor &ex, const Config &cfg,
     }
     tc.state = TaskState::kReady;
     ex.ready.insert(tc.readyKey);
-}
-
-template <class Client>
-inline void
-enqueueReady(Client &c, Executor &ex, const Config &cfg,
-             std::uint32_t idx)
-{
-    enqueueReadyT<false>(c, ex, cfg, idx);
 }
 
 /** Park `idx` until `dueSec`; a fresh generation invalidates any older
@@ -473,15 +434,8 @@ promoteT(Client &c, Executor &ex, const Config &cfg)
     }
 }
 
-template <class Client>
-inline void
-promote(Client &c, Executor &ex, const Config &cfg)
-{
-    promoteT<false>(c, ex, cfg);
-}
-
 /** Next pending arrival on this executor; +inf if none.  Consumes
- *  stale cursor entries exactly like `promote` would. */
+ *  stale cursor entries exactly like `promoteT` would. */
 template <class Client>
 inline double
 nextArrivalSec(Client &c, Executor &ex)
@@ -516,82 +470,19 @@ nextGateDueSec(Client &c, Executor &ex)
     return kInfSec;
 }
 
-/** Whether a step launched at `atSec` (plus the switch stall the task
- *  would pay under the current `last`) would end past its departure.
- *  `last` cannot change while the task waits, so a blocked verdict is
- *  permanent. */
+/** The next wake-up event (arrival or gate due) on this executor;
+ *  +inf if none. */
 template <class Client>
-inline bool
-departBlockedAt(const Client &c, const Executor &ex, std::uint32_t idx,
-                double atSec, double switchSec)
+inline double
+nextEventSec(Client &c, Executor &ex)
 {
-    const double dep = c.departSec(idx);
-    if (!(dep > 0.0))
-        return false;
-    const double lead =
-        (ex.last != kNoTask && ex.last != std::size_t(idx)) ? switchSec
-                                                            : 0.0;
-    return atSec + lead + c.stepSeconds(ex, idx) > dep + kEps;
+    return std::min(nextArrivalSec(c, ex), nextGateDueSec(c, ex));
 }
 
 /**
- * The next wake-up event (arrival or gate-due) on this executor.
- * Under `Config::idleSkipsBlocked` events whose task is permanently
- * departure-blocked are skipped: blocked arrivals stay in the list
- * (they still preempt a running quantum when they land), blocked
- * gated tasks are retired on the spot (they can never run again and
- * nothing else observes them).
- */
-template <class Client>
-inline Event
-peekNextEvent(Client &c, Executor &ex, const Config &cfg)
-{
-    Event best;
-    const double sw = c.switchSeconds(ex);
-    std::size_t k = ex.arrCursor;
-    while (k < ex.arrivals.size()) {
-        const std::uint32_t idx = ex.arrivals[k];
-        if (!c.owns(ex, idx) ||
-            c.core(idx).state != TaskState::kPending) {
-            if (k == ex.arrCursor)
-                ++ex.arrCursor;
-            ++k;
-            continue;
-        }
-        const double a = c.arrivalSec(idx);
-        if (cfg.idleSkipsBlocked &&
-            departBlockedAt(c, ex, idx, a, sw)) {
-            ++k;
-            continue; // would run past its departure
-        }
-        best = {EventType::kArrival, a, idx};
-        break;
-    }
-    while (!ex.gated.empty()) {
-        const GateEntry &top = ex.gated.top();
-        if (!c.owns(ex, top.idx) ||
-            top.gen != c.core(top.idx).gen ||
-            c.core(top.idx).state != TaskState::kGated) {
-            ex.gated.pop();
-            continue;
-        }
-        if (cfg.idleSkipsBlocked &&
-            departBlockedAt(c, ex, top.idx, top.dueSec, sw)) {
-            const std::uint32_t idx = top.idx;
-            ex.gated.pop();
-            retire(c, ex, idx);
-            continue;
-        }
-        if (top.dueSec < best.atSec)
-            best = {EventType::kGateDue, top.dueSec, top.idx};
-        break;
-    }
-    return best;
-}
-
-/**
- * Serve one executor until the epoch boundary `t1` (pass +inf for an
- * uninterrupted run), the wall budget, or event exhaustion.
+ * Serve one executor until the epoch boundary `t1` or event
+ * exhaustion.  The caller passes the wall budget, when one is set, as
+ * the last boundary, and +inf for an uninterrupted run.
  *
  * `Client` provides, duck-typed:
  *   bool   owns(const Executor &, uint32_t idx) const
@@ -616,43 +507,23 @@ peekNextEvent(Client &c, Executor &ex, const Config &cfg)
  * switchSeconds must be constant over one runUntil call (both clients
  * derive it from the executor's fixed hardware type); it is read once.
  *
- * `kSteady` marks the fleet's steady-state serve configuration
- * (enqueue-order round-robin, rate gates, fleet-style boundaries,
- * quantum 1, coalescing).  runUntil proves the configuration once per
- * call and dispatches here, so in this instantiation every flag test
- * below folds to a constant and the dead branches drop out of the
- * per-event code.  The non-steady instantiation reads cfg exactly as
- * before; both produce bit-identical serve decisions for any config.
+ * `kSteady` marks the fleet's steady-state serve configuration (round
+ * robin, rate gates, quantum 1, coalescing); open-loop tenant replays
+ * with the same settings take it too.  runUntil checks the
+ * configuration once per call and dispatches here, so in this
+ * instantiation every cfg test below folds to a constant and the dead
+ * branches drop out of the per-event code.  Both instantiations make
+ * bit-identical serve decisions for any config.
  */
 template <bool kSteady, class Client>
 inline void
 runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
 {
     const double wall = cfg.wallLimitSec;
-    const bool wall_boundary = !kSteady && cfg.wallBoundary;
-    const bool idle_skips = !kSteady && cfg.idleSkipsBlocked;
-    const bool end_on_unfit = !kSteady && cfg.endRunWhenNoWallFit;
-    const bool strict_preempt = !kSteady && cfg.strictArrivalPreempt;
-    const bool rr_rotation = !kSteady &&
-                             cfg.policy == Policy::kRoundRobin &&
-                             cfg.rrIndexRotation;
     const bool coalesce = kSteady || cfg.coalesce;
     const bool rate_gates = kSteady || cfg.rateGates;
     const std::uint64_t quantum = kSteady ? 1 : cfg.quantumIters;
     const double sw = c.switchSeconds(ex);
-
-    // Both forms compare `now` against `bound - eps`; they are kept
-    // bit-exact to the loops they replaced, not merely equivalent.
-    auto atBoundary = [&]() {
-        return wall_boundary ? (wall > 0.0 && wall - ex.nowSec <= kEps)
-                             : (ex.nowSec + kEps >= t1);
-    };
-    auto idleEnds = [&](double ev) {
-        return wall_boundary
-                   ? (!std::isfinite(ev) ||
-                      (wall > 0.0 && ev + kEps >= wall))
-                   : !(ev < t1 - kEps);
-    };
 
     // Cache of nextArrivalSec.  The next pending arrival's time can
     // only change when `promote` consumes it, and promote consumes
@@ -675,7 +546,7 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
         if (next_arr_known && next_arr <= ex.nowSec + kEps)
             next_arr_known = false; // promote is about to consume it
         promoteT<kSteady>(c, ex, cfg);
-        if (atBoundary())
+        if (ex.nowSec + kEps >= t1)
             break;
 
         std::size_t pick = kNoTask;
@@ -685,25 +556,25 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
             // task change pending.  Replays the generic idle-jump ->
             // promote -> dispatch transition sequence (same counters,
             // same clock writes, same fit checks) without the
-            // event-peek and ready-set machinery, which on a fleet
+            // next-event and ready-set machinery, which on a fleet
             // replay is the bulk of all serve-core events.
             bool fast = false;
-            if (!idle_skips && ex.gated.size() == 1) {
+            if (ex.gated.size() == 1) {
                 const GateEntry &top = ex.gated.top();
                 if (c.owns(ex, top.idx) &&
                     top.gen == c.core(top.idx).gen &&
                     c.core(top.idx).state == TaskState::kGated &&
                     ex.last == std::size_t(top.idx) &&
-                    !idleEnds(top.dueSec) &&
+                    top.dueSec < t1 - kEps &&
                     nextArr() > top.dueSec + kEps)
                     fast = true;
             }
             if (!fast) {
-                const Event ev = peekNextEvent(c, ex, cfg);
-                if (idleEnds(ev.atSec))
-                    break; // kRunEnd / kControlEpoch
-                if (ev.atSec > ex.nowSec)
-                    ex.nowSec = ev.atSec;
+                const double ev = nextEventSec(c, ex);
+                if (!(ev < t1 - kEps))
+                    break; // epoch end, or no event left
+                if (ev > ex.nowSec)
+                    ex.nowSec = ev;
                 ++ex.counters.idleJumps;
                 continue;
             }
@@ -716,22 +587,11 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
             // zero: the task is already resident).
             const double fstep = c.stepSeconds(ex, fidx);
             const double fdep = c.departSec(fidx);
-            if (fdep > 0.0 && ex.nowSec + fstep > fdep + kEps) {
+            if ((fdep > 0.0 && ex.nowSec + fstep > fdep + kEps) ||
+                (wall > 0.0 && ex.nowSec + fstep > wall + kEps)) {
                 retire(c, ex, fidx);
                 continue;
             }
-            if (wall > 0.0 && ex.nowSec + fstep > wall + kEps) {
-                if (end_on_unfit) {
-                    // The generic path leaves an unfit survivor in the
-                    // ready set and ends the run; keep that state.
-                    enqueueReadyT<kSteady>(c, ex, cfg, fidx);
-                    break;
-                }
-                retire(c, ex, fidx);
-                continue;
-            }
-            if (rr_rotation)
-                ex.rrNext = fidx + 1;
             c.core(fidx).state = TaskState::kReady;
             pick = fidx;
         }
@@ -739,11 +599,9 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
         // Pick the first ready task (in policy order) that can still
         // run a step.  Tasks that can never run again -- their next
         // step would end past their departure, or past the wall --
-        // retire on the spot; under `endRunWhenNoWallFit` wall-unfit
-        // tasks are only skipped, and if nothing fits the run ends.
-        bool saw_unfit = false;
-        auto scan = [&](ReadySet::iterator it) {
-            while (it != ex.ready.end()) {
+        // retire on the spot.
+        if (pick == kNoTask) {
+            for (auto it = ex.ready.begin(); it != ex.ready.end();) {
                 const std::uint32_t idx = it->idx;
                 const double step_sec = c.stepSeconds(ex, idx);
                 const double lead =
@@ -751,48 +609,20 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
                         ? sw
                         : 0.0;
                 const double dep = c.departSec(idx);
-                if (dep > 0.0 &&
-                    ex.nowSec + lead + step_sec > dep + kEps) {
-                    it = ex.ready.erase(it);
-                    retire(c, ex, idx);
-                    continue;
-                }
-                if (wall > 0.0 &&
-                    ex.nowSec + lead + step_sec > wall + kEps) {
-                    if (end_on_unfit) {
-                        saw_unfit = true;
-                        ++it;
-                        continue;
-                    }
+                if ((dep > 0.0 &&
+                     ex.nowSec + lead + step_sec > dep + kEps) ||
+                    (wall > 0.0 &&
+                     ex.nowSec + lead + step_sec > wall + kEps)) {
                     it = ex.ready.erase(it);
                     retire(c, ex, idx);
                     continue;
                 }
                 pick = idx;
                 ex.ready.erase(it);
-                return;
+                break;
             }
-        };
-        if (pick == kNoTask) {
-            if (rr_rotation) {
-                // Rotate: first ready index at or after the cursor,
-                // else wrap to the smallest (the historical
-                // scheduler's pick).
-                ReadyKey from;
-                from.idx = ex.rrNext;
-                scan(ex.ready.lower_bound(from));
-                if (pick == kNoTask)
-                    scan(ex.ready.begin());
-                if (pick != kNoTask)
-                    ex.rrNext = std::uint32_t(pick) + 1;
-            } else {
-                scan(ex.ready.begin());
-            }
-            if (pick == kNoTask) {
-                if (saw_unfit)
-                    break; // nothing fits the wall: the run is over
-                continue;  // everything retired; re-check events
-            }
+            if (pick == kNoTask)
+                continue; // everything retired; re-check events
         }
 
         ++ex.counters.dispatches;
@@ -815,9 +645,6 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
         const double rate = c.rateSps(pidx);
         const bool rate_gated = rate_gates && rate > 0.0;
         const std::uint64_t limit = c.stepLimit(pidx);
-        // Strict-preempt scan pointer: consumed monotonically as the
-        // iteration start advances, never past unconsumed arrivals.
-        std::size_t peek = ex.arrCursor;
         // `arrival + done/rate` changes only when `done` does; caching
         // the latest value saves the deadline check, the coalesce
         // check and the end-of-dispatch transition their own FP
@@ -835,7 +662,7 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
                 return false;
             if (!ex.ready.empty())
                 return false;
-            if (atBoundary())
+            if (ex.nowSec + kEps >= t1)
                 return false;
             // The runner must be able to step again; otherwise the
             // dispatch-end transition (retire / gate / re-enqueue)
@@ -924,25 +751,14 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
                     dispatching = false;
                     break;
                 }
-                if (!wall_boundary && ex.nowSec + kEps >= t1) {
+                if (ex.nowSec + kEps >= t1) {
                     dispatching = false;
                     break;
                 }
                 // Preemption point: a new arrival is waiting.
-                if (strict_preempt) {
-                    while (peek < ex.arrivals.size() &&
-                           c.arrivalSec(ex.arrivals[peek]) <=
-                               step_start + kEps)
-                        ++peek;
-                    if (peek < ex.arrivals.size() &&
-                        c.arrivalSec(ex.arrivals[peek]) <=
-                            ex.nowSec + kEps) {
-                        dispatching = false;
-                        break;
-                    }
-                } else if (ex.arrCursor < ex.arrivals.size() &&
-                           c.arrivalSec(ex.arrivals[ex.arrCursor]) <=
-                               ex.nowSec + kEps) {
+                if (ex.arrCursor < ex.arrivals.size() &&
+                    c.arrivalSec(ex.arrivals[ex.arrCursor]) <=
+                        ex.nowSec + kEps) {
                     dispatching = false;
                     break;
                 }
@@ -976,10 +792,8 @@ template <class Client>
 inline void
 runUntil(Client &c, Executor &ex, const Config &cfg, double t1)
 {
-    if (cfg.policy == Policy::kRoundRobin && !cfg.rrIndexRotation &&
-        cfg.rateGates && !cfg.strictArrivalPreempt &&
-        !cfg.idleSkipsBlocked && !cfg.endRunWhenNoWallFit &&
-        !cfg.wallBoundary && cfg.coalesce && cfg.quantumIters == 1)
+    if (cfg.policy == Policy::kRoundRobin && cfg.rateGates &&
+        cfg.coalesce && cfg.quantumIters == 1)
         runUntilT<true>(c, ex, cfg, t1);
     else
         runUntilT<false>(c, ex, cfg, t1);

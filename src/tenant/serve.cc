@@ -67,6 +67,9 @@ struct ServeClient
     obs::TraceTrack *trace = nullptr;
     obs::RunTelemetry *telemetry = nullptr;
 
+    /** End of the last step or switch: the run's makespan. */
+    double lastActiveSec = 0.0;
+
     /** Context switches per window (single-writer: the loop is
      *  sequential), published as `serve.<policy>.switches`. */
     std::map<std::int64_t, double> switchWindows;
@@ -127,6 +130,7 @@ struct ServeClient
         out.switchEnergyJ += sw.energyJ;
         out.switchDramBytes += sw.dramBytes;
         run[i].energyJ += sw.energyJ;
+        lastActiveSec = ex.nowSec;
         if (telemetry)
             ++switchWindows[obs::windowIndexOf(
                 ex.nowSec, telemetry->invWindowSec)];
@@ -144,6 +148,7 @@ struct ServeClient
         }
         run[i].energyJ += costs[i].energyJ;
         run[i].latencySec.push_back(latencySec);
+        lastActiveSec = ex.nowSec;
         if (telemetry) {
             obs::LatencyComponents comp;
             bool exact;
@@ -286,16 +291,9 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
     cfg.policy = corePolicy(spec.policy);
     cfg.quantumIters = spec.opts.quantumIters;
     cfg.wallLimitSec = wall;
-    // The tenant loop's historical semantics (see serve_core::Config):
-    // index-rotating round robin, gating only under open-loop replay,
-    // strict arrival-preemption windows, departure-aware idle jumps,
-    // and ending the run when nothing fits the wall budget.
-    cfg.rrIndexRotation = true;
+    // Static mixes run closed loop; trace replays gate rate targets
+    // on their due times, as the fleet does.
     cfg.rateGates = spec.opts.openLoop;
-    cfg.strictArrivalPreempt = true;
-    cfg.idleSkipsBlocked = true;
-    cfg.endRunWhenNoWallFit = true;
-    cfg.wallBoundary = true;
 
     serve_core::Executor ex;
     ex.arrivals.resize(n);
@@ -306,8 +304,8 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
                          return jobs[a].arrivalSec < jobs[b].arrivalSec;
                      });
 
-    serve_core::runUntil(client, ex, cfg, kInf);
-    out.makespanSec = ex.nowSec;
+    serve_core::runUntil(client, ex, cfg, wall > 0.0 ? wall : kInf);
+    out.makespanSec = client.lastActiveSec;
     out.coreCounters = ex.counters;
 
     // Telemetry publish point (sequential, tenant index order, so the

@@ -311,6 +311,88 @@ TEST(FleetBudget, JouleBudgetEndsTheRunEarly)
                  capped.tenants[1].completed);
 }
 
+TEST(FleetBudget, ArrivalOnAControlBoundaryIsSkippedUntilPlaced)
+{
+    // "b" arrives exactly on a control boundary. The budget round at
+    // that boundary runs before placement, so it must skip b instead
+    // of pricing it on a pod it does not have yet.
+    const std::vector<TenantJob> jobs = {job("a", 0.0, 200, 100.0, 0),
+                                         job("b", 0.5, 200, 100.0, 5)};
+    FleetSpec spec = fleetOf({podsOf("df=DiVa")},
+                             PlacementKind::kFirstFit);
+    const FleetResult free_run = simulateFleet(spec, trace(jobs));
+    ASSERT_TRUE(free_run.ok()) << free_run.error;
+
+    // A cap that sustains one tenant's 100 steps/s but not both.
+    const FleetPodReport &pod = free_run.pods[0];
+    const double step_j =
+        (pod.energyJ - pod.switchEnergyJ) / double(pod.stepsDone);
+    spec.budget.powerCapW = 1.5 * 100.0 * step_j;
+    spec.controlIntervalSec = 0.5;
+    const FleetResult capped = simulateFleet(spec, trace(jobs));
+    ASSERT_TRUE(capped.ok()) << capped.error;
+    EXPECT_EQ(capped.placedCount, 2u);
+    EXPECT_GT(capped.tenants[0].suspensions, 0u);
+    EXPECT_EQ(capped.tenants[1].suspensions, 0u);
+    EXPECT_TRUE(capped.tenants[1].completed);
+}
+
+TEST(FleetWall, SessionsArrivingAfterTheWallGetRowsWithoutAPod)
+{
+    // The wall ends the run before the trace does. Sessions arriving
+    // at or after it never reach a pod: each keeps a row with pod "-"
+    // and zero steps, and placedCount counts only the others.
+    std::string err;
+    const auto gen = parseTraceGenSpec(
+        "poisson:rate=10,horizon=20,seed=5,qos=3,cap=300", &err);
+    ASSERT_TRUE(gen.has_value()) << err;
+    const ArrivalTrace t = generateTrace(*gen);
+    const double wall = 10.0;
+    ASSERT_GT(t.jobs.back().arrivalSec, wall);
+
+    FleetSpec spec = fleetOf({podsOf("df=DiVa,count=4")},
+                             PlacementKind::kFirstFit);
+    spec.wallLimitSec = wall;
+    const FleetResult r = simulateFleet(spec, t);
+    ASSERT_TRUE(r.ok()) << r.error;
+
+    std::size_t with_pod = 0;
+    std::size_t cut = 0;
+    for (const FleetTenantMetrics &m : r.tenants) {
+        if (m.finalPod != kNoPod) {
+            EXPECT_LT(m.job.arrivalSec, wall) << m.job.name;
+            ++with_pod;
+            continue;
+        }
+        ++cut;
+        EXPECT_GE(m.job.arrivalSec, wall) << m.job.name;
+        EXPECT_TRUE(m.admitted) << m.job.name;
+        EXPECT_EQ(m.stepsDone, 0u) << m.job.name;
+        EXPECT_FALSE(m.completed) << m.job.name;
+        EXPECT_EQ(m.endSec, m.job.arrivalSec) << m.job.name;
+        EXPECT_EQ(m.energyJ, 0.0) << m.job.name;
+        EXPECT_EQ(m.stepLatency.count, 0u) << m.job.name;
+    }
+    EXPECT_GT(cut, 0u);
+    EXPECT_GT(with_pod, 0u);
+    EXPECT_EQ(r.rejectedCount, 0u);
+    EXPECT_EQ(r.placedCount, with_pod);
+    std::size_t ended = 0;
+    for (const FleetPodReport &p : r.pods)
+        ended += p.ended;
+    EXPECT_EQ(ended, with_pod);
+
+    // steps_done, pod, admitted, completed, departed: 0,-,1,0,0.
+    std::ostringstream csv;
+    writeFleetTenantCsv(csv, r);
+    const std::string text = csv.str();
+    std::size_t dash_rows = 0;
+    for (std::size_t at = text.find(",0,-,1,0,0,");
+         at != std::string::npos; at = text.find(",0,-,1,0,0,", at + 1))
+        ++dash_rows;
+    EXPECT_EQ(dash_rows, cut);
+}
+
 TEST(FleetAdmission, InfeasibleDemandIsRejected)
 {
     const FleetResult r = simulateFleet(

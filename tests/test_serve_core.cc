@@ -2,13 +2,14 @@
  * @file
  * Contract tests of the shared event-driven serve core
  * (src/serve_core/): (1) golden byte-identity -- the diva_serve and
- * diva_fleet CLIs must reproduce, bit for bit, CSV/JSON fixtures
- * captured from the pre-refactor per-quantum scan loops; (2)
- * coalescing equivalence -- one closed-form multi-quantum advance must
- * land on exactly the state k single-quantum advances produce; (3)
- * thread-count determinism -- the fleet emitters must produce the same
- * bytes with 1 and 4 engine threads (run in-process so the TSan job
- * also proves the epoch parallelism race-free).
+ * diva_fleet CLIs must reproduce the checked-in CSV/JSON fixtures bit
+ * for bit; (2) coalescing equivalence -- one closed-form multi-quantum
+ * advance must land on exactly the state k single-quantum advances
+ * produce; (3) thread-count determinism -- the fleet emitters must
+ * produce the same bytes with 1 and 4 engine threads (run in-process
+ * so the TSan job also proves the epoch parallelism race-free); (4)
+ * one serve semantics -- an open-loop diva_serve trace replay and a
+ * one-pod fleet must give every tenant the same results.
  *
  * The golden tests run the tool binaries out of the build directory
  * (ctest's working directory) against fixtures under
@@ -17,6 +18,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include "arrivals/generate.h"
+#include "arrivals/replay.h"
 #include "fleet/emit.h"
 #include "fleet/engine.h"
 #include "fleet/fleet.h"
@@ -99,9 +102,8 @@ class ServeCoreGolden : public ::testing::Test
         const std::string want = slurp(fixtureDir() + fixture);
         ASSERT_FALSE(want.empty()) << fixture << " fixture unreadable";
         EXPECT_TRUE(got == want)
-            << fixture << ": output diverged from the pre-refactor "
-            << "golden (" << got.size() << " vs " << want.size()
-            << " bytes)";
+            << fixture << ": output diverged from the golden fixture ("
+            << got.size() << " vs " << want.size() << " bytes)";
         std::remove(fresh.c_str());
     }
 };
@@ -330,12 +332,7 @@ TEST(ServeCoreCoalescing, TenantModeMultiQuantumAdvanceEqualsSingleSteps)
     serve_core::Config cfg;
     cfg.policy = serve_core::Policy::kRoundRobin;
     cfg.quantumIters = 3;
-    cfg.rrIndexRotation = true;
-    cfg.rateGates = true; // keep the rate-gated task gated
-    cfg.strictArrivalPreempt = true;
-    cfg.idleSkipsBlocked = true;
-    cfg.endRunWhenNoWallFit = true;
-    cfg.wallBoundary = true;
+    cfg.rateGates = false; // closed loop, as static diva_serve mixes run
     expectCoalescingEquivalence(cfg);
 }
 
@@ -391,6 +388,110 @@ TEST(ServeCoreDeterminism, FleetEmittersAreByteStableAcrossThreadCounts)
 
     EXPECT_TRUE(emitAll(one) == emitAll(four))
         << "fleet emitters diverged across engine thread counts";
+}
+
+// ------------------------------------------------ one serve semantics
+
+bool
+sameValue(double a, double b)
+{
+    return a == b || (std::isnan(a) && std::isnan(b));
+}
+
+/**
+ * `diva_serve`'s open-loop trace replay and a one-pod `diva_fleet` run
+ * the same event rules on the same core.  Replaying one generated
+ * trace on one DiVa accelerator, both must give every tenant the same
+ * steps, completion, end time, energy, switches, QoS attainment and
+ * latency tail, bit for bit.  Every session fits the pod (no
+ * rejections), and with rebalance and budget off the fleet serves one
+ * uninterrupted epoch that ends at the wall, as the replay does.
+ */
+void
+expectReplayMatchesOnePodFleet(const std::string &genText,
+                               SchedPolicy policy, std::uint64_t quantum,
+                               double wallSec, SweepRunner &runner)
+{
+    SCOPED_TRACE(genText + " " + policyName(policy) + " q" +
+                 std::to_string(quantum));
+    std::string err;
+    const auto gen = parseTraceGenSpec(genText, &err);
+    ASSERT_TRUE(gen.has_value()) << err;
+    const ArrivalTrace trace = generateTrace(*gen);
+
+    ReplaySpec rs;
+    rs.trace = trace;
+    rs.config = divaDefault(true);
+    rs.policy = policy;
+    rs.opts.quantumIters = quantum;
+    rs.opts.wallLimitSec = wallSec;
+    const ServeResult serve = replayTrace(rs, runner);
+    ASSERT_TRUE(serve.ok()) << serve.error;
+
+    FleetSpec fs = buildFleet({defaultPodGroup(1)});
+    fs.policy = policy;
+    fs.quantumIters = quantum;
+    fs.wallLimitSec = wallSec;
+    fs.podDemandCap = 1e9; // every session is placed
+    fs.rebalance.enabled = false;
+    fs.budget = FleetEnergyBudget{};
+    const FleetResult fleet = simulateFleet(fs, trace, runner, 1);
+    ASSERT_TRUE(fleet.ok()) << fleet.error;
+    ASSERT_EQ(fleet.placedCount, trace.jobs.size());
+
+    ASSERT_EQ(serve.tenants.size(), fleet.tenants.size());
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < serve.tenants.size(); ++i) {
+        const TenantMetrics &s = serve.tenants[i];
+        const FleetTenantMetrics &f = fleet.tenants[i];
+        const bool same =
+            s.stepsDone == f.stepsDone && s.completed == f.completed &&
+            sameValue(s.endSec, f.endSec) &&
+            sameValue(s.energyJ, f.energyJ) &&
+            s.switchesIn == f.switchesIn &&
+            sameValue(s.qosAttainmentPct, f.qosAttainmentPct) &&
+            sameValue(s.stepLatency.p50Sec, f.stepLatency.p50Sec) &&
+            sameValue(s.stepLatency.p95Sec, f.stepLatency.p95Sec) &&
+            sameValue(s.stepLatency.p99Sec, f.stepLatency.p99Sec);
+        if (!same && differing++ == 0)
+            ADD_FAILURE()
+                << "first differing tenant " << s.job.name
+                << ": steps " << s.stepsDone << " vs " << f.stepsDone
+                << ", end " << s.endSec << " vs " << f.endSec
+                << ", switches " << s.switchesIn << " vs "
+                << f.switchesIn << ", p99 " << s.stepLatency.p99Sec
+                << " vs " << f.stepLatency.p99Sec;
+    }
+    EXPECT_EQ(differing, 0u)
+        << differing << " of " << serve.tenants.size()
+        << " tenants differ between the replay and the one-pod fleet";
+    EXPECT_GT(fleet.totalSteps, 0u);
+}
+
+TEST(ServeCoreOneSemantics, ReplayMatchesOnePodFleet)
+{
+    SweepRunner runner; // shared: each model is priced once
+    const std::string mix =
+        "poisson:rate=60,seed=9,hold=2,qos=20,cap=200,steps=24";
+    expectReplayMatchesOnePodFleet(mix, SchedPolicy::kRoundRobin, 1, 0.0,
+                                   runner);
+    expectReplayMatchesOnePodFleet(mix, SchedPolicy::kRoundRobin, 3, 0.0,
+                                   runner);
+    expectReplayMatchesOnePodFleet(mix, SchedPolicy::kPriority, 2, 0.0,
+                                   runner);
+    expectReplayMatchesOnePodFleet(mix, SchedPolicy::kEdf, 4, 0.0, runner);
+    expectReplayMatchesOnePodFleet(
+        "onoff:rate=80,seed=5,hold=1,qos=50,cap=150,steps=30",
+        SchedPolicy::kRoundRobin, 2, 0.0, runner);
+    // Unbounded sessions, served until they depart.
+    expectReplayMatchesOnePodFleet(
+        "poisson:rate=60,seed=9,hold=2,qos=20,cap=200,steps=0",
+        SchedPolicy::kRoundRobin, 1, 0.0, runner);
+    // A wall after the last arrival (about 2 s) and before the work
+    // ends (about 3.9 s) cuts the run short.
+    expectReplayMatchesOnePodFleet(mix + ",horizon=2",
+                                   SchedPolicy::kRoundRobin, 1, 3.0,
+                                   runner);
 }
 
 } // namespace
