@@ -112,7 +112,11 @@ class GemmEngineModel
   protected:
     /**
      * Dataflow-specific PE-array occupancy in cycles for one GEMM,
-     * excluding memory stalls. Must also report SRAM traffic.
+     * excluding memory stalls. Costs O(1) in the shape: the result
+     * equals accumulating every PE-array tile's cycles one by one, but
+     * sums the identical full tiles in closed form plus the one
+     * remainder tile per axis. SRAM traffic comes from the per-cycle
+     * rates below.
      */
     virtual Cycles computeCycles(const GemmShape &shape) const = 0;
 

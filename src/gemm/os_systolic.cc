@@ -20,24 +20,23 @@ OsSystolicModel::computeCycles(const GemmShape &shape) const
 
     const std::int64_t tiles_m = ceilDiv(shape.m, pe_h);
     const std::int64_t tiles_n = ceilDiv(shape.n, pe_w);
+    const std::int64_t last_m = shape.m - (tiles_m - 1) * pe_h;
 
-    Cycles total = 0;
-    for (std::int64_t tm = 0; tm < tiles_m; ++tm) {
-        const std::int64_t mt =
-            std::min<std::int64_t>(pe_h, shape.m - tm * pe_h);
-        for (std::int64_t tn = 0; tn < tiles_n; ++tn) {
-            const std::int64_t nt =
-                std::min<std::int64_t>(pe_w, shape.n - tn * pe_w);
-            // Figure 3(b): the skewed LHS/RHS streams take
-            // K + mt + nt - 1 cycles to produce the final partial sum;
-            // the latched outputs must then drain before the PEs can
-            // start the next tile's accumulation.
-            const Cycles stream = Cycles(shape.k + mt + nt - 1);
-            const Cycles drain_cycles = Cycles(ceilDiv(mt, drain));
-            total += stream + drain_cycles;
-        }
-    }
-    return total;
+    // Figure 3(b): an (mt x nt) tile's skewed LHS/RHS streams take
+    // K + mt + nt - 1 cycles to produce the final partial sum; the
+    // latched outputs must then drain for ceil(mt/R) cycles before the
+    // PEs can start the next tile's accumulation. Over the tile grid
+    // the mt terms add up to M per tile column and the nt terms to N
+    // per tile row; only the drain needs the full/remainder split.
+    // Unsigned products wrap exactly as a per-tile running sum would.
+    const Cycles tm = Cycles(tiles_m);
+    const Cycles tn = Cycles(tiles_n);
+    const Cycles drain_per_column =
+        (tm - 1) * Cycles(ceilDiv(pe_h, drain)) +
+        Cycles(ceilDiv(last_m, drain));
+    return tm * tn * (Cycles(shape.k) - 1) +
+           tn * (Cycles(shape.m) + drain_per_column) +
+           tm * Cycles(shape.n);
 }
 
 Bytes

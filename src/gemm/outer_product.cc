@@ -22,28 +22,24 @@ OuterProductModel::computeCycles(const GemmShape &shape) const
 
     const std::int64_t tiles_m = ceilDiv(shape.m, pe_h);
     const std::int64_t tiles_n = ceilDiv(shape.n, pe_w);
+    const std::int64_t last_m = shape.m - (tiles_m - 1) * pe_h;
 
     // Broadcast over the local buses has a short, constant pipeline
     // fill (bus drive + multiply + accumulate register).
     constexpr Cycles kPipelineFill = 2;
 
-    Cycles total = 0;
-    for (std::int64_t tm = 0; tm < tiles_m; ++tm) {
-        const std::int64_t mt =
-            std::min<std::int64_t>(pe_h, shape.m - tm * pe_h);
-        for (std::int64_t tn = 0; tn < tiles_n; ++tn) {
-            (void)tn;
-            // K vector pairs streamed, one per cycle; no skew. The
-            // R-rows-per-cycle drain proceeds progressively, so the
-            // next tile's accumulation overlaps the drain in rows that
-            // have already been read out: the tile costs
-            // max(K, drain-time) rather than their sum.
-            const Cycles accumulate = Cycles(shape.k);
-            const Cycles drain_cycles = Cycles(ceilDiv(mt, drain));
-            total += std::max(accumulate, drain_cycles) + kPipelineFill;
-        }
-    }
-    return total;
+    // K vector pairs streamed, one per cycle; no skew. The
+    // R-rows-per-cycle drain proceeds progressively, so the next
+    // tile's accumulation overlaps the drain in rows that have already
+    // been read out: an mt-row tile costs max(K, drain-time) rather
+    // than their sum. The cost ignores nt, so each tile row holds
+    // tiles_m - 1 full tiles and one remainder tile.
+    const auto tile = [&](std::int64_t mt) {
+        return std::max(Cycles(shape.k), Cycles(ceilDiv(mt, drain))) +
+               kPipelineFill;
+    };
+    return Cycles(tiles_n) *
+           ((Cycles(tiles_m) - 1) * tile(pe_h) + tile(last_m));
 }
 
 Bytes

@@ -22,34 +22,27 @@ WsSystolicModel::computeCycles(const GemmShape &shape) const
 
     const std::int64_t tiles_k = ceilDiv(shape.k, pe_h);
     const std::int64_t tiles_n = ceilDiv(shape.n, pe_w);
+    const std::int64_t last_k = shape.k - (tiles_k - 1) * pe_h;
 
-    Cycles total = 0;
-    bool first_tile = true;
-    for (std::int64_t tk = 0; tk < tiles_k; ++tk) {
-        const std::int64_t kt =
-            std::min<std::int64_t>(pe_h, shape.k - tk * pe_h);
-        for (std::int64_t tn = 0; tn < tiles_n; ++tn) {
-            const std::int64_t nt =
-                std::min<std::int64_t>(pe_w, shape.n - tn * pe_w);
-            // Latch the (kt x nt) weight tile, then stream all M LHS
-            // rows through it. The stream occupies M + kt + nt - 1
-            // cycles due to the diagonal input/output skew
-            // (Figure 3(c): M + K + PE_W - 1).
-            const Cycles latch = Cycles(ceilDiv(kt, fill));
-            const Cycles stream = Cycles(shape.m + kt + nt - 1);
-            if (cfg_.wsDoubleBufferWeights) {
-                // Double-buffered latches hide the fill behind the
-                // previous tile's stream; only the first fill and any
-                // fill longer than a stream stay exposed.
-                total += first_tile ? latch + stream
-                                    : std::max(latch, stream);
-            } else {
-                total += latch + stream;
-            }
-            first_tile = false;
-        }
+    // Each (kt x nt) weight tile is latched in ceil(kt/fill) cycles,
+    // then all M LHS rows stream through it in M + kt + nt - 1 cycles
+    // due to the diagonal input/output skew (Figure 3(c):
+    // M + K + PE_W - 1). Over the tile grid the kt terms add up to K
+    // per tile column and the nt terms to N per tile row. Unsigned
+    // products wrap exactly as a per-tile running sum would.
+    const Cycles tk = Cycles(tiles_k);
+    const Cycles tn = Cycles(tiles_n);
+    const Cycles streams = tk * tn * (Cycles(shape.m) - 1) +
+                           tn * Cycles(shape.k) + tk * Cycles(shape.n);
+    if (cfg_.wsDoubleBufferWeights) {
+        // Double-buffered latches hide each fill behind the previous
+        // tile's stream; only the first fill stays exposed. A fill of
+        // ceil(kt/fill) <= kt cycles never outlasts a stream.
+        return streams + Cycles(ceilDiv(std::min(pe_h, shape.k), fill));
     }
-    return total;
+    const Cycles latches = tn * ((tk - 1) * Cycles(ceilDiv(pe_h, fill)) +
+                                 Cycles(ceilDiv(last_k, fill)));
+    return streams + latches;
 }
 
 Bytes

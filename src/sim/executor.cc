@@ -130,9 +130,16 @@ Executor::run(const OpStream &stream, Trace *trace) const
     SimResult result;
     for (std::size_t i = 0; i < stream.ops.size(); ++i) {
         const Op &op = stream.ops[i];
-        const Cycles cycles_before = result.totalCycles();
-        const Bytes dram_before = result.totalDram().total();
-        const Macs macs_before = result.totalMacs();
+        // The running totals each loop over every stage and only fill
+        // trace records, so untraced runs skip them.
+        Cycles cycles_before = 0;
+        Bytes dram_before = 0;
+        Macs macs_before = 0;
+        if (trace) {
+            cycles_before = result.totalCycles();
+            dram_before = result.totalDram().total();
+            macs_before = result.totalMacs();
+        }
         switch (op.type) {
           case OpType::kGemm:
             runGemm(result, op, stream.algorithm);

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string_view>
 
@@ -108,10 +109,14 @@ parsePayload(std::string_view payload, std::string &key,
     if (f.size() != 12)
         return false;
     key = f[0];
-    std::uint64_t u = 0;
-    if (!parseU64(f[1], u))
+    // Only successful results are stored, and their batch is >= 1; a
+    // batch outside [1, INT_MAX] marks a corrupt record rather than
+    // wrapping into some other int.
+    std::uint64_t batch = 0;
+    if (!parseU64(f[1], batch) || batch < 1 ||
+        batch > std::uint64_t(std::numeric_limits<int>::max()))
         return false;
-    r.resolvedBatch = static_cast<int>(u);
+    r.resolvedBatch = static_cast<int>(batch);
     if (!parseU64(f[2], r.cycles) || !parseU64(f[3], r.computeCycles) ||
         !parseU64(f[4], r.allReduceCycles))
         return false;

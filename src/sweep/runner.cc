@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <sstream>
+#include <string>
 
 #include "backend/registry.h"
 #include "common/logging.h"
@@ -26,11 +26,10 @@ namespace
 std::string
 planSignature(const Scenario &s)
 {
-    std::ostringstream sig;
-    sig << s.model << '|' << s.modelScale << '|' << int(s.algorithm)
-        << '|' << s.batch << '|' << s.microbatch << '|'
-        << s.effectiveBackend();
-    return sig.str();
+    return s.model + '|' + std::to_string(s.modelScale) + '|' +
+           std::to_string(int(s.algorithm)) + '|' +
+           std::to_string(s.batch) + '|' + std::to_string(s.microbatch) +
+           '|' + s.effectiveBackend();
 }
 
 } // namespace

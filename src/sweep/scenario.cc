@@ -1,9 +1,12 @@
 #include "sweep/scenario.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <sstream>
+#include <string_view>
 
 #include "common/logging.h"
 #include "models/zoo.h"
@@ -55,15 +58,67 @@ namespace
 {
 
 /**
+ * Appends key fields to one string, printing every value exactly as a
+ * std::ostream with default flags would: integers in decimal, bools as
+ * 0/1 and doubles as printf's %g (precision 6; shortest round-trip
+ * would differ, e.g. 123456789 where %g prints 1.23457e+08). Existing
+ * disk stores are indexed by these bytes, so they must not drift.
+ */
+class KeyWriter
+{
+  public:
+    explicit KeyWriter(std::string &out) : out_(out) {}
+
+    KeyWriter &operator<<(std::string_view s)
+    {
+        out_ += s;
+        return *this;
+    }
+    KeyWriter &operator<<(const char *s)
+    {
+        out_ += s;
+        return *this;
+    }
+    KeyWriter &operator<<(char c)
+    {
+        out_ += c;
+        return *this;
+    }
+    KeyWriter &operator<<(bool b)
+    {
+        out_ += b ? '1' : '0';
+        return *this;
+    }
+    KeyWriter &operator<<(int v) { return number(v); }
+    KeyWriter &operator<<(std::uint64_t v) { return number(v); }
+    KeyWriter &operator<<(double v)
+    {
+        return number(v, std::chars_format::general, 6);
+    }
+
+  private:
+    template <typename T, typename... Format>
+    KeyWriter &number(T v, Format... format)
+    {
+        char buf[32];
+        const auto res = std::to_chars(buf, buf + sizeof(buf), v, format...);
+        out_.append(buf, res.ptr);
+        return *this;
+    }
+
+    std::string &out_;
+};
+
+/**
  * Serialize every simulated AcceleratorConfig field. The cache and
  * dedup treat equal keys as identical simulation inputs, so the key
  * spells the values out rather than trusting a 64-bit configHash
  * whose collisions would silently alias two design points.
  */
 void
-appendConfigKey(std::ostringstream &oss, const AcceleratorConfig &c)
+appendConfigKey(KeyWriter &key, const AcceleratorConfig &c)
 {
-    oss << c.name << ';' << dataflowName(c.dataflow) << ';' << c.peRows
+    key << c.name << ';' << dataflowName(c.dataflow) << ';' << c.peRows
         << ';' << c.peCols << ';' << c.freqGhz << ';' << c.sramBytes
         << ';' << c.dramBandwidthGBs << ';' << c.dramLatencyCycles
         << ';' << c.weightFillRowsPerCycle << ';'
@@ -77,38 +132,40 @@ appendConfigKey(std::ostringstream &oss, const AcceleratorConfig &c)
 std::string
 Scenario::canonicalKey() const
 {
-    std::ostringstream oss;
+    std::string out;
+    out.reserve(128);
+    KeyWriter key(out);
     // Keyed on the *effective* backend: a registered non-built-in
     // backend must never alias the built-in of the same kind in the
     // result caches.
-    oss << effectiveBackend() << '|' << model << '|' << modelScale
+    key << effectiveBackend() << '|' << model << '|' << modelScale
         << '|' << algorithmName(algorithm) << '|' << batch << '|'
         << microbatch;
     // The auto-batch protocol depends on the budget only when active.
     if (batch == kAutoBatch)
-        oss << "|mem=" << memoryBudget;
+        key << "|mem=" << memoryBudget;
     switch (backend) {
       case SweepBackend::kSingleChip:
-        oss << "|cfg=";
-        appendConfigKey(oss, config);
+        key << "|cfg=";
+        appendConfigKey(key, config);
         break;
       case SweepBackend::kMultiChip:
-        oss << "|cfg=";
-        appendConfigKey(oss, config);
-        oss << "|chips=" << pod.numChips << "|ici="
+        key << "|cfg=";
+        appendConfigKey(key, config);
+        key << "|chips=" << pod.numChips << "|ici="
             << pod.interconnectGBs << "|lat=" << pod.linkLatencyCycles;
         break;
       case SweepBackend::kGpu:
         // Key on every timing-relevant GpuConfig field, not just the
         // display name, so distinct GPU design points sharing a name
         // never collapse in dedup or the result cache.
-        oss << "|gpu=" << gpu.name << ';' << gpu.peakTflops << ';'
+        key << "|gpu=" << gpu.name << ';' << gpu.peakTflops << ';'
             << gpu.bandwidthGBs << ';' << gpu.numSms << ';' << gpu.tileM
             << ';' << gpu.tileN << ';' << gpu.kGranule << ';'
             << gpu.kernelOverheadSec << ';' << gpu.gemmEfficiency;
         break;
     }
-    return oss.str();
+    return out;
 }
 
 Network

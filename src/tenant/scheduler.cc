@@ -1,9 +1,6 @@
 #include "tenant/scheduler.h"
 
-#include <algorithm>
 #include <cctype>
-
-#include "common/logging.h"
 
 namespace diva
 {
@@ -42,130 +39,6 @@ allPolicies()
 {
     return {SchedPolicy::kFifo, SchedPolicy::kRoundRobin,
             SchedPolicy::kPriority, SchedPolicy::kEdf};
-}
-
-namespace
-{
-
-/**
- * Pick the ready tenant minimizing `betterThan` with deterministic
- * (arrival, index) tie-breaking: candidates are visited in ascending
- * index order and only a strictly better key displaces the incumbent.
- */
-template <typename KeyFn>
-std::size_t
-pickByKey(const std::vector<SchedView> &tenants,
-          const std::vector<std::size_t> &ready, KeyFn key)
-{
-    std::size_t best = ready.front();
-    for (std::size_t i : ready) {
-        const auto ki = key(tenants[i]);
-        const auto kb = key(tenants[best]);
-        if (ki < kb)
-            best = i;
-    }
-    return best;
-}
-
-class FifoScheduler final : public Scheduler
-{
-  public:
-    SchedPolicy policy() const override { return SchedPolicy::kFifo; }
-
-    std::size_t
-    pick(const std::vector<SchedView> &tenants,
-         const std::vector<std::size_t> &ready, double) override
-    {
-        // Earliest arrival wins and keeps winning until it completes,
-        // so FIFO is non-preemptive by construction.
-        return pickByKey(tenants, ready, [](const SchedView &t) {
-            return t.arrivalSec;
-        });
-    }
-};
-
-class RoundRobinScheduler final : public Scheduler
-{
-  public:
-    SchedPolicy policy() const override
-    {
-        return SchedPolicy::kRoundRobin;
-    }
-
-    std::size_t
-    pick(const std::vector<SchedView> &,
-         const std::vector<std::size_t> &ready, double) override
-    {
-        // First ready tenant at or after the rotation cursor, wrapping
-        // around; the cursor then moves past the pick so every ready
-        // tenant gets a slice before any repeats.
-        std::size_t best = ready.front();
-        bool found = false;
-        for (std::size_t i : ready)
-            if (i >= next_) {
-                best = i;
-                found = true;
-                break;
-            }
-        if (!found)
-            best = ready.front(); // wrap
-        next_ = best + 1;
-        return best;
-    }
-
-  private:
-    std::size_t next_ = 0;
-};
-
-class PriorityScheduler final : public Scheduler
-{
-  public:
-    SchedPolicy policy() const override { return SchedPolicy::kPriority; }
-
-    std::size_t
-    pick(const std::vector<SchedView> &tenants,
-         const std::vector<std::size_t> &ready, double) override
-    {
-        // Highest priority, then earliest arrival.
-        return pickByKey(tenants, ready, [](const SchedView &t) {
-            return std::make_pair(-t.priority, t.arrivalSec);
-        });
-    }
-};
-
-class EdfScheduler final : public Scheduler
-{
-  public:
-    SchedPolicy policy() const override { return SchedPolicy::kEdf; }
-
-    std::size_t
-    pick(const std::vector<SchedView> &tenants,
-         const std::vector<std::size_t> &ready, double) override
-    {
-        // Earliest next-step deadline; tenants without QoS carry an
-        // infinite deadline and therefore yield to any targeted one.
-        return pickByKey(tenants, ready, [](const SchedView &t) {
-            return std::make_pair(t.nextDeadlineSec, t.arrivalSec);
-        });
-    }
-};
-
-} // namespace
-
-std::unique_ptr<Scheduler>
-makeScheduler(SchedPolicy policy)
-{
-    switch (policy) {
-      case SchedPolicy::kFifo:
-        return std::make_unique<FifoScheduler>();
-      case SchedPolicy::kRoundRobin:
-        return std::make_unique<RoundRobinScheduler>();
-      case SchedPolicy::kPriority:
-        return std::make_unique<PriorityScheduler>();
-      case SchedPolicy::kEdf:
-        return std::make_unique<EdfScheduler>();
-    }
-    DIVA_PANIC("unhandled scheduling policy");
 }
 
 } // namespace diva

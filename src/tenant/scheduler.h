@@ -1,22 +1,15 @@
 /**
  * @file
- * Scheduling policies for the multi-tenant time-sharing simulator.
- * All four policies sit behind one Scheduler interface: at every
- * quantum boundary the serve loop hands the policy a snapshot of the
- * runnable tenants and the policy returns the tenant to run next.
- *
- * Determinism contract: pick() must be a pure function of the
- * snapshot, the ready set and the scheduler's own state -- ties break
- * on (arrival, index) so repeated runs of the same workload produce
+ * Scheduling policies for the multi-tenant time-sharing simulator and
+ * their CLI/CSV names. The serve core (src/serve_core/core.h) orders
+ * its ready set by the configured policy, with the task index as the
+ * final tie break, so repeated runs of the same workload produce
  * identical schedules whatever the host thread count.
  */
 
 #ifndef DIVA_TENANT_SCHEDULER_H
 #define DIVA_TENANT_SCHEDULER_H
 
-#include <cstddef>
-#include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -45,42 +38,6 @@ std::optional<SchedPolicy> policyFromName(const std::string &name);
 
 /** Every policy, in declaration order. */
 std::vector<SchedPolicy> allPolicies();
-
-/** What a policy may look at when picking the next tenant. */
-struct SchedView
-{
-    double arrivalSec = 0.0;
-    int priority = 0;
-
-    /**
-     * Deadline of the tenant's next step: arrival + (done+1)/rate for
-     * rate targets, the absolute deadline for deadline targets, and
-     * +infinity for tenants without QoS (EDF serves them last).
-     */
-    double nextDeadlineSec = 0.0;
-
-    std::uint64_t stepsDone = 0;
-};
-
-/** Picks which ready tenant runs the next quantum. */
-class Scheduler
-{
-  public:
-    virtual ~Scheduler() = default;
-
-    virtual SchedPolicy policy() const = 0;
-
-    /**
-     * Choose from `ready` (indices into `tenants`, ascending, never
-     * empty) the tenant to run next. `now` is the simulated time of
-     * the decision.
-     */
-    virtual std::size_t pick(const std::vector<SchedView> &tenants,
-                             const std::vector<std::size_t> &ready,
-                             double now) = 0;
-};
-
-std::unique_ptr<Scheduler> makeScheduler(SchedPolicy policy);
 
 } // namespace diva
 

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "sweep/disk_cache.h"
@@ -104,6 +107,29 @@ TEST(DiskCache, NeverPersistsFailedResults)
     EXPECT_EQ(reloaded.size(), 0u);
 }
 
+/** A store line for `payload` under its FNV-1a 64-bit checksum. */
+std::string
+checksummedLine(const std::string &payload)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : payload) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    char hex[24];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return std::string(hex) + '\t' + payload + '\n';
+}
+
+/** A well-formed record payload whose resolved batch is `batch`. */
+std::string
+payloadWithBatch(const std::string &key, const std::string &batch)
+{
+    return key + '\t' + batch + "\t1000\t900\t100\t0.125\t0.5\t2.5\t" +
+           "1048576\t1024\t23.8\t85";
+}
+
 TEST(DiskCache, SkipsCorruptLinesButKeepsValidOnes)
 {
     const std::string dir = freshCacheDir("corrupt");
@@ -119,15 +145,26 @@ TEST(DiskCache, SkipsCorruptLinesButKeepsValidOnes)
         out << "deadbeefdeadbeef\tgarbage payload\n";
         out << "not even a record\n";
         out << "0123456789abcdef\ttruncated\t1\t2\n";
+        // Valid checksums, but resolved batches no successful result
+        // has: each must be rejected, not wrapped into some int.
+        out << checksummedLine(payloadWithBatch("wraps-to-1", "4294967297"));
+        out << checksummedLine(
+            payloadWithBatch("wraps-negative", "2147483648"));
+        out << checksummedLine(payloadWithBatch("zero-batch", "0"));
+        // The largest batch an int holds still loads.
+        out << checksummedLine(payloadWithBatch("good-max", "2147483647"));
     }
     DiskCache cache(dir);
-    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.size(), 2u);
     EXPECT_TRUE(cache.contains("good-1"));
-    EXPECT_EQ(cache.corruptLinesSkipped(), 3u);
+    ASSERT_TRUE(cache.contains("good-max"));
+    EXPECT_EQ(cache.entries().at("good-max").resolvedBatch,
+              std::numeric_limits<int>::max());
+    EXPECT_EQ(cache.corruptLinesSkipped(), 6u);
     // The store stays writable after corruption.
     EXPECT_EQ(cache.append({{"good-2", sampleResult(2)}}), 1u);
     DiskCache reloaded(dir);
-    EXPECT_EQ(reloaded.size(), 2u);
+    EXPECT_EQ(reloaded.size(), 3u);
 }
 
 TEST(DiskCache, ForeignVersionIsIgnoredThenRewritten)

@@ -1,8 +1,13 @@
 /**
  * @file
  * Unit tests for the three GEMM-engine cycle models, checking the
- * dataflow-specific behaviors the paper builds its case on.
+ * dataflow-specific behaviors the paper builds its case on and that
+ * each closed-form cycle count equals its per-tile sum.
  */
+
+#include <algorithm>
+#include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -233,6 +238,224 @@ TEST(Engines, SramTrafficScalesWithComputeCycles)
         EXPECT_GT(r.sramReadBytes, 0u);
         EXPECT_GT(r.sramWriteBytes, 0u);
     }
+}
+
+// ------------------------------------ closed forms vs per-tile sums
+//
+// Each engine sums its tile grid in closed form. The references below
+// accumulate the grid tile by tile: every remainder tile, fill and
+// drain must land on the same count.
+
+Cycles
+referenceOsCycles(const AcceleratorConfig &cfg, const GemmShape &shape)
+{
+    const std::int64_t pe_h = cfg.peRows;
+    const std::int64_t pe_w = cfg.peCols;
+    const std::int64_t drain = cfg.drainRowsPerCycle;
+    const std::int64_t tiles_m = ceilDiv(shape.m, pe_h);
+    const std::int64_t tiles_n = ceilDiv(shape.n, pe_w);
+    Cycles total = 0;
+    for (std::int64_t tm = 0; tm < tiles_m; ++tm) {
+        const std::int64_t mt =
+            std::min<std::int64_t>(pe_h, shape.m - tm * pe_h);
+        for (std::int64_t tn = 0; tn < tiles_n; ++tn) {
+            const std::int64_t nt =
+                std::min<std::int64_t>(pe_w, shape.n - tn * pe_w);
+            const Cycles stream = Cycles(shape.k + mt + nt - 1);
+            const Cycles drain_cycles = Cycles(ceilDiv(mt, drain));
+            total += stream + drain_cycles;
+        }
+    }
+    return total;
+}
+
+Cycles
+referenceOuterProductCycles(const AcceleratorConfig &cfg,
+                            const GemmShape &shape)
+{
+    const std::int64_t pe_h = cfg.peRows;
+    const std::int64_t pe_w = cfg.peCols;
+    const std::int64_t drain = cfg.drainRowsPerCycle;
+    const std::int64_t tiles_m = ceilDiv(shape.m, pe_h);
+    const std::int64_t tiles_n = ceilDiv(shape.n, pe_w);
+    constexpr Cycles kPipelineFill = 2;
+    Cycles total = 0;
+    for (std::int64_t tm = 0; tm < tiles_m; ++tm) {
+        const std::int64_t mt =
+            std::min<std::int64_t>(pe_h, shape.m - tm * pe_h);
+        for (std::int64_t tn = 0; tn < tiles_n; ++tn) {
+            const Cycles accumulate = Cycles(shape.k);
+            const Cycles drain_cycles = Cycles(ceilDiv(mt, drain));
+            total += std::max(accumulate, drain_cycles) + kPipelineFill;
+        }
+    }
+    return total;
+}
+
+Cycles
+referenceWsCycles(const AcceleratorConfig &cfg, const GemmShape &shape)
+{
+    const std::int64_t pe_h = cfg.peRows;
+    const std::int64_t pe_w = cfg.peCols;
+    const std::int64_t fill = cfg.weightFillRowsPerCycle;
+    const std::int64_t tiles_k = ceilDiv(shape.k, pe_h);
+    const std::int64_t tiles_n = ceilDiv(shape.n, pe_w);
+    Cycles total = 0;
+    bool first_tile = true;
+    for (std::int64_t tk = 0; tk < tiles_k; ++tk) {
+        const std::int64_t kt =
+            std::min<std::int64_t>(pe_h, shape.k - tk * pe_h);
+        for (std::int64_t tn = 0; tn < tiles_n; ++tn) {
+            const std::int64_t nt =
+                std::min<std::int64_t>(pe_w, shape.n - tn * pe_w);
+            const Cycles latch = Cycles(ceilDiv(kt, fill));
+            const Cycles stream = Cycles(shape.m + kt + nt - 1);
+            if (cfg.wsDoubleBufferWeights) {
+                total += first_tile ? latch + stream
+                                    : std::max(latch, stream);
+            } else {
+                total += latch + stream;
+            }
+            first_tile = false;
+        }
+    }
+    return total;
+}
+
+Cycles
+referenceCycles(const AcceleratorConfig &cfg, const GemmShape &shape)
+{
+    switch (cfg.dataflow) {
+      case Dataflow::kWeightStationary:
+        return referenceWsCycles(cfg, shape);
+      case Dataflow::kOutputStationary:
+        return referenceOsCycles(cfg, shape);
+      case Dataflow::kOuterProduct:
+        return referenceOuterProductCycles(cfg, shape);
+    }
+    return 0;
+}
+
+/** Compare every dataflow (WS with and without double buffering). */
+void
+expectClosedFormsMatchTileSums(AcceleratorConfig cfg,
+                               const GemmShape &shape)
+{
+    cfg.hasPpu = false; // WS cannot host one; cycles ignore it anyway
+    for (const Dataflow df :
+         {Dataflow::kWeightStationary, Dataflow::kOutputStationary,
+          Dataflow::kOuterProduct}) {
+        cfg.dataflow = df;
+        for (const bool dbuf : {false, true}) {
+            if (dbuf && df != Dataflow::kWeightStationary)
+                continue;
+            cfg.wsDoubleBufferWeights = dbuf;
+            ASSERT_EQ(simulate(cfg, shape).computeCycles,
+                      referenceCycles(cfg, shape))
+                << dataflowName(df) << (dbuf ? " double-buffered" : "")
+                << " " << cfg.peRows << "x" << cfg.peCols
+                << " drain=" << cfg.drainRowsPerCycle
+                << " fill=" << cfg.weightFillRowsPerCycle << " shape "
+                << shape.str();
+        }
+    }
+}
+
+/**
+ * A GEMM dimension tiled by `pe`: an exact multiple, a single partial
+ * or full tile, several tiles plus a remainder, or anything in
+ * [1, 5000].
+ */
+std::int64_t
+randomDim(std::mt19937_64 &rng, std::int64_t pe)
+{
+    constexpr std::int64_t kMax = 5000;
+    const auto uniform = [&](std::int64_t lo, std::int64_t hi) {
+        return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+    };
+    switch (uniform(0, 3)) {
+      case 0:
+        return pe * uniform(1, std::max<std::int64_t>(1, kMax / pe));
+      case 1:
+        return uniform(1, std::min(pe, kMax));
+      case 2:
+        if (pe > 1 && pe < kMax)
+            return pe * uniform(1, std::max<std::int64_t>(
+                                       1, (kMax - pe) / pe)) +
+                   uniform(1, pe - 1);
+        [[fallthrough]];
+      default:
+        return uniform(1, kMax);
+    }
+}
+
+TEST(EngineClosedForms, MatchPerTileSumsOnRandomConfigsAndShapes)
+{
+    std::mt19937_64 rng(0x5eedf00d);
+    const auto uniform = [&](int lo, int hi) {
+        return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    int checked = 0;
+    while (checked < 20000) {
+        AcceleratorConfig cfg = divaDefault(false);
+        cfg.peRows = uniform(1, 300);
+        cfg.peCols = uniform(1, 300);
+        cfg.drainRowsPerCycle = uniform(1, cfg.peRows);
+        cfg.weightFillRowsPerCycle = uniform(1, 16);
+        const GemmShape shape(randomDim(rng, cfg.peRows),
+                              randomDim(rng, cfg.peRows),
+                              randomDim(rng, cfg.peCols));
+        // Keep the per-tile references cheap: both tile grids (M x N
+        // for OS/DiVa, K x N for WS) stay under 250k tiles.
+        const std::int64_t tiles_n = ceilDiv(shape.n, std::int64_t(cfg.peCols));
+        if (std::max(ceilDiv(shape.m, std::int64_t(cfg.peRows)),
+                     ceilDiv(shape.k, std::int64_t(cfg.peRows))) *
+                tiles_n >
+            250000)
+            continue;
+        expectClosedFormsMatchTileSums(cfg, shape);
+        if (HasFatalFailure())
+            return;
+        ++checked;
+    }
+}
+
+TEST(EngineClosedForms, MatchPerTileSumsOnNcfAndGnmtLayers)
+{
+    // The NCF and GNMT GEMM layers of MAESTRO's mapping specs, with
+    // Y as M, C as K and K as N: K up to 4096, N down to 1.
+    const GemmShape layers[] = {
+        // ncf_gemm GEMM0-9
+        {256, 2048, 128}, {128, 2048, 64}, {256, 2048, 256},
+        {2048, 256, 256}, {2048, 256, 256}, {2048, 256, 128},
+        {2048, 128, 256}, {2048, 64, 128}, {2048, 128, 64},
+        {128, 2048, 1},
+        // gnmt_gemm GEMM0-8
+        {128, 4096, 2048}, {128, 4096, 2048}, {320, 4096, 3072},
+        {128, 4096, 2048}, {128, 4096, 2048}, {320, 4096, 3072},
+        {320, 4096, 3072}, {320, 4096, 3072}, {320, 4096, 3072},
+    };
+    std::vector<AcceleratorConfig> configs = {tpuV3Ws(),
+                                              systolicOs(false),
+                                              divaDefault(false)};
+    AcceleratorConfig odd = divaDefault(false);
+    odd.peRows = 96;
+    odd.peCols = 200;
+    odd.drainRowsPerCycle = 7;
+    odd.weightFillRowsPerCycle = 3;
+    configs.push_back(odd);
+    AcceleratorConfig tall = odd;
+    tall.peRows = 300;
+    tall.peCols = 3;
+    tall.drainRowsPerCycle = 300;
+    tall.weightFillRowsPerCycle = 16;
+    configs.push_back(tall);
+    for (const AcceleratorConfig &cfg : configs)
+        for (const GemmShape &shape : layers) {
+            expectClosedFormsMatchTileSums(cfg, shape);
+            if (HasFatalFailure())
+                return;
+        }
 }
 
 TEST(GemmResult, Accumulation)

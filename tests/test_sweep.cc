@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the design-space sweep subsystem: spec expansion
  * counts, serial-vs-parallel result equality, cache-hit accounting,
- * summary statistics and Pareto-frontier extraction.
+ * summary statistics, Pareto-frontier extraction and the bytes of the
+ * canonical keys.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +16,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace diva
 {
@@ -497,6 +503,187 @@ TEST(Scenario, CanonicalKeySeparatesBackends)
     EXPECT_NE(chip.canonicalKey(), pod.canonicalKey());
     EXPECT_NE(chip.canonicalKey(), gpu.canonicalKey());
     EXPECT_NE(pod.canonicalKey(), gpu.canonicalKey());
+}
+
+// ----------------------------------------- canonical-key byte contract
+
+/**
+ * The canonical key built through std::ostringstream, as the
+ * reference: every existing disk store is indexed by these bytes.
+ */
+void
+referenceConfigKey(std::ostringstream &oss, const AcceleratorConfig &c)
+{
+    oss << c.name << ';' << dataflowName(c.dataflow) << ';' << c.peRows
+        << ';' << c.peCols << ';' << c.freqGhz << ';' << c.sramBytes
+        << ';' << c.dramBandwidthGBs << ';' << c.dramLatencyCycles
+        << ';' << c.weightFillRowsPerCycle << ';'
+        << c.wsDoubleBufferWeights << ';' << c.drainRowsPerCycle << ';'
+        << c.hasPpu << ';' << c.inputBytes << ';' << c.accumBytes << ';'
+        << c.vectorLanes;
+}
+
+std::string
+referenceCanonicalKey(const Scenario &s)
+{
+    std::ostringstream oss;
+    oss << s.effectiveBackend() << '|' << s.model << '|' << s.modelScale
+        << '|' << algorithmName(s.algorithm) << '|' << s.batch << '|'
+        << s.microbatch;
+    if (s.batch == kAutoBatch)
+        oss << "|mem=" << s.memoryBudget;
+    switch (s.backend) {
+      case SweepBackend::kSingleChip:
+        oss << "|cfg=";
+        referenceConfigKey(oss, s.config);
+        break;
+      case SweepBackend::kMultiChip:
+        oss << "|cfg=";
+        referenceConfigKey(oss, s.config);
+        oss << "|chips=" << s.pod.numChips << "|ici="
+            << s.pod.interconnectGBs << "|lat=" << s.pod.linkLatencyCycles;
+        break;
+      case SweepBackend::kGpu:
+        oss << "|gpu=" << s.gpu.name << ';' << s.gpu.peakTflops << ';'
+            << s.gpu.bandwidthGBs << ';' << s.gpu.numSms << ';'
+            << s.gpu.tileM << ';' << s.gpu.tileN << ';' << s.gpu.kGranule
+            << ';' << s.gpu.kernelOverheadSec << ';'
+            << s.gpu.gemmEfficiency;
+        break;
+    }
+    return oss.str();
+}
+
+/** Draws scenario fields whose stream and %g spellings are tricky. */
+struct KeyFuzzer
+{
+    std::mt19937_64 rng{0xd1fa5eed};
+
+    template <typename T>
+    T pick(const std::vector<T> &from)
+    {
+        return from[std::uniform_int_distribution<std::size_t>(
+            0, from.size() - 1)(rng)];
+    }
+
+    bool coin() { return rng() & 1; }
+
+    int integer()
+    {
+        if (coin())
+            return pick<int>({0, 1, -1, 8, 128, 1024,
+                              std::numeric_limits<int>::max(),
+                              std::numeric_limits<int>::min()});
+        return int(std::uniform_int_distribution<std::int64_t>(
+            -100000, 100000)(rng));
+    }
+
+    std::uint64_t unsignedInteger()
+    {
+        if (coin())
+            return pick<std::uint64_t>(
+                {0, 1, 100, 16ull << 20, 16ull << 30,
+                 std::numeric_limits<std::uint64_t>::max()});
+        return rng() >> (rng() % 64);
+    }
+
+    double real()
+    {
+        switch (rng() % 3) {
+          case 0:
+            // Shortest round-trip and %g disagree on most of these.
+            return pick<double>(
+                {0.94, 123456789.0, 1e-7, 5e-6, -0.94, -123456789.0,
+                 1e30, 1e-30, -1e30, -1e-30, 450.0, 0.85, 0.0, -0.0,
+                 1.0 / 3.0, 999999.5, 1e6, 1234567.0, 0.0001, 0.00001,
+                 2.5e-308, 1.7976931348623157e308,
+                 std::numeric_limits<double>::infinity(),
+                 -std::numeric_limits<double>::infinity(),
+                 std::numeric_limits<double>::quiet_NaN()});
+          case 1:
+            return double(integer()) / 8.0;
+          default: {
+            const double mantissa =
+                std::uniform_real_distribution<double>(-10.0, 10.0)(rng);
+            const int exponent =
+                std::uniform_int_distribution<int>(-40, 40)(rng);
+            return mantissa * std::pow(10.0, exponent);
+          }
+        }
+    }
+
+    Scenario scenario()
+    {
+        Scenario s;
+        s.backend = pick<SweepBackend>({SweepBackend::kSingleChip,
+                                        SweepBackend::kMultiChip,
+                                        SweepBackend::kGpu});
+        s.backendId = pick<std::string>({"", "", "echo", "warp-drive"});
+        s.model = pick<std::string>({"ResNet-50", "BERT-base", "", "a|b;c"});
+        s.modelScale = coin() ? 0 : integer();
+        s.batch = coin() ? kAutoBatch : integer();
+        s.microbatch = coin() ? 0 : integer();
+        s.algorithm = pick<TrainingAlgorithm>(
+            {TrainingAlgorithm::kSgd, TrainingAlgorithm::kDpSgd,
+             TrainingAlgorithm::kDpSgdR});
+        s.memoryBudget = unsignedInteger();
+
+        AcceleratorConfig &c = s.config;
+        c.name = pick<std::string>({"DiVa", "Systolic-WS", "", "x;y"});
+        c.dataflow = pick<Dataflow>({Dataflow::kWeightStationary,
+                                     Dataflow::kOutputStationary,
+                                     Dataflow::kOuterProduct});
+        c.peRows = integer();
+        c.peCols = integer();
+        c.freqGhz = real();
+        c.sramBytes = unsignedInteger();
+        c.dramBandwidthGBs = real();
+        c.dramLatencyCycles = unsignedInteger();
+        c.weightFillRowsPerCycle = integer();
+        c.wsDoubleBufferWeights = coin();
+        c.drainRowsPerCycle = integer();
+        c.hasPpu = coin();
+        c.inputBytes = integer();
+        c.accumBytes = integer();
+        c.vectorLanes = integer();
+
+        s.pod.numChips = integer();
+        s.pod.interconnectGBs = real();
+        s.pod.linkLatencyCycles = unsignedInteger();
+
+        GpuConfig &g = s.gpu;
+        g.name = pick<std::string>({"A100-FP16", "", "v100;fp32"});
+        g.peakTflops = real();
+        g.bandwidthGBs = real();
+        g.numSms = integer();
+        g.tileM = integer();
+        g.tileN = integer();
+        g.kGranule = integer();
+        g.kernelOverheadSec = real();
+        g.gemmEfficiency = real();
+        return s;
+    }
+};
+
+TEST(Scenario, CanonicalKeyKeepsItsStreamBytes)
+{
+    KeyFuzzer fuzz;
+    for (int i = 0; i < 20000; ++i) {
+        const Scenario s = fuzz.scenario();
+        const std::string want = referenceCanonicalKey(s);
+        ASSERT_EQ(s.canonicalKey(), want) << "scenario " << i;
+    }
+    // Spot checks of %g (not shortest round-trip) formatting.
+    Scenario s;
+    s.backend = SweepBackend::kGpu;
+    s.batch = 4;
+    s.gpu.name = "g";
+    s.gpu.peakTflops = 123456789.0;
+    s.gpu.bandwidthGBs = 0.94;
+    s.gpu.kernelOverheadSec = 1e-7;
+    s.gpu.gemmEfficiency = -1e30;
+    EXPECT_EQ(s.canonicalKey(), "gpu||0|DP-SGD(R)|4|0|gpu=g;1.23457e+08;"
+                                "0.94;0;128;128;1;1e-07;-1e+30");
 }
 
 } // namespace

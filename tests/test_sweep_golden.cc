@@ -1,0 +1,145 @@
+/**
+ * @file
+ * Golden byte-identity of the paper model's sweep outputs. The built
+ * diva_sweep prices every zoo model under every algorithm, dataflow
+ * and PPU choice at auto batch, monolithic and micro-batched (270
+ * scenarios), and must reproduce the checked-in CSV and disk store
+ * bit for bit at 1 and 4 threads. A warm rerun on a copy of the
+ * checked-in store must serve every scenario from it: the store is
+ * indexed by canonical keys, so a drift in the key format shows up as
+ * misses.
+ *
+ * The tests run the tool binary out of the build directory (ctest's
+ * working directory) against fixtures under tests/golden/sweep/, and
+ * skip when the tool or the DIVA_SOURCE_DIR compile definition is
+ * unavailable.
+ */
+
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include <gtest/gtest.h>
+
+namespace diva
+{
+namespace
+{
+
+namespace fs = std::filesystem;
+
+/** The zoo sweep the fixtures were written with (270 scenarios). */
+const char *const kZooSweep =
+    "./diva_sweep --models VGG-16,ResNet-50,ResNet-152,SqueezeNet,"
+    "MobileNet,BERT-base,BERT-large,LSTM-small,LSTM-large "
+    "--algos sgd,dpsgd,dpsgdr --batches auto --microbatches 0,8 --quiet";
+
+std::string
+slurp(const fs::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream whole;
+    whole << in.rdbuf();
+    return whole.str();
+}
+
+/** Run a command with stdout to `out` and stderr dropped. */
+int
+runTo(const std::string &cmd, const fs::path &out)
+{
+    const int status = std::system(
+        (cmd + " >" + out.string() + " 2>/dev/null").c_str());
+    if (status == -1)
+        return -1;
+#ifdef WEXITSTATUS
+    return WEXITSTATUS(status);
+#else
+    return status;
+#endif
+}
+
+fs::path
+fixtureDir()
+{
+#ifdef DIVA_SOURCE_DIR
+    return fs::path(DIVA_SOURCE_DIR) / "tests" / "golden" / "sweep";
+#else
+    return {};
+#endif
+}
+
+class SweepGolden : public ::testing::Test
+{
+  protected:
+    void SetUp() override
+    {
+        if (fixtureDir().empty() || !fs::exists(fixtureDir() / "zoo.csv"))
+            GTEST_SKIP() << "golden fixtures not found";
+        if (!fs::exists("./diva_sweep"))
+            GTEST_SKIP() << "tool binaries not built";
+    }
+
+    /** An empty scratch directory for one run. */
+    static fs::path freshDir(const std::string &name)
+    {
+        const fs::path dir =
+            fs::path(::testing::TempDir()) / "diva-sweep-golden" / name;
+        fs::remove_all(dir);
+        fs::create_directories(dir);
+        return dir;
+    }
+
+    /** Byte-compare a fresh output against a checked-in fixture. */
+    static void expectFixture(const fs::path &fresh,
+                              const std::string &fixture)
+    {
+        const std::string got = slurp(fresh);
+        const std::string want = slurp(fixtureDir() / fixture);
+        ASSERT_FALSE(want.empty()) << fixture << " fixture unreadable";
+        EXPECT_TRUE(got == want)
+            << fresh << ": output diverged from the golden fixture "
+            << fixture << " (" << got.size() << " vs " << want.size()
+            << " bytes)";
+    }
+};
+
+TEST_F(SweepGolden, ColdZooSweepMatchesFixtureAtOneAndFourThreads)
+{
+    for (const char *threads : {"1", "4"}) {
+        SCOPED_TRACE(std::string("--threads ") + threads);
+        const fs::path dir = freshDir(std::string("cold-t") + threads);
+        ASSERT_EQ(runTo(std::string(kZooSweep) + " --threads " + threads +
+                            " --cache-dir " + (dir / "store").string() +
+                            " --csv " + (dir / "zoo.csv").string(),
+                        dir / "stdout.txt"),
+                  0);
+        expectFixture(dir / "zoo.csv", "zoo.csv");
+        expectFixture(dir / "store" / "sweep-results.cache",
+                      "sweep-results.cache");
+    }
+}
+
+TEST_F(SweepGolden, CheckedInStoreServesEveryScenario)
+{
+    const fs::path dir = freshDir("warm");
+    fs::create_directories(dir / "store");
+    fs::copy_file(fixtureDir() / "sweep-results.cache",
+                  dir / "store" / "sweep-results.cache");
+    ASSERT_EQ(runTo(std::string(kZooSweep) + " --cache-dir " +
+                        (dir / "store").string() + " --csv " +
+                        (dir / "zoo.csv").string(),
+                    dir / "stdout.txt"),
+              0);
+    const std::string summary = slurp(dir / "stdout.txt");
+    EXPECT_NE(summary.find("cache: 270 hits, 0 misses"), std::string::npos)
+        << summary;
+    expectFixture(dir / "zoo.csv", "zoo.csv");
+    // Nothing was re-simulated, so nothing was appended.
+    expectFixture(dir / "store" / "sweep-results.cache",
+                  "sweep-results.cache");
+}
+
+} // namespace
+} // namespace diva

@@ -1,8 +1,7 @@
 /**
  * @file
  * Unit tests for the multi-tenant subsystem: workload validation,
- * policy parsing, the context-switch cost model, and the scheduling
- * policies' pick behavior.
+ * policy parsing and the context-switch cost model.
  */
 
 #include <cmath>
@@ -130,66 +129,6 @@ TEST(ContextSwitchModel, ScalesWithSramAndChips)
     EXPECT_EQ(pod.cycles, one.cycles);
     EXPECT_EQ(pod.dramBytes, 4 * one.dramBytes);
     EXPECT_NEAR(pod.energyJ, 4.0 * one.energyJ, 1e-12);
-}
-
-/** One-view helper for scheduler pick tests. */
-SchedView
-view(double arrival, int prio, double deadline)
-{
-    SchedView v;
-    v.arrivalSec = arrival;
-    v.priority = prio;
-    v.nextDeadlineSec = deadline;
-    return v;
-}
-
-TEST(Scheduler, FifoPicksEarliestArrival)
-{
-    const auto sched = makeScheduler(SchedPolicy::kFifo);
-    const double inf = std::numeric_limits<double>::infinity();
-    const std::vector<SchedView> tenants = {
-        view(2.0, 0, inf), view(1.0, 5, inf), view(3.0, 9, inf)};
-    EXPECT_EQ(sched->pick(tenants, {0, 1, 2}, 5.0), 1u);
-    // Ties break toward the lower index.
-    const std::vector<SchedView> tie = {view(1.0, 0, inf),
-                                        view(1.0, 0, inf)};
-    EXPECT_EQ(sched->pick(tie, {0, 1}, 5.0), 0u);
-}
-
-TEST(Scheduler, RoundRobinRotates)
-{
-    const auto sched = makeScheduler(SchedPolicy::kRoundRobin);
-    const double inf = std::numeric_limits<double>::infinity();
-    const std::vector<SchedView> tenants = {
-        view(0.0, 0, inf), view(0.0, 0, inf), view(0.0, 0, inf)};
-    const std::vector<std::size_t> ready = {0, 1, 2};
-    EXPECT_EQ(sched->pick(tenants, ready, 0.0), 0u);
-    EXPECT_EQ(sched->pick(tenants, ready, 0.0), 1u);
-    EXPECT_EQ(sched->pick(tenants, ready, 0.0), 2u);
-    EXPECT_EQ(sched->pick(tenants, ready, 0.0), 0u) << "wrap-around";
-    // A departed tenant is skipped without disturbing the rotation.
-    EXPECT_EQ(sched->pick(tenants, {0, 2}, 0.0), 2u);
-}
-
-TEST(Scheduler, PriorityPrefersLargerPriority)
-{
-    const auto sched = makeScheduler(SchedPolicy::kPriority);
-    const double inf = std::numeric_limits<double>::infinity();
-    const std::vector<SchedView> tenants = {
-        view(0.0, 1, inf), view(5.0, 7, inf), view(0.0, 7, inf)};
-    // Highest priority wins; the priority tie breaks on arrival.
-    EXPECT_EQ(sched->pick(tenants, {0, 1, 2}, 9.0), 2u);
-}
-
-TEST(Scheduler, EdfPrefersEarliestDeadline)
-{
-    const auto sched = makeScheduler(SchedPolicy::kEdf);
-    const double inf = std::numeric_limits<double>::infinity();
-    const std::vector<SchedView> tenants = {
-        view(0.0, 0, 9.0), view(1.0, 0, 4.0), view(0.0, 0, inf)};
-    EXPECT_EQ(sched->pick(tenants, {0, 1, 2}, 2.0), 1u);
-    // Tenants without QoS (infinite deadline) yield to targeted ones.
-    EXPECT_EQ(sched->pick(tenants, {0, 2}, 2.0), 0u);
 }
 
 TEST(SafeRatio, GuardsZeroAndNonFinite)
