@@ -171,19 +171,6 @@ censusPositive(const double *s, std::size_t n,
     return true;
 }
 
-/** Nearest rank for percentile p over n samples: 1-based, clamped. */
-std::size_t
-nearestRank(double p, std::size_t n)
-{
-    p = std::min(100.0, std::max(0.0, p));
-    std::size_t rank = std::size_t(std::ceil(p / 100.0 * double(n)));
-    if (rank < 1)
-        rank = 1;
-    if (rank > n)
-        rank = n;
-    return rank;
-}
-
 /** Drop NaNs in place; the survivors keep their relative order. */
 void
 dropNaNs(std::vector<double> &samples)
@@ -378,6 +365,18 @@ mergeSlice(const std::vector<std::span<const double>> &runs,
 }
 
 } // namespace
+
+std::size_t
+nearestRank(double p, std::size_t n)
+{
+    p = std::min(100.0, std::max(0.0, p));
+    std::size_t rank = std::size_t(std::ceil(p / 100.0 * double(n)));
+    if (rank < 1)
+        rank = 1;
+    if (rank > n)
+        rank = n;
+    return rank;
+}
 
 double
 percentileSorted(const std::vector<double> &sorted, double p)

@@ -32,6 +32,15 @@ namespace diva
 {
 
 /**
+ * The 1-based nearest rank of percentile p over n > 0 samples: the
+ * position of the smallest sample with at least p percent of the n at
+ * or below it. p is clamped to [0, 100] (NaN counts as 0) and the rank
+ * to [1, n]. The exact stats here and obs::QuantileSketch both rank
+ * through this one formula.
+ */
+std::size_t nearestRank(double p, std::size_t n);
+
+/**
  * Nearest-rank percentile of `sorted` (ascending, NaN-free): the
  * smallest element with at least p percent of the samples at or below
  * it. p is clamped to [0, 100]; an empty vector yields NaN.

@@ -62,20 +62,6 @@ sameJobClass(const TenantJob &a, const TenantJob &b)
            a.algorithm == b.algorithm && a.model == b.model;
 }
 
-serve_core::Policy
-corePolicy(SchedPolicy p)
-{
-    switch (p) {
-      case SchedPolicy::kFifo: return serve_core::Policy::kFifo;
-      case SchedPolicy::kRoundRobin:
-        return serve_core::Policy::kRoundRobin;
-      case SchedPolicy::kPriority:
-        return serve_core::Policy::kPriority;
-      case SchedPolicy::kEdf: return serve_core::Policy::kEdf;
-    }
-    return serve_core::Policy::kRoundRobin;
-}
-
 /** Mutable per-tenant state tracked by the fleet engine. */
 struct TenantRt
 {
@@ -1009,11 +995,6 @@ FleetSim::run(int threads)
     loadViews.assign(pods.size(), PodLoadView{});
 
     if (telemetry) {
-        // Window width from the input trace alone (last arrival), so
-        // the same trace always yields the same windows.
-        if (!(telemetry->invWindowSec > 0.0))
-            telemetry->resolveWindow(
-                n > 0 ? trace.jobs.back().arrivalSec : 0.0);
         prioValues.clear();
         for (const TenantRt &rt : tenants)
             prioValues.push_back(rt.priority);
@@ -1050,7 +1031,7 @@ FleetSim::run(int threads)
 
     // Fleet sessions are open-loop trace replays, so rate gates stay
     // on (the Config default).
-    coreCfg.policy = corePolicy(spec.policy);
+    coreCfg.policy = spec.policy;
     coreCfg.quantumIters = spec.quantumIters;
     coreCfg.wallLimitSec = wall;
 
@@ -1361,7 +1342,7 @@ FleetSim::assemble(int threads)
         metrics.addCounter("fleet.migrations", out.migrations);
         metrics.addCounter("fleet.suspensions", out.suspensions);
         metrics.addCounter("fleet.steps", out.totalSteps);
-        // Cache-state-dependent, so it lives here (diva-metrics-v1)
+        // Cache-state-dependent, so it lives in the metrics snapshot
         // rather than in the byte-deterministic timeseries document.
         metrics.addCounter("fleet.plan_cache.hits", out.planHits);
         metrics.addCounter("fleet.plan_cache.misses", out.planMisses);
@@ -1518,6 +1499,13 @@ simulateFleet(const FleetSpec &spec, const ArrivalTrace &trace,
         out.error = "trace exceeds the fleet engine's session limit";
         return out;
     }
+    // Window width from the input trace alone (last arrival), so the
+    // same trace always yields the same windows.
+    if (telemetry && !(telemetry->invWindowSec > 0.0) &&
+        !telemetry->resolveWindow(
+            trace.jobs.empty() ? 0.0 : trace.jobs.back().arrivalSec,
+            &out.error))
+        return out;
 
     FleetSim sim(spec, trace, out);
     sim.n = trace.jobs.size();

@@ -131,7 +131,9 @@ cliObsUsage()
     return
         "Observability (all optional; no effect on results):\n"
         "  --metrics-out FILE  write a deterministic counters/gauges/\n"
-        "                      histograms snapshot (JSON)\n"
+        "                      histograms snapshot (diva-metrics-v2\n"
+        "                      JSON; histograms keep 16 sub-buckets\n"
+        "                      per octave, <= 6.25% over exact)\n"
         "  --trace-out FILE    write a sim-time Chrome/Perfetto trace\n"
         "                      (JSON; open in ui.perfetto.dev)\n"
         "  --trace-max-events N  per-track event cap for --trace-out\n"
@@ -141,7 +143,8 @@ cliObsUsage()
         "                      (diva-timeseries-v1; CSV when FILE ends\n"
         "                      in .csv, JSON otherwise)\n"
         "  --obs-window-s W    telemetry window width in simulated\n"
-        "                      seconds (default: trace span / 64)\n"
+        "                      seconds (default: trace span / 64;\n"
+        "                      the span must fit in < 2^53 windows)\n"
         "  --slo-p99-s SPEC    p99 step-latency target: seconds\n"
         "                      (global) and/or prio:seconds pairs,\n"
         "                      comma-separated (e.g. \"0.5,1:0.2\");\n"

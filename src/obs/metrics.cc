@@ -1,8 +1,6 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/format.h"
 
@@ -11,14 +9,6 @@ namespace diva
 namespace obs
 {
 
-namespace
-{
-
-/** Shared underflow bucket for samples <= 0 (and -inf). */
-constexpr int kUnderflowBucket = std::numeric_limits<int>::min();
-
-} // namespace
-
 /**
  * Per-thread spill area. The per-shard mutex is uncontended on the
  * hot path (only the owning thread and the snapshot walk take it),
@@ -26,17 +16,9 @@ constexpr int kUnderflowBucket = std::numeric_limits<int>::min();
  */
 struct MetricsRegistry::Shard
 {
-    struct Hist
-    {
-        std::uint64_t count = 0;
-        double min = std::numeric_limits<double>::infinity();
-        double max = -std::numeric_limits<double>::infinity();
-        std::map<int, std::uint64_t> buckets;
-    };
-
     std::mutex mutex;
     std::map<std::string, std::uint64_t> counters;
-    std::map<std::string, Hist> hists;
+    std::map<std::string, QuantileSketch> hists;
 };
 
 MetricsRegistry::~MetricsRegistry() = default;
@@ -87,36 +69,6 @@ MetricsRegistry::setGauge(const std::string &name, double value)
     gauges_[name] = value;
 }
 
-int
-MetricsRegistry::bucketIndex(double v)
-{
-    if (!(v > 0.0) || v == std::numeric_limits<double>::infinity())
-        return v == std::numeric_limits<double>::infinity()
-                   ? std::numeric_limits<int>::max()
-                   : kUnderflowBucket;
-    int e = 0;
-    const double m = std::frexp(v, &e); // v = m * 2^e, m in [0.5, 1)
-    const int sub = std::min(3, int((m - 0.5) * 8.0));
-    return e * 4 + sub;
-}
-
-double
-MetricsRegistry::bucketUpperBound(int index)
-{
-    if (index == kUnderflowBucket)
-        return 0.0;
-    if (index == std::numeric_limits<int>::max())
-        return std::numeric_limits<double>::infinity();
-    // Floor division: frexp exponents go negative for values < 0.5.
-    int e = index / 4;
-    int s = index % 4;
-    if (s < 0) {
-        s += 4;
-        --e;
-    }
-    return std::ldexp(0.5 + 0.125 * double(s + 1), e);
-}
-
 void
 MetricsRegistry::recordValue(const std::string &name, double value)
 {
@@ -137,53 +89,23 @@ MetricsRegistry::recordValues(const std::string &name, const double *values,
         return;
     Shard &shard = localShard();
     std::lock_guard<std::mutex> lock(shard.mutex);
-    Shard::Hist &h = shard.hists[name];
-    for (; i < count; ++i) {
-        const double v = values[i];
-        if (std::isnan(v))
-            continue;
-        ++h.count;
-        h.min = std::min(h.min, v);
-        h.max = std::max(h.max, v);
-        ++h.buckets[bucketIndex(v)];
-    }
+    QuantileSketch &h = shard.hists[name];
+    for (; i < count; ++i)
+        h.add(values[i]); // skips NaN
 }
 
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
     MetricsSnapshot snap;
-    std::map<std::string, std::map<int, std::uint64_t>> buckets;
-    struct Range
-    {
-        std::uint64_t count = 0;
-        double min = std::numeric_limits<double>::infinity();
-        double max = -std::numeric_limits<double>::infinity();
-    };
-    std::map<std::string, Range> ranges;
-
     std::lock_guard<std::mutex> lock(mutex_);
     snap.gauges = gauges_;
     for (const auto &shard : shards_) {
         std::lock_guard<std::mutex> shardLock(shard->mutex);
         for (const auto &[name, value] : shard->counters)
             snap.counters[name] += value;
-        for (const auto &[name, h] : shard->hists) {
-            Range &r = ranges[name];
-            r.count += h.count;
-            r.min = std::min(r.min, h.min);
-            r.max = std::max(r.max, h.max);
-            for (const auto &[idx, n] : h.buckets)
-                buckets[name][idx] += n;
-        }
-    }
-    for (const auto &[name, r] : ranges) {
-        HistogramSnapshot &h = snap.histograms[name];
-        h.count = r.count;
-        h.min = r.min;
-        h.max = r.max;
-        for (const auto &[idx, n] : buckets[name])
-            h.buckets.push_back({bucketUpperBound(idx), n});
+        for (const auto &[name, h] : shard->hists)
+            snap.histograms[name].merge(h);
     }
     return snap;
 }
@@ -200,28 +122,10 @@ MetricsRegistry::reset()
     }
 }
 
-double
-HistogramSnapshot::percentile(double p) const
-{
-    if (count == 0)
-        return std::numeric_limits<double>::quiet_NaN();
-    p = std::clamp(p, 0.0, 100.0);
-    std::uint64_t rank =
-        std::uint64_t(std::ceil(p / 100.0 * double(count)));
-    rank = std::clamp<std::uint64_t>(rank, 1, count);
-    std::uint64_t seen = 0;
-    for (const Bucket &b : buckets) {
-        seen += b.count;
-        if (seen >= rank)
-            return std::clamp(b.le, min, max);
-    }
-    return max; // unreachable when bucket counts sum to `count`
-}
-
 void
 MetricsSnapshot::writeJson(std::ostream &os) const
 {
-    os << "{\n  \"schema\": \"diva-metrics-v1\",\n  \"counters\": {";
+    os << "{\n  \"schema\": \"diva-metrics-v2\",\n  \"counters\": {";
     const char *sep = "\n";
     for (const auto &[name, value] : counters) {
         os << sep << "    \"" << jsonEscape(name) << "\": " << value;
@@ -237,18 +141,11 @@ MetricsSnapshot::writeJson(std::ostream &os) const
     os << (gauges.empty() ? "" : "\n  ") << "},\n  \"histograms\": {";
     sep = "\n";
     for (const auto &[name, h] : histograms) {
-        os << sep << "    \"" << jsonEscape(name) << "\": {\"count\": "
-           << h.count << ", \"min\": " << jsonNumber(h.min)
-           << ", \"max\": " << jsonNumber(h.max)
-           << ", \"p50\": " << jsonNumber(h.percentile(50.0))
-           << ", \"p95\": " << jsonNumber(h.percentile(95.0))
-           << ", \"p99\": " << jsonNumber(h.percentile(99.0))
-           << ", \"buckets\": [";
-        for (std::size_t i = 0; i < h.buckets.size(); ++i)
-            os << (i ? ", " : "") << "{\"le\": "
-               << jsonNumber(h.buckets[i].le)
-               << ", \"count\": " << h.buckets[i].count << "}";
-        os << "]}";
+        os << sep << "    \"" << jsonEscape(name) << "\": {";
+        h.writeSummaryJson(os);
+        os << ", \"buckets\": ";
+        h.writeBucketsJson(os);
+        os << "}";
         sep = ",\n";
     }
     os << (histograms.empty() ? "" : "\n  ") << "}\n}\n";

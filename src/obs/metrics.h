@@ -7,6 +7,13 @@
  * shard guarded by a per-shard mutex that only the snapshot path ever
  * contends on.
  *
+ * Histograms are obs::QuantileSketch instances (obs/sketch.h): 16
+ * sub-buckets per power-of-two octave, so a reported p50/p95/p99 is
+ * at most 6.25% above the exact nearest-rank value and never below
+ * it. The JSON snapshot (schema "diva-metrics-v2") lists each
+ * histogram's summary and its occupied buckets as {"le", "count"}
+ * pairs, "le" being the bucket's inclusive upper bound.
+ *
  * Determinism contract: a snapshot must be byte-identical for the
  * same simulated work regardless of worker-thread count or shard
  * merge order. Counters are commutative integer sums. Histograms
@@ -33,46 +40,23 @@
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <vector>
+
+#include "obs/sketch.h"
 
 namespace diva
 {
 namespace obs
 {
 
-/** One merged histogram in a snapshot. */
-struct HistogramSnapshot
-{
-    /** Power-of-two bucket (4 sub-buckets per octave) and its count. */
-    struct Bucket
-    {
-        /** Inclusive upper bound of the bucket's value range. */
-        double le = 0.0;
-        std::uint64_t count = 0;
-    };
-
-    std::uint64_t count = 0;
-    double min = 0.0;
-    double max = 0.0;
-    std::vector<Bucket> buckets; ///< ascending by upper bound
-
-    /**
-     * Nearest-rank percentile from the bucket counts: the upper bound
-     * of the smallest bucket holding at least p percent of the
-     * samples, clamped to [min, max]. Within 25% of the exact
-     * nearest-rank value (the relative bucket width).
-     */
-    double percentile(double p) const;
-};
-
 /** Deterministic, name-sorted view of the registry at one instant. */
 struct MetricsSnapshot
 {
     std::map<std::string, std::uint64_t> counters;
     std::map<std::string, double> gauges;
-    std::map<std::string, HistogramSnapshot> histograms;
+    /** Each histogram's shards merged into one sketch. */
+    std::map<std::string, QuantileSketch> histograms;
 
-    /** Pretty-printed JSON ("diva-metrics-v1"), byte-stable. */
+    /** Pretty-printed JSON ("diva-metrics-v2"), byte-stable. */
     void writeJson(std::ostream &os) const;
 };
 
@@ -112,16 +96,6 @@ class MetricsRegistry
 
     /** Drop all recorded data (shards and gauges); stays enabled. */
     void reset();
-
-    /**
-     * Map a sample to its bucket index: 4 sub-buckets per power-of-
-     * two octave (<= 25% relative width); values <= 0 share one
-     * underflow bucket. Exposed for the histogram unit tests.
-     */
-    static int bucketIndex(double v);
-
-    /** Inclusive upper bound of the bucket `bucketIndex` mapped to. */
-    static double bucketUpperBound(int index);
 
   private:
     MetricsRegistry() = default;

@@ -1,7 +1,10 @@
 #include "obs/sketch.h"
 
 #include <algorithm>
-#include <cmath>
+#include <ostream>
+
+#include "common/format.h"
+#include "common/percentile.h"
 
 namespace diva
 {
@@ -56,10 +59,7 @@ QuantileSketch::percentile(double p) const
 {
     if (count_ == 0)
         return std::numeric_limits<double>::quiet_NaN();
-    p = std::clamp(p, 0.0, 100.0);
-    std::uint64_t rank =
-        std::uint64_t(std::ceil(p / 100.0 * double(count_)));
-    rank = std::clamp<std::uint64_t>(rank, 1, count_);
+    const std::uint64_t rank = nearestRank(p, count_);
     std::uint64_t seen = 0;
     for (std::size_t i = 0; i < counts_.size(); ++i) {
         seen += counts_[i];
@@ -68,6 +68,32 @@ QuantileSketch::percentile(double p) const
                               max_);
     }
     return max_; // unreachable when bucket counts sum to count_
+}
+
+void
+QuantileSketch::writeSummaryJson(std::ostream &os) const
+{
+    os << "\"count\": " << count_ << ", \"min\": " << jsonNumber(min_)
+       << ", \"max\": " << jsonNumber(max_)
+       << ", \"p50\": " << jsonNumber(percentile(50.0))
+       << ", \"p95\": " << jsonNumber(percentile(95.0))
+       << ", \"p99\": " << jsonNumber(percentile(99.0));
+}
+
+void
+QuantileSketch::writeBucketsJson(std::ostream &os) const
+{
+    const char *sep = "";
+    os << "[";
+    for (std::size_t i = 0; i < counts_.size(); ++i) {
+        if (counts_[i] == 0)
+            continue;
+        os << sep << "{\"le\": "
+           << jsonNumber(bucketUpperBound(base_ + int(i)))
+           << ", \"count\": " << counts_[i] << "}";
+        sep = ", ";
+    }
+    os << "]";
 }
 
 } // namespace obs

@@ -1,7 +1,6 @@
 /**
  * @file
- * Deterministic, mergeable, bounded-memory quantile sketch for the
- * windowed telemetry layer (obs/timeseries.h).
+ * Deterministic, mergeable, bounded-memory quantile sketch.
  *
  * Layout: fixed log-linear buckets derived straight from the IEEE-754
  * bit pattern -- for a positive double the top 16 bits (sign, 11
@@ -30,7 +29,11 @@
  * octaves occupy 16k + O(1) slots (8 bytes each), with a hard ceiling
  * of ~256 KiB for samples spanning the entire double range.
  *
- * Cross-checked against src/common/percentile.cc exact ranks in
+ * The one approximate-quantile layout in the repo: the windowed
+ * telemetry (obs/timeseries.h) and the metrics histograms
+ * (obs/metrics.h) both keep their latencies here. Ranks come from
+ * src/common/percentile.h's nearestRank, and the sketch is
+ * cross-checked against that file's exact percentiles in
  * tests/test_timeseries.cc.
  */
 
@@ -39,6 +42,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <iosfwd>
 #include <limits>
 #include <map>
 #include <vector>
@@ -138,6 +142,15 @@ class QuantileSketch
      * comment for the error bound.
      */
     double percentile(double p) const;
+
+    /** Write `"count": n, "min": .., "max": .., "p50": .., "p95": ..,
+     *  "p99": ..` -- the summary fields of a JSON object, without its
+     *  braces, so callers can add their own keys around them. */
+    void writeSummaryJson(std::ostream &os) const;
+
+    /** Write the occupied buckets as a JSON array of
+     *  `{"le": upper bound, "count": n}` objects, ascending. */
+    void writeBucketsJson(std::ostream &os) const;
 
     /** Occupied (index, count) buckets in index (value) order --
      *  built on demand; for inspection and tests, not the hot path. */

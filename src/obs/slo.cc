@@ -63,13 +63,9 @@ void
 writeSketchWindowJson(std::ostream &os, std::int64_t w, double t0,
                       const QuantileSketch &sk)
 {
-    os << "{\"w\": " << w << ", \"t0Sec\": " << jsonNumber(t0)
-       << ", \"count\": " << sk.count()
-       << ", \"min\": " << jsonNumber(sk.minValue())
-       << ", \"max\": " << jsonNumber(sk.maxValue())
-       << ", \"p50\": " << jsonNumber(sk.percentile(50.0))
-       << ", \"p95\": " << jsonNumber(sk.percentile(95.0))
-       << ", \"p99\": " << jsonNumber(sk.percentile(99.0)) << "}";
+    os << "{\"w\": " << w << ", \"t0Sec\": " << jsonNumber(t0) << ", ";
+    sk.writeSummaryJson(os);
+    os << "}";
 }
 
 } // namespace
@@ -152,16 +148,25 @@ SloScope::attainmentPct() const
     return 100.0 * double(withinTarget) / double(steps);
 }
 
-void
-RunTelemetry::resolveWindow(double spanSec)
+bool
+RunTelemetry::resolveWindow(double spanSec, std::string *error)
 {
-    if (!(windowSec > 0.0)) {
-        windowSec =
-            spanSec > 0.0 && std::isfinite(spanSec) ? spanSec / 64.0
-                                                    : 1.0;
+    double width = windowSec;
+    if (!(width > 0.0))
+        width = spanSec > 0.0 && std::isfinite(spanSec)
+                    ? spanSec / 64.0
+                    : 1.0;
+    if (spanSec / width >= 0x1p53) {
+        *error = "--obs-window-s: a " + formatDouble(width) +
+                 " s window over a " + formatDouble(spanSec) +
+                 " s span needs 2^53 or more windows; use a wider "
+                 "window";
+        return false;
     }
+    windowSec = width;
     invWindowSec = 1.0 / windowSec;
     snapshot.windowSec = windowSec;
+    return true;
 }
 
 void

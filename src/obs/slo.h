@@ -127,9 +127,12 @@ struct RunTelemetry
      * Pin the window width before the run: an explicit positive
      * windowSec stands; otherwise spanSec / 64 (or 1s for an empty
      * span). Deterministic -- spanSec must come from the input trace
-     * or workload, never from measured state.
+     * or workload, never from measured state. Returns false, leaving
+     * the bundle unresolved and *error naming --obs-window-s, when
+     * spanSec / windowSec is 2^53 or more: window indices that large
+     * stop being exact integers and soon leave the int64 range.
      */
-    void resolveWindow(double spanSec);
+    bool resolveWindow(double spanSec, std::string *error);
 
     /** Render the whole diva-timeseries-v1 document. */
     void writeJson(std::ostream &os) const;

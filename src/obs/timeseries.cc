@@ -18,6 +18,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 double
 windowUpperEdge(std::int64_t w, double windowSec, double invWindowSec)
 {
+    if (w == std::numeric_limits<std::int64_t>::max())
+        return kInf;
     // (w+1)*W is within an ulp or two of the true threshold;
     // windowIndexOf is monotone nondecreasing in t, so nudging until
     // the predicate flips lands on the exact smallest such double.

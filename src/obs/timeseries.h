@@ -39,19 +39,32 @@ namespace diva
 namespace obs
 {
 
-/** The window holding sim-time `tSec` (see the file comment). */
+/**
+ * The window holding sim-time `tSec` (see the file comment),
+ * saturated to the int64 range: converting a floor outside it is
+ * undefined behaviour, so a time past the last representable window
+ * lands in the top window instead. RunTelemetry::resolveWindow
+ * rejects a run whose trace span alone would need 2^53 windows or
+ * more, so only a clock running far past the span can saturate.
+ */
 inline std::int64_t
 windowIndexOf(double tSec, double invWindowSec)
 {
-    return std::int64_t(std::floor(tSec * invWindowSec));
+    const double w = std::floor(tSec * invWindowSec);
+    if (!(w < 0x1p63)) // and NaN
+        return std::numeric_limits<std::int64_t>::max();
+    if (w < -0x1p63)
+        return std::numeric_limits<std::int64_t>::min();
+    return std::int64_t(w);
 }
 
 /**
  * The exact upper edge of window `w`: the smallest double t with
- * windowIndexOf(t, invWindowSec) > w. Lets hot loops replace the
- * per-event floor with one compare against a cached edge --
+ * windowIndexOf(t, invWindowSec) > w, and +inf for the top window,
+ * which nothing lies above. Lets hot loops replace the per-event
+ * floor with one compare against a cached edge --
  * `t >= windowUpperEdge(w, ...)` is bitwise-equivalent to
- * `windowIndexOf(t, ...) > w` for every t, including the ulp
+ * `windowIndexOf(t, ...) > w` for every finite t, including the ulp
  * neighborhood of the edge for non-power-of-two windows.
  */
 double windowUpperEdge(std::int64_t w, double windowSec,

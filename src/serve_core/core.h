@@ -63,6 +63,7 @@
 #include <vector>
 
 #include "common/small_vector.h"
+#include "tenant/scheduler.h"
 
 namespace diva
 {
@@ -72,14 +73,6 @@ namespace serve_core
 constexpr double kEps = 1e-9;
 constexpr double kInfSec = std::numeric_limits<double>::infinity();
 constexpr std::size_t kNoTask = std::size_t(-1);
-
-enum class Policy : std::uint8_t
-{
-    kFifo,
-    kRoundRobin,
-    kPriority,
-    kEdf,
-};
 
 /**
  * Composite ordering key of the ready set.  FIFO: (arrival); priority:
@@ -278,7 +271,7 @@ struct Executor
 /** Scheduling policy, quantum, wall budget and loop mode of one run. */
 struct Config
 {
-    Policy policy = Policy::kRoundRobin;
+    SchedPolicy policy = SchedPolicy::kRoundRobin;
     std::uint64_t quantumIters = 1;
     /** Wall-clock budget in simulated seconds; 0 = unbounded.  A step
      *  that would end past it never starts; the caller also passes it
@@ -320,18 +313,18 @@ makeKey(const Client &c, Executor &ex, const Config &cfg,
     ReadyKey key;
     key.idx = idx;
     switch (cfg.policy) {
-      case Policy::kFifo:
+      case SchedPolicy::kFifo:
         key.k1 = c.arrivalSec(idx);
         break;
-      case Policy::kPriority:
+      case SchedPolicy::kPriority:
         key.k1 = -double(c.priority(idx));
         key.k2 = c.arrivalSec(idx);
         break;
-      case Policy::kEdf:
+      case SchedPolicy::kEdf:
         key.k1 = stepDeadlineSec(c, idx, c.core(idx).done + 1);
         key.k2 = c.arrivalSec(idx);
         break;
-      case Policy::kRoundRobin:
+      case SchedPolicy::kRoundRobin:
         key.seq = ++ex.rrSeq;
         break;
     }
@@ -792,7 +785,7 @@ template <class Client>
 inline void
 runUntil(Client &c, Executor &ex, const Config &cfg, double t1)
 {
-    if (cfg.policy == Policy::kRoundRobin && cfg.rateGates &&
+    if (cfg.policy == SchedPolicy::kRoundRobin && cfg.rateGates &&
         cfg.coalesce && cfg.quantumIters == 1)
         runUntilT<true>(c, ex, cfg, t1);
     else

@@ -10,6 +10,7 @@
 #ifndef DIVA_TENANT_SCHEDULER_H
 #define DIVA_TENANT_SCHEDULER_H
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -17,8 +18,9 @@
 namespace diva
 {
 
-/** The scheduling policies offered by the serve simulator. */
-enum class SchedPolicy
+/** The scheduling policies offered by the serve simulator. One byte,
+ *  as it sits in serve_core::Config on the serve core's hot path. */
+enum class SchedPolicy : std::uint8_t
 {
     /** Non-preemptive earliest-arrival-first. */
     kFifo,

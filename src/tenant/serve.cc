@@ -39,20 +39,6 @@ struct TenantRun
     obs::ComponentWindows windows;
 };
 
-serve_core::Policy
-corePolicy(SchedPolicy p)
-{
-    switch (p) {
-      case SchedPolicy::kFifo: return serve_core::Policy::kFifo;
-      case SchedPolicy::kRoundRobin:
-        return serve_core::Policy::kRoundRobin;
-      case SchedPolicy::kPriority:
-        return serve_core::Policy::kPriority;
-      case SchedPolicy::kEdf: return serve_core::Policy::kEdf;
-    }
-    return serve_core::Policy::kRoundRobin;
-}
-
 /** serve_core client for the single-executor tenant serve loop: task
  *  scalars come straight from the jobs, billing lands on TenantRun
  *  and the run-level ServeResult accumulators. */
@@ -278,7 +264,8 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
             double span = wall;
             for (const TenantJob &j : jobs)
                 span = std::max(span, j.arrivalSec);
-            tel->resolveWindow(span);
+            if (!tel->resolveWindow(span, &out.error))
+                return out;
         }
         for (std::size_t i = 0; i < n; ++i)
             run[i].windows.configure(
@@ -288,7 +275,7 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
     }
 
     serve_core::Config cfg;
-    cfg.policy = corePolicy(spec.policy);
+    cfg.policy = spec.policy;
     cfg.quantumIters = spec.opts.quantumIters;
     cfg.wallLimitSec = wall;
     // Static mixes run closed loop; trace replays gate rate targets

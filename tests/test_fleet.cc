@@ -7,7 +7,8 @@
  * per-tenant sums, energy-budget preemption ordering, partial-SRAM
  * working-set switch costs, spec/trace validation, and
  * byte-determinism of the fleet emitters across engine thread counts
- * and warm plan caches.
+ * and warm plan caches -- including runs whose step latencies take
+ * the exact-stats fallback.
  */
 
 #include <algorithm>
@@ -543,6 +544,47 @@ TEST(FleetDeterminism, SortedRunMergeIsByteIdenticalAcrossThreads)
 
         std::ostringstream os;
         writeFleetTenantCsv(os, r);
+        writeFleetPodCsv(os, r);
+        writeFleetJson(os, r, true);
+        if (threads == 1)
+            serial = os.str();
+        else
+            EXPECT_EQ(os.str(), serial) << threads << " threads";
+    }
+}
+
+TEST(FleetDeterminism, RefusedLatencyRunsTakeTheExactFallback)
+{
+    // Near 1e17 s one ulp of the clock is 16 s, so every ~ms step is
+    // lost in it and every step latency is exactly 0.0. sortPositiveRun
+    // refuses such a run, so the pod row and the fleet-wide stats both
+    // take the exact selection fallback in FleetSim::assemble.
+    std::string err;
+    const auto gen = parseTraceGenSpec(
+        "poisson:rate=4,horizon=4,seed=3,cap=6,steps=20,qos=0", &err);
+    ASSERT_TRUE(gen.has_value()) << err;
+    ArrivalTrace t = generateTrace(*gen);
+    for (TenantJob &j : t.jobs)
+        j.arrivalSec += 1e17;
+    const FleetSpec spec = buildFleet({defaultPodGroup(2)});
+
+    std::string serial;
+    for (int threads : {1, 4}) {
+        SweepOptions opts;
+        opts.threads = threads;
+        SweepRunner runner(opts);
+        const FleetResult r = simulateFleet(spec, t, runner, threads);
+        ASSERT_TRUE(r.ok()) << r.error;
+        ASSERT_EQ(r.pods.size(), 2u);
+        EXPECT_EQ(r.pods[0].stepLatency.count, 120u);
+        EXPECT_EQ(r.aggStepLatency.count, 120u);
+        for (const LatencyStats *s :
+             {&r.pods[0].stepLatency, &r.aggStepLatency})
+            for (const double v : {s->meanSec, s->p50Sec, s->p95Sec,
+                                   s->p99Sec, s->maxSec})
+                EXPECT_EQ(v, 0.0) << threads << " threads";
+
+        std::ostringstream os;
         writeFleetPodCsv(os, r);
         writeFleetJson(os, r, true);
         if (threads == 1)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests of the observability layer: histogram bucketing and
- * percentile bounds against the exact nearest-rank implementation,
+ * Tests of the observability layer: metrics-histogram percentile
+ * bounds against the exact nearest-rank implementation,
  * metrics-snapshot byte-identity across engine thread counts (the
  * registry's shard-merge determinism contract), trace span nesting
  * and per-track event caps, Chrome-trace JSON well-formedness, the
@@ -81,32 +81,6 @@ smallTrace()
     return generateTrace(*gen);
 }
 
-TEST(ObsHistogram, BucketBoundsCoverPositiveValues)
-{
-    // Every positive sample must land in a bucket whose upper bound
-    // is >= the sample and within 25% of it (4 sub-buckets per
-    // power-of-two octave).
-    for (double v : {1e-9, 0.001, 0.5, 0.75, 1.0, 1.5, 3.0, 7.99,
-                     1024.0, 3.7e8}) {
-        const int idx = obs::MetricsRegistry::bucketIndex(v);
-        const double le = obs::MetricsRegistry::bucketUpperBound(idx);
-        EXPECT_GE(le, v) << "v=" << v;
-        EXPECT_LE(le, v * 1.25 + 1e-12) << "v=" << v;
-        // The next-lower bucket's bound is below v (equal when v sits
-        // exactly on a sub-bucket boundary, which maps upward).
-        EXPECT_LE(obs::MetricsRegistry::bucketUpperBound(idx - 1), v)
-            << "v=" << v;
-    }
-}
-
-TEST(ObsHistogram, NonPositiveValuesShareTheUnderflowBucket)
-{
-    const int zero = obs::MetricsRegistry::bucketIndex(0.0);
-    EXPECT_EQ(zero, obs::MetricsRegistry::bucketIndex(-1.0));
-    EXPECT_EQ(zero, obs::MetricsRegistry::bucketIndex(-1e300));
-    EXPECT_NE(zero, obs::MetricsRegistry::bucketIndex(1e-300));
-}
-
 TEST(ObsHistogram, PercentilesTrackExactNearestRank)
 {
     ScopedMetrics scoped;
@@ -125,20 +99,21 @@ TEST(ObsHistogram, PercentilesTrackExactNearestRank)
     const auto snap = reg.snapshot();
     const auto it = snap.histograms.find("test.latency");
     ASSERT_NE(it, snap.histograms.end());
-    const obs::HistogramSnapshot &h = it->second;
-    EXPECT_EQ(h.count, samples.size());
-    EXPECT_DOUBLE_EQ(h.min, samples.front());
-    EXPECT_DOUBLE_EQ(h.max, samples.back());
+    const obs::QuantileSketch &h = it->second;
+    EXPECT_EQ(h.count(), samples.size());
+    EXPECT_DOUBLE_EQ(h.minValue(), samples.front());
+    EXPECT_DOUBLE_EQ(h.maxValue(), samples.back());
 
-    // The bucketed estimate is the upper bound of the bucket holding
+    // The sketched estimate is the upper bound of the bucket holding
     // the nearest-rank sample, so it is >= the exact value and within
-    // the 25% relative bucket width (clamping to max can only bring
+    // the 1/16 relative bucket width (clamping to max can only bring
     // it closer).
     for (double p : {10.0, 50.0, 90.0, 95.0, 99.0, 100.0}) {
         const double exact = percentileSorted(samples, p);
         const double est = h.percentile(p);
         EXPECT_GE(est, exact) << "p" << p;
-        EXPECT_LE(est, exact * 1.25 + 1e-12) << "p" << p;
+        EXPECT_LE(est, exact * (1.0 + obs::QuantileSketch::kRelativeError))
+            << "p" << p;
     }
 }
 
@@ -163,17 +138,13 @@ TEST(ObsHistogram, BatchRecordMatchesOneByOne)
     ASSERT_EQ(snap.histograms.count("test.one"), 1u);
     ASSERT_EQ(snap.histograms.count("test.batch"), 1u);
     EXPECT_EQ(snap.histograms.count("test.none"), 0u);
-    const obs::HistogramSnapshot &one = snap.histograms.at("test.one");
-    const obs::HistogramSnapshot &batch = snap.histograms.at("test.batch");
-    EXPECT_EQ(batch.count, 6u);
-    EXPECT_EQ(batch.count, one.count);
-    EXPECT_EQ(batch.min, one.min);
-    EXPECT_EQ(batch.max, one.max);
-    ASSERT_EQ(batch.buckets.size(), one.buckets.size());
-    for (std::size_t i = 0; i < one.buckets.size(); ++i) {
-        EXPECT_EQ(batch.buckets[i].le, one.buckets[i].le);
-        EXPECT_EQ(batch.buckets[i].count, one.buckets[i].count);
-    }
+    const obs::QuantileSketch &one = snap.histograms.at("test.one");
+    const obs::QuantileSketch &batch = snap.histograms.at("test.batch");
+    EXPECT_EQ(batch.count(), 6u);
+    EXPECT_EQ(batch.count(), one.count());
+    EXPECT_EQ(batch.minValue(), one.minValue());
+    EXPECT_EQ(batch.maxValue(), one.maxValue());
+    EXPECT_EQ(batch.buckets(), one.buckets());
 }
 
 TEST(ObsMetrics, CountersMergeAcrossShortLivedThreads)

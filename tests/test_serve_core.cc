@@ -322,7 +322,7 @@ expectCoalescingEquivalence(serve_core::Config cfg)
 TEST(ServeCoreCoalescing, FleetModeMultiQuantumAdvanceEqualsSingleSteps)
 {
     serve_core::Config cfg; // fleet-mode defaults
-    cfg.policy = serve_core::Policy::kFifo;
+    cfg.policy = SchedPolicy::kFifo;
     cfg.quantumIters = 4;
     expectCoalescingEquivalence(cfg);
 }
@@ -330,7 +330,7 @@ TEST(ServeCoreCoalescing, FleetModeMultiQuantumAdvanceEqualsSingleSteps)
 TEST(ServeCoreCoalescing, TenantModeMultiQuantumAdvanceEqualsSingleSteps)
 {
     serve_core::Config cfg;
-    cfg.policy = serve_core::Policy::kRoundRobin;
+    cfg.policy = SchedPolicy::kRoundRobin;
     cfg.quantumIters = 3;
     cfg.rateGates = false; // closed loop, as static diva_serve mixes run
     expectCoalescingEquivalence(cfg);
@@ -339,7 +339,7 @@ TEST(ServeCoreCoalescing, TenantModeMultiQuantumAdvanceEqualsSingleSteps)
 TEST(ServeCoreCoalescing, EdfModeMultiQuantumAdvanceEqualsSingleSteps)
 {
     serve_core::Config cfg;
-    cfg.policy = serve_core::Policy::kEdf;
+    cfg.policy = SchedPolicy::kEdf;
     cfg.quantumIters = 2;
     expectCoalescingEquivalence(cfg);
 }

@@ -4,17 +4,21 @@
  * exactness on all-equal samples, sub-bucket-width spreads, the
  * documented 1/16 relative error bound cross-checked against the
  * exact nearest-rank percentiles in src/common/percentile.cc,
- * merge order-independence, window-edge determinism, the bitwise
+ * merge order-independence, the underflow/top buckets' edge
+ * samples, window-edge determinism and index saturation, the bitwise
  * latency-decomposition invariant (fast and slow paths), the SLO spec
  * parser, and end-to-end byte-determinism of the fleet and serve-loop
  * telemetry across engine thread counts and warm plan caches --
- * including that turning telemetry on perturbs no existing output.
+ * including that turning telemetry on perturbs no existing output --
+ * and both engines' refusal of a window too narrow for the span.
  */
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -180,6 +184,50 @@ TEST(QuantileSketchTest, EmptyAndNaNHandling)
     EXPECT_EQ(sk.percentile(50.0), 2.0);
 }
 
+TEST(QuantileSketchTest, EdgeSamplesFileIntoTheEndBuckets)
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const int under = QuantileSketch::kUnderflowBucket;
+    EXPECT_EQ(QuantileSketch::bucketUpperBound(under), 0.0);
+    for (const double v : {0.0, -0.0, -1.0, -1e300, -kInf})
+        EXPECT_EQ(QuantileSketch::bucketIndex(v), under) << v;
+
+    const int top = QuantileSketch::bucketIndex(kInf);
+    EXPECT_EQ(QuantileSketch::bucketUpperBound(top), kInf);
+    EXPECT_GT(top, QuantileSketch::bucketIndex(
+                       std::numeric_limits<double>::max()));
+
+    for (const double v :
+         {1e-300, std::numeric_limits<double>::denorm_min()}) {
+        const int idx = QuantileSketch::bucketIndex(v);
+        EXPECT_GT(idx, under) << v;
+        EXPECT_GE(QuantileSketch::bucketUpperBound(idx), v) << v;
+    }
+
+    QuantileSketch sk;
+    sk.add(std::numeric_limits<double>::quiet_NaN());
+    for (const double v : {0.0, -0.0, -1.0, -1e300, -kInf, kInf})
+        sk.add(v);
+    EXPECT_EQ(sk.count(), 6u) << "NaN samples are not counted";
+    const std::map<int, std::uint64_t> expect = {{under, 5}, {top, 1}};
+    EXPECT_EQ(sk.buckets(), expect);
+}
+
+TEST(QuantileSketchTest, AllNegativePercentilesStayWithinMinMax)
+{
+    // Every sample shares the underflow bucket, whose bound (0) lies
+    // above them all: the clamp must pull each percentile back into
+    // [min, max].
+    QuantileSketch sk;
+    for (const double v : {-3.0, -2.5, -1.0, -0.5, -1e-9})
+        sk.add(v);
+    for (const double p : {0.0, 1.0, 50.0, 95.0, 99.0, 100.0}) {
+        const double r = sk.percentile(p);
+        EXPECT_GE(r, sk.minValue()) << "p" << p;
+        EXPECT_LE(r, sk.maxValue()) << "p" << p;
+    }
+}
+
 TEST(TimeSeriesWindowTest, EdgeSamplesLandDeterministically)
 {
     // Power-of-two window: t * (1/W) is exact, so an edge sample
@@ -222,6 +270,27 @@ TEST(TimeSeriesWindowTest, UpperEdgeMatchesFloorExactly)
                 << "W=" << windowSec << " w=" << w;
         }
     }
+}
+
+TEST(TimeSeriesWindowTest, IndicesSaturateAndTheTopWindowIsOpen)
+{
+    // 1e17 s over a 1 ms window is window 1e20, past int64: the index
+    // saturates instead of converting out of range, and the top
+    // window's upper edge is +inf so no finite time rolls past it.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr std::int64_t kTop = std::numeric_limits<std::int64_t>::max();
+    const double inv = 1.0 / 0.001;
+    EXPECT_EQ(obs::windowIndexOf(1e17, inv), kTop);
+    EXPECT_EQ(obs::windowIndexOf(kInf, inv), kTop);
+    EXPECT_EQ(obs::windowIndexOf(-1e17, inv),
+              std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(obs::windowUpperEdge(kTop, 0.001, inv), kInf);
+
+    // The window below the top still has an exact, finite edge.
+    const double e = obs::windowUpperEdge(kTop - 1, 0.001, inv);
+    EXPECT_TRUE(std::isfinite(e));
+    EXPECT_EQ(obs::windowIndexOf(e, inv), kTop);
+    EXPECT_LT(obs::windowIndexOf(std::nextafter(e, -kInf), inv), kTop);
 }
 
 /** Bitwise equality, stricter than EXPECT_EQ on doubles. */
@@ -411,6 +480,90 @@ TEST(ServeTelemetryTest, DecompositionAuditsCleanAndSeriesAppear)
         return os.str();
     };
     EXPECT_EQ(emit(r), emit(r2));
+}
+
+/** A short trace moved to ~1e17 s, where one ulp of the clock is
+ *  16 s: a 1 ms window there is window ~1e20, past int64. */
+ArrivalTrace
+farFutureTrace()
+{
+    std::string err;
+    const auto gen = parseTraceGenSpec(
+        "poisson:rate=4,horizon=4,seed=3,cap=6,steps=20,qos=0", &err);
+    EXPECT_TRUE(gen.has_value()) << err;
+    ArrivalTrace t = generateTrace(*gen);
+    for (TenantJob &j : t.jobs)
+        j.arrivalSec += 1e17;
+    return t;
+}
+
+/** Every window index in the snapshot, series and sketches alike. */
+std::vector<std::int64_t>
+windowsOf(const obs::TimeSeriesSnapshot &snap)
+{
+    std::vector<std::int64_t> ws;
+    for (const auto &[name, series] : snap.series)
+        for (const auto &[w, value] : series.points)
+            ws.push_back(w);
+    for (const auto &[name, sketches] : snap.sketches)
+        for (const auto &[w, sk] : sketches)
+            ws.push_back(w);
+    return ws;
+}
+
+TEST(ServeTelemetryTest, TooManyWindowsForTheSpanAreRejected)
+{
+    ServeSpec s;
+    s.workload.name = "far";
+    s.workload.jobs = farFutureTrace().jobs;
+    s.config = divaDefault(true);
+    s.opts.openLoop = true;
+    IterationCost cost;
+    cost.seconds = 0.002;
+    cost.energyJ = 1.0;
+    cost.resolvedBatch = 8;
+    const std::vector<IterationCost> costs(s.workload.jobs.size(), cost);
+
+    obs::RunTelemetry pinned;
+    pinned.windowSec = 0.001;
+    s.opts.telemetry = &pinned;
+    const ServeResult bad = runServeLoop(s, costs, SwitchCost{});
+    EXPECT_FALSE(bad.ok());
+    EXPECT_NE(bad.error.find("--obs-window-s"), std::string::npos)
+        << bad.error;
+
+    obs::RunTelemetry automatic;
+    s.opts.telemetry = &automatic;
+    const ServeResult r = runServeLoop(s, costs, SwitchCost{});
+    ASSERT_TRUE(r.ok()) << r.error;
+    const std::vector<std::int64_t> ws = windowsOf(automatic.snapshot);
+    EXPECT_FALSE(ws.empty());
+    for (const std::int64_t w : ws)
+        EXPECT_GE(w, 0);
+}
+
+TEST(FleetTelemetryTest, TooManyWindowsForTheSpanAreRejected)
+{
+    const ArrivalTrace t = farFutureTrace();
+    const FleetSpec spec = buildFleet({defaultPodGroup(2)});
+    SweepRunner runner;
+
+    obs::RunTelemetry pinned;
+    pinned.windowSec = 0.001;
+    const FleetResult bad =
+        simulateFleet(spec, t, runner, 1, nullptr, &pinned);
+    EXPECT_FALSE(bad.ok());
+    EXPECT_NE(bad.error.find("--obs-window-s"), std::string::npos)
+        << bad.error;
+
+    obs::RunTelemetry automatic;
+    const FleetResult r =
+        simulateFleet(spec, t, runner, 1, nullptr, &automatic);
+    ASSERT_TRUE(r.ok()) << r.error;
+    const std::vector<std::int64_t> ws = windowsOf(automatic.snapshot);
+    EXPECT_FALSE(ws.empty());
+    for (const std::int64_t w : ws)
+        EXPECT_GE(w, 0);
 }
 
 TEST(FleetTelemetryTest, ByteIdenticalAcrossThreadsAndReruns)
