@@ -18,6 +18,16 @@ dataflowName(Dataflow df)
     return "?";
 }
 
+std::optional<Dataflow>
+dataflowFromName(const std::string &name)
+{
+    for (Dataflow df : {Dataflow::kWeightStationary,
+                        Dataflow::kOutputStationary, Dataflow::kOuterProduct})
+        if (name == dataflowName(df))
+            return df;
+    return std::nullopt;
+}
+
 std::string
 AcceleratorConfig::validationError() const
 {
@@ -141,6 +151,24 @@ divaDefault(bool with_ppu)
     cfg.dataflow = Dataflow::kOuterProduct;
     cfg.hasPpu = with_ppu;
     return cfg;
+}
+
+AcceleratorConfig
+presetConfig(Dataflow df, std::optional<bool> ppu)
+{
+    const bool with_ppu = ppu.value_or(df != Dataflow::kWeightStationary);
+    switch (df) {
+      case Dataflow::kWeightStationary: {
+        AcceleratorConfig cfg = tpuV3Ws();
+        cfg.hasPpu = with_ppu;
+        return cfg;
+      }
+      case Dataflow::kOutputStationary:
+        return systolicOs(with_ppu);
+      case Dataflow::kOuterProduct:
+        return divaDefault(with_ppu);
+    }
+    return {};
 }
 
 } // namespace diva

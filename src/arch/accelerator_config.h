@@ -13,6 +13,7 @@
 #define DIVA_ARCH_ACCELERATOR_CONFIG_H
 
 #include <cstddef>
+#include <optional>
 #include <string>
 
 #include "common/types.h"
@@ -33,6 +34,9 @@ enum class Dataflow
 
 /** Short human-readable name of a dataflow ("WS", "OS", "DiVa"). */
 const char *dataflowName(Dataflow df);
+
+/** The dataflow a dataflowName() spelling names; nullopt otherwise. */
+std::optional<Dataflow> dataflowFromName(const std::string &name);
 
 /**
  * Full configuration of one simulated accelerator.
@@ -152,6 +156,15 @@ AcceleratorConfig systolicOs(bool with_ppu);
 
 /** DiVa: outer-product GEMM engine, PPU optional (default present). */
 AcceleratorConfig divaDefault(bool with_ppu = true);
+
+/**
+ * The design point the CLIs name by dataflow and PPU setting:
+ * tpuV3Ws(), systolicOs(ppu) or divaDefault(ppu). Without a PPU
+ * setting every dataflow but WS gets the PPU. WS has no PPU datapath,
+ * so WS with ppu=true keeps hasPpu set and fails validationError():
+ * sweeps count it as skipped, single design points report it.
+ */
+AcceleratorConfig presetConfig(Dataflow df, std::optional<bool> ppu = {});
 
 } // namespace diva
 

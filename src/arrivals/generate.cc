@@ -1,6 +1,7 @@
 #include "arrivals/generate.h"
 
 #include <cmath>
+#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -278,6 +279,44 @@ parseTraceGenSpec(const std::string &text, std::string *error)
         return std::nullopt;
     }
     return spec;
+}
+
+std::optional<ArrivalTrace>
+traceFromFlags(const std::string &tracePath, const std::string &arrivalsSpec,
+               const std::function<void(TraceGenSpec &)> &adjust,
+               const std::string &savePath, std::string *error)
+{
+    ArrivalTrace trace;
+    if (!tracePath.empty()) {
+        trace = loadTraceFile(tracePath, error);
+        if (!error->empty()) {
+            *error = "--trace: " + *error;
+            return std::nullopt;
+        }
+    } else {
+        std::optional<TraceGenSpec> gen =
+            parseTraceGenSpec(arrivalsSpec, error);
+        if (!gen) {
+            *error = "--arrivals: " + *error;
+            return std::nullopt;
+        }
+        adjust(*gen);
+        trace = generateTrace(*gen);
+        if (trace.jobs.empty()) {
+            *error = "--arrivals produced no arrivals inside the horizon; "
+                     "raise rate or horizon";
+            return std::nullopt;
+        }
+    }
+    if (!savePath.empty()) {
+        std::ofstream file(savePath);
+        if (!file) {
+            *error = "cannot write " + savePath;
+            return std::nullopt;
+        }
+        writeTraceCsv(file, trace);
+    }
+    return trace;
 }
 
 } // namespace diva

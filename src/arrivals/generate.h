@@ -16,6 +16,7 @@
 #define DIVA_ARRIVALS_GENERATE_H
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -99,6 +100,19 @@ ArrivalTrace generateTrace(const TraceGenSpec &spec);
  */
 std::optional<TraceGenSpec> parseTraceGenSpec(const std::string &text,
                                               std::string *error);
+
+/**
+ * The trace a CLI replays: the recorded file `tracePath` (--trace)
+ * when set, else the trace of the `arrivalsSpec` generator (--arrivals)
+ * after `adjust` fills the tool's defaults into the parsed spec; a
+ * generated trace must hold at least one session. A non-empty
+ * `savePath` (--save-trace) receives the trace as canonical CSV.
+ * nullopt, with *error set, on any failure.
+ */
+std::optional<ArrivalTrace>
+traceFromFlags(const std::string &tracePath, const std::string &arrivalsSpec,
+               const std::function<void(TraceGenSpec &)> &adjust,
+               const std::string &savePath, std::string *error);
 
 } // namespace diva
 

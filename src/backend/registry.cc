@@ -1,8 +1,11 @@
 #include "backend/registry.h"
 
+#include <algorithm>
+
 #include "backend/chip_backend.h"
 #include "backend/gpu_backend.h"
 #include "backend/pod_backend.h"
+#include "common/cli.h"
 #include "common/logging.h"
 
 namespace diva
@@ -63,6 +66,29 @@ BackendRegistry::names() const
     for (const auto &b : backends_)
         out.push_back(b->name());
     return out;
+}
+
+std::string
+parseBackendNames(const std::string &text, std::vector<std::string> *out)
+{
+    const BackendRegistry &registry = BackendRegistry::instance();
+    std::vector<std::string> names;
+    for (const std::string &name : cli::splitList(text)) {
+        if (!registry.find(name)) {
+            std::string known;
+            for (const std::string &n : registry.names())
+                known += (known.empty() ? "" : ", ") + n;
+            return cli::reject("must name registered backends (" + known +
+                                   ")",
+                               name);
+        }
+        if (std::find(names.begin(), names.end(), name) == names.end())
+            names.push_back(name);
+    }
+    if (names.empty())
+        return cli::reject("needs at least one item", text);
+    *out = std::move(names);
+    return "";
 }
 
 } // namespace diva

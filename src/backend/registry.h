@@ -55,6 +55,14 @@ class BackendRegistry
     std::vector<std::unique_ptr<SimBackend>> backends_;
 };
 
+/**
+ * Parse a --backends value: comma-separated registered names, kept in
+ * the order given with repeats dropped. Returns "" after storing them
+ * in *out, or the cli::reject() text naming the registered backends.
+ */
+std::string parseBackendNames(const std::string &text,
+                              std::vector<std::string> *out);
+
 } // namespace diva
 
 #endif // DIVA_BACKEND_REGISTRY_H

@@ -66,8 +66,7 @@ parsePodTemplate(const std::string &text, std::string *error)
 {
     error->clear();
     Dataflow dataflow = Dataflow::kOuterProduct;
-    bool ppu = true;
-    bool ppu_set = false;
+    std::optional<bool> ppu;
     int chips = 1;
     int count = 1;
     double ici_gbs = 0.0;
@@ -86,28 +85,21 @@ parsePodTemplate(const std::string &text, std::string *error)
         const std::string key = item.substr(0, eq);
         const std::string value = item.substr(eq + 1);
         if (key == "df" || key == "dataflow") {
-            if (value == "WS")
-                dataflow = Dataflow::kWeightStationary;
-            else if (value == "OS")
-                dataflow = Dataflow::kOutputStationary;
-            else if (value == "DiVa")
-                dataflow = Dataflow::kOuterProduct;
-            else {
+            const auto df = dataflowFromName(value);
+            if (!df) {
                 *error = "df takes WS, OS, or DiVa; got '" + value + "'";
                 return std::nullopt;
             }
+            dataflow = *df;
         } else if (key == "ppu") {
-            if (value == "on")
-                ppu = true;
-            else if (value == "off")
-                ppu = false;
-            else {
+            if (value != "on" && value != "off") {
                 *error = "ppu takes on/off, got '" + value + "'";
                 return std::nullopt;
             }
-            ppu_set = true;
+            ppu = value == "on";
         } else if (key == "chips") {
-            const auto n = parseBoundedIntText(value, 1, 65536);
+            const auto n =
+                parseBoundedIntText(value, 1, MultiChipConfig::kMaxChips);
             if (!n) {
                 *error = "chips must be in [1, 65536], got '" + value +
                          "'";
@@ -130,7 +122,8 @@ parsePodTemplate(const std::string &text, std::string *error)
             }
             ici_gbs = *d;
         } else if (key == "link-lat") {
-            const auto n = parseBoundedIntText(value, 0, 1000000);
+            const auto n = parseBoundedIntText(
+                value, 0, MultiChipConfig::kMaxLinkLatencyCycles);
             if (!n) {
                 *error = "link-lat must be in [0, 1e6] cycles, got '" +
                          value + "'";
@@ -146,22 +139,12 @@ parsePodTemplate(const std::string &text, std::string *error)
     }
 
     PodSpec proto;
-    switch (dataflow) {
-      case Dataflow::kWeightStationary:
-        // WS has no PPU datapath; an explicit ppu=on is a spec error
-        // rather than a silent downgrade.
-        if (ppu_set && ppu) {
-            *error = "df=WS has no PPU datapath (use ppu=off)";
-            return std::nullopt;
-        }
-        proto.config = tpuV3Ws();
-        break;
-      case Dataflow::kOutputStationary:
-        proto.config = systolicOs(ppu);
-        break;
-      case Dataflow::kOuterProduct:
-        proto.config = divaDefault(ppu);
-        break;
+    proto.config = presetConfig(dataflow, ppu);
+    // WS has no PPU datapath; an explicit ppu=on is a spec error
+    // rather than a silent downgrade.
+    if (!proto.config.validationError().empty()) {
+        *error = "df=WS has no PPU datapath (use ppu=off)";
+        return std::nullopt;
     }
     proto.chips = chips;
     proto.pod.numChips = chips;

@@ -125,33 +125,41 @@ CliObs::finish()
     return ok;
 }
 
-const char *
-cliObsUsage()
+cli::FlagGroup
+cliObsFlags(CliObs &obs, bool &verbose)
 {
-    return
-        "Observability (all optional; no effect on results):\n"
-        "  --metrics-out FILE  write a deterministic counters/gauges/\n"
-        "                      histograms snapshot (diva-metrics-v2\n"
-        "                      JSON; histograms keep 16 sub-buckets\n"
-        "                      per octave, <= 6.25% over exact)\n"
-        "  --trace-out FILE    write a sim-time Chrome/Perfetto trace\n"
-        "                      (JSON; open in ui.perfetto.dev)\n"
-        "  --trace-max-events N  per-track event cap for --trace-out\n"
-        "                      (default 1048576; excess is counted as\n"
-        "                      droppedEvents)\n"
-        "  --timeseries-out FILE  write windowed sim-time telemetry\n"
-        "                      (diva-timeseries-v1; CSV when FILE ends\n"
-        "                      in .csv, JSON otherwise)\n"
-        "  --obs-window-s W    telemetry window width in simulated\n"
-        "                      seconds (default: trace span / 64;\n"
-        "                      the span must fit in < 2^53 windows)\n"
-        "  --slo-p99-s SPEC    p99 step-latency target: seconds\n"
-        "                      (global) and/or prio:seconds pairs,\n"
-        "                      comma-separated (e.g. \"0.5,1:0.2\");\n"
-        "                      enables the per-window attainment\n"
-        "                      report\n"
-        "  --profile           wall-clock phase table on stderr\n"
-        "  --verbose           extra stderr progress notes\n";
+    return {
+        "Observability (all optional; no effect on results)",
+        {{"--metrics-out", "FILE",
+          "write a deterministic counters/gauges/histograms snapshot "
+          "(diva-metrics-v2 JSON; histograms keep 16 sub-buckets per "
+          "octave, <= 6.25% over exact)",
+          cli::text(obs.metricsOut)},
+         {"--trace-out", "FILE",
+          "write a sim-time Chrome/Perfetto trace (JSON; open in "
+          "ui.perfetto.dev)",
+          cli::text(obs.traceOut)},
+         {"--trace-max-events", "N",
+          "per-track event cap for --trace-out (default 1048576; excess "
+          "is counted as droppedEvents)",
+          cli::set(obs.traceMaxEvents, cli::integer<std::size_t>(1))},
+         {"--timeseries-out", "FILE",
+          "write windowed sim-time telemetry (diva-timeseries-v1; CSV "
+          "when FILE ends in .csv, JSON otherwise)",
+          cli::text(obs.timeseriesOut)},
+         {"--obs-window-s", "W",
+          "telemetry window width in simulated seconds (default: trace "
+          "span / 64; the span must fit in < 2^53 windows)",
+          cli::set(obs.obsWindowSec, cli::real(0.0))},
+         {"--slo-p99-s", "SPEC",
+          "p99 step-latency target: seconds (global) and/or "
+          "prio:seconds pairs, comma-separated (e.g. \"0.5,1:0.2\"); "
+          "enables the per-window attainment report",
+          cli::text(obs.sloSpecText)},
+         {"--profile", "", "wall-clock phase table on stderr",
+          cli::toggle(obs.profile)},
+         {"--verbose", "", "extra stderr progress notes",
+          cli::toggle(verbose)}}};
 }
 
 } // namespace obs

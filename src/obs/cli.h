@@ -1,12 +1,13 @@
 /**
  * @file
- * Shared observability plumbing for the CLI tools: one struct holding
- * the parsed --metrics-out / --trace-out / --timeseries-out /
- * --obs-window-s / --slo-p99-s / --profile / --trace-max-events
- * values, the switch-on step, and the end-of-run emission of metrics
- * JSON, trace JSON, the timeseries document and the profile table.
- * All three tools (diva_sweep, diva_serve, diva_fleet) funnel through
- * this so the flags mean the same thing everywhere.
+ * Shared observability plumbing for the CLI tools: the flag-table
+ * group declaring --metrics-out / --trace-out / --trace-max-events /
+ * --timeseries-out / --obs-window-s / --slo-p99-s / --profile /
+ * --verbose, one struct holding their values, the switch-on step, and
+ * the end-of-run emission of metrics JSON, trace JSON, the timeseries
+ * document and the profile table. All three tools (diva_sweep,
+ * diva_serve, diva_fleet) funnel through this so the flags mean the
+ * same thing everywhere.
  */
 
 #ifndef DIVA_OBS_CLI_H
@@ -15,6 +16,7 @@
 #include <memory>
 #include <string>
 
+#include "common/cli.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
 
@@ -77,8 +79,8 @@ struct CliObs
     bool finish();
 };
 
-/** Usage-text block describing the shared observability flags. */
-const char *cliObsUsage();
+/** The shared telemetry flags, plus --verbose, as one table group. */
+cli::FlagGroup cliObsFlags(CliObs &obs, bool &verbose);
 
 } // namespace obs
 } // namespace diva

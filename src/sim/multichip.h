@@ -23,6 +23,10 @@ namespace diva
 /** Pod-level configuration. */
 struct MultiChipConfig
 {
+    /** Largest chip count and link latency the CLIs accept. */
+    static constexpr int kMaxChips = 65536;
+    static constexpr int kMaxLinkLatencyCycles = 1000000;
+
     int numChips = 8;
     /** Per-link interconnect bandwidth (TPUv3 ICI class). */
     double interconnectGBs = 70.0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <ostream>
 #include <string>
 
 #include "backend/registry.h"
@@ -73,6 +74,19 @@ SweepRunner::SweepRunner(SweepOptions opts)
         // fresh appends instead of re-reading the store per call.
         persistent_ = disk_->entries();
     }
+}
+
+void
+SweepRunner::printDiskCacheBanner(std::ostream &os) const
+{
+    if (!disk_)
+        return;
+    os << "disk cache: " << disk_->size() << " entries in "
+       << disk_->filePath();
+    if (disk_->corruptLinesSkipped())
+        os << " (" << disk_->corruptLinesSkipped()
+           << " corrupt lines skipped)";
+    os << "\n";
 }
 
 const ScenarioResult *

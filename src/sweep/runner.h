@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -139,6 +140,12 @@ class SweepRunner
 
     /** The persistent store, or nullptr when options().cacheDir empty. */
     const DiskCache *diskCache() const { return disk_.get(); }
+
+    /**
+     * The CLIs' startup line, "disk cache: N entries in PATH" plus any
+     * corrupt lines skipped on load, to `os`; nothing without a store.
+     */
+    void printDiskCacheBanner(std::ostream &os) const;
 
     /** The shared workload-plan cache (disabled when !opts.planCache). */
     const PlanCache &planCache() const { return plans_; }

@@ -1,13 +1,52 @@
 #include "tenant/tenant.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <sstream>
 
+#include "common/cli.h"
 #include "sweep/scenario.h"
 
 namespace diva
 {
+
+std::string
+parseTenantSpec(const std::string &spec, TenantJob *job)
+{
+    std::vector<std::string> f;
+    std::stringstream ss(spec);
+    for (std::string item; std::getline(ss, item, ':');)
+        f.push_back(item);
+    if (f.empty() || f.size() > 7 || f[0].empty())
+        return "must be model[:batch[:qos_sps[:arrival_s[:prio[:steps"
+               "[:depart_s]]]]]]";
+    TenantJob j = *job;
+    j.model = f[0];
+    const auto field = [&f](std::size_t i, const char *name,
+                            const auto &parser, auto &dst) {
+        if (i >= f.size())
+            return std::string();
+        const auto v = parser.parse(f[i]);
+        if (!v)
+            return std::string(name) + " " + parser.rule;
+        dst = *v;
+        return std::string();
+    };
+    const std::string errors[] = {
+        field(1, "batch",
+              cli::orWord(cli::integer(1), "auto", kAutoBatch), j.batch),
+        field(2, "qos_sps", cli::real(0.0, true), j.qosStepsPerSec),
+        field(3, "arrival_s", cli::real(0.0, true), j.arrivalSec),
+        field(4, "prio", cli::integer(INT_MIN), j.priority),
+        field(5, "steps", cli::integer<std::uint64_t>(0), j.steps),
+        field(6, "depart_s", cli::real(0.0, true), j.departSec)};
+    for (const std::string &err : errors)
+        if (!err.empty())
+            return err;
+    *job = j;
+    return "";
+}
 
 std::string
 TenantJob::validationError(bool wallLimited) const

@@ -83,6 +83,15 @@ struct TenantJob
     std::string validationError(bool wallLimited) const;
 };
 
+/**
+ * Parse a --tenant spec,
+ *   model[:batch[:qos_sps[:arrival_s[:prio[:steps[:depart_s]]]]]]
+ * with batch 'auto' = kAutoBatch and depart_s 0 = stays. Fields the
+ * spec leaves out keep their values in *job. Returns "" after filling
+ * *job, or the rule the spec broke (and leaves *job untouched).
+ */
+std::string parseTenantSpec(const std::string &spec, TenantJob *job);
+
 /** The tenant mix sharing one accelerator. */
 struct TenantWorkload
 {

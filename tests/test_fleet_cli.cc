@@ -79,8 +79,12 @@ TEST_F(FleetCli, GoodInvocationsSucceed)
 
 TEST_F(FleetCli, EmptyFleetsAndZeroChipPodsFail)
 {
-    EXPECT_NE(runQuiet("./diva_fleet --pods 0"), 0);
-    EXPECT_NE(runQuiet("./diva_fleet --pods -4"), 0);
+    EXPECT_EQ(runQuiet("./diva_fleet --pods 0"), 1);
+    EXPECT_EQ(runQuiet("./diva_fleet --pods -4"), 1);
+    // --pods takes the --pod count= range; 2e9 pods used to abort on
+    // std::bad_alloc (exit 134).
+    EXPECT_EQ(runQuiet("./diva_fleet --pods 2000000000"), 1);
+    EXPECT_EQ(runQuiet("./diva_fleet --pods 65537"), 1);
     EXPECT_NE(runQuiet("./diva_fleet --pod chips=0"), 0);
     EXPECT_NE(runQuiet("./diva_fleet --pod count=0"), 0);
     EXPECT_NE(runQuiet("./diva_fleet --pod df=bogus"), 0);

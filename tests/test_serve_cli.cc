@@ -1,8 +1,8 @@
 /**
  * @file
  * End-to-end flag validation for the diva_serve and diva_sweep CLIs:
- * bad flag values must fail with a non-zero exit code, and a minimal
- * good invocation must succeed. ctest runs with the build directory as
+ * bad flag values must fail with exit code 1 (a failed run exits 2),
+ * and a minimal good invocation must succeed. ctest runs with the build directory as
  * the working directory, so the tool binaries sit at ./diva_serve and
  * ./diva_sweep; the suite skips (rather than fails) when the tools
  * were not built.
@@ -77,37 +77,46 @@ TEST_F(ServeCli, StepsDefaultAppliesToTenantSpecsInAnyFlagOrder)
 
 TEST_F(ServeCli, BadServeFlagsFail)
 {
+    // Argument errors exit exactly 1 (run errors exit 2).
     // Unknown policy name.
-    EXPECT_NE(runQuiet("./diva_serve --policy bogus"), 0);
-    // Zero/negative tenant counts.
-    EXPECT_NE(runQuiet("./diva_serve --tenants 0"), 0);
-    EXPECT_NE(runQuiet("./diva_serve --tenants -3"), 0);
+    EXPECT_EQ(runQuiet("./diva_serve --policy bogus"), 1);
+    // Zero/negative/oversized tenant counts (2e9 tenants used to abort
+    // on std::bad_alloc).
+    EXPECT_EQ(runQuiet("./diva_serve --tenants 0"), 1);
+    EXPECT_EQ(runQuiet("./diva_serve --tenants -3"), 1);
+    EXPECT_EQ(runQuiet("./diva_serve --tenants 2000000000"), 1);
     // Negative/zero budgets and quanta.
-    EXPECT_NE(runQuiet("./diva_serve --wall-s -1"), 0);
-    EXPECT_NE(runQuiet("./diva_serve --wall-s 0"), 0);
-    EXPECT_NE(runQuiet("./diva_serve --quantum 0"), 0);
-    EXPECT_NE(runQuiet("./diva_serve --steps -5"), 0);
+    EXPECT_EQ(runQuiet("./diva_serve --wall-s -1"), 1);
+    EXPECT_EQ(runQuiet("./diva_serve --wall-s 0"), 1);
+    EXPECT_EQ(runQuiet("./diva_serve --quantum 0"), 1);
+    EXPECT_EQ(runQuiet("./diva_serve --steps -5"), 1);
     // Unbounded steps need a wall budget.
-    EXPECT_NE(runQuiet("./diva_serve --steps 0"), 0);
+    EXPECT_EQ(runQuiet("./diva_serve --steps 0"), 1);
     // Malformed tenant specs.
-    EXPECT_NE(runQuiet("./diva_serve --tenant ResNet-50:0"), 0);
-    EXPECT_NE(runQuiet("./diva_serve --tenant ResNet-50:8:-2"), 0);
+    EXPECT_EQ(runQuiet("./diva_serve --tenant ResNet-50:0"), 1);
+    EXPECT_EQ(runQuiet("./diva_serve --tenant ResNet-50:8:-2"), 1);
     // Non-finite QoS rates and negative arrivals/departures reject.
-    EXPECT_NE(runQuiet("./diva_serve --tenant ResNet-50:8:inf"), 0);
-    EXPECT_NE(runQuiet("./diva_serve --tenant ResNet-50:8:nan"), 0);
-    EXPECT_NE(runQuiet("./diva_serve --tenant ResNet-50:8:1:-3"), 0);
+    EXPECT_EQ(runQuiet("./diva_serve --tenant ResNet-50:8:inf"), 1);
+    EXPECT_EQ(runQuiet("./diva_serve --tenant ResNet-50:8:nan"), 1);
+    EXPECT_EQ(runQuiet("./diva_serve --tenant ResNet-50:8:1:-3"), 1);
     // Departure before arrival: parses (both >= 0) but the serve
     // validation rejects it with a non-zero exit.
     EXPECT_NE(
         runQuiet("./diva_serve --tenant SqueezeNet:8:0:5:0:4:2 --quiet"),
         0);
-    EXPECT_NE(runQuiet("./diva_serve --tenant SqueezeNet:8:0:0:0:4:-1"),
-              0);
+    EXPECT_EQ(runQuiet("./diva_serve --tenant SqueezeNet:8:0:0:0:4:-1"),
+              1);
     // Unknown model in a tenant spec is a (runtime) serve error.
     EXPECT_NE(runQuiet("./diva_serve --tenant NoSuchNet --quiet"), 0);
     // Unknown flags and missing values.
-    EXPECT_NE(runQuiet("./diva_serve --no-such-flag"), 0);
-    EXPECT_NE(runQuiet("./diva_serve --policy"), 0);
+    EXPECT_EQ(runQuiet("./diva_serve --no-such-flag"), 1);
+    EXPECT_EQ(runQuiet("./diva_serve --policy"), 1);
+    // WS has no PPU datapath: an explicit --ppu on is an error, as
+    // df=WS,ppu=on is for diva_fleet; plain WS runs with the PPU off.
+    EXPECT_EQ(runQuiet("./diva_serve --dataflow WS --ppu on"), 1);
+    EXPECT_EQ(runQuiet("./diva_serve --dataflow WS --tenants 1 --steps 2 "
+                       "--quiet"),
+              0);
 }
 
 TEST_F(ServeCli, DepartureEndsSessionEarly)
@@ -183,17 +192,53 @@ TEST_F(ServeCli, SweepTraceModeValidates)
               0);
 }
 
+TEST_F(ServeCli, RepeatedSweepListFlagsReplace)
+{
+    // Every list flag replaces its list: a repeated --chips keeps only
+    // the last one's pod shapes instead of appending to the first.
+    const std::string csv = "sweep_cli_chips.csv";
+    ASSERT_EQ(runQuiet("./diva_sweep --quiet --no-speedup --models "
+                       "SqueezeNet --batches 8 --dataflows DiVa --ppu on "
+                       "--algos dpsgd --chips 2 --chips 4 --csv " +
+                       csv),
+              0);
+    std::ifstream in(csv);
+    int pods_2 = 0, pods_4 = 0;
+    for (std::string row; std::getline(in, row);) {
+        pods_2 += row.find(",pod,2,") != std::string::npos;
+        pods_4 += row.find(",pod,4,") != std::string::npos;
+    }
+    EXPECT_EQ(pods_2, 0);
+    EXPECT_EQ(pods_4, 1);
+    std::remove(csv.c_str());
+}
+
 TEST_F(ServeCli, BadSweepFlagsFail)
 {
-    EXPECT_NE(runQuiet("./diva_sweep --mode bogus"), 0);
-    EXPECT_NE(runQuiet("./diva_sweep --mode duration"), 0)
+    // Argument errors exit exactly 1 (run errors exit 2).
+    EXPECT_EQ(runQuiet("./diva_sweep --mode bogus"), 1);
+    EXPECT_EQ(runQuiet("./diva_sweep --mode duration"), 1)
         << "duration mode requires --wall-s";
-    EXPECT_NE(runQuiet("./diva_sweep --mode tenant --policies bogus"), 0);
-    EXPECT_NE(runQuiet("./diva_sweep --wall-s -2"), 0);
-    EXPECT_NE(runQuiet("./diva_sweep --quantum 0"), 0);
-    EXPECT_NE(runQuiet("./diva_sweep --steps 0"), 0);
-    EXPECT_NE(runQuiet("./diva_sweep --arrive-every -1"), 0);
-    EXPECT_NE(runQuiet("./diva_sweep --models NoSuchNet"), 0);
+    EXPECT_EQ(runQuiet("./diva_sweep --mode tenant --policies bogus"), 1);
+    EXPECT_EQ(runQuiet("./diva_sweep --wall-s -2"), 1);
+    EXPECT_EQ(runQuiet("./diva_sweep --quantum 0"), 1);
+    EXPECT_EQ(runQuiet("./diva_sweep --steps 0"), 1);
+    EXPECT_EQ(runQuiet("./diva_sweep --arrive-every -1"), 1);
+    EXPECT_EQ(runQuiet("./diva_sweep --models NoSuchNet"), 1);
+    // Values checked at parse time, as in the other two tools: no
+    // zero-thread runs, no negative axis entries reaching the engines,
+    // and the pod axes take the --pod ranges of diva_fleet.
+    EXPECT_EQ(runQuiet("./diva_sweep --threads 0"), 1);
+    EXPECT_EQ(runQuiet("./diva_sweep --threads -3"), 1);
+    EXPECT_EQ(runQuiet("./diva_sweep --batches -4"), 1);
+    EXPECT_EQ(runQuiet("./diva_sweep --batches 0"), 1)
+        << "0 is not a batch; 'auto' is spelled out";
+    EXPECT_EQ(runQuiet("./diva_sweep --scales -5"), 1);
+    EXPECT_EQ(runQuiet("./diva_sweep --microbatches -2"), 1);
+    EXPECT_EQ(runQuiet("./diva_sweep --chips 65537"), 1);
+    EXPECT_EQ(runQuiet("./diva_sweep --link-lat 2000000000"), 1);
+    EXPECT_EQ(runQuiet("./diva_sweep --models ''"), 1)
+        << "list flags need at least one item";
 }
 
 } // namespace

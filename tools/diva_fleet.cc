@@ -18,17 +18,19 @@
  * --pod-csv / --json files) is a pure function of the spec: --threads
  * N and warm-cache reruns are byte-identical. Progress and cache
  * accounting go to stderr.
+ *
+ * The flags are declared once, in flagTable(): the argv driver
+ * (common/cli.h) parses them and prints --help from the same rows.
  */
 
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "arrivals/generate.h"
-#include "arrivals/trace.h"
-#include "cli_parse.h"
+#include "backend/registry.h"
+#include "common/cli.h"
 #include "common/format.h"
 #include "common/logging.h"
 #include "common/table.h"
@@ -44,91 +46,7 @@ using namespace diva;
 namespace
 {
 
-void
-usage()
-{
-    std::cerr <<
-        "usage: diva_fleet [options]\n"
-        "\n"
-        "Fleet shape:\n"
-        "  --pods N            N identical single-chip DiVa pods\n"
-        "                      (default 8)\n"
-        "  --pod SPEC          add a pod group; SPEC is key=value\n"
-        "                      pairs: df=WS|OS|DiVa, ppu=on|off,\n"
-        "                      chips=N, count=N, ici-gbs=G, link-lat=C\n"
-        "                      -- e.g. df=OS,chips=4,count=16.\n"
-        "                      Repeat for a heterogeneous fleet\n"
-        "                      (replaces --pods)\n"
-        "\n"
-        "Arrival trace (open-loop replay drives the fleet):\n"
-        "  --arrivals SPEC     generate a seeded arrival trace:\n"
-        "                      kind[:key=val,...], kind poisson|onoff|\n"
-        "                      diurnal, keys rate,horizon,seed,cap,on,\n"
-        "                      off,peak,steps,batch,qos,hold,prios --\n"
-        "                      e.g. diurnal:rate=40,horizon=64,seed=1\n"
-        "                      (default diurnal:rate=4,horizon=16,\n"
-        "                      seed=1)\n"
-        "  --trace FILE        replay a recorded trace (.csv, or\n"
-        "                      .jsonl/.json with one object per line)\n"
-        "  --save-trace PATH   write the replayed trace as canonical\n"
-        "                      CSV (same seed => byte-identical file)\n"
-        "\n"
-        "Cluster policy:\n"
-        "  --placement NAME    first-fit, load, or energy\n"
-        "                      (default first-fit)\n"
-        "  --policy NAME       per-pod scheduler: fifo, rr, prio, or\n"
-        "                      edf (default rr)\n"
-        "  --admission-cap U   fraction of one pod the admitted QoS\n"
-        "                      demand placed there may claim\n"
-        "                      (default 1.0); infeasible tenants are\n"
-        "                      rejected\n"
-        "  --rebalance-every S enable tenant migration between pods,\n"
-        "                      checking load skew every S simulated\n"
-        "                      seconds (0 = auto: an eighth of the\n"
-        "                      trace span)\n"
-        "  --skew F            utilization gap that triggers migration\n"
-        "                      (default 0.25)\n"
-        "  --max-migrations N  migration cap per control round\n"
-        "                      (default 64)\n"
-        "\n"
-        "Energy budget:\n"
-        "  --power-cap-w W     sustained fleet power cap in watts;\n"
-        "                      low-priority tenants preempt when the\n"
-        "                      projected draw exceeds it\n"
-        "  --budget-j J        total joule budget for the whole run; a\n"
-        "                      draining budget throttles progressively\n"
-        "  --control-every S   control-loop interval for budget/\n"
-        "                      rebalance decisions (overrides auto)\n"
-        "\n"
-        "Serving:\n"
-        "  --working-set F     fraction of SRAM a context switch or\n"
-        "                      migration moves, in (0, 1] (default 1)\n"
-        "  --quantum N         iterations per scheduling quantum\n"
-        "                      (default 1)\n"
-        "  --wall-s S          wall-clock budget in simulated seconds;\n"
-        "                      0 = run to completion\n"
-        "  --backends LIST     allowed isolated-cost backends by\n"
-        "                      registry name (default: all)\n"
-        "\n"
-        "Execution:\n"
-        "  --threads N         worker threads for cost pricing and the\n"
-        "                      per-epoch pod simulations (default 1;\n"
-        "                      output is byte-identical for any value)\n"
-        "  --cache-dir PATH    persistent result cache shared with\n"
-        "                      diva_sweep/diva_serve\n"
-        "  --cache             like --cache-dir with the default dir\n"
-        "  --quiet             no stderr progress\n"
-        "\n"
-        "Output (deterministic; independent of --threads and cache):\n"
-        "  --pod-csv PATH      write the per-pod CSV to PATH instead\n"
-        "                      of stdout\n"
-        "  --csv PATH          also write the per-tenant CSV (one row\n"
-        "                      per session; large traces make this big)\n"
-        "  --json PATH         also write a JSON report (fleet + pods)\n"
-        "  --json-tenants      include every tenant in the JSON report\n"
-        "  --no-summary        skip the stdout summary tables\n"
-        "\n" << obs::cliObsUsage();
-}
+constexpr const char *kTool = "diva_fleet";
 
 struct Args
 {
@@ -137,22 +55,10 @@ struct Args
     std::string arrivalsSpec;
     std::string tracePath;
     std::string saveTracePath;
-    PlacementKind placement = PlacementKind::kFirstFit;
-    SchedPolicy policy = SchedPolicy::kRoundRobin;
-    double admissionCap = 1.0;
-    bool rebalance = false;
+    /** Policy, placement, rebalance, budget and serving knobs. */
+    FleetSpec fleet;
     double rebalanceEvery = 0.0;
-    double skew = 0.25;
-    int maxMigrations = 64;
-    double powerCapW = 0.0;
-    double budgetJ = 0.0;
-    double controlEvery = 0.0;
-    double workingSet = 1.0;
-    std::uint64_t quantum = 1;
-    double wallSec = 0.0;
-    std::vector<std::string> backends;
-    int threads = 1;
-    std::string cacheDir;
+    SweepOptions runner;
     bool quiet = false;
     bool summary = true;
     std::string podCsvPath;
@@ -163,268 +69,152 @@ struct Args
     obs::CliObs obs;
 };
 
-using cli::parseDoubleText;
-using cli::parseIntText;
-
-bool
-fail(const std::string &msg)
+cli::FlagTable
+flagTable(Args &args)
 {
-    std::cerr << "diva_fleet: " << msg << "\n";
-    return false;
-}
-
-bool
-parseArgs(int argc, char **argv, Args &args)
-{
-    auto need = [&](int &i) -> std::optional<std::string> {
-        if (i + 1 >= argc) {
-            fail(std::string(argv[i]) + " needs a value");
-            return std::nullopt;
-        }
-        return std::string(argv[++i]);
+    FleetSpec &f = args.fleet;
+    return {
+        {"Fleet shape",
+         {{"--pods", "N", "N identical single-chip DiVa pods (default 8)",
+           cli::set(args.pods, cli::integer(1, 65536))},
+          {"--pod", "SPEC",
+           "add a pod group; SPEC is key=value pairs: df=WS|OS|DiVa, "
+           "ppu=on|off, chips=N, count=N, ici-gbs=G, link-lat=C -- e.g. "
+           "df=OS,chips=4,count=16. Repeat for a heterogeneous fleet "
+           "(replaces --pods)",
+           [&args](const std::string &v) {
+               args.podSpecs.push_back(v);
+               return std::string();
+           }}}},
+        {"Arrival trace (open-loop replay drives the fleet)",
+         {{"--arrivals", "SPEC",
+           "generate a seeded arrival trace: kind[:key=val,...], kind "
+           "poisson|onoff|diurnal, keys rate, horizon, seed, cap, on, "
+           "off, peak, steps, batch, qos, hold, prios -- e.g. "
+           "diurnal:rate=40,horizon=64,seed=1 (default "
+           "diurnal:rate=4,horizon=16,seed=1)",
+           cli::text(args.arrivalsSpec)},
+          {"--trace", "FILE",
+           "replay a recorded trace (.csv, or .jsonl/.json with one "
+           "object per line)",
+           cli::text(args.tracePath)},
+          {"--save-trace", "PATH",
+           "write the replayed trace as canonical CSV (same seed => "
+           "byte-identical file)",
+           cli::text(args.saveTracePath)}}},
+        {"Cluster policy",
+         {{"--placement", "NAME",
+           "first-fit, load, or energy (default first-fit)",
+           cli::set(f.placement,
+                    cli::Parser<PlacementKind>{
+                        placementFromName,
+                        "must be first-fit, load, or energy"})},
+          {"--policy", "NAME",
+           "per-pod scheduler: fifo, rr, prio, or edf (default rr)",
+           cli::set(f.policy, cli::Parser<SchedPolicy>{
+                                  policyFromName,
+                                  "must be fifo, rr, prio, or edf"})},
+          {"--admission-cap", "U",
+           "fraction of one pod the admitted QoS demand placed there may "
+           "claim (default 1.0); infeasible tenants are rejected",
+           cli::set(f.podDemandCap, cli::real(0.0))},
+          {"--rebalance-every", "S",
+           "enable tenant migration between pods, checking load skew "
+           "every S simulated seconds (0 = auto: an eighth of the trace "
+           "span)",
+           [&args](const std::string &v) {
+               args.fleet.rebalance.enabled = true;
+               return cli::set(args.rebalanceEvery, cli::real(0.0, true))(v);
+           }},
+          {"--skew", "F",
+           "utilization gap that triggers migration (default 0.25)",
+           cli::set(f.rebalance.skewThreshold, cli::real(0.0))},
+          {"--max-migrations", "N",
+           "migration cap per control round (default 64)",
+           cli::set(f.rebalance.maxPerRound, cli::integer(1))}}},
+        {"Energy budget",
+         {{"--power-cap-w", "W",
+           "sustained fleet power cap in watts; low-priority tenants "
+           "preempt when the projected draw exceeds it",
+           cli::set(f.budget.powerCapW, cli::real(0.0))},
+          {"--budget-j", "J",
+           "total joule budget for the whole run; a draining budget "
+           "throttles progressively",
+           cli::set(f.budget.totalJ, cli::real(0.0))},
+          {"--control-every", "S",
+           "control-loop interval for budget/rebalance decisions "
+           "(overrides auto)",
+           cli::set(f.controlIntervalSec, cli::real(0.0))}}},
+        {"Serving",
+         {{"--working-set", "F",
+           "fraction of SRAM a context switch or migration moves, in "
+           "(0, 1] (default 1)",
+           cli::set(f.workingSetFraction, cli::real(0.0, false, 1.0))},
+          {"--quantum", "N", "iterations per scheduling quantum (default 1)",
+           cli::set(f.quantumIters, cli::integer<std::uint64_t>(1))},
+          {"--wall-s", "S",
+           "wall-clock budget in simulated seconds; 0 = run to "
+           "completion",
+           cli::set(f.wallLimitSec, cli::real(0.0))},
+          {"--backends", "LIST",
+           "allowed isolated-cost backends by registry name (default: "
+           "all)",
+           [&f](const std::string &v) {
+               return parseBackendNames(v, &f.backends);
+           }}}},
+        {"Execution",
+         {{"--threads", "N",
+           "worker threads for cost pricing and the per-epoch pod "
+           "simulations (default 1; output is byte-identical for any "
+           "value)",
+           cli::set(args.runner.threads, cli::integer(1, 1024))},
+          {"--cache-dir", "PATH",
+           "persistent result cache shared with diva_sweep/diva_serve",
+           cli::text(args.runner.cacheDir)},
+          {"--cache", "", "like --cache-dir with the default dir",
+           [&args](const std::string &) {
+               args.runner.cacheDir = DiskCache::defaultDir();
+               return std::string();
+           }},
+          {"--quiet", "", "no stderr progress", cli::toggle(args.quiet)}}},
+        {"Output (deterministic; independent of --threads and cache)",
+         {{"--pod-csv", "PATH",
+           "write the per-pod CSV to PATH instead of stdout",
+           cli::text(args.podCsvPath)},
+          {"--csv", "PATH",
+           "also write the per-tenant CSV (one row per session; large "
+           "traces make this big)",
+           cli::text(args.csvPath)},
+          {"--json", "PATH", "also write a JSON report (fleet + pods)",
+           cli::text(args.jsonPath)},
+          {"--json-tenants", "", "include every tenant in the JSON report",
+           cli::toggle(args.jsonTenants)},
+          {"--no-summary", "", "skip the stdout summary tables",
+           cli::toggle(args.summary, false)}}},
+        obs::cliObsFlags(args.obs, args.verbose),
     };
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        std::optional<std::string> v;
-        if (a == "--help" || a == "-h") {
-            usage();
-            std::exit(0);
-        } else if (a == "--quiet") {
-            args.quiet = true;
-        } else if (a == "--no-summary") {
-            args.summary = false;
-        } else if (a == "--json-tenants") {
-            args.jsonTenants = true;
-        } else if (a == "--pods") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseIntText(*v);
-            if (!n || *n < 1)
-                return fail("--pods must be >= 1, got '" + *v + "'");
-            args.pods = int(*n);
-        } else if (a == "--pod") {
-            if (!(v = need(i)))
-                return false;
-            args.podSpecs.push_back(*v);
-        } else if (a == "--arrivals") {
-            if (!(v = need(i)))
-                return false;
-            args.arrivalsSpec = *v;
-        } else if (a == "--trace") {
-            if (!(v = need(i)))
-                return false;
-            args.tracePath = *v;
-        } else if (a == "--save-trace") {
-            if (!(v = need(i)))
-                return false;
-            args.saveTracePath = *v;
-        } else if (a == "--placement") {
-            if (!(v = need(i)))
-                return false;
-            const auto p = placementFromName(*v);
-            if (!p)
-                return fail("unknown placement '" + *v +
-                            "' (want first-fit, load, or energy)");
-            args.placement = *p;
-        } else if (a == "--policy") {
-            if (!(v = need(i)))
-                return false;
-            const auto p = policyFromName(*v);
-            if (!p)
-                return fail("unknown policy '" + *v +
-                            "' (want fifo, rr, prio, or edf)");
-            args.policy = *p;
-        } else if (a == "--admission-cap") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d <= 0.0)
-                return fail("--admission-cap must be > 0, got '" + *v +
-                            "'");
-            args.admissionCap = *d;
-        } else if (a == "--rebalance-every") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d < 0.0)
-                return fail("--rebalance-every must be >= 0 (0 = "
-                            "auto), got '" + *v + "'");
-            args.rebalance = true;
-            args.rebalanceEvery = *d;
-        } else if (a == "--skew") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d <= 0.0)
-                return fail("--skew must be > 0, got '" + *v + "'");
-            args.skew = *d;
-        } else if (a == "--max-migrations") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseIntText(*v);
-            if (!n || *n < 1)
-                return fail("--max-migrations must be >= 1, got '" +
-                            *v + "'");
-            args.maxMigrations = int(*n);
-        } else if (a == "--power-cap-w") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d <= 0.0)
-                return fail("--power-cap-w must be > 0, got '" + *v +
-                            "'");
-            args.powerCapW = *d;
-        } else if (a == "--budget-j") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d <= 0.0)
-                return fail("--budget-j must be > 0, got '" + *v + "'");
-            args.budgetJ = *d;
-        } else if (a == "--control-every") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d <= 0.0)
-                return fail("--control-every must be > 0, got '" + *v +
-                            "'");
-            args.controlEvery = *d;
-        } else if (a == "--working-set") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || !(*d > 0.0) || *d > 1.0)
-                return fail("--working-set must be in (0, 1], got '" +
-                            *v + "'");
-            args.workingSet = *d;
-        } else if (a == "--quantum") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseIntText(*v);
-            if (!n || *n < 1)
-                return fail("--quantum must be >= 1, got '" + *v + "'");
-            args.quantum = std::uint64_t(*n);
-        } else if (a == "--wall-s") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d <= 0.0)
-                return fail("--wall-s must be > 0, got '" + *v + "'");
-            args.wallSec = *d;
-        } else if (a == "--backends") {
-            if (!(v = need(i)))
-                return false;
-            const auto names = cli::parseBackendList("diva_fleet", *v);
-            if (!names)
-                return false;
-            args.backends = *names;
-        } else if (a == "--threads") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseIntText(*v);
-            if (!n || *n < 1)
-                return fail("--threads must be >= 1, got '" + *v + "'");
-            args.threads = int(*n);
-        } else if (a == "--cache-dir") {
-            if (!(v = need(i)))
-                return false;
-            args.cacheDir = *v;
-        } else if (a == "--cache") {
-            args.cacheDir = DiskCache::defaultDir();
-        } else if (a == "--pod-csv") {
-            if (!(v = need(i)))
-                return false;
-            args.podCsvPath = *v;
-        } else if (a == "--csv") {
-            if (!(v = need(i)))
-                return false;
-            args.csvPath = *v;
-        } else if (a == "--json") {
-            if (!(v = need(i)))
-                return false;
-            args.jsonPath = *v;
-        } else if (a == "--metrics-out") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.metricsOut = *v;
-        } else if (a == "--trace-out") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.traceOut = *v;
-        } else if (a == "--trace-max-events") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseIntText(*v);
-            if (!n || *n < 1)
-                return fail("--trace-max-events must be >= 1, got '" +
-                            *v + "'");
-            args.obs.traceMaxEvents = std::size_t(*n);
-        } else if (a == "--timeseries-out") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.timeseriesOut = *v;
-        } else if (a == "--obs-window-s") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d <= 0.0)
-                return fail("--obs-window-s must be > 0, got '" + *v +
-                            "'");
-            args.obs.obsWindowSec = *d;
-        } else if (a == "--slo-p99-s") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.sloSpecText = *v;
-        } else if (a == "--profile") {
-            args.obs.profile = true;
-        } else if (a == "--verbose") {
-            args.verbose = true;
-        } else {
-            fail("unknown option '" + a + "'");
-            usage();
-            return false;
-        }
-    }
-    if (!args.arrivalsSpec.empty() && !args.tracePath.empty())
-        return fail("--arrivals and --trace are mutually exclusive");
-    return true;
 }
 
-bool
-buildFleetSpec(const Args &args, FleetSpec &spec)
+/** The fleet the flags describe; "" or the first problem found. */
+std::string
+buildFleetSpec(Args &args)
 {
     std::vector<std::vector<PodSpec>> groups;
-    if (!args.podSpecs.empty()) {
-        for (const std::string &text : args.podSpecs) {
-            std::string err;
-            const auto group = parsePodTemplate(text, &err);
-            if (!group)
-                return fail("--pod '" + text + "': " + err);
-            groups.push_back(*group);
-        }
-    } else {
-        groups.push_back(defaultPodGroup(args.pods));
+    for (const std::string &text : args.podSpecs) {
+        std::string err;
+        const auto group = parsePodTemplate(text, &err);
+        if (!group)
+            return "--pod '" + text + "': " + err;
+        groups.push_back(*group);
     }
-    spec = buildFleet(groups);
-    spec.policy = args.policy;
-    spec.placement = args.placement;
-    spec.podDemandCap = args.admissionCap;
-    spec.rebalance.enabled = args.rebalance;
-    spec.rebalance.skewThreshold = args.skew;
-    spec.rebalance.maxPerRound = args.maxMigrations;
-    spec.budget.powerCapW = args.powerCapW;
-    spec.budget.totalJ = args.budgetJ;
-    spec.controlIntervalSec = args.controlEvery > 0.0
-                                  ? args.controlEvery
-                                  : args.rebalanceEvery;
-    spec.workingSetFraction = args.workingSet;
-    spec.quantumIters = args.quantum;
-    spec.wallLimitSec = args.wallSec;
-    spec.backends = args.backends;
-    const std::string err = spec.validationError();
-    if (!err.empty())
-        return fail(err);
-    return true;
+    if (groups.empty())
+        groups.push_back(defaultPodGroup(args.pods));
+    FleetSpec built = buildFleet(groups);
+    args.fleet.name = built.name;
+    args.fleet.pods = std::move(built.pods);
+    if (args.fleet.controlIntervalSec == 0.0)
+        args.fleet.controlIntervalSec = args.rebalanceEvery;
+    return args.fleet.validationError();
 }
 
 void
@@ -473,72 +263,43 @@ int
 main(int argc, char **argv)
 {
     Args args;
-    if (!parseArgs(argc, argv, args))
-        return 1;
+    if (const auto rc = cli::parseArgs(kTool, argc, argv, flagTable(args)))
+        return *rc;
+    if (!args.arrivalsSpec.empty() && !args.tracePath.empty())
+        return cli::fail(kTool,
+                         "--arrivals and --trace are mutually exclusive");
     if (args.verbose)
         setLogVerbosity(LogVerbosity::kVerbose);
     if (!args.obs.activate())
         return 1;
+    if (const std::string err = buildFleetSpec(args); !err.empty())
+        return cli::fail(kTool, err);
+    const FleetSpec &spec = args.fleet;
 
-    FleetSpec spec;
-    if (!buildFleetSpec(args, spec))
-        return 1;
+    std::string err;
+    const std::optional<ArrivalTrace> trace =
+        traceFromFlags(args.tracePath,
+                       args.arrivalsSpec.empty()
+                           ? "diurnal:rate=4,horizon=16,seed=1"
+                           : args.arrivalsSpec,
+                       [](TraceGenSpec &) {}, args.saveTracePath, &err);
+    if (!trace)
+        return cli::fail(kTool, err);
 
-    ArrivalTrace trace;
-    if (!args.tracePath.empty()) {
-        std::string err;
-        trace = loadTraceFile(args.tracePath, &err);
-        if (!err.empty()) {
-            std::cerr << "diva_fleet: --trace: " << err << "\n";
-            return 1;
-        }
-    } else {
-        const std::string spec_text = args.arrivalsSpec.empty()
-                                          ? "diurnal:rate=4,horizon="
-                                            "16,seed=1"
-                                          : args.arrivalsSpec;
-        std::string err;
-        const auto gen = parseTraceGenSpec(spec_text, &err);
-        if (!gen) {
-            std::cerr << "diva_fleet: --arrivals: " << err << "\n";
-            return 1;
-        }
-        trace = generateTrace(*gen);
-        if (trace.jobs.empty()) {
-            std::cerr << "diva_fleet: --arrivals produced no arrivals "
-                         "inside the horizon; raise rate or horizon\n";
-            return 1;
-        }
-    }
-    if (!args.saveTracePath.empty()) {
-        std::ofstream trace_file(args.saveTracePath);
-        if (!trace_file) {
-            std::cerr << "diva_fleet: cannot write "
-                      << args.saveTracePath << "\n";
-            return 1;
-        }
-        writeTraceCsv(trace_file, trace);
-    }
-
-    SweepOptions opts;
-    opts.threads = args.threads;
-    opts.cacheDir = args.cacheDir;
-    SweepRunner runner(opts);
-    if (!args.quiet && runner.diskCache())
-        std::cerr << "disk cache: " << runner.diskCache()->size()
-                  << " entries in " << runner.diskCache()->filePath()
-                  << "\n";
-    if (!args.quiet)
-        std::cerr << "replaying trace '" << trace.name << "' ("
-                  << trace.jobs.size() << " sessions) on " << spec.name
+    SweepRunner runner(args.runner);
+    if (!args.quiet) {
+        runner.printDiskCacheBanner(std::cerr);
+        std::cerr << "replaying trace '" << trace->name << "' ("
+                  << trace->jobs.size() << " sessions) on " << spec.name
                   << " under " << policyName(spec.policy) << "/"
                   << placementName(spec.placement)
                   << (spec.rebalance.enabled ? ", rebalance on" : "")
                   << (spec.budget.enabled() ? ", budget on" : "")
                   << "...\n";
+    }
 
     const FleetResult fleet = simulateFleet(
-        spec, trace, runner, args.threads, args.obs.sink.get(),
+        spec, *trace, runner, args.runner.threads, args.obs.sink.get(),
         args.obs.telemetry.get());
     if (!fleet.ok())
         std::cerr << "diva_fleet: " << fleet.error << "\n";
@@ -547,38 +308,18 @@ main(int argc, char **argv)
                   << fleet.planMisses << " misses\n";
 
     {
-        obs::ScopedPhase emitPhase("emit");
-        std::ofstream pod_csv_file;
-        if (!args.podCsvPath.empty()) {
-            pod_csv_file.open(args.podCsvPath);
-            if (!pod_csv_file) {
-                std::cerr << "diva_fleet: cannot write "
-                          << args.podCsvPath << "\n";
-                return 1;
-            }
-        }
-        std::ostream &pod_csv =
-            args.podCsvPath.empty() ? std::cout : pod_csv_file;
-        writeFleetPodCsv(pod_csv, fleet);
-
-        if (!args.csvPath.empty()) {
-            std::ofstream csv_file(args.csvPath);
-            if (!csv_file) {
-                std::cerr << "diva_fleet: cannot write " << args.csvPath
-                          << "\n";
-                return 1;
-            }
-            writeFleetTenantCsv(csv_file, fleet);
-        }
-        if (!args.jsonPath.empty()) {
-            std::ofstream json_file(args.jsonPath);
-            if (!json_file) {
-                std::cerr << "diva_fleet: cannot write " << args.jsonPath
-                          << "\n";
-                return 1;
-            }
-            writeFleetJson(json_file, fleet, args.jsonTenants);
-        }
+        obs::ScopedPhase emit_phase("emit");
+        if (!cli::writeOutputs(
+                kTool,
+                {{args.podCsvPath,
+                  [&](std::ostream &os) { writeFleetPodCsv(os, fleet); },
+                  true},
+                 {args.csvPath,
+                  [&](std::ostream &os) { writeFleetTenantCsv(os, fleet); }},
+                 {args.jsonPath, [&](std::ostream &os) {
+                      writeFleetJson(os, fleet, args.jsonTenants);
+                  }}}))
+            return 1;
     }
 
     if (args.summary && fleet.ok())

@@ -14,10 +14,11 @@
  * serve output on stdout (or --csv/--json files) is a pure function of
  * the spec: --threads N and warm-cache reruns are byte-identical.
  * Progress and cache accounting go to stderr.
+ *
+ * The flags are declared once, in flagTable(): the argv driver
+ * (common/cli.h) parses them and prints --help from the same rows.
  */
 
-#include <cmath>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -26,14 +27,14 @@
 
 #include "arrivals/generate.h"
 #include "arrivals/replay.h"
-#include "arrivals/trace.h"
-#include "cli_parse.h"
+#include "backend/registry.h"
+#include "common/cli.h"
+#include "common/format.h"
 #include "common/logging.h"
 #include "common/table.h"
 #include "obs/cli.h"
 #include "obs/profile.h"
 #include "sweep/disk_cache.h"
-#include "sweep/emit.h"
 #include "sweep/runner.h"
 #include "tenant/emit.h"
 #include "tenant/serve.h"
@@ -43,80 +44,14 @@ using namespace diva;
 namespace
 {
 
-void
-usage()
-{
-    std::cerr <<
-        "usage: diva_serve [options]\n"
-        "\n"
-        "Tenant mix:\n"
-        "  --tenants N         N generated tenants rotating through a\n"
-        "                      fixed model mix (default 3)\n"
-        "  --tenant SPEC       add an explicit tenant; SPEC is\n"
-        "                      model[:batch[:qos_sps[:arrival_s[:prio\n"
-        "                      [:steps[:depart_s]]]]]], e.g.\n"
-        "                      ResNet-50:32:2.5:0:1:64 (batch 'auto' =\n"
-        "                      largest that fits; depart_s 0 = stays)\n"
-        "  --steps N           steps per generated tenant (default 32;\n"
-        "                      0 = unbounded, needs --wall-s)\n"
-        "  --batch N|auto      batch per generated tenant (default 8)\n"
-        "  --arrive-every S    stagger generated arrivals (default 0)\n"
-        "  --qos auto|none|R   generated tenants' steps/sec target:\n"
-        "                      auto = fair share of the isolated rate\n"
-        "                      (default), none, or an explicit rate\n"
-        "\n"
-        "Arrival traces (replace the static mix; open-loop replay):\n"
-        "  --arrivals SPEC     generate a seeded arrival trace:\n"
-        "                      kind[:key=val,...], kind poisson|onoff|\n"
-        "                      diurnal, keys rate,horizon,seed,cap,on,\n"
-        "                      off,peak,steps,batch,qos,hold,prios --\n"
-        "                      e.g. poisson:rate=4,seed=7,hold=2\n"
-        "  --trace FILE        replay a recorded trace (.csv, or\n"
-        "                      .jsonl/.json with one object per line)\n"
-        "  --save-trace PATH   write the replayed trace as canonical\n"
-        "                      CSV (seeded generators: same seed =>\n"
-        "                      byte-identical file)\n"
-        "  --admission         run the QoS admission controller: shed\n"
-        "                      tenants whose aggregate demand exceeds\n"
-        "                      capacity (also works without a trace)\n"
-        "  --admission-cap U   utilization the admitted QoS demand may\n"
-        "                      claim (default 1.0)\n"
-        "\n"
-        "Scheduling:\n"
-        "  --policy NAME       fifo, rr, prio, or edf (default rr)\n"
-        "  --policies LIST     compare several policies in one run\n"
-        "                      (or 'all')\n"
-        "  --quantum N         iterations per scheduling quantum\n"
-        "                      (default 1)\n"
-        "  --wall-s S          wall-clock budget in simulated seconds;\n"
-        "                      0 = run every tenant to completion\n"
-        "\n"
-        "Platform:\n"
-        "  --dataflow NAME     WS, OS, or DiVa (default DiVa)\n"
-        "  --ppu on|off        post-processing unit (default on;\n"
-        "                      WS is always off)\n"
-        "  --chips N           time-share a data-parallel pod of N\n"
-        "                      chips (default 1)\n"
-        "  --backends LIST     allowed isolated-cost backends by\n"
-        "                      registry name (default: all); the serve\n"
-        "                      prices tenants on 'pod' when --chips > 1,\n"
-        "                      else 'chip'\n"
-        "\n"
-        "Execution:\n"
-        "  --threads N         worker threads for the isolated-cost\n"
-        "                      simulations (default 1)\n"
-        "  --cache-dir PATH    persistent result cache shared with\n"
-        "                      diva_sweep\n"
-        "  --cache             like --cache-dir with the default dir\n"
-        "  --quiet             no stderr progress\n"
-        "\n"
-        "Output (deterministic; independent of --threads and cache):\n"
-        "  --csv PATH          write per-tenant CSV to PATH instead of\n"
-        "                      stdout\n"
-        "  --json PATH         also write a JSON report\n"
-        "  --no-summary        skip the stdout summary tables\n"
-        "\n" << obs::cliObsUsage();
-}
+constexpr const char *kTool = "diva_serve";
+
+/** "Steps not given in the spec": resolved to --steps after parsing,
+ *  so --tenant and --steps may appear in any order. */
+constexpr std::uint64_t kStepsUnset = ~std::uint64_t(0);
+
+/** --qos auto: fair share of the isolated rate (none = 0, else rate). */
+constexpr double kQosAuto = -1.0;
 
 struct Args
 {
@@ -126,21 +61,17 @@ struct Args
     std::string tracePath;
     std::string saveTracePath;
     bool admission = false;
-    double admissionCap = 1.0;
+    AdmissionOptions admissionOpts;
     std::uint64_t steps = 32;
     int batch = 8;
     double arriveEvery = 0.0;
-    enum class QosMode { kAuto, kNone, kRate } qosMode = QosMode::kAuto;
-    double qosRate = 0.0;
+    double qos = kQosAuto;
     std::vector<SchedPolicy> policies = {SchedPolicy::kRoundRobin};
-    std::uint64_t quantum = 1;
-    double wallSec = 0.0;
     Dataflow dataflow = Dataflow::kOuterProduct;
-    bool ppu = true;
-    int chips = 1;
-    std::vector<std::string> backends;
-    int threads = 1;
-    std::string cacheDir;
+    std::optional<bool> ppu;
+    /** Chips, backends, quantum and wall budget; policy set per run. */
+    ServeSpec serve;
+    SweepOptions runner;
     bool quiet = false;
     bool summary = true;
     std::string csvPath;
@@ -149,339 +80,133 @@ struct Args
     obs::CliObs obs;
 };
 
-using cli::parseDoubleText;
-using cli::parseIntText;
-
-bool
-fail(const std::string &msg)
+cli::FlagTable
+flagTable(Args &args)
 {
-    std::cerr << "diva_serve: " << msg << "\n";
-    return false;
-}
-
-/** "Steps not given in the spec": resolved to --steps after parsing,
- *  so --tenant and --steps may appear in any order. */
-constexpr std::uint64_t kStepsUnset = ~std::uint64_t(0);
-
-/** model[:batch[:qos_sps[:arrival_s[:prio[:steps[:depart_s]]]]]] */
-bool
-parseTenantSpec(const std::string &spec, TenantJob &job)
-{
-    std::vector<std::string> f;
-    std::stringstream ss(spec);
-    for (std::string item; std::getline(ss, item, ':');)
-        f.push_back(item);
-    if (f.empty() || f.size() > 7 || f[0].empty())
-        return fail("--tenant expects model[:batch[:qos_sps[:arrival_s"
-                    "[:prio[:steps[:depart_s]]]]]], got '" + spec +
-                    "'");
-    job.model = f[0];
-    job.steps = kStepsUnset;
-    if (f.size() > 1) {
-        if (f[1] == "auto") {
-            job.batch = kAutoBatch;
-        } else {
-            const auto n = parseIntText(f[1]);
-            if (!n || *n < 1)
-                return fail("--tenant batch must be >= 1 or 'auto' in '" +
-                            spec + "'");
-            job.batch = int(*n);
-        }
-    }
-    if (f.size() > 2) {
-        const auto v = parseDoubleText(f[2]);
-        if (!v || *v < 0.0)
-            return fail("--tenant qos_sps must be >= 0 in '" + spec + "'");
-        job.qosStepsPerSec = *v;
-    }
-    if (f.size() > 3) {
-        const auto v = parseDoubleText(f[3]);
-        if (!v || *v < 0.0)
-            return fail("--tenant arrival_s must be >= 0 in '" + spec +
-                        "'");
-        job.arrivalSec = *v;
-    }
-    if (f.size() > 4) {
-        const auto n = parseIntText(f[4]);
-        if (!n)
-            return fail("--tenant prio must be an integer in '" + spec +
-                        "'");
-        job.priority = int(*n);
-    }
-    if (f.size() > 5) {
-        const auto n = parseIntText(f[5]);
-        if (!n || *n < 0)
-            return fail("--tenant steps must be >= 0 in '" + spec + "'");
-        job.steps = std::uint64_t(*n);
-    }
-    if (f.size() > 6) {
-        const auto v = parseDoubleText(f[6]);
-        if (!v || *v < 0.0)
-            return fail("--tenant depart_s must be >= 0 in '" + spec +
-                        "'");
-        job.departSec = *v;
-    }
-    return true;
-}
-
-bool
-parseArgs(int argc, char **argv, Args &args)
-{
-    auto need = [&](int &i) -> std::optional<std::string> {
-        if (i + 1 >= argc) {
-            fail(std::string(argv[i]) + " needs a value");
-            return std::nullopt;
-        }
-        return std::string(argv[++i]);
+    const cli::Parser<SchedPolicy> policy = {
+        policyFromName, "must be fifo, rr, prio, or edf"};
+    return {
+        {"Tenant mix",
+         {{"--tenants", "N",
+           "N generated tenants rotating through a fixed model mix "
+           "(default 3)",
+           cli::set(args.tenants, cli::integer(1, 65536))},
+          {"--tenant", "SPEC",
+           "add an explicit tenant; SPEC is model[:batch[:qos_sps"
+           "[:arrival_s[:prio[:steps[:depart_s]]]]]], e.g. "
+           "ResNet-50:32:2.5:0:1:64 (batch 'auto' = largest that fits; "
+           "depart_s 0 = stays)",
+           [&args](const std::string &v) {
+               TenantJob job;
+               job.steps = kStepsUnset;
+               const std::string rule = parseTenantSpec(v, &job);
+               if (!rule.empty())
+                   return cli::reject(rule, v);
+               args.explicitTenants.push_back(std::move(job));
+               return std::string();
+           }},
+          {"--steps", "N",
+           "steps per generated tenant (default 32; 0 = unbounded, "
+           "needs --wall-s)",
+           cli::set(args.steps, cli::integer<std::uint64_t>(0))},
+          {"--batch", "N|auto", "batch per generated tenant (default 8)",
+           cli::set(args.batch,
+                    cli::orWord(cli::integer(1), "auto", kAutoBatch))},
+          {"--arrive-every", "S",
+           "stagger generated arrivals (default 0)",
+           cli::set(args.arriveEvery, cli::real(0.0, true))},
+          {"--qos", "auto|none|R",
+           "generated tenants' steps/sec target: auto = fair share of "
+           "the isolated rate (default), none, or an explicit rate",
+           cli::set(args.qos,
+                    cli::orWord(cli::orWord(cli::real(0.0), "auto",
+                                            kQosAuto),
+                                "none", 0.0))}}},
+        {"Arrival traces (replace the static mix; open-loop replay)",
+         {{"--arrivals", "SPEC",
+           "generate a seeded arrival trace: kind[:key=val,...], kind "
+           "poisson|onoff|diurnal, keys rate, horizon, seed, cap, on, "
+           "off, peak, steps, batch, qos, hold, prios -- e.g. "
+           "poisson:rate=4,seed=7,hold=2",
+           cli::text(args.arrivalsSpec)},
+          {"--trace", "FILE",
+           "replay a recorded trace (.csv, or .jsonl/.json with one "
+           "object per line)",
+           cli::text(args.tracePath)},
+          {"--save-trace", "PATH",
+           "write the replayed trace as canonical CSV (seeded "
+           "generators: same seed => byte-identical file)",
+           cli::text(args.saveTracePath)},
+          {"--admission", "",
+           "run the QoS admission controller: shed tenants whose "
+           "aggregate demand exceeds capacity (also works without a "
+           "trace)",
+           cli::toggle(args.admission)},
+          {"--admission-cap", "U",
+           "utilization the admitted QoS demand may claim (default 1.0)",
+           cli::set(args.admissionOpts.utilizationCap, cli::real(0.0))}}},
+        {"Scheduling",
+         {{"--policy", "NAME", "fifo, rr, prio, or edf (default rr)",
+           cli::list(args.policies, policy)},
+          {"--policies", "LIST",
+           "compare several policies in one run (or 'all')",
+           [&args, policy](const std::string &v) {
+               if (v != "all")
+                   return cli::list(args.policies, policy)(v);
+               args.policies = allPolicies();
+               return std::string();
+           }},
+          {"--quantum", "N", "iterations per scheduling quantum (default 1)",
+           cli::set(args.serve.opts.quantumIters,
+                    cli::integer<std::uint64_t>(1))},
+          {"--wall-s", "S",
+           "wall-clock budget in simulated seconds; 0 = run every tenant "
+           "to completion",
+           cli::set(args.serve.opts.wallLimitSec, cli::real(0.0))}}},
+        {"Platform",
+         {{"--dataflow", "NAME", "WS, OS, or DiVa (default DiVa)",
+           cli::set(args.dataflow,
+                    cli::Parser<Dataflow>{dataflowFromName,
+                                         "must be WS, OS, or DiVa"})},
+          {"--ppu", "on|off",
+           "post-processing unit (default on, off for WS, which has no "
+           "PPU datapath)",
+           cli::set(args.ppu, cli::oneOf<std::optional<bool>>(
+                                  {{"on", true}, {"off", false}}))},
+          {"--chips", "N",
+           "time-share a data-parallel pod of N chips (default 1)",
+           cli::set(args.serve.chips,
+                    cli::integer(1, MultiChipConfig::kMaxChips))},
+          {"--backends", "LIST",
+           "allowed isolated-cost backends by registry name (default: "
+           "all); the serve prices tenants on 'pod' when --chips > 1, "
+           "else 'chip'",
+           [&args](const std::string &v) {
+               return parseBackendNames(v, &args.serve.backends);
+           }}}},
+        {"Execution",
+         {{"--threads", "N",
+           "worker threads for the isolated-cost simulations (default 1)",
+           cli::set(args.runner.threads, cli::integer(1, 1024))},
+          {"--cache-dir", "PATH",
+           "persistent result cache shared with diva_sweep",
+           cli::text(args.runner.cacheDir)},
+          {"--cache", "", "like --cache-dir with the default dir",
+           [&args](const std::string &) {
+               args.runner.cacheDir = DiskCache::defaultDir();
+               return std::string();
+           }},
+          {"--quiet", "", "no stderr progress", cli::toggle(args.quiet)}}},
+        {"Output (deterministic; independent of --threads and cache)",
+         {{"--csv", "PATH",
+           "write per-tenant CSV to PATH instead of stdout",
+           cli::text(args.csvPath)},
+          {"--json", "PATH", "also write a JSON report",
+           cli::text(args.jsonPath)},
+          {"--no-summary", "", "skip the stdout summary tables",
+           cli::toggle(args.summary, false)}}},
+        obs::cliObsFlags(args.obs, args.verbose),
     };
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        std::optional<std::string> v;
-        if (a == "--help" || a == "-h") {
-            usage();
-            std::exit(0);
-        } else if (a == "--quiet") {
-            args.quiet = true;
-        } else if (a == "--no-summary") {
-            args.summary = false;
-        } else if (a == "--tenants") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseIntText(*v);
-            if (!n || *n < 1)
-                return fail("--tenants must be >= 1, got '" + *v + "'");
-            args.tenants = int(*n);
-        } else if (a == "--tenant") {
-            if (!(v = need(i)))
-                return false;
-            TenantJob job;
-            if (!parseTenantSpec(*v, job))
-                return false;
-            args.explicitTenants.push_back(std::move(job));
-        } else if (a == "--arrivals") {
-            if (!(v = need(i)))
-                return false;
-            args.arrivalsSpec = *v;
-        } else if (a == "--trace") {
-            if (!(v = need(i)))
-                return false;
-            args.tracePath = *v;
-        } else if (a == "--save-trace") {
-            if (!(v = need(i)))
-                return false;
-            args.saveTracePath = *v;
-        } else if (a == "--admission") {
-            args.admission = true;
-        } else if (a == "--admission-cap") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d <= 0.0)
-                return fail("--admission-cap must be > 0, got '" + *v +
-                            "'");
-            args.admissionCap = *d;
-        } else if (a == "--steps") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseIntText(*v);
-            if (!n || *n < 0)
-                return fail("--steps must be >= 0, got '" + *v + "'");
-            args.steps = std::uint64_t(*n);
-        } else if (a == "--batch") {
-            if (!(v = need(i)))
-                return false;
-            if (*v == "auto") {
-                args.batch = kAutoBatch;
-            } else {
-                const auto n = parseIntText(*v);
-                if (!n || *n < 1)
-                    return fail("--batch must be >= 1 or 'auto', got '" +
-                                *v + "'");
-                args.batch = int(*n);
-            }
-        } else if (a == "--arrive-every") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d < 0.0)
-                return fail("--arrive-every must be >= 0, got '" + *v +
-                            "'");
-            args.arriveEvery = *d;
-        } else if (a == "--qos") {
-            if (!(v = need(i)))
-                return false;
-            if (*v == "auto") {
-                args.qosMode = Args::QosMode::kAuto;
-            } else if (*v == "none") {
-                args.qosMode = Args::QosMode::kNone;
-            } else {
-                const auto d = parseDoubleText(*v);
-                if (!d || *d <= 0.0)
-                    return fail("--qos takes auto, none, or a rate > 0; "
-                                "got '" + *v + "'");
-                args.qosMode = Args::QosMode::kRate;
-                args.qosRate = *d;
-            }
-        } else if (a == "--policy" || a == "--policies") {
-            if (!(v = need(i)))
-                return false;
-            args.policies.clear();
-            if (a == "--policies" && *v == "all") {
-                args.policies = allPolicies();
-                continue;
-            }
-            for (const std::string &name : cli::splitList(*v)) {
-                const auto p = policyFromName(name);
-                if (!p)
-                    return fail("unknown policy '" + name +
-                                "' (want fifo, rr, prio, or edf)");
-                args.policies.push_back(*p);
-            }
-            if (args.policies.empty())
-                return fail(a + " needs at least one policy");
-        } else if (a == "--quantum") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseIntText(*v);
-            if (!n || *n < 1)
-                return fail("--quantum must be >= 1, got '" + *v + "'");
-            args.quantum = std::uint64_t(*n);
-        } else if (a == "--wall-s") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d <= 0.0)
-                return fail("--wall-s must be > 0, got '" + *v + "'");
-            args.wallSec = *d;
-        } else if (a == "--dataflow") {
-            if (!(v = need(i)))
-                return false;
-            if (*v == "WS")
-                args.dataflow = Dataflow::kWeightStationary;
-            else if (*v == "OS")
-                args.dataflow = Dataflow::kOutputStationary;
-            else if (*v == "DiVa")
-                args.dataflow = Dataflow::kOuterProduct;
-            else
-                return fail("--dataflow takes WS, OS, or DiVa; got '" +
-                            *v + "'");
-        } else if (a == "--ppu") {
-            if (!(v = need(i)))
-                return false;
-            if (*v == "on")
-                args.ppu = true;
-            else if (*v == "off")
-                args.ppu = false;
-            else
-                return fail("--ppu takes on/off, got '" + *v + "'");
-        } else if (a == "--chips") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseIntText(*v);
-            if (!n || *n < 1)
-                return fail("--chips must be >= 1, got '" + *v + "'");
-            args.chips = int(*n);
-        } else if (a == "--backends") {
-            if (!(v = need(i)))
-                return false;
-            const auto names = cli::parseBackendList("diva_serve", *v);
-            if (!names)
-                return false;
-            args.backends = *names;
-        } else if (a == "--threads") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseIntText(*v);
-            if (!n || *n < 1)
-                return fail("--threads must be >= 1, got '" + *v + "'");
-            args.threads = int(*n);
-        } else if (a == "--cache-dir") {
-            if (!(v = need(i)))
-                return false;
-            args.cacheDir = *v;
-        } else if (a == "--cache") {
-            args.cacheDir = DiskCache::defaultDir();
-        } else if (a == "--csv") {
-            if (!(v = need(i)))
-                return false;
-            args.csvPath = *v;
-        } else if (a == "--json") {
-            if (!(v = need(i)))
-                return false;
-            args.jsonPath = *v;
-        } else if (a == "--metrics-out") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.metricsOut = *v;
-        } else if (a == "--trace-out") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.traceOut = *v;
-        } else if (a == "--trace-max-events") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseIntText(*v);
-            if (!n || *n < 1)
-                return fail("--trace-max-events must be >= 1, got '" +
-                            *v + "'");
-            args.obs.traceMaxEvents = std::size_t(*n);
-        } else if (a == "--timeseries-out") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.timeseriesOut = *v;
-        } else if (a == "--obs-window-s") {
-            if (!(v = need(i)))
-                return false;
-            const auto d = parseDoubleText(*v);
-            if (!d || *d <= 0.0)
-                return fail("--obs-window-s must be > 0, got '" + *v +
-                            "'");
-            args.obs.obsWindowSec = *d;
-        } else if (a == "--slo-p99-s") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.sloSpecText = *v;
-        } else if (a == "--profile") {
-            args.obs.profile = true;
-        } else if (a == "--verbose") {
-            args.verbose = true;
-        } else {
-            fail("unknown option '" + a + "'");
-            usage();
-            return false;
-        }
-    }
-    if (!args.arrivalsSpec.empty() && !args.tracePath.empty())
-        return fail("--arrivals and --trace are mutually exclusive");
-    const bool trace_mode =
-        !args.arrivalsSpec.empty() || !args.tracePath.empty();
-    if (trace_mode && !args.explicitTenants.empty())
-        return fail("--tenant cannot be combined with --arrivals/"
-                    "--trace (the trace is the mix)");
-    if (!args.saveTracePath.empty() && !trace_mode)
-        return fail("--save-trace needs --arrivals or --trace");
-    if (args.steps == 0 && args.wallSec <= 0.0 &&
-        args.explicitTenants.empty() && !trace_mode)
-        return fail("--steps 0 (unbounded) needs --wall-s");
-    return true;
-}
-
-AcceleratorConfig
-platformConfig(const Args &args)
-{
-    switch (args.dataflow) {
-      case Dataflow::kWeightStationary: {
-        AcceleratorConfig cfg = tpuV3Ws();
-        if (args.ppu)
-            DIVA_WARN("WS has no PPU datapath; running with --ppu off");
-        return cfg;
-      }
-      case Dataflow::kOutputStationary:
-        return systolicOs(args.ppu);
-      case Dataflow::kOuterProduct:
-        return divaDefault(args.ppu);
-    }
-    return {};
 }
 
 TenantWorkload
@@ -505,9 +230,9 @@ buildWorkload(const Args &args)
     }
     TenantWorkload mix = defaultWorkload(args.tenants, args.steps,
                                          args.batch, args.arriveEvery);
-    if (args.qosMode == Args::QosMode::kRate)
+    if (args.qos > 0.0)
         for (TenantJob &job : mix.jobs)
-            job.qosStepsPerSec = args.qosRate;
+            job.qosStepsPerSec = args.qos;
     return mix;
 }
 
@@ -571,83 +296,65 @@ int
 main(int argc, char **argv)
 {
     Args args;
-    if (!parseArgs(argc, argv, args))
-        return 1;
+    if (const auto rc = cli::parseArgs(kTool, argc, argv, flagTable(args)))
+        return *rc;
+    const bool trace_mode =
+        !args.arrivalsSpec.empty() || !args.tracePath.empty();
+    if (!args.arrivalsSpec.empty() && !args.tracePath.empty())
+        return cli::fail(kTool,
+                         "--arrivals and --trace are mutually exclusive");
+    if (trace_mode && !args.explicitTenants.empty())
+        return cli::fail(kTool, "--tenant cannot be combined with "
+                                "--arrivals/--trace (the trace is the mix)");
+    if (!args.saveTracePath.empty() && !trace_mode)
+        return cli::fail(kTool, "--save-trace needs --arrivals or --trace");
+    if (args.steps == 0 && args.serve.opts.wallLimitSec <= 0.0 &&
+        args.explicitTenants.empty() && !trace_mode)
+        return cli::fail(kTool, "--steps 0 (unbounded) needs --wall-s");
+    ServeSpec &spec = args.serve;
+    spec.config = presetConfig(args.dataflow, args.ppu);
+    if (!spec.config.validationError().empty())
+        return cli::fail(kTool, "--dataflow WS has no PPU datapath (use "
+                                "--ppu off)");
     if (args.verbose)
         setLogVerbosity(LogVerbosity::kVerbose);
     if (!args.obs.activate())
         return 1;
 
-    SweepOptions opts;
-    opts.threads = args.threads;
-    opts.cacheDir = args.cacheDir;
-    SweepRunner runner(opts);
-    if (!args.quiet && runner.diskCache())
-        std::cerr << "disk cache: " << runner.diskCache()->size()
-                  << " entries in " << runner.diskCache()->filePath()
-                  << "\n";
+    SweepRunner runner(args.runner);
+    if (!args.quiet)
+        runner.printDiskCacheBanner(std::cerr);
 
     // Trace replay: the arrival stream (generated or recorded)
     // replaces the static mix and drives the serve loop open-loop.
-    const bool trace_mode =
-        !args.arrivalsSpec.empty() || !args.tracePath.empty();
     ArrivalTrace trace;
-    if (!args.tracePath.empty()) {
+    if (trace_mode) {
         std::string err;
-        trace = loadTraceFile(args.tracePath, &err);
-        if (!err.empty()) {
-            std::cerr << "diva_serve: --trace: " << err << "\n";
-            return 1;
-        }
-    } else if (!args.arrivalsSpec.empty()) {
-        std::string err;
-        auto gen = parseTraceGenSpec(args.arrivalsSpec, &err);
-        if (!gen) {
-            std::cerr << "diva_serve: --arrivals: " << err << "\n";
-            return 1;
-        }
-        // Spec keys win; otherwise the mix-level flags fill the
-        // per-session template.
-        if (!gen->stepsSet)
-            gen->steps = args.steps;
-        if (!gen->batchSet)
-            gen->batch = args.batch;
-        if (!gen->qosSet && args.qosMode == Args::QosMode::kRate)
-            gen->qosStepsPerSec = args.qosRate;
-        trace = generateTrace(*gen);
-        if (trace.jobs.empty()) {
-            std::cerr << "diva_serve: --arrivals produced no arrivals "
-                         "inside the horizon; raise rate or horizon\n";
-            return 1;
-        }
-    }
-    if (!args.saveTracePath.empty()) {
-        std::ofstream trace_file(args.saveTracePath);
-        if (!trace_file) {
-            std::cerr << "diva_serve: cannot write "
-                      << args.saveTracePath << "\n";
-            return 1;
-        }
-        writeTraceCsv(trace_file, trace);
+        std::optional<ArrivalTrace> t = traceFromFlags(
+            args.tracePath, args.arrivalsSpec,
+            [&args](TraceGenSpec &gen) {
+                // Spec keys win; otherwise the mix-level flags fill
+                // the per-session template.
+                if (!gen.stepsSet)
+                    gen.steps = args.steps;
+                if (!gen.batchSet)
+                    gen.batch = args.batch;
+                if (!gen.qosSet && args.qos > 0.0)
+                    gen.qosStepsPerSec = args.qos;
+            },
+            args.saveTracePath, &err);
+        if (!t)
+            return cli::fail(kTool, err);
+        trace = std::move(*t);
     }
 
-    ServeSpec spec;
     spec.workload = buildWorkload(args);
-    spec.config = platformConfig(args);
-    spec.chips = args.chips;
-    spec.backends = args.backends;
-    spec.policy = args.policies.front();
-    spec.opts.quantumIters = args.quantum;
-    spec.opts.wallLimitSec = args.wallSec;
-    spec.opts.autoQosFairShare =
-        !trace_mode && args.explicitTenants.empty() &&
-        args.qosMode == Args::QosMode::kAuto;
+    spec.opts.autoQosFairShare = !trace_mode &&
+                                 args.explicitTenants.empty() &&
+                                 args.qos == kQosAuto;
     // One telemetry bundle across all policy runs; the serve loop
     // prefixes its series "serve.<policy>.", so runs never collide.
     spec.opts.telemetry = args.obs.telemetry.get();
-
-    AdmissionOptions admission;
-    admission.utilizationCap = args.admissionCap;
 
     std::vector<ServeResult> serves;
     bool any_error = false;
@@ -667,8 +374,8 @@ main(int argc, char **argv)
                                      : spec.workload.jobs.size())
                       << " tenant(s) under " << policyName(policy)
                       << " on " << spec.config.name
-                      << (args.chips > 1
-                              ? " x" + std::to_string(args.chips)
+                      << (spec.chips > 1
+                              ? " x" + std::to_string(spec.chips)
                               : "")
                       << (args.admission ? ", admission on" : "")
                       << "...\n";
@@ -682,10 +389,10 @@ main(int argc, char **argv)
             rs.backends = spec.backends;
             rs.opts = spec.opts;
             rs.admission = args.admission;
-            rs.admissionOpts = admission;
+            rs.admissionOpts = args.admissionOpts;
             r = replayTrace(rs, runner);
         } else if (args.admission) {
-            r = serveWithAdmission(spec, admission, runner);
+            r = serveWithAdmission(spec, args.admissionOpts, runner);
         } else {
             r = simulateServe(spec, runner);
         }
@@ -699,28 +406,14 @@ main(int argc, char **argv)
 
     {
         obs::ScopedPhase emit_phase("emit");
-        std::ofstream csv_file;
-        if (!args.csvPath.empty()) {
-            csv_file.open(args.csvPath);
-            if (!csv_file) {
-                std::cerr << "diva_serve: cannot write " << args.csvPath
-                          << "\n";
-                return 1;
-            }
-        }
-        std::ostream &csv = args.csvPath.empty() ? std::cout : csv_file;
-        writeServeCsv(csv, serves);
-
-        if (!args.jsonPath.empty()) {
-            std::ofstream json_file(args.jsonPath);
-            if (!json_file) {
-                std::cerr << "diva_serve: cannot write "
-                          << args.jsonPath << "\n";
-                return 1;
-            }
-            writeServeJson(json_file, serves);
-        }
-
+        if (!cli::writeOutputs(
+                kTool,
+                {{args.csvPath,
+                  [&](std::ostream &os) { writeServeCsv(os, serves); },
+                  true},
+                 {args.jsonPath,
+                  [&](std::ostream &os) { writeServeJson(os, serves); }}}))
+            return 1;
         if (args.summary)
             printSummary(std::cout, serves);
     }

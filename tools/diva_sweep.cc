@@ -22,14 +22,15 @@
  * when the main sweep meets them again (WS is part of the default
  * dataflow axis) they are served from the result cache and reported
  * as cache hits.
+ *
+ * The flags are declared once, in flagTable(): the argv driver
+ * (common/cli.h) parses them and prints --help from the same rows.
+ * Every list flag takes a non-empty comma list that replaces the
+ * default (a repeated flag keeps its last list).
  */
 
 #include <algorithm>
-#include <climits>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -39,9 +40,9 @@
 
 #include "arrivals/generate.h"
 #include "arrivals/replay.h"
-#include "arrivals/trace.h"
 #include "backend/registry.h"
-#include "cli_parse.h"
+#include "common/cli.h"
+#include "common/format.h"
 #include "common/logging.h"
 #include "common/table.h"
 #include "obs/cli.h"
@@ -61,145 +62,7 @@ using namespace diva;
 namespace
 {
 
-void
-usage()
-{
-    std::cerr <<
-        "usage: diva_sweep [options]\n"
-        "\n"
-        "Sweep axes (comma-separated lists):\n"
-        "  --models LIST       zoo models (default ResNet-50,BERT-base;\n"
-        "                      see --list-models)\n"
-        "  --scales LIST       input scales: image side / seq len\n"
-        "                      (default 0 = paper baseline)\n"
-        "  --dataflows LIST    WS,OS,DiVa (default all)\n"
-        "  --ppu LIST          off,on (default both; invalid combos\n"
-        "                      such as WS+PPU are skipped)\n"
-        "  --algos LIST        sgd,dpsgd,dpsgdr (default dpsgd,dpsgdr)\n"
-        "  --batches LIST      sizes or 'auto' = largest vanilla DP-SGD\n"
-        "                      batch under 16 GiB (default auto,32,64)\n"
-        "  --microbatches LIST micro-batch sizes, 0 = monolithic\n"
-        "                      (default 0)\n"
-        "  --chips LIST        add a data-parallel pod backend with\n"
-        "                      these chip counts\n"
-        "  --ici-gbs LIST      pod interconnect bandwidths in GB/s\n"
-        "                      (default 70; implies --chips 8)\n"
-        "  --link-lat LIST     pod link latencies in core cycles\n"
-        "                      (default 500; implies --chips 8)\n"
-        "  --gpus LIST         add GPU baselines: v100-fp32,v100-fp16,\n"
-        "                      a100-fp32,a100-fp16\n"
-        "  --backends LIST     execution backends by registry name\n"
-        "                      (chip,pod,gpu); default: chip, plus pod\n"
-        "                      when a pod axis is given, plus gpu when\n"
-        "                      --gpus is given\n"
-        "\n"
-        "Execution:\n"
-        "  --threads N         worker threads (default 1)\n"
-        "  --quiet             no stderr progress\n"
-        "  --no-plan-cache     rebuild workload plans per scenario\n"
-        "                      (output is byte-identical either way)\n"
-        "  --cache-dir PATH    persistent result cache: scenarios\n"
-        "                      simulated by earlier invocations are\n"
-        "                      served from disk\n"
-        "  --cache             like --cache-dir with the default dir\n"
-        "                      ($DIVA_CACHE_DIR, else ~/.cache/diva)\n"
-        "\n"
-        "Search mode:\n"
-        "  --mode MODE         sweep (default), energy (best config\n"
-        "                      under an energy budget), tenant\n"
-        "                      (multi-tenant time-sharing serve over\n"
-        "                      policy x config axes), duration\n"
-        "                      (steps completed per tenant/config in a\n"
-        "                      fixed --wall-s budget), or trace\n"
-        "                      (open-loop arrival replay over policy x\n"
-        "                      config x load axes)\n"
-        "  --budget-j J        max joules per iteration (mode energy)\n"
-        "  --budget-w W        max engine TDP in watts, pod-wide for\n"
-        "                      pods (mode energy)\n"
-        "\n"
-        "Trace mode (--mode trace; shares the plan/result caches):\n"
-        "  --arrivals SPEC     seeded generator spec, e.g.\n"
-        "                      poisson:rate=4,seed=7,hold=2,qos=2\n"
-        "                      (see diva_serve --help for keys)\n"
-        "  --trace FILE        replay a recorded CSV/JSONL trace\n"
-        "  --loads LIST        rate multipliers swept over the\n"
-        "                      generator (default 1; --arrivals only)\n"
-        "  --admission         shed tenants whose aggregate QoS\n"
-        "                      demand exceeds capacity\n"
-        "  --admission-cap U   utilization cap (default 1.0)\n"
-        "\n"
-        "Tenant/duration modes (one tenant per --models entry, batch\n"
-        "and algorithm from the first --batches/--algos value,\n"
-        "fair-share QoS targets):\n"
-        "  --policies LIST     fifo,rr,prio,edf or 'all' (default all)\n"
-        "  --steps N           steps per tenant in tenant mode\n"
-        "                      (default 32)\n"
-        "  --wall-s S          wall-clock budget in simulated seconds\n"
-        "                      (required by duration mode)\n"
-        "  --quantum N         iterations per scheduling quantum\n"
-        "                      (default 1)\n"
-        "  --arrive-every S    stagger tenant arrivals (default 0)\n"
-        "\n"
-        "Output (deterministic; independent of --threads and of the\n"
-        "cache state):\n"
-        "  --csv PATH          write CSV to PATH instead of stdout\n"
-        "  --json PATH         also write a JSON report\n"
-        "  --pareto LIST       print the Pareto frontier over these\n"
-        "                      objectives: cycles,seconds,utilization,\n"
-        "                      energy,dram_bytes,power,area\n"
-        "  --no-speedup        skip the Fig.13-style speedup table\n"
-        "  --list-models       print zoo model names and exit\n"
-        "\n" << obs::cliObsUsage();
-}
-
-using cli::splitList;
-
-std::optional<TrainingAlgorithm>
-parseAlgo(std::string name)
-{
-    for (char &c : name)
-        c = char(std::tolower(c));
-    if (name == "sgd")
-        return TrainingAlgorithm::kSgd;
-    if (name == "dpsgd" || name == "dp-sgd")
-        return TrainingAlgorithm::kDpSgd;
-    if (name == "dpsgdr" || name == "dp-sgd-r" || name == "dp-sgd(r)")
-        return TrainingAlgorithm::kDpSgdR;
-    return std::nullopt;
-}
-
-std::optional<GpuConfig>
-parseGpu(const std::string &name)
-{
-    if (name == "v100-fp32")
-        return GpuConfig::v100Fp32();
-    if (name == "v100-fp16")
-        return GpuConfig::v100Fp16();
-    if (name == "a100-fp32")
-        return GpuConfig::a100Fp32();
-    if (name == "a100-fp16")
-        return GpuConfig::a100Fp16();
-    return std::nullopt;
-}
-
-/** The preset for one (dataflow, ppu) combo; invalid combos included
- *  verbatim so expand() counts them as skipped. */
-AcceleratorConfig
-configFor(Dataflow df, bool ppu)
-{
-    switch (df) {
-      case Dataflow::kWeightStationary: {
-        AcceleratorConfig cfg = tpuV3Ws();
-        cfg.hasPpu = ppu; // ppu=true is invalid and will be skipped
-        return cfg;
-      }
-      case Dataflow::kOutputStationary:
-        return systolicOs(ppu);
-      case Dataflow::kOuterProduct:
-        return divaDefault(ppu);
-    }
-    return {};
-}
+constexpr const char *kTool = "diva_sweep";
 
 enum class CliMode
 {
@@ -222,6 +85,7 @@ struct Args
                                             TrainingAlgorithm::kDpSgdR};
     std::vector<int> batches = {kAutoBatch, 32, 64};
     std::vector<int> microbatches = {0};
+    /** Pod shape axes; all empty = no pod axis. */
     std::vector<int> chips;
     std::vector<double> iciGbs;
     std::vector<int> linkLatencies;
@@ -229,10 +93,10 @@ struct Args
     /** Registry names from --backends; empty = infer from the axes. */
     std::vector<std::string> backendNames;
     std::vector<Objective> pareto;
-    int threads = 1;
+    SweepOptions runner;
     bool quiet = false;
-    bool planCache = true;
     bool speedupTable = true;
+    bool listModels = false;
     CliMode mode = CliMode::kSweep;
     EnergyBudget budget;
     std::vector<SchedPolicy> policies = allPolicies();
@@ -244,490 +108,223 @@ struct Args
     std::string tracePath;
     std::vector<double> loads = {1.0};
     bool admission = false;
-    double admissionCap = 1.0;
-    std::string cacheDir;
+    AdmissionOptions admissionOpts;
     std::string csvPath;
     std::string jsonPath;
     bool verbose = false;
     obs::CliObs obs;
 };
 
-/** Shared int parsing with this tool's one-line error report. */
-std::optional<int>
-parseInt(const std::string &flag, const std::string &text)
+cli::FlagTable
+flagTable(Args &args)
 {
-    const std::optional<long long> value = cli::parseIntText(text);
-    if (value && *value >= INT_MIN && *value <= INT_MAX)
-        return int(*value);
-    std::cerr << "diva_sweep: " << flag << " expects an integer, got '"
-              << text << "'\n";
-    return std::nullopt;
-}
-
-/** Shared finite-double parsing with this tool's error report. */
-std::optional<double>
-parseDouble(const std::string &flag, const std::string &text)
-{
-    const std::optional<double> value = cli::parseDoubleText(text);
-    if (value)
-        return value;
-    std::cerr << "diva_sweep: " << flag << " expects a number, got '"
-              << text << "'\n";
-    return std::nullopt;
+    const cli::Parser<std::string> model = {
+        [](const std::string &m) -> std::optional<std::string> {
+            const std::vector<std::string> zoo = knownModels();
+            if (std::find(zoo.begin(), zoo.end(), m) == zoo.end())
+                return std::nullopt;
+            return m;
+        },
+        "must be zoo models (see --list-models)"};
+    const cli::Parser<TrainingAlgorithm> algorithm = {
+        [](const std::string &name) -> std::optional<TrainingAlgorithm> {
+            TrainingAlgorithm algo = TrainingAlgorithm::kDpSgdR;
+            if (!algorithmFromName(name, &algo))
+                return std::nullopt;
+            return algo;
+        },
+        "must be sgd, dpsgd, or dpsgdr"};
+    const cli::Parser<SchedPolicy> policy = {
+        policyFromName, "must be fifo, rr, prio, or edf"};
+    return {
+        {"Sweep axes (comma-separated lists)",
+         {{"--models", "LIST",
+           "zoo models (default ResNet-50,BERT-base; see --list-models)",
+           cli::list(args.models, model)},
+          {"--scales", "LIST",
+           "input scales: image side / seq len (default 0 = paper "
+           "baseline)",
+           cli::list(args.scales, cli::integer(0))},
+          {"--dataflows", "LIST", "WS,OS,DiVa (default all)",
+           cli::list(args.dataflows,
+                     cli::Parser<Dataflow>{dataflowFromName,
+                                          "must be WS, OS, or DiVa"})},
+          {"--ppu", "LIST",
+           "off,on (default both; invalid combos such as WS+PPU are "
+           "skipped)",
+           cli::list(args.ppus,
+                     cli::oneOf<bool>({{"off", false}, {"on", true}}))},
+          {"--algos", "LIST", "sgd,dpsgd,dpsgdr (default dpsgd,dpsgdr)",
+           cli::list(args.algos, algorithm)},
+          {"--batches", "LIST",
+           "sizes or 'auto' = largest vanilla DP-SGD batch under 16 GiB "
+           "(default auto,32,64)",
+           cli::list(args.batches,
+                     cli::orWord(cli::integer(1), "auto", kAutoBatch))},
+          {"--microbatches", "LIST",
+           "micro-batch sizes, 0 = monolithic (default 0)",
+           cli::list(args.microbatches, cli::integer(0))},
+          {"--chips", "LIST",
+           "add a data-parallel pod backend with these chip counts",
+           cli::list(args.chips,
+                     cli::integer(1, MultiChipConfig::kMaxChips))},
+          {"--ici-gbs", "LIST",
+           "pod interconnect bandwidths in GB/s (default 70; implies "
+           "--chips 8)",
+           cli::list(args.iciGbs, cli::real(0.0))},
+          {"--link-lat", "LIST",
+           "pod link latencies in core cycles (default 500; implies "
+           "--chips 8)",
+           cli::list(args.linkLatencies,
+                     cli::integer(0,
+                                  MultiChipConfig::kMaxLinkLatencyCycles))},
+          {"--gpus", "LIST",
+           "add GPU baselines: v100-fp32, v100-fp16, a100-fp32, a100-fp16",
+           cli::list(args.gpus,
+                     cli::oneOf<GpuConfig>(
+                         {{"v100-fp32", GpuConfig::v100Fp32()},
+                          {"v100-fp16", GpuConfig::v100Fp16()},
+                          {"a100-fp32", GpuConfig::a100Fp32()},
+                          {"a100-fp16", GpuConfig::a100Fp16()}}))},
+          {"--backends", "LIST",
+           "execution backends by registry name (chip, pod, gpu); "
+           "default: chip, plus pod when a pod axis is given, plus gpu "
+           "when --gpus is given",
+           [&args](const std::string &v) {
+               return parseBackendNames(v, &args.backendNames);
+           }}}},
+        {"Execution",
+         {{"--threads", "N", "worker threads (default 1)",
+           cli::set(args.runner.threads, cli::integer(1, 1024))},
+          {"--quiet", "", "no stderr progress", cli::toggle(args.quiet)},
+          {"--no-plan-cache", "",
+           "rebuild workload plans per scenario (output is "
+           "byte-identical either way)",
+           cli::toggle(args.runner.planCache, false)},
+          {"--cache-dir", "PATH",
+           "persistent result cache: scenarios simulated by earlier "
+           "invocations are served from disk",
+           cli::text(args.runner.cacheDir)},
+          {"--cache", "",
+           "like --cache-dir with the default dir ($DIVA_CACHE_DIR, else "
+           "~/.cache/diva)",
+           [&args](const std::string &) {
+               args.runner.cacheDir = DiskCache::defaultDir();
+               return std::string();
+           }}}},
+        {"Search mode",
+         {{"--mode", "MODE",
+           "sweep (default), energy (best config under an energy "
+           "budget), tenant (multi-tenant time-sharing serve over policy "
+           "x config axes), duration (steps completed per tenant/config "
+           "in a fixed --wall-s budget), or trace (open-loop arrival "
+           "replay over policy x config x load axes)",
+           cli::set(args.mode, cli::oneOf<CliMode>(
+                                   {{"sweep", CliMode::kSweep},
+                                    {"energy", CliMode::kEnergy},
+                                    {"tenant", CliMode::kTenant},
+                                    {"duration", CliMode::kDuration},
+                                    {"trace", CliMode::kTrace}}))},
+          {"--budget-j", "J", "max joules per iteration (mode energy)",
+           cli::set(args.budget.maxJoulesPerIteration, cli::real(0.0))},
+          {"--budget-w", "W",
+           "max engine TDP in watts, pod-wide for pods (mode energy)",
+           cli::set(args.budget.maxPowerW, cli::real(0.0))}}},
+        {"Trace mode (--mode trace; shares the plan/result caches)",
+         {{"--arrivals", "SPEC",
+           "seeded generator spec, e.g. poisson:rate=4,seed=7,hold=2,qos=2 "
+           "(see diva_serve --help for keys)",
+           cli::text(args.arrivalsSpec)},
+          {"--trace", "FILE", "replay a recorded CSV/JSONL trace",
+           cli::text(args.tracePath)},
+          {"--loads", "LIST",
+           "rate multipliers swept over the generator (default 1; "
+           "--arrivals only)",
+           cli::list(args.loads, cli::real(0.0))},
+          {"--admission", "",
+           "shed tenants whose aggregate QoS demand exceeds capacity",
+           cli::toggle(args.admission)},
+          {"--admission-cap", "U", "utilization cap (default 1.0)",
+           cli::set(args.admissionOpts.utilizationCap, cli::real(0.0))}}},
+        {"Tenant/duration modes (one tenant per --models entry, batch and "
+         "algorithm from the first --batches/--algos value, fair-share "
+         "QoS targets)",
+         {{"--policies", "LIST", "fifo,rr,prio,edf or 'all' (default all)",
+           [&args, policy](const std::string &v) {
+               if (v != "all")
+                   return cli::list(args.policies, policy)(v);
+               args.policies = allPolicies();
+               return std::string();
+           }},
+          {"--steps", "N", "steps per tenant in tenant mode (default 32)",
+           cli::set(args.steps, cli::integer<std::uint64_t>(1))},
+          {"--wall-s", "S",
+           "wall-clock budget in simulated seconds (required by duration "
+           "mode)",
+           cli::set(args.wallSec, cli::real(0.0))},
+          {"--quantum", "N", "iterations per scheduling quantum (default 1)",
+           cli::set(args.quantum, cli::integer<std::uint64_t>(1))},
+          {"--arrive-every", "S", "stagger tenant arrivals (default 0)",
+           cli::set(args.arriveEvery, cli::real(0.0, true))}}},
+        {"Output (deterministic; independent of --threads and of the "
+         "cache state)",
+         {{"--csv", "PATH", "write CSV to PATH instead of stdout",
+           cli::text(args.csvPath)},
+          {"--json", "PATH", "also write a JSON report",
+           cli::text(args.jsonPath)},
+          {"--pareto", "LIST",
+           "print the Pareto frontier over these objectives: cycles, "
+           "seconds, utilization, energy, dram_bytes, power, area",
+           cli::list(args.pareto,
+                     cli::Parser<Objective>{
+                         objectiveFromName,
+                         "must be cycles, seconds, utilization, energy, "
+                         "dram_bytes, power, or area"})},
+          {"--no-speedup", "", "skip the Fig.13-style speedup table",
+           cli::toggle(args.speedupTable, false)},
+          {"--list-models", "", "print zoo model names and exit",
+           cli::toggle(args.listModels)}}},
+        obs::cliObsFlags(args.obs, args.verbose),
+    };
 }
 
 bool
-parseArgs(int argc, char **argv, Args &args)
+hasPodAxis(const Args &args)
 {
-    auto need = [&](int &i) -> std::optional<std::string> {
-        if (i + 1 >= argc) {
-            std::cerr << "diva_sweep: " << argv[i]
-                      << " needs a value\n";
-            return std::nullopt;
-        }
-        return std::string(argv[++i]);
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        std::optional<std::string> v;
-        if (a == "--help" || a == "-h") {
-            usage();
-            std::exit(0);
-        } else if (a == "--list-models") {
-            for (const std::string &m : knownModels())
-                std::cout << m << "\n";
-            std::exit(0);
-        } else if (a == "--quiet") {
-            args.quiet = true;
-        } else if (a == "--no-plan-cache") {
-            args.planCache = false;
-        } else if (a == "--no-speedup") {
-            args.speedupTable = false;
-        } else if (a == "--models") {
-            if (!(v = need(i)))
-                return false;
-            args.models = splitList(*v);
-            const std::vector<std::string> zoo = knownModels();
-            for (const std::string &m : args.models)
-                if (std::find(zoo.begin(), zoo.end(), m) == zoo.end()) {
-                    std::cerr << "diva_sweep: unknown model '" << m
-                              << "'; see --list-models\n";
-                    return false;
-                }
-        } else if (a == "--scales") {
-            if (!(v = need(i)))
-                return false;
-            args.scales.clear();
-            for (const std::string &s : splitList(*v)) {
-                const auto n = parseInt(a, s);
-                if (!n)
-                    return false;
-                args.scales.push_back(*n);
+    return !args.chips.empty() || !args.iciGbs.empty() ||
+           !args.linkLatencies.empty();
+}
+
+/**
+ * The pod shapes the --chips x --ici-gbs x --link-lat axes span, in
+ * that nesting order; an unset axis takes the MultiChipConfig default
+ * (8 chips, TPUv3-class links).
+ */
+std::vector<MultiChipConfig>
+podShapes(const Args &args)
+{
+    const MultiChipConfig defaults;
+    const std::vector<int> chip_axis =
+        args.chips.empty() ? std::vector<int>{defaults.numChips}
+                           : args.chips;
+    const std::vector<double> ici_axis =
+        args.iciGbs.empty() ? std::vector<double>{defaults.interconnectGBs}
+                            : args.iciGbs;
+    const std::vector<int> lat_axis =
+        args.linkLatencies.empty()
+            ? std::vector<int>{int(defaults.linkLatencyCycles)}
+            : args.linkLatencies;
+    std::vector<MultiChipConfig> shapes;
+    for (int n : chip_axis)
+        for (double ici : ici_axis)
+            for (int lat : lat_axis) {
+                MultiChipConfig pod;
+                pod.numChips = n;
+                pod.interconnectGBs = ici;
+                pod.linkLatencyCycles = Cycles(lat);
+                shapes.push_back(pod);
             }
-        } else if (a == "--dataflows") {
-            if (!(v = need(i)))
-                return false;
-            args.dataflows.clear();
-            for (const std::string &s : splitList(*v)) {
-                if (s == "WS")
-                    args.dataflows.push_back(
-                        Dataflow::kWeightStationary);
-                else if (s == "OS")
-                    args.dataflows.push_back(
-                        Dataflow::kOutputStationary);
-                else if (s == "DiVa")
-                    args.dataflows.push_back(Dataflow::kOuterProduct);
-                else {
-                    std::cerr << "diva_sweep: unknown dataflow '" << s
-                              << "'\n";
-                    return false;
-                }
-            }
-        } else if (a == "--ppu") {
-            if (!(v = need(i)))
-                return false;
-            args.ppus.clear();
-            for (const std::string &s : splitList(*v)) {
-                if (s == "off")
-                    args.ppus.push_back(false);
-                else if (s == "on")
-                    args.ppus.push_back(true);
-                else {
-                    std::cerr << "diva_sweep: --ppu takes off/on\n";
-                    return false;
-                }
-            }
-        } else if (a == "--algos") {
-            if (!(v = need(i)))
-                return false;
-            args.algos.clear();
-            for (const std::string &s : splitList(*v)) {
-                const auto algo = parseAlgo(s);
-                if (!algo) {
-                    std::cerr << "diva_sweep: unknown algorithm '" << s
-                              << "'\n";
-                    return false;
-                }
-                args.algos.push_back(*algo);
-            }
-        } else if (a == "--batches") {
-            if (!(v = need(i)))
-                return false;
-            args.batches.clear();
-            for (const std::string &s : splitList(*v)) {
-                if (s == "auto") {
-                    args.batches.push_back(kAutoBatch);
-                    continue;
-                }
-                const auto n = parseInt(a, s);
-                if (!n)
-                    return false;
-                args.batches.push_back(*n);
-            }
-        } else if (a == "--microbatches") {
-            if (!(v = need(i)))
-                return false;
-            args.microbatches.clear();
-            for (const std::string &s : splitList(*v)) {
-                const auto n = parseInt(a, s);
-                if (!n)
-                    return false;
-                args.microbatches.push_back(*n);
-            }
-        } else if (a == "--chips") {
-            if (!(v = need(i)))
-                return false;
-            for (const std::string &s : splitList(*v)) {
-                const auto n = parseInt(a, s);
-                if (!n)
-                    return false;
-                if (*n < 1) {
-                    std::cerr << "diva_sweep: --chips must be >= 1\n";
-                    return false;
-                }
-                args.chips.push_back(*n);
-            }
-        } else if (a == "--ici-gbs") {
-            if (!(v = need(i)))
-                return false;
-            for (const std::string &s : splitList(*v)) {
-                const auto n = parseDouble(a, s);
-                if (!n)
-                    return false;
-                if (*n <= 0.0) {
-                    std::cerr << "diva_sweep: --ici-gbs must be > 0\n";
-                    return false;
-                }
-                args.iciGbs.push_back(*n);
-            }
-        } else if (a == "--link-lat") {
-            if (!(v = need(i)))
-                return false;
-            for (const std::string &s : splitList(*v)) {
-                const auto n = parseInt(a, s);
-                if (!n)
-                    return false;
-                if (*n < 0) {
-                    std::cerr << "diva_sweep: --link-lat must be >= 0\n";
-                    return false;
-                }
-                args.linkLatencies.push_back(*n);
-            }
-        } else if (a == "--gpus") {
-            if (!(v = need(i)))
-                return false;
-            for (const std::string &s : splitList(*v)) {
-                const auto gpu = parseGpu(s);
-                if (!gpu) {
-                    std::cerr << "diva_sweep: unknown GPU '" << s
-                              << "'\n";
-                    return false;
-                }
-                args.gpus.push_back(*gpu);
-            }
-        } else if (a == "--backends") {
-            if (!(v = need(i)))
-                return false;
-            const auto names = cli::parseBackendList("diva_sweep", *v);
-            if (!names)
-                return false;
-            args.backendNames = *names;
-        } else if (a == "--pareto") {
-            if (!(v = need(i)))
-                return false;
-            for (const std::string &s : splitList(*v)) {
-                const auto obj = objectiveFromName(s);
-                if (!obj) {
-                    std::cerr << "diva_sweep: unknown objective '" << s
-                              << "'\n";
-                    return false;
-                }
-                args.pareto.push_back(*obj);
-            }
-        } else if (a == "--threads") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseInt(a, *v);
-            if (!n)
-                return false;
-            args.threads = *n;
-        } else if (a == "--mode") {
-            if (!(v = need(i)))
-                return false;
-            if (*v == "sweep")
-                args.mode = CliMode::kSweep;
-            else if (*v == "energy")
-                args.mode = CliMode::kEnergy;
-            else if (*v == "tenant")
-                args.mode = CliMode::kTenant;
-            else if (*v == "duration")
-                args.mode = CliMode::kDuration;
-            else if (*v == "trace")
-                args.mode = CliMode::kTrace;
-            else {
-                std::cerr << "diva_sweep: --mode takes sweep, energy, "
-                             "tenant, duration, or trace; got '" << *v
-                          << "'\n";
-                return false;
-            }
-        } else if (a == "--policies") {
-            if (!(v = need(i)))
-                return false;
-            args.policies.clear();
-            if (*v == "all") {
-                args.policies = allPolicies();
-            } else {
-                for (const std::string &s : splitList(*v)) {
-                    const auto p = policyFromName(s);
-                    if (!p) {
-                        std::cerr << "diva_sweep: unknown policy '" << s
-                                  << "' (want fifo, rr, prio, or edf)\n";
-                        return false;
-                    }
-                    args.policies.push_back(*p);
-                }
-            }
-            if (args.policies.empty()) {
-                std::cerr
-                    << "diva_sweep: --policies needs at least one\n";
-                return false;
-            }
-        } else if (a == "--steps") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseInt(a, *v);
-            if (!n)
-                return false;
-            if (*n < 1) {
-                std::cerr << "diva_sweep: --steps must be >= 1\n";
-                return false;
-            }
-            args.steps = std::uint64_t(*n);
-        } else if (a == "--wall-s") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseDouble(a, *v);
-            if (!n)
-                return false;
-            if (*n <= 0.0) {
-                std::cerr << "diva_sweep: --wall-s must be > 0\n";
-                return false;
-            }
-            args.wallSec = *n;
-        } else if (a == "--quantum") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseInt(a, *v);
-            if (!n)
-                return false;
-            if (*n < 1) {
-                std::cerr << "diva_sweep: --quantum must be >= 1\n";
-                return false;
-            }
-            args.quantum = std::uint64_t(*n);
-        } else if (a == "--arrive-every") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseDouble(a, *v);
-            if (!n)
-                return false;
-            if (*n < 0.0) {
-                std::cerr << "diva_sweep: --arrive-every must be >= 0\n";
-                return false;
-            }
-            args.arriveEvery = *n;
-        } else if (a == "--arrivals") {
-            if (!(v = need(i)))
-                return false;
-            args.arrivalsSpec = *v;
-        } else if (a == "--trace") {
-            if (!(v = need(i)))
-                return false;
-            args.tracePath = *v;
-        } else if (a == "--loads") {
-            if (!(v = need(i)))
-                return false;
-            args.loads.clear();
-            for (const std::string &s : splitList(*v)) {
-                const auto n = parseDouble(a, s);
-                if (!n)
-                    return false;
-                if (*n <= 0.0) {
-                    std::cerr << "diva_sweep: --loads must be > 0\n";
-                    return false;
-                }
-                args.loads.push_back(*n);
-            }
-            if (args.loads.empty()) {
-                std::cerr << "diva_sweep: --loads needs at least one\n";
-                return false;
-            }
-        } else if (a == "--admission") {
-            args.admission = true;
-        } else if (a == "--admission-cap") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseDouble(a, *v);
-            if (!n)
-                return false;
-            if (*n <= 0.0) {
-                std::cerr << "diva_sweep: --admission-cap must be > 0\n";
-                return false;
-            }
-            args.admissionCap = *n;
-        } else if (a == "--budget-j") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseDouble(a, *v);
-            if (!n)
-                return false;
-            if (*n <= 0.0) {
-                std::cerr << "diva_sweep: --budget-j must be > 0\n";
-                return false;
-            }
-            args.budget.maxJoulesPerIteration = *n;
-        } else if (a == "--budget-w") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseDouble(a, *v);
-            if (!n)
-                return false;
-            if (*n <= 0.0) {
-                std::cerr << "diva_sweep: --budget-w must be > 0\n";
-                return false;
-            }
-            args.budget.maxPowerW = *n;
-        } else if (a == "--cache-dir") {
-            if (!(v = need(i)))
-                return false;
-            args.cacheDir = *v;
-        } else if (a == "--cache") {
-            args.cacheDir = DiskCache::defaultDir();
-        } else if (a == "--csv") {
-            if (!(v = need(i)))
-                return false;
-            args.csvPath = *v;
-        } else if (a == "--json") {
-            if (!(v = need(i)))
-                return false;
-            args.jsonPath = *v;
-        } else if (a == "--metrics-out") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.metricsOut = *v;
-        } else if (a == "--trace-out") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.traceOut = *v;
-        } else if (a == "--trace-max-events") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseInt(a, *v);
-            if (!n)
-                return false;
-            if (*n < 1) {
-                std::cerr << "diva_sweep: --trace-max-events must be "
-                             ">= 1, got '" << *v << "'\n";
-                return false;
-            }
-            args.obs.traceMaxEvents = std::size_t(*n);
-        } else if (a == "--timeseries-out") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.timeseriesOut = *v;
-        } else if (a == "--obs-window-s") {
-            if (!(v = need(i)))
-                return false;
-            const auto n = parseDouble(a, *v);
-            if (!n)
-                return false;
-            if (*n <= 0.0) {
-                std::cerr << "diva_sweep: --obs-window-s must be "
-                             "> 0\n";
-                return false;
-            }
-            args.obs.obsWindowSec = *n;
-        } else if (a == "--slo-p99-s") {
-            if (!(v = need(i)))
-                return false;
-            args.obs.sloSpecText = *v;
-        } else if (a == "--profile") {
-            args.obs.profile = true;
-        } else if (a == "--verbose") {
-            args.verbose = true;
-        } else {
-            std::cerr << "diva_sweep: unknown option '" << a << "'\n";
-            usage();
-            return false;
-        }
-    }
-    if (args.mode == CliMode::kDuration && args.wallSec <= 0.0) {
-        std::cerr << "diva_sweep: --mode duration needs --wall-s\n";
-        return false;
-    }
-    if (args.mode == CliMode::kTrace && args.arrivalsSpec.empty() &&
-        args.tracePath.empty()) {
-        std::cerr << "diva_sweep: --mode trace needs --arrivals or "
-                     "--trace\n";
-        return false;
-    }
-    if (!args.arrivalsSpec.empty() && !args.tracePath.empty()) {
-        std::cerr << "diva_sweep: --arrivals and --trace are mutually "
-                     "exclusive\n";
-        return false;
-    }
-    if (!args.tracePath.empty() &&
-        (args.loads.size() != 1 || args.loads[0] != 1.0)) {
-        std::cerr << "diva_sweep: --loads scales the --arrivals "
-                     "generator; recorded traces replay as-is\n";
-        return false;
-    }
-    if (args.models.empty()) {
-        std::cerr << "diva_sweep: --models needs at least one model\n";
-        return false;
-    }
-    if (args.batches.empty()) {
-        std::cerr << "diva_sweep: --batches needs at least one batch\n";
-        return false;
-    }
-    if (args.algos.empty()) {
-        std::cerr << "diva_sweep: --algos needs at least one\n";
-        return false;
-    }
-    if (args.scales.empty()) {
-        std::cerr << "diva_sweep: --scales needs at least one scale\n";
-        return false;
-    }
-    if (args.microbatches.empty()) {
-        std::cerr << "diva_sweep: --microbatches needs at least one\n";
-        return false;
-    }
-    if (args.dataflows.empty() || args.ppus.empty()) {
-        std::cerr << "diva_sweep: --dataflows/--ppu need at least one "
-                     "entry\n";
-        return false;
-    }
-    return true;
+    return shapes;
 }
 
 SweepSpec
@@ -736,7 +333,9 @@ buildSpec(const Args &args)
     SweepSpec spec;
     for (Dataflow df : args.dataflows)
         for (bool ppu : args.ppus)
-            spec.configs.push_back(configFor(df, ppu));
+            // Invalid combos (WS+PPU) stay in; expand() skips and
+            // counts them.
+            spec.configs.push_back(presetConfig(df, ppu));
     spec.models = args.models;
     spec.modelScales = args.scales;
     spec.algorithms = args.algos;
@@ -751,8 +350,7 @@ buildSpec(const Args &args)
     spec.backends.clear();
     if (args.backendNames.empty()) {
         spec.backends = {SweepBackend::kSingleChip};
-        if (!args.chips.empty() || !args.iciGbs.empty() ||
-            !args.linkLatencies.empty())
+        if (hasPodAxis(args))
             spec.backends.push_back(SweepBackend::kMultiChip);
         if (!args.gpus.empty())
             spec.backends.push_back(SweepBackend::kGpu);
@@ -770,9 +368,7 @@ buildSpec(const Args &args)
     // silently: a sweep missing points the user spelled out reads as
     // complete when it is not.
     if (!args.backendNames.empty()) {
-        if (!has_backend(SweepBackend::kMultiChip) &&
-            (!args.chips.empty() || !args.iciGbs.empty() ||
-             !args.linkLatencies.empty()))
+        if (!has_backend(SweepBackend::kMultiChip) && hasPodAxis(args))
             std::cerr << "diva_sweep: warning: --chips/--ici-gbs/"
                          "--link-lat ignored ('pod' is not in "
                          "--backends)\n";
@@ -781,31 +377,8 @@ buildSpec(const Args &args)
                          "is not in --backends)\n";
     }
 
-    // Pod shape axis; unspecified axes fall back to the
-    // MultiChipConfig defaults (8 chips, TPUv3-class links).
-    if (has_backend(SweepBackend::kMultiChip)) {
-        const MultiChipConfig defaults;
-        const std::vector<int> chip_axis =
-            args.chips.empty() ? std::vector<int>{defaults.numChips}
-                               : args.chips;
-        const std::vector<double> ici_axis =
-            args.iciGbs.empty()
-                ? std::vector<double>{defaults.interconnectGBs}
-                : args.iciGbs;
-        const std::vector<int> lat_axis =
-            args.linkLatencies.empty()
-                ? std::vector<int>{int(defaults.linkLatencyCycles)}
-                : args.linkLatencies;
-        for (int n : chip_axis)
-            for (double ici : ici_axis)
-                for (int lat : lat_axis) {
-                    MultiChipConfig pod;
-                    pod.numChips = n;
-                    pod.interconnectGBs = ici;
-                    pod.linkLatencyCycles = Cycles(lat);
-                    spec.pods.push_back(pod);
-                }
-    }
+    if (has_backend(SweepBackend::kMultiChip))
+        spec.pods = podShapes(args);
     if (has_backend(SweepBackend::kGpu))
         // --backends gpu without --gpus sweeps the paper's four
         // design points.
@@ -984,7 +557,7 @@ platformAxis(const Args &args)
     std::vector<Platform> platforms;
     for (Dataflow df : args.dataflows)
         for (bool ppu : args.ppus) {
-            const AcceleratorConfig cfg = configFor(df, ppu);
+            const AcceleratorConfig cfg = presetConfig(df, ppu);
             if (!cfg.validationError().empty())
                 continue; // e.g. WS+PPU, same skip rule as the sweep
             platforms.push_back({cfg, 1, {}});
@@ -993,37 +566,16 @@ platformAxis(const Args &args)
         std::cerr << "diva_sweep: no valid accelerator design points\n";
         return platforms;
     }
-    if (!args.chips.empty() || !args.iciGbs.empty() ||
-        !args.linkLatencies.empty()) {
-        const MultiChipConfig defaults;
-        const std::vector<int> chip_axis =
-            args.chips.empty() ? std::vector<int>{defaults.numChips}
-                               : args.chips;
-        const std::vector<double> ici_axis =
-            args.iciGbs.empty()
-                ? std::vector<double>{defaults.interconnectGBs}
-                : args.iciGbs;
-        const std::vector<int> lat_axis =
-            args.linkLatencies.empty()
-                ? std::vector<int>{int(defaults.linkLatencyCycles)}
-                : args.linkLatencies;
+    if (hasPodAxis(args)) {
+        const std::vector<MultiChipConfig> shapes = podShapes(args);
         const std::size_t single_chip = platforms.size();
         for (std::size_t p = 0; p < single_chip; ++p)
-            for (int n : chip_axis) {
+            for (const MultiChipConfig &pod : shapes)
                 // chips=1 has no interconnect and is already covered
                 // by the single-chip platforms above.
-                if (n <= 1)
-                    continue;
-                for (double ici : ici_axis)
-                    for (int lat : lat_axis) {
-                        Platform pod = platforms[p];
-                        pod.chips = n;
-                        pod.pod.numChips = n;
-                        pod.pod.interconnectGBs = ici;
-                        pod.pod.linkLatencyCycles = Cycles(lat);
-                        platforms.push_back(pod);
-                    }
-            }
+                if (pod.numChips > 1)
+                    platforms.push_back(
+                        {platforms[p].config, pod.numChips, pod});
     }
     return platforms;
 }
@@ -1033,28 +585,12 @@ bool
 emitServes(const Args &args, const std::vector<ServeResult> &serves)
 {
     obs::ScopedPhase emit_phase("emit");
-    std::ofstream csv_file;
-    if (!args.csvPath.empty()) {
-        csv_file.open(args.csvPath);
-        if (!csv_file) {
-            std::cerr << "diva_sweep: cannot write " << args.csvPath
-                      << "\n";
-            return false;
-        }
-    }
-    std::ostream &csv = args.csvPath.empty() ? std::cout : csv_file;
-    writeServeCsv(csv, serves);
-
-    if (!args.jsonPath.empty()) {
-        std::ofstream json_file(args.jsonPath);
-        if (!json_file) {
-            std::cerr << "diva_sweep: cannot write " << args.jsonPath
-                      << "\n";
-            return false;
-        }
-        writeServeJson(json_file, serves);
-    }
-    return true;
+    return cli::writeOutputs(
+        kTool,
+        {{args.csvPath,
+          [&](std::ostream &os) { writeServeCsv(os, serves); }, true},
+         {args.jsonPath,
+          [&](std::ostream &os) { writeServeJson(os, serves); }}});
 }
 
 /**
@@ -1186,45 +722,27 @@ int
 runTraceMode(const Args &args, SweepRunner &runner)
 {
     // Resolve the traces of the load axis up front so a bad spec or
-    // file fails before any simulation.
+    // file fails before any simulation (a recorded trace has the one
+    // load 1).
     std::vector<ArrivalTrace> traces;
-    if (!args.tracePath.empty()) {
+    for (double load : args.loads) {
         std::string err;
-        traces.push_back(loadTraceFile(args.tracePath, &err));
-        if (!err.empty()) {
-            std::cerr << "diva_sweep: --trace: " << err << "\n";
-            return 1;
-        }
-    } else {
-        std::string err;
-        const auto base = parseTraceGenSpec(args.arrivalsSpec, &err);
-        if (!base) {
-            std::cerr << "diva_sweep: --arrivals: " << err << "\n";
-            return 1;
-        }
-        for (double load : args.loads) {
-            TraceGenSpec gen = *base;
-            gen.ratePerSec = base->ratePerSec * load;
-            if (!gen.stepsSet)
-                gen.steps = args.steps;
-            ArrivalTrace t = generateTrace(gen);
-            if (t.jobs.empty()) {
-                std::cerr << "diva_sweep: --arrivals at load "
-                          << formatDouble(load)
-                          << " produced no arrivals; raise rate or "
-                             "horizon\n";
-                return 1;
-            }
-            traces.push_back(std::move(t));
-        }
+        std::optional<ArrivalTrace> t = traceFromFlags(
+            args.tracePath, args.arrivalsSpec,
+            [&args, load](TraceGenSpec &gen) {
+                gen.ratePerSec *= load;
+                if (!gen.stepsSet)
+                    gen.steps = args.steps;
+            },
+            "", &err);
+        if (!t)
+            return cli::fail(kTool, err);
+        traces.push_back(std::move(*t));
     }
 
     const std::vector<Platform> platforms = platformAxis(args);
     if (platforms.empty())
         return 1;
-
-    AdmissionOptions admission;
-    admission.utilizationCap = args.admissionCap;
 
     std::vector<ServeResult> serves;
     std::size_t failures = 0;
@@ -1242,7 +760,7 @@ runTraceMode(const Args &args, SweepRunner &runner)
         // the serve loop prefixes its series "serve.<policy>.".
         rs.opts.telemetry = args.obs.telemetry.get();
         rs.admission = args.admission;
-        rs.admissionOpts = admission;
+        rs.admissionOpts = args.admissionOpts;
         for (const Platform &p : platforms)
             for (SchedPolicy policy : args.policies) {
                 rs.config = p.config;
@@ -1307,54 +825,10 @@ runTraceMode(const Args &args, SweepRunner &runner)
     return failures == 0 ? 0 : 2;
 }
 
-} // namespace
-
+/** Sweep and energy modes: the cartesian scenario sweep. */
 int
-main(int argc, char **argv)
+runSweepMode(const Args &args, SweepRunner &runner)
 {
-    Args args;
-    if (!parseArgs(argc, argv, args))
-        return 1;
-    if (args.verbose)
-        setLogVerbosity(LogVerbosity::kVerbose);
-    if (!args.obs.activate())
-        return 1;
-
-    SweepOptions opts;
-    opts.threads = args.threads;
-    opts.planCache = args.planCache;
-    opts.cacheDir = args.cacheDir;
-    if (!args.quiet)
-        opts.progress = [](std::size_t done, std::size_t total,
-                           const Scenario &s) {
-            std::cerr << "[" << done << "/" << total << "] "
-                      << s.label() << "\n";
-        };
-    SweepRunner runner(opts);
-    if (!args.quiet && runner.diskCache()) {
-        const DiskCache &dc = *runner.diskCache();
-        std::cerr << "disk cache: " << dc.size() << " entries in "
-                  << dc.filePath();
-        if (dc.corruptLinesSkipped())
-            std::cerr << " (" << dc.corruptLinesSkipped()
-                      << " corrupt lines skipped)";
-        std::cerr << "\n";
-    }
-
-    if (args.mode == CliMode::kTenant ||
-        args.mode == CliMode::kDuration) {
-        const int rc = runTenantModes(args, runner);
-        if (!args.obs.finish())
-            return rc != 0 ? rc : 1;
-        return rc;
-    }
-    if (args.mode == CliMode::kTrace) {
-        const int rc = runTraceMode(args, runner);
-        if (!args.obs.finish())
-            return rc != 0 ? rc : 1;
-        return rc;
-    }
-
     const SweepSpec spec = buildSpec(args);
     const SweepSpec::Expansion expansion = spec.expand();
 
@@ -1385,7 +859,8 @@ main(int argc, char **argv)
 
     if (!args.quiet)
         std::cerr << "sweeping " << expansion.scenarios.size()
-                  << " scenarios on " << args.threads << " thread(s)...\n";
+                  << " scenarios on " << args.runner.threads
+                  << " thread(s)...\n";
     const SweepReport report = runner.run(expansion.scenarios);
 
     // Sweep scenarios have no arrival clock, so the trace lays the
@@ -1405,27 +880,13 @@ main(int argc, char **argv)
 
     {
         obs::ScopedPhase emit_phase("emit");
-        std::ofstream csv_file;
-        if (!args.csvPath.empty()) {
-            csv_file.open(args.csvPath);
-            if (!csv_file) {
-                std::cerr << "diva_sweep: cannot write " << args.csvPath
-                          << "\n";
-                return 1;
-            }
-        }
-        std::ostream &csv = args.csvPath.empty() ? std::cout : csv_file;
-        writeCsv(csv, report);
-
-        if (!args.jsonPath.empty()) {
-            std::ofstream json_file(args.jsonPath);
-            if (!json_file) {
-                std::cerr << "diva_sweep: cannot write "
-                          << args.jsonPath << "\n";
-                return 1;
-            }
-            writeJson(json_file, report);
-        }
+        if (!cli::writeOutputs(
+                kTool,
+                {{args.csvPath,
+                  [&](std::ostream &os) { writeCsv(os, report); }, true},
+                 {args.jsonPath,
+                  [&](std::ostream &os) { writeJson(os, report); }}}))
+            return 1;
     }
 
     std::cout << "\n=== sweep summary ===\n"
@@ -1472,7 +933,64 @@ main(int argc, char **argv)
         printPareto(std::cout, report.results, args.pareto);
         std::cout << "\n";
     }
-    if (!args.obs.finish())
-        return report.failures == 0 ? 1 : 2;
     return report.failures == 0 ? 0 : 2;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    Args args;
+    if (const auto rc = cli::parseArgs(kTool, argc, argv, flagTable(args)))
+        return *rc;
+    if (args.listModels) {
+        for (const std::string &m : knownModels())
+            std::cout << m << "\n";
+        return 0;
+    }
+    if (args.mode == CliMode::kDuration && args.wallSec <= 0.0)
+        return cli::fail(kTool, "--mode duration needs --wall-s");
+    if (args.mode == CliMode::kTrace && args.arrivalsSpec.empty() &&
+        args.tracePath.empty())
+        return cli::fail(kTool, "--mode trace needs --arrivals or --trace");
+    if (!args.arrivalsSpec.empty() && !args.tracePath.empty())
+        return cli::fail(kTool,
+                         "--arrivals and --trace are mutually exclusive");
+    if (!args.tracePath.empty() &&
+        (args.loads.size() != 1 || args.loads[0] != 1.0))
+        return cli::fail(kTool, "--loads scales the --arrivals generator; "
+                                "recorded traces replay as-is");
+    if (args.verbose)
+        setLogVerbosity(LogVerbosity::kVerbose);
+    if (!args.obs.activate())
+        return 1;
+
+    if (!args.quiet)
+        args.runner.progress = [](std::size_t done, std::size_t total,
+                                  const Scenario &s) {
+            std::cerr << "[" << done << "/" << total << "] " << s.label()
+                      << "\n";
+        };
+    SweepRunner runner(args.runner);
+    if (!args.quiet)
+        runner.printDiskCacheBanner(std::cerr);
+
+    int rc = 0;
+    switch (args.mode) {
+      case CliMode::kTenant:
+      case CliMode::kDuration:
+        rc = runTenantModes(args, runner);
+        break;
+      case CliMode::kTrace:
+        rc = runTraceMode(args, runner);
+        break;
+      case CliMode::kSweep:
+      case CliMode::kEnergy:
+        rc = runSweepMode(args, runner);
+        break;
+    }
+    if (!args.obs.finish())
+        return rc != 0 ? rc : 1;
+    return rc;
 }
