@@ -1,102 +1,25 @@
 /**
  * @file
- * Shared helpers for the figure/table reproduction benchmarks.
- *
- * Every bench binary prints its paper artifact (the same rows/series
- * the paper reports) and then runs google-benchmark microbenchmarks
- * that time the underlying simulations.
+ * Shared helpers of the BENCH_*.json emitters (bench_serve,
+ * bench_sweep, bench_fleet).
  */
 
 #ifndef DIVA_BENCH_BENCH_UTIL_H
 #define DIVA_BENCH_BENCH_UTIL_H
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <map>
-#include <utility>
 #include <string>
 #include <vector>
 
 #include "arch/accelerator_config.h"
 #include "common/format.h"
-#include "common/logging.h"
-#include "models/zoo.h"
 #include "obs/profile.h"
-#include "sim/executor.h"
-#include "sweep/runner.h"
-#include "sweep/spec.h"
-#include "train/memory_model.h"
-#include "train/planner.h"
 
 namespace diva
 {
 namespace benchutil
 {
-
-/** Geometric mean of a series of ratios. */
-inline double
-geomean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double log_sum = 0.0;
-    for (double v : values)
-        log_sum += std::log(v);
-    return std::exp(log_sum / double(values.size()));
-}
-
-/**
- * Figure-5/13 protocol: the mini-batch is the largest that vanilla
- * DP-SGD fits under TPUv3's 16 GiB HBM; all algorithms then use it.
- */
-inline int
-dpBatch(const Network &net)
-{
-    // Key on the activation footprint too: sensitivity builds scaled
-    // variants that share the model name.
-    static std::map<std::pair<std::string, Elems>, int> cache;
-    const auto key =
-        std::make_pair(net.name, net.activationElemsPerExample());
-    auto it = cache.find(key);
-    if (it != cache.end())
-        return it->second;
-    const int batch = std::max(
-        1, maxBatchSize(net, TrainingAlgorithm::kDpSgd, 16_GiB));
-    cache[key] = batch;
-    return batch;
-}
-
-/** Plan + simulate one iteration. */
-inline SimResult
-runSim(const AcceleratorConfig &cfg, const Network &net,
-       TrainingAlgorithm algo, int batch)
-{
-    return Executor(cfg).run(buildOpStream(net, algo, batch));
-}
-
-/**
- * Expand and run a sweep spec for a bench that will index the report
- * positionally: fatals if expansion dropped any scenario (invalid or
- * duplicate axis point would shift every later index) or if any
- * scenario failed, so tables never silently tabulate wrong rows.
- */
-inline SweepReport
-runChecked(SweepRunner &runner, const SweepSpec &spec)
-{
-    const SweepSpec::Expansion e = spec.expand();
-    if (e.invalidSkipped || e.duplicatesRemoved)
-        DIVA_FATAL("sweep axes dropped scenarios (", e.invalidSkipped,
-                   " invalid, ", e.duplicatesRemoved,
-                   " duplicates); positional table indexing would be "
-                   "misaligned");
-    SweepReport report = runner.run(e.scenarios);
-    for (const ScenarioResult &r : report.results)
-        if (!r.ok())
-            DIVA_FATAL("sweep scenario failed: ", r.scenario.label(),
-                       ": ", r.error);
-    return report;
-}
 
 /** The four design points of Figures 13/14/16. */
 inline std::vector<AcceleratorConfig>

@@ -1,6 +1,7 @@
 #include "sweep/disk_cache.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -128,7 +129,18 @@ parsePayload(std::string_view payload, std::string &key,
     if (!parseF64(f[10], r.enginePowerW) ||
         !parseF64(f[11], r.engineAreaMm2))
         return false;
-    return true;
+    // from_chars also reads "nan", "inf" and negatives. A successful
+    // run takes a positive, finite time and reports finite,
+    // non-negative utilization, energy, power and area (GPU results
+    // carry 0 in those four), so anything else is a corrupt record.
+    const auto finiteNonNegative = [](double v) {
+        return std::isfinite(v) && v >= 0.0;
+    };
+    return std::isfinite(r.seconds) && r.seconds > 0.0 &&
+           finiteNonNegative(r.utilization) &&
+           finiteNonNegative(r.energyJ) &&
+           finiteNonNegative(r.enginePowerW) &&
+           finiteNonNegative(r.engineAreaMm2);
 }
 
 } // namespace

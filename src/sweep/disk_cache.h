@@ -10,8 +10,11 @@
  *    by an incompatible version is ignored wholesale and rewritten on
  *    the next append, never half-parsed.
  *  - Corruption-tolerant load: every record carries an FNV-1a checksum
- *    of its payload; torn, truncated, or edited lines are counted and
- *    skipped, never fatal.
+ *    of its payload; torn, truncated, or edited lines, and records
+ *    holding values no successful run produces (a batch below 1, a
+ *    time that is not finite and positive, a negative or non-finite
+ *    utilization, energy, power or area), are counted and skipped,
+ *    never fatal.
  *  - Atomic append-on-write: fresh records are serialized into one
  *    buffer and appended with a single O_APPEND write(), so a crashed
  *    writer can lose at most its own tail record (which the checksum

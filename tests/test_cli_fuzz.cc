@@ -2,19 +2,23 @@
  * @file
  * Deterministic fuzzing of every parser that reads user text: the argv
  * driver (common/cli.h) on a table using every setter kind, the
- * --arrivals, --pod, --slo-p99-s and --tenant grammars, and the CSV /
- * JSONL trace loaders. A seeded mutator derives each input from a valid
- * seed by byte flips, grammar-token inserts, deletions, duplicated
- * spans and truncation, for a fixed iteration count: no fuzzing
- * engine, and the same inputs on every run. Checked: no crash (CI runs
- * this under ASan+UBSan), every rejection carries an error, and every
- * accepted input stores only in-range values. An input that ever
- * crashes belongs in this file as a named regression test.
+ * --arrivals, --pod, --slo-p99-s and --tenant grammars, the CSV /
+ * JSONL trace loaders and the disk-cache store reader. A seeded
+ * mutator derives each input from a valid seed by byte flips,
+ * grammar-token inserts, deletions, duplicated spans and truncation,
+ * for a fixed iteration count: no fuzzing engine, and the same inputs
+ * on every run. Checked: no crash (CI runs this under ASan+UBSan),
+ * every rejection carries an error, and every accepted input stores
+ * only in-range values. An input that ever crashes belongs in this
+ * file as a named regression test.
  */
 
 #include <climits>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -28,6 +32,8 @@
 #include "common/rng.h"
 #include "fleet/fleet.h"
 #include "obs/slo.h"
+#include "sweep/disk_cache.h"
+#include "sweep/runner.h"
 #include "sweep/scenario.h"
 #include "tenant/tenant.h"
 
@@ -37,6 +43,9 @@ namespace
 {
 
 constexpr int kIterations = 10000;
+
+/** Each disk-cache input is written to and mapped from a file. */
+constexpr int kStoreIterations = 500;
 
 /** Grammar fragments the mutator splices in. */
 const std::vector<std::string> kTokens = {
@@ -226,6 +235,132 @@ TEST(CliFuzz, TraceLoadersRejectWithAnError)
                     << "'" << text << "'";
                 EXPECT_GE(job.batch, 0) << "'" << text << "'";
             }
+        }
+    }
+}
+
+/** `payload` under its FNV-1a 64-bit checksum, as a store line. */
+std::string
+storeLine(const std::string &payload)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : payload) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    char hex[24];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return std::string(hex) + '\t' + payload;
+}
+
+std::vector<std::string>
+splitOn(const std::string &text, char sep)
+{
+    std::vector<std::string> out(1);
+    for (char c : text) {
+        if (c == sep)
+            out.emplace_back();
+        else
+            out.back() += c;
+    }
+    return out;
+}
+
+std::string
+joinWith(const std::vector<std::string> &items, char sep)
+{
+    std::string out;
+    for (std::size_t i = 0; i < items.size(); ++i)
+        out += (i ? std::string(1, sep) : "") + items[i];
+    return out;
+}
+
+/** The lines of a store a sweep wrote: its header, then a chip, a pod
+ *  and a GPU record. */
+std::vector<std::string>
+sweptStore(const std::filesystem::path &dir)
+{
+    SweepSpec spec;
+    spec.configs = {divaDefault(true)};
+    spec.models = {"SqueezeNet"};
+    spec.batches = {8};
+    spec.backends = {SweepBackend::kSingleChip, SweepBackend::kMultiChip,
+                     SweepBackend::kGpu};
+    spec.pods = {MultiChipConfig{}};
+    spec.gpus = {GpuConfig::v100Fp16()};
+    SweepOptions opts;
+    opts.cacheDir = dir.string();
+    SweepRunner(opts).run(spec);
+    std::ifstream in(dir / "sweep-results.cache");
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+TEST(CliFuzz, DiskCacheLoadsOnlyInRangeRecords)
+{
+    namespace fs = std::filesystem;
+    const fs::path root =
+        fs::path(::testing::TempDir()) / "diva-cli-fuzz-cache";
+    fs::remove_all(root);
+    const std::vector<std::string> seed = sweptStore(root / "seed");
+    ASSERT_EQ(seed.size(), 4u);
+    const std::string header = seed[0];
+    const fs::path dir = root / "fuzz";
+    fs::create_directories(dir);
+    const fs::path file = dir / "sweep-results.cache";
+    Mutator m(7);
+    for (int i = 0; i < kStoreIterations; ++i) {
+        std::vector<std::string> lines = seed;
+        const std::size_t record = 1 + m.pick(3);
+        switch (m.pick(5)) {
+          case 0:   // a field per record edited, checksums recomputed
+          case 1: { // the same, appended as duplicate keys
+            const bool duplicate = m.pick(2);
+            for (std::size_t r = 1; r < seed.size(); ++r) {
+                // Past the 16-digit checksum and its tab.
+                std::vector<std::string> f = splitOn(seed[r].substr(17), '\t');
+                std::string &field = f[m.pick(f.size())];
+                field = m.pick(2) ? kTokens[m.pick(kTokens.size())]
+                                  : m.mutate({field});
+                if (duplicate)
+                    lines.push_back(storeLine(joinWith(f, '\t')));
+                else
+                    lines[r] = storeLine(joinWith(f, '\t'));
+            }
+            break;
+          }
+          case 2: // a foreign or missing header
+            if (m.pick(2))
+                lines[0] = m.mutate({header});
+            else
+                lines.erase(lines.begin());
+            break;
+          case 3: // a torn append: the file ends inside a record
+            lines.push_back(seed[record]);
+            lines.back().resize(m.pick(lines.back().size()));
+            break;
+          default: // flipped bytes, bad checksums, truncation
+            lines = splitOn(m.mutate({joinWith(lines, '\n')}), '\n');
+            break;
+        }
+        const std::string text = joinWith(lines, '\n') + '\n';
+        std::ofstream(file, std::ios::binary | std::ios::trunc) << text;
+        const DiskCache cache(dir.string());
+        if (text.substr(0, text.find('\n')) != header) {
+            EXPECT_EQ(cache.size(), 0u) << "'" << text << "'";
+        }
+        for (const auto &[key, r] : cache.entries()) {
+            EXPECT_GE(r.resolvedBatch, 1) << "'" << text << "'";
+            EXPECT_TRUE(std::isfinite(r.seconds) && r.seconds > 0.0)
+                << "'" << text << "'";
+            EXPECT_TRUE(finiteAtLeast(r.utilization, 0.0) &&
+                        finiteAtLeast(r.energyJ, 0.0) &&
+                        finiteAtLeast(r.enginePowerW, 0.0) &&
+                        finiteAtLeast(r.engineAreaMm2, 0.0))
+                << "'" << text << "'";
         }
     }
 }

@@ -14,6 +14,9 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "sweep/disk_cache.h"
 #include "sweep/emit.h"
@@ -122,12 +125,31 @@ checksummedLine(const std::string &payload)
     return std::string(hex) + '\t' + payload + '\n';
 }
 
-/** A well-formed record payload whose resolved batch is `batch`. */
-std::string
-payloadWithBatch(const std::string &key, const std::string &batch)
+/** Record fields by position (0 is the key). */
+enum Field : std::size_t
 {
-    return key + '\t' + batch + "\t1000\t900\t100\t0.125\t0.5\t2.5\t" +
-           "1048576\t1024\t23.8\t85";
+    kBatch = 1,
+    kSeconds = 5,
+    kUtilization = 6,
+    kEnergy = 7,
+    kPower = 10,
+    kArea = 11,
+};
+
+/** A well-formed record payload with each `edits` field replaced. */
+std::string
+payloadWith(const std::string &key,
+            const std::vector<std::pair<Field, std::string>> &edits)
+{
+    std::vector<std::string> f = {key,       "8",     "1000", "900",
+                                  "100",     "0.125", "0.5",  "2.5",
+                                  "1048576", "1024",  "23.8", "85"};
+    for (const auto &[field, value] : edits)
+        f[field] = value;
+    std::string payload = f[0];
+    for (std::size_t i = 1; i < f.size(); ++i)
+        payload += '\t' + f[i];
+    return payload;
 }
 
 TEST(DiskCache, SkipsCorruptLinesButKeepsValidOnes)
@@ -145,26 +167,42 @@ TEST(DiskCache, SkipsCorruptLinesButKeepsValidOnes)
         out << "deadbeefdeadbeef\tgarbage payload\n";
         out << "not even a record\n";
         out << "0123456789abcdef\ttruncated\t1\t2\n";
-        // Valid checksums, but resolved batches no successful result
-        // has: each must be rejected, not wrapped into some int.
-        out << checksummedLine(payloadWithBatch("wraps-to-1", "4294967297"));
+        // Valid checksums, but values no successful result has: each
+        // must be rejected, not wrapped into some int or served as a
+        // cache hit.
+        const std::vector<std::pair<Field, std::string>> bad = {
+            {kBatch, "4294967297"}, {kBatch, "2147483648"},
+            {kBatch, "0"},          {kSeconds, "0"},
+            {kSeconds, "-0.125"},   {kSeconds, "nan"},
+            {kSeconds, "inf"},      {kUtilization, "-0.5"},
+            {kUtilization, "inf"},  {kEnergy, "-1e300"},
+            {kEnergy, "nan"},       {kPower, "-23.8"},
+            {kPower, "-inf"},       {kArea, "-85"},
+            {kArea, "nan"}};
+        for (std::size_t i = 0; i < bad.size(); ++i)
+            out << checksummedLine(
+                payloadWith("bad-" + std::to_string(i), {bad[i]}));
+        // The largest batch an int holds still loads, and so does a GPU
+        // record, which carries 0 utilization, energy, power and area.
         out << checksummedLine(
-            payloadWithBatch("wraps-negative", "2147483648"));
-        out << checksummedLine(payloadWithBatch("zero-batch", "0"));
-        // The largest batch an int holds still loads.
-        out << checksummedLine(payloadWithBatch("good-max", "2147483647"));
+            payloadWith("good-max", {{kBatch, "2147483647"}}));
+        out << checksummedLine(payloadWith("good-gpu", {{kUtilization, "0"},
+                                                        {kEnergy, "0"},
+                                                        {kPower, "0"},
+                                                        {kArea, "0"}}));
     }
     DiskCache cache(dir);
-    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.size(), 3u);
     EXPECT_TRUE(cache.contains("good-1"));
+    EXPECT_TRUE(cache.contains("good-gpu"));
     ASSERT_TRUE(cache.contains("good-max"));
     EXPECT_EQ(cache.entries().at("good-max").resolvedBatch,
               std::numeric_limits<int>::max());
-    EXPECT_EQ(cache.corruptLinesSkipped(), 6u);
+    EXPECT_EQ(cache.corruptLinesSkipped(), 18u);
     // The store stays writable after corruption.
     EXPECT_EQ(cache.append({{"good-2", sampleResult(2)}}), 1u);
     DiskCache reloaded(dir);
-    EXPECT_EQ(reloaded.size(), 3u);
+    EXPECT_EQ(reloaded.size(), 4u);
 }
 
 TEST(DiskCache, ForeignVersionIsIgnoredThenRewritten)

@@ -1,17 +1,19 @@
 /**
  * @file
- * Golden byte-identity of the paper model's sweep outputs. The built
+ * Golden byte-identity of the paper model's outputs. The built
  * diva_sweep prices every zoo model under every algorithm, dataflow
  * and PPU choice at auto batch, monolithic and micro-batched (270
  * scenarios), and must reproduce the checked-in CSV and disk store
  * bit for bit at 1 and 4 threads. A warm rerun on a copy of the
  * checked-in store must serve every scenario from it: the store is
  * indexed by canonical keys, so a drift in the key format shows up as
- * misses.
+ * misses. The built diva_paper must print the checked-in figures,
+ * tables and fidelity ledger byte for byte, so any change to a paper
+ * number fails here until the fixture is regenerated on purpose.
  *
- * The tests run the tool binary out of the build directory (ctest's
- * working directory) against fixtures under tests/golden/sweep/, and
- * skip when the tool or the DIVA_SOURCE_DIR compile definition is
+ * The tests run the tool binaries out of the build directory (ctest's
+ * working directory) against fixtures under tests/golden/, and skip
+ * when a tool or the DIVA_SOURCE_DIR compile definition is
  * unavailable.
  */
 
@@ -61,13 +63,36 @@ runTo(const std::string &cmd, const fs::path &out)
 }
 
 fs::path
-fixtureDir()
+goldenDir()
 {
 #ifdef DIVA_SOURCE_DIR
-    return fs::path(DIVA_SOURCE_DIR) / "tests" / "golden" / "sweep";
+    return fs::path(DIVA_SOURCE_DIR) / "tests" / "golden";
 #else
     return {};
 #endif
+}
+
+/** An empty scratch directory for one run. */
+fs::path
+freshDir(const std::string &name)
+{
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / "diva-sweep-golden" / name;
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    return dir;
+}
+
+/** Byte-compare a fresh output against a checked-in fixture. */
+void
+expectFixture(const fs::path &fresh, const std::string &fixture)
+{
+    const std::string got = slurp(fresh);
+    const std::string want = slurp(goldenDir() / fixture);
+    ASSERT_FALSE(want.empty()) << fixture << " fixture unreadable";
+    EXPECT_TRUE(got == want)
+        << fresh << ": output diverged from the golden fixture " << fixture
+        << " (" << got.size() << " vs " << want.size() << " bytes)";
 }
 
 class SweepGolden : public ::testing::Test
@@ -75,33 +100,11 @@ class SweepGolden : public ::testing::Test
   protected:
     void SetUp() override
     {
-        if (fixtureDir().empty() || !fs::exists(fixtureDir() / "zoo.csv"))
+        if (goldenDir().empty() ||
+            !fs::exists(goldenDir() / "sweep" / "zoo.csv"))
             GTEST_SKIP() << "golden fixtures not found";
         if (!fs::exists("./diva_sweep"))
             GTEST_SKIP() << "tool binaries not built";
-    }
-
-    /** An empty scratch directory for one run. */
-    static fs::path freshDir(const std::string &name)
-    {
-        const fs::path dir =
-            fs::path(::testing::TempDir()) / "diva-sweep-golden" / name;
-        fs::remove_all(dir);
-        fs::create_directories(dir);
-        return dir;
-    }
-
-    /** Byte-compare a fresh output against a checked-in fixture. */
-    static void expectFixture(const fs::path &fresh,
-                              const std::string &fixture)
-    {
-        const std::string got = slurp(fresh);
-        const std::string want = slurp(fixtureDir() / fixture);
-        ASSERT_FALSE(want.empty()) << fixture << " fixture unreadable";
-        EXPECT_TRUE(got == want)
-            << fresh << ": output diverged from the golden fixture "
-            << fixture << " (" << got.size() << " vs " << want.size()
-            << " bytes)";
     }
 };
 
@@ -115,9 +118,9 @@ TEST_F(SweepGolden, ColdZooSweepMatchesFixtureAtOneAndFourThreads)
                             " --csv " + (dir / "zoo.csv").string(),
                         dir / "stdout.txt"),
                   0);
-        expectFixture(dir / "zoo.csv", "zoo.csv");
+        expectFixture(dir / "zoo.csv", "sweep/zoo.csv");
         expectFixture(dir / "store" / "sweep-results.cache",
-                      "sweep-results.cache");
+                      "sweep/sweep-results.cache");
     }
 }
 
@@ -125,7 +128,7 @@ TEST_F(SweepGolden, CheckedInStoreServesEveryScenario)
 {
     const fs::path dir = freshDir("warm");
     fs::create_directories(dir / "store");
-    fs::copy_file(fixtureDir() / "sweep-results.cache",
+    fs::copy_file(goldenDir() / "sweep" / "sweep-results.cache",
                   dir / "store" / "sweep-results.cache");
     ASSERT_EQ(runTo(std::string(kZooSweep) + " --cache-dir " +
                         (dir / "store").string() + " --csv " +
@@ -135,10 +138,27 @@ TEST_F(SweepGolden, CheckedInStoreServesEveryScenario)
     const std::string summary = slurp(dir / "stdout.txt");
     EXPECT_NE(summary.find("cache: 270 hits, 0 misses"), std::string::npos)
         << summary;
-    expectFixture(dir / "zoo.csv", "zoo.csv");
+    expectFixture(dir / "zoo.csv", "sweep/zoo.csv");
     // Nothing was re-simulated, so nothing was appended.
     expectFixture(dir / "store" / "sweep-results.cache",
-                  "sweep-results.cache");
+                  "sweep/sweep-results.cache");
+}
+
+/**
+ * Every figure, table and ledger row diva_paper prints. After a
+ * deliberate model change, regenerate the fixture from the build
+ * directory with ./diva_paper > ../tests/golden/paper/diva_paper.txt
+ */
+TEST(PaperGolden, StdoutMatchesFixture)
+{
+    if (goldenDir().empty() ||
+        !fs::exists(goldenDir() / "paper" / "diva_paper.txt"))
+        GTEST_SKIP() << "golden fixtures not found";
+    if (!fs::exists("./diva_paper"))
+        GTEST_SKIP() << "tool binaries not built";
+    const fs::path dir = freshDir("paper");
+    ASSERT_EQ(runTo("./diva_paper", dir / "stdout.txt"), 0);
+    expectFixture(dir / "stdout.txt", "paper/diva_paper.txt");
 }
 
 } // namespace
