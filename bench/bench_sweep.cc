@@ -209,7 +209,6 @@ BM_SweepWarmResolve(benchmark::State &state)
         tile(scenarios, std::size_t(state.range(0)));
     SweepOptions opts;
     opts.threads = 4;
-    opts.cacheAcrossRuns = true;
     SweepRunner runner(opts);
     runner.run(scenarios); // warm the result cache once
     for (auto _ : state) {

@@ -6,10 +6,11 @@
  * "what happens on a pod" follow-up to the paper's single-chip
  * evaluation.
  *
- * The pod points run as ordinary sweep scenarios through the pod
- * simulation backend (see src/backend/), so the chip-count axis is
- * simulated on the runner's worker pool with one shared workload plan
- * instead of rebuilding the model per point.
+ * The pod points run as ordinary sweep scenarios on the pod backend
+ * (SweepBackend::kMultiChip, evaluated by runScenario() in
+ * src/sweep/runner.cc), so the chip-count axis is simulated on the
+ * runner's worker pool with one shared workload plan instead of
+ * rebuilding the model per point.
  *
  * Usage: pod_scaling [model-name] [global-batch]
  */

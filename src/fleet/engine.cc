@@ -9,7 +9,6 @@
 #include <unordered_map>
 
 #include "arrivals/admission.h"
-#include "backend/registry.h"
 #include "common/task_pool.h"
 #include "fleet/energy_budget.h"
 #include "fleet/migration.h"
@@ -433,21 +432,23 @@ struct FleetSim
 std::string
 FleetSim::price(SweepRunner &runner)
 {
-    // Dedupe pods into types. Design points come from named factory
-    // configs, so the config name plus the pod shape identifies one.
-    std::map<std::string, std::uint32_t> typeOf;
+    // Dedupe pods into types, in first-appearance order: pods whose
+    // design point, chip count and links all match price alike. (Not
+    // the config name: two configs may share one and differ anywhere.)
     podType.resize(spec.pods.size());
     for (std::size_t p = 0; p < spec.pods.size(); ++p) {
         const PodSpec &ps = spec.pods[p];
-        std::ostringstream key;
-        key << ps.config.name << '|' << ps.chips << '|'
-            << ps.config.sramBytes << '|' << ps.pod.interconnectGBs
-            << '|' << ps.pod.linkLatencyCycles;
-        const auto [it, fresh] =
-            typeOf.emplace(key.str(), std::uint32_t(types.size()));
-        if (fresh)
+        std::size_t t = 0;
+        while (t < types.size() &&
+               !(types[t].config == ps.config &&
+                 types[t].chips == ps.chips &&
+                 types[t].pod.interconnectGBs == ps.pod.interconnectGBs &&
+                 types[t].pod.linkLatencyCycles ==
+                     ps.pod.linkLatencyCycles))
+            ++t;
+        if (t == types.size())
             types.push_back(ps);
-        podType[p] = it->second;
+        podType[p] = std::uint32_t(t);
     }
 
     // Dedupe jobs into classes.  Class ids are assigned in first-
@@ -476,42 +477,21 @@ FleetSim::price(SweepRunner &runner)
     }
     numCls = clsRep.size();
 
-    // Validate the allowed-backend list the way the serve layer does:
-    // every name must resolve, and every substrate the fleet's pods
-    // actually need must be permitted.
-    for (const std::string &name : spec.backends)
-        if (!BackendRegistry::instance().find(name))
-            return "unknown backend '" + name + "'";
-    if (!spec.backends.empty()) {
-        for (const PodSpec &ps : spec.pods) {
-            const std::string needed = ps.backendName();
-            if (std::find(spec.backends.begin(), spec.backends.end(),
-                          needed) == spec.backends.end())
-                return "backend '" + needed +
-                       "' is not in the allowed --backends list";
-        }
-    }
+    // Every backend the fleet's pods need must be permitted.
+    for (const PodSpec &ps : spec.pods)
+        if (std::string err = backendAllowedError(spec.backends,
+                                                  ps.backend());
+            !err.empty())
+            return err;
 
     // One scenario per (type, class), all through one run() so the
     // runner's thread pool and caches do the heavy lifting.
     std::vector<Scenario> scenarios;
     scenarios.reserve(types.size() * numCls);
     for (const PodSpec &type : types)
-        for (const TenantJob *job : clsRep) {
-            Scenario s;
-            s.config = type.config;
-            s.model = job->model;
-            s.modelScale = job->modelScale;
-            s.batch = job->batch;
-            s.microbatch = job->microbatch;
-            s.algorithm = job->algorithm;
-            if (type.chips > 1) {
-                s.backend = SweepBackend::kMultiChip;
-                s.pod = type.pod;
-                s.pod.numChips = type.chips;
-            }
-            scenarios.push_back(std::move(s));
-        }
+        for (const TenantJob *job : clsRep)
+            scenarios.push_back(
+                tenantScenario(type.config, type.chips, type.pod, *job));
     const SweepReport report = runner.run(scenarios);
     out.planHits = report.planHits;
     out.planMisses = report.planMisses;
@@ -531,14 +511,8 @@ FleetSim::price(SweepRunner &runner)
             !(r.energyJ >= 0.0) || !std::isfinite(r.energyJ))
             return where.str() +
                    ": iteration cost must be positive and finite";
-        IterationCost c;
-        c.seconds = r.seconds;
-        c.energyJ = r.energyJ;
-        c.dramBytes = r.dramBytes;
-        c.cycles = r.cycles;
-        c.resolvedBatch = r.resolvedBatch;
-        costs[k] = c;
-        isoRate[k] = 1.0 / c.seconds;
+        costs[k] = iterationCost(r);
+        isoRate[k] = 1.0 / r.seconds;
     }
 
     switchCosts.reserve(types.size());
@@ -1279,7 +1253,7 @@ FleetSim::assemble(int threads)
         r.name = ps.name;
         r.configName = ps.config.name;
         r.chips = ps.chips;
-        r.backend = ps.backendName();
+        r.backend = backendName(ps.backend());
         r.placed = pod.placed;
         r.migratedIn = pod.migIn;
         r.migratedOut = pod.migOut;

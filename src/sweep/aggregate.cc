@@ -25,6 +25,14 @@ quantileSorted(const std::vector<double> &sorted, double q)
     return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
+/** Whether `r`'s backend models `o` (every backend models seconds). */
+bool
+modeled(const ScenarioResult &r, Objective o)
+{
+    return o == Objective::kSeconds ||
+           modelsChipMetrics(r.scenario.backend);
+}
+
 } // namespace
 
 SummaryStats
@@ -99,8 +107,10 @@ summarizeResults(const std::vector<ScenarioResult> &results)
     for (const ScenarioResult &r : results) {
         if (!r.ok())
             continue;
-        cycles.push_back(double(r.cycles));
         seconds.push_back(r.seconds);
+        if (!modelsChipMetrics(r.scenario.backend))
+            continue;
+        cycles.push_back(double(r.cycles));
         util.push_back(r.utilization);
         energy.push_back(r.energyJ);
     }
@@ -122,7 +132,9 @@ paretoFrontier(const std::vector<ScenarioResult> &results,
     // Signed objective vectors with "smaller is better" everywhere.
     std::vector<std::vector<double>> points(results.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
-        if (!results[i].ok())
+        if (!results[i].ok() ||
+            !std::all_of(objectives.begin(), objectives.end(),
+                         [&](Objective o) { return modeled(results[i], o); }))
             continue;
         points[i].reserve(objectives.size());
         for (Objective o : objectives) {

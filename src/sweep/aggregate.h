@@ -60,7 +60,11 @@ double objectiveValue(const ScenarioResult &r, Objective o);
 /** Whether bigger is better (only utilization); others minimize. */
 bool objectiveMaximized(Objective o);
 
-/** Per-metric summaries over the successful results of a sweep. */
+/**
+ * Per-metric summaries over the successful results of a sweep. A
+ * metric's series holds only the rows whose backend models it (see
+ * modelsChipMetrics()), so GPU rows count towards `seconds` alone.
+ */
 struct SweepSummary
 {
     SummaryStats cycles;
@@ -74,8 +78,10 @@ SweepSummary summarizeResults(const std::vector<ScenarioResult> &results);
 /**
  * Indices (ascending) of the results on the Pareto frontier of the
  * given objectives: no other successful result is at least as good in
- * every objective and strictly better in one. Results with errors
- * never make the frontier. Duplicate objective vectors all survive.
+ * every objective and strictly better in one. Results with errors, or
+ * whose backend does not model one of the objectives (the GPU
+ * roofline models seconds only), never make the frontier. Duplicate
+ * objective vectors all survive.
  */
 std::vector<std::size_t>
 paretoFrontier(const std::vector<ScenarioResult> &results,

@@ -4,30 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
-#include "backend/registry.h"
-
 namespace diva
 {
-
-namespace
-{
-
-/**
- * Capability flags of the backend a result was evaluated by --
- * resolved by effective name, falling back to the kind's built-in for
- * results whose (since-unregistered) backend is unknown.
- */
-BackendCaps
-capsFor(const Scenario &s)
-{
-    const SimBackend *backend =
-        BackendRegistry::instance().find(s.effectiveBackend());
-    return backend ? backend->capabilities()
-                   : BackendRegistry::instance().at(s.backend)
-                         .capabilities();
-}
-
-} // namespace
 
 std::string
 csvHeader()
@@ -47,7 +25,7 @@ csvRow(const ScenarioResult &r)
     // Metrics the backend does not model are emitted as empty cells
     // (integral columns) or "nan" (floating columns), never as fake
     // zeros a reader could mistake for measurements.
-    const BackendCaps caps = capsFor(s);
+    const bool modeled = modelsChipMetrics(s.backend);
     std::ostringstream oss;
     oss << csvCell(gpu ? s.gpu.name : s.config.name) << ','
         << (gpu ? "-" : dataflowName(s.config.dataflow)) << ','
@@ -57,7 +35,7 @@ csvRow(const ScenarioResult &r)
         << (gpu ? 0 : s.config.sramBytes >> 20) << ','
         << formatDouble(gpu ? s.gpu.bandwidthGBs
                             : s.config.dramBandwidthGBs)
-        << ',' << csvCell(s.effectiveBackend()) << ','
+        << ',' << backendName(s.backend) << ','
         << (s.backend == SweepBackend::kMultiChip ? s.pod.numChips : 1)
         << ',';
     // Pod link design point; zeros for backends without interconnect.
@@ -69,23 +47,21 @@ csvRow(const ScenarioResult &r)
     oss << ',' << csvCell(s.model) << ',' << s.modelScale << ','
         << csvCell(algorithmName(s.algorithm)) << ',' << r.resolvedBatch
         << ',' << s.microbatch << ',';
-    if (caps.cycles)
+    if (modeled)
         oss << r.cycles << ',' << r.computeCycles << ','
             << r.allReduceCycles << ',';
     else
         oss << ",,,";
     oss << formatDouble(r.seconds) << ','
-        << (caps.utilization ? formatDouble(r.utilization) : "nan")
-        << ',' << (caps.energy ? formatDouble(r.energyJ) : "nan")
-        << ',';
-    if (caps.dramTraffic)
+        << (modeled ? formatDouble(r.utilization) : "nan") << ','
+        << (modeled ? formatDouble(r.energyJ) : "nan") << ',';
+    if (modeled)
         oss << r.dramBytes << ',' << r.postProcDramBytes << ',';
     else
         oss << ",,";
-    oss << (caps.engineRating ? formatDouble(r.enginePowerW) : "nan")
-        << ','
-        << (caps.engineRating ? formatDouble(r.engineAreaMm2) : "nan")
-        << ',' << csvCell(r.error);
+    oss << (modeled ? formatDouble(r.enginePowerW) : "nan") << ','
+        << (modeled ? formatDouble(r.engineAreaMm2) : "nan") << ','
+        << csvCell(r.error);
     return oss.str();
 }
 
@@ -110,11 +86,10 @@ writeJson(std::ostream &os, const SweepReport &report)
         const Scenario &s = r.scenario;
         const bool gpu = s.backend == SweepBackend::kGpu;
         // Unmodeled metrics are null, never fake zeros.
-        const BackendCaps caps = capsFor(s);
+        const bool modeled = modelsChipMetrics(s.backend);
         os << (i ? ",\n    {" : "\n    {") << "\"config\": \""
            << jsonEscape(gpu ? s.gpu.name : s.config.name)
-           << "\", \"backend\": \""
-           << jsonEscape(s.effectiveBackend()) << '"';
+           << "\", \"backend\": \"" << backendName(s.backend) << '"';
         if (s.backend == SweepBackend::kMultiChip)
             os << ", \"chips\": " << s.pod.numChips << ", \"ici_gbs\": "
                << jsonNumber(s.pod.interconnectGBs)
@@ -124,7 +99,7 @@ writeJson(std::ostream &os, const SweepReport &report)
            << jsonEscape(algorithmName(s.algorithm))
            << "\", \"batch\": " << r.resolvedBatch
            << ", \"microbatch\": " << s.microbatch << ", \"cycles\": ";
-        if (caps.cycles)
+        if (modeled)
             os << r.cycles << ", \"compute_cycles\": "
                << r.computeCycles << ", \"allreduce_cycles\": "
                << r.allReduceCycles;
@@ -133,11 +108,11 @@ writeJson(std::ostream &os, const SweepReport &report)
                << ", \"allreduce_cycles\": null";
         os << ", \"seconds\": " << jsonNumber(r.seconds)
            << ", \"utilization\": "
-           << (caps.utilization ? jsonNumber(r.utilization) : "null")
+           << (modeled ? jsonNumber(r.utilization) : "null")
            << ", \"energy_j\": "
-           << (caps.energy ? jsonNumber(r.energyJ) : "null")
+           << (modeled ? jsonNumber(r.energyJ) : "null")
            << ", \"dram_bytes\": ";
-        if (caps.dramTraffic)
+        if (modeled)
             os << r.dramBytes;
         else
             os << "null";

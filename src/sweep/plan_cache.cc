@@ -1,4 +1,4 @@
-#include "backend/plan_cache.h"
+#include "sweep/plan_cache.h"
 
 #include <algorithm>
 #include <charconv>
@@ -84,11 +84,6 @@ streamKey(const std::string &model, int scale, TrainingAlgorithm algo,
 
 } // namespace
 
-PlanCache::PlanCache(bool enabled, std::size_t stripes)
-    : enabled_(enabled), stripes_(std::max<std::size_t>(1, stripes))
-{
-}
-
 std::shared_ptr<const Network>
 PlanCache::network(const std::string &model, int scale)
 {
@@ -120,7 +115,7 @@ PlanCache::network(const std::string &model, int scale)
         stripe.networks.emplace(std::string(key.view()),
                                 std::move(built));
     // Losing a build race counts as a hit: exactly one miss per
-    // distinct key, whatever the thread or stripe count.
+    // distinct key, whatever the thread count.
     if (inserted)
         ++stripe.stats.networkMisses;
     else

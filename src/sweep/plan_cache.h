@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared workload-plan cache: memoizes the two deterministic, pure
- * lowering steps every simulation backend repeats -- buildModel()
+ * lowering steps every sweep backend repeats -- buildModel()
  * (zoo name + input scale -> Network) and buildOpStream() /
  * buildMicrobatchedOpStream() (network + algorithm + resolved batch +
  * micro-batch -> one training iteration's op stream).
@@ -13,8 +13,8 @@
  * same monolithic stream entry) and is safe to use from the sweep
  * runner's worker pool.
  *
- * Concurrency: the table is striped N ways -- each stripe owns its own
- * mutex, map and counters, and a key hashes to exactly one stripe --
+ * Concurrency: the table is striped 16 ways -- each stripe owns its
+ * own mutex, map and counters, and a key hashes to exactly one stripe --
  * so concurrent lookups of different keys proceed in parallel instead
  * of serializing on one global lock. Hot-path probes are heterogeneous:
  * the key is rendered into a stack buffer and looked up as a
@@ -26,20 +26,19 @@
  * counts a hit). That rule makes the hit/miss counters a pure function
  * of the scenario set -- misses == distinct keys built, hits ==
  * lookups - misses -- so totals stay byte-identical across thread
- * counts *and* stripe counts (a key lands on one stripe whatever their
- * number; stats() sums the stripes sequentially).
+ * counts (stats() sums the stripes sequentially).
  */
 
-#ifndef DIVA_BACKEND_PLAN_CACHE_H
-#define DIVA_BACKEND_PLAN_CACHE_H
+#ifndef DIVA_SWEEP_PLAN_CACHE_H
+#define DIVA_SWEEP_PLAN_CACHE_H
 
+#include <array>
 #include <cstddef>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "models/network.h"
 #include "train/algorithm.h"
@@ -52,16 +51,8 @@ namespace diva
 class PlanCache
 {
   public:
-    /** Stripes used when the constructor does not say otherwise. */
-    static constexpr std::size_t kDefaultStripes = 16;
-
-    /**
-     * A disabled cache builds every plan fresh and counts nothing.
-     * `stripes` (clamped to >= 1) sets the lock-striping width; any
-     * value yields identical plans and identical hit/miss totals.
-     */
-    explicit PlanCache(bool enabled = true,
-                       std::size_t stripes = kDefaultStripes);
+    /** A disabled cache builds every plan fresh and counts nothing. */
+    explicit PlanCache(bool enabled = true) : enabled_(enabled) {}
 
     PlanCache(const PlanCache &) = delete;
     PlanCache &operator=(const PlanCache &) = delete;
@@ -104,8 +95,6 @@ class PlanCache
 
     bool enabled() const { return enabled_; }
 
-    std::size_t stripeCount() const { return stripes_.size(); }
-
     /** Summed over the stripes in index order (deterministic). */
     Stats stats() const;
 
@@ -116,6 +105,9 @@ class PlanCache
     void clear();
 
   private:
+    /** Lock-striping width. */
+    static constexpr std::size_t kStripes = 16;
+
     /** Transparent hasher: lets find() take a std::string_view probe
      *  against std::string keys without materializing a string. */
     struct KeyHash
@@ -144,16 +136,13 @@ class PlanCache
 
     Stripe &stripeOf(std::string_view key)
     {
-        return stripes_[std::hash<std::string_view>{}(key) %
-                        stripes_.size()];
+        return stripes_[std::hash<std::string_view>{}(key) % kStripes];
     }
 
     const bool enabled_;
-    /** Sized at construction, never resized: stripeOf() indexes it
-     *  concurrently without synchronization. */
-    std::vector<Stripe> stripes_;
+    std::array<Stripe, kStripes> stripes_;
 };
 
 } // namespace diva
 
-#endif // DIVA_BACKEND_PLAN_CACHE_H
+#endif // DIVA_SWEEP_PLAN_CACHE_H

@@ -6,11 +6,11 @@
 #include <ostream>
 #include <string>
 
-#include "backend/registry.h"
-#include "common/logging.h"
 #include "common/task_pool.h"
+#include "energy/energy_model.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "sim/executor.h"
 
 namespace diva
 {
@@ -30,7 +30,66 @@ planSignature(const Scenario &s)
     return s.model + '|' + std::to_string(s.modelScale) + '|' +
            std::to_string(int(s.algorithm)) + '|' +
            std::to_string(s.batch) + '|' + std::to_string(s.microbatch) +
-           '|' + s.effectiveBackend();
+           '|' + backendName(s.backend);
+}
+
+/**
+ * Fill the metric fields of `out` (out.scenario and out.cacheHit
+ * belong to the caller) by evaluating `s` on its backend, with
+ * workload plans from `plans`. Simulation errors are thrown.
+ */
+void
+evaluate(const Scenario &s, PlanCache &plans, ScenarioResult &out)
+{
+    const std::shared_ptr<const Network> net =
+        plans.network(s.model, s.modelScale);
+    out.resolvedBatch = resolveBatch(s, *net);
+    const AcceleratorConfig &config = s.config;
+    int chips = 1;
+    switch (s.backend) {
+      case SweepBackend::kSingleChip: {
+        const std::shared_ptr<const OpStream> stream =
+            plans.stream(*net, s.model, s.modelScale, s.algorithm,
+                         out.resolvedBatch, s.microbatch);
+        const SimResult r = Executor(config).run(*stream);
+        out.cycles = r.totalCycles();
+        out.computeCycles = out.cycles;
+        out.seconds = r.seconds(config);
+        out.utilization = r.overallUtilization(config);
+        out.energyJ = EnergyModel::energy(r, config).total();
+        out.dramBytes = r.totalDram().total();
+        out.postProcDramBytes = r.postProcessingDram.total();
+        break;
+      }
+      case SweepBackend::kMultiChip: {
+        const ScalingResult r = simulateDataParallel(
+            config, *net, s.algorithm, out.resolvedBatch, s.pod);
+        out.cycles = r.totalCycles;
+        out.computeCycles = r.computeCycles;
+        out.allReduceCycles = r.allReduceCycles;
+        out.seconds = config.cyclesToSeconds(r.totalCycles);
+        out.utilization = r.utilization;
+        out.energyJ = r.energyJ;
+        out.dramBytes = r.dramBytes;
+        out.postProcDramBytes = r.postProcDramBytes;
+        chips = s.pod.numChips;
+        break;
+      }
+      case SweepBackend::kGpu: {
+        // Always the monolithic stream: the roofline GPU executes the
+        // logical mini-batch directly (micro-batching is an
+        // accelerator memory-wall mitigation, not part of the
+        // Figure 17 protocol).
+        const std::shared_ptr<const OpStream> stream =
+            plans.stream(*net, s.model, s.modelScale, s.algorithm,
+                         out.resolvedBatch, 0);
+        out.seconds = GpuModel(s.gpu).bottleneckSeconds(*stream);
+        return; // seconds only (see modelsChipMetrics)
+      }
+    }
+    // The design point's engine ratings: power pod-wide, area per chip.
+    out.enginePowerW = EnergyModel::enginePowerW(config) * chips;
+    out.engineAreaMm2 = EnergyModel::engineAreaMm2(config);
 }
 
 } // namespace
@@ -41,14 +100,7 @@ runScenario(const Scenario &scenario, PlanCache &plans)
     ScenarioResult out;
     out.scenario = scenario;
     try {
-        // Routed by registry *name*, so a non-built-in backend (set
-        // via Scenario::backendId) is reached without any enum edit.
-        const SimBackend *backend = BackendRegistry::instance().find(
-            scenario.effectiveBackend());
-        if (!backend)
-            DIVA_FATAL("no backend registered under '",
-                       scenario.effectiveBackend(), "'");
-        backend->evaluate(scenario, plans, out);
+        evaluate(scenario, plans, out);
     } catch (const std::exception &e) {
         out.error = e.what();
     }
@@ -63,8 +115,7 @@ runScenario(const Scenario &scenario)
 }
 
 SweepRunner::SweepRunner(SweepOptions opts)
-    : opts_(std::move(opts)),
-      plans_(opts_.planCache, opts_.planCacheStripes)
+    : opts_(std::move(opts)), plans_(opts_.planCache)
 {
     if (opts_.threads < 1)
         opts_.threads = 1;
@@ -110,11 +161,6 @@ SweepRunner::run(const std::vector<Scenario> &scenarios)
 {
     SweepReport report;
     report.results.resize(scenarios.size());
-
-    // The persistent_ mirror always survives (it reflects the disk
-    // store); only fresh in-memory results are forgotten between runs.
-    if (!opts_.cacheAcrossRuns)
-        cache_.clear();
 
     // Map each scenario to its canonical key; the first scenario to
     // claim an uncached key becomes a simulation job, the rest are

@@ -11,12 +11,11 @@
  * are served from the cache and flagged as hits. Failed results are
  * never cached beyond the run that produced them.
  *
- * Scenario evaluation is delegated to the pluggable backend layer
- * (src/backend/): runScenario() resolves the scenario's backend
- * through the BackendRegistry, and a shared thread-safe PlanCache
- * memoizes workload lowering (buildModel + buildOpStream) so a sweep
- * crossing many design points with few workloads builds each workload
- * once, not once per cell.
+ * runScenario() evaluates one scenario with a switch over its
+ * SweepBackend (single chip, data-parallel pod or roofline GPU), and
+ * a shared thread-safe PlanCache memoizes workload lowering
+ * (buildModel + buildOpStream) so a sweep crossing many design points
+ * with few workloads builds each workload once, not once per cell.
  */
 
 #ifndef DIVA_SWEEP_RUNNER_H
@@ -31,8 +30,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "backend/plan_cache.h"
 #include "sweep/disk_cache.h"
+#include "sweep/plan_cache.h"
 #include "sweep/scenario.h"
 #include "sweep/spec.h"
 
@@ -46,27 +45,12 @@ struct SweepOptions
     int threads = 1;
 
     /**
-     * Keep results cached across run() calls on the same runner.
-     * Within a single run() duplicates are always simulated once.
-     * Failed results are never kept across runs: a transient failure
-     * is retried, not replayed.
-     */
-    bool cacheAcrossRuns = true;
-
-    /**
      * Memoize workload plans (buildModel + buildOpStream) across
      * scenarios and run() calls. Results are byte-identical either
      * way; disable only to benchmark plan lowering or to verify that
      * identity.
      */
     bool planCache = true;
-
-    /**
-     * Lock stripes of the plan cache (clamped to >= 1). Any width
-     * yields identical plans and identical hit/miss totals; wider
-     * spreads concurrent lookups over more mutexes.
-     */
-    std::size_t planCacheStripes = PlanCache::kDefaultStripes;
 
     /**
      * When non-empty, persist results in a DiskCache under this
@@ -158,8 +142,8 @@ class SweepRunner
     PlanCache plans_;
     /**
      * canonical key -> successful result, fresh simulations only
-     * (failures are never kept). Cleared per run() when
-     * !opts.cacheAcrossRuns; unused when a disk store exists.
+     * (failures are never kept, so a transient failure is retried on
+     * the next run()); unused when a disk store exists.
      */
     std::unordered_map<std::string, ScenarioResult> cache_;
     /**
@@ -172,8 +156,9 @@ class SweepRunner
 };
 
 /**
- * Simulate one scenario synchronously through the backend registry,
- * memoizing workload plans in `plans` (shared across calls).
+ * Simulate one scenario synchronously on its backend, memoizing
+ * workload plans in `plans` (shared across calls). Simulation errors
+ * come back in the result's `error`, never as exceptions.
  */
 ScenarioResult runScenario(const Scenario &scenario, PlanCache &plans);
 

@@ -7,7 +7,9 @@
 #include <map>
 #include <sstream>
 #include <string_view>
+#include <utility>
 
+#include "common/cli.h"
 #include "common/logging.h"
 #include "models/zoo.h"
 #include "train/memory_model.h"
@@ -15,15 +17,73 @@
 namespace diva
 {
 
+namespace
+{
+
+/** The one backend name table, in --help and error-message order. */
+constexpr std::pair<SweepBackend, const char *> kBackendNames[] = {
+    {SweepBackend::kSingleChip, "chip"},
+    {SweepBackend::kMultiChip, "pod"},
+    {SweepBackend::kGpu, "gpu"},
+};
+
+} // namespace
+
 const char *
 backendName(SweepBackend b)
 {
-    switch (b) {
-      case SweepBackend::kSingleChip: return "chip";
-      case SweepBackend::kMultiChip: return "pod";
-      case SweepBackend::kGpu: return "gpu";
-    }
+    for (const auto &[backend, name] : kBackendNames)
+        if (backend == b)
+            return name;
     return "?";
+}
+
+std::optional<SweepBackend>
+backendFromName(const std::string &name)
+{
+    for (const auto &[backend, n] : kBackendNames)
+        if (name == n)
+            return backend;
+    return std::nullopt;
+}
+
+std::string
+parseBackendList(const std::string &text, std::vector<SweepBackend> *out)
+{
+    std::vector<SweepBackend> backends;
+    for (const std::string &name : cli::splitList(text)) {
+        const std::optional<SweepBackend> b = backendFromName(name);
+        if (!b) {
+            std::string known;
+            for (const auto &[backend, n] : kBackendNames)
+                known += (known.empty() ? "" : ", ") + std::string(n);
+            return cli::reject("must name backends (" + known + ")", name);
+        }
+        if (std::find(backends.begin(), backends.end(), *b) ==
+            backends.end())
+            backends.push_back(*b);
+    }
+    if (backends.empty())
+        return cli::reject("needs at least one item", text);
+    *out = std::move(backends);
+    return "";
+}
+
+std::string
+backendAllowedError(const std::vector<SweepBackend> &allowed,
+                    SweepBackend needed)
+{
+    if (allowed.empty() ||
+        std::find(allowed.begin(), allowed.end(), needed) != allowed.end())
+        return "";
+    return "backend '" + std::string(backendName(needed)) +
+           "' is not in the allowed --backends list";
+}
+
+bool
+modelsChipMetrics(SweepBackend b)
+{
+    return b != SweepBackend::kGpu;
 }
 
 std::string
@@ -135,10 +195,7 @@ Scenario::canonicalKey() const
     std::string out;
     out.reserve(128);
     KeyWriter key(out);
-    // Keyed on the *effective* backend: a registered non-built-in
-    // backend must never alias the built-in of the same kind in the
-    // result caches.
-    key << effectiveBackend() << '|' << model << '|' << modelScale
+    key << backendName(backend) << '|' << model << '|' << modelScale
         << '|' << algorithmName(algorithm) << '|' << batch << '|'
         << microbatch;
     // The auto-batch protocol depends on the budget only when active.

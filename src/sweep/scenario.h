@@ -14,6 +14,7 @@
 #ifndef DIVA_SWEEP_SCENARIO_H
 #define DIVA_SWEEP_SCENARIO_H
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,7 +28,11 @@
 namespace diva
 {
 
-/** Execution backend that evaluates a scenario. */
+/**
+ * Execution backend that evaluates a scenario; runScenario() switches
+ * over it. A new backend is one enum value, one entry in the name
+ * table behind backendName() and one case there.
+ */
 enum class SweepBackend
 {
     /** One accelerator chip via Executor. */
@@ -40,6 +45,33 @@ enum class SweepBackend
 
 /** Short name of a backend ("chip", "pod", "gpu"). */
 const char *backendName(SweepBackend b);
+
+/** The backend named `name` by backendName(), or nullopt. */
+std::optional<SweepBackend> backendFromName(const std::string &name);
+
+/**
+ * Parse a --backends value: comma-separated backend names, kept in
+ * the order given with repeats dropped. Returns "" after storing them
+ * in *out, or the cli::reject() text naming the known backends.
+ */
+std::string parseBackendList(const std::string &text,
+                             std::vector<SweepBackend> *out);
+
+/**
+ * "" when `allowed` is empty (any backend) or holds `needed`, else
+ * the "backend 'X' is not in the allowed --backends list" error.
+ */
+std::string backendAllowedError(const std::vector<SweepBackend> &allowed,
+                                SweepBackend needed);
+
+/**
+ * Whether `b` models cycles, utilization, energy, off-chip traffic
+ * and engine ratings. Every backend models wall-clock seconds; the
+ * GPU roofline models nothing else, so its other ScenarioResult
+ * fields are defaults, not measured zeros -- emitted as empty, NaN or
+ * null cells and left out of summaries and Pareto frontiers.
+ */
+bool modelsChipMetrics(SweepBackend b);
 
 /** Sentinel batch meaning "largest vanilla DP-SGD batch that fits". */
 constexpr int kAutoBatch = 0;
@@ -73,15 +105,6 @@ struct Scenario
 
     SweepBackend backend = SweepBackend::kSingleChip;
 
-    /**
-     * BackendRegistry name of the backend that evaluates this
-     * scenario; empty = the built-in for `backend`. A registered
-     * non-built-in backend (whose kind() must equal `backend`, which
-     * decides the scenario fields and sweep axes that apply) is
-     * routed to by name alone -- see effectiveBackend().
-     */
-    std::string backendId;
-
     /** Pod shape; used only by the kMultiChip backend. */
     MultiChipConfig pod;
 
@@ -93,15 +116,6 @@ struct Scenario
 
     /** Human-readable one-line description. */
     std::string label() const;
-
-    /**
-     * The registry name this scenario is evaluated (and keyed,
-     * reported) under: backendId when set, else backendName(backend).
-     */
-    std::string effectiveBackend() const
-    {
-        return backendId.empty() ? backendName(backend) : backendId;
-    }
 
     /**
      * Canonical key of the simulation inputs this scenario denotes.
@@ -126,7 +140,8 @@ struct ScenarioResult
      * Compute / communication split of `cycles`. Single-chip scenarios
      * are all compute; pod scenarios split into the slowest chip's
      * local iteration and the ring all-reduce. Zero for the GPU
-     * backend (the roofline model has no cycle notion).
+     * backend (the roofline model has no cycle notion; see
+     * modelsChipMetrics()).
      */
     Cycles computeCycles = 0;
     Cycles allReduceCycles = 0;

@@ -4,7 +4,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "backend/registry.h"
 #include "common/logging.h"
 
 namespace diva
@@ -16,33 +15,13 @@ SweepSpec::expand() const
     if (models.empty())
         DIVA_FATAL("sweep spec has no model axis");
 
-    // The backend axis as (kind, backendId) pairs: names resolve
-    // through the registry; built-in names keep an empty id so their
-    // canonical keys stay stable.
-    std::vector<std::pair<SweepBackend, std::string>> backend_axis;
-    if (!backendNames.empty()) {
-        for (const std::string &name : backendNames) {
-            const SimBackend *b =
-                BackendRegistry::instance().find(name);
-            if (!b)
-                DIVA_FATAL("unknown sweep backend '", name,
-                           "'; see BackendRegistry names()");
-            backend_axis.emplace_back(
-                b->kind(),
-                name == backendName(b->kind()) ? "" : name);
-        }
-    } else {
-        for (SweepBackend b : backends)
-            backend_axis.emplace_back(b, "");
-    }
-
-    const bool needs_chip_configs = std::any_of(
-        backend_axis.begin(), backend_axis.end(),
-        [](const auto &b) { return b.first != SweepBackend::kGpu; });
-    const bool has_gpu = std::any_of(
-        backend_axis.begin(), backend_axis.end(),
-        [](const auto &b) { return b.first == SweepBackend::kGpu; });
-    if (backend_axis.empty())
+    const bool needs_chip_configs =
+        std::any_of(backends.begin(), backends.end(),
+                    [](SweepBackend b) { return b != SweepBackend::kGpu; });
+    const bool has_gpu =
+        std::find(backends.begin(), backends.end(), SweepBackend::kGpu) !=
+        backends.end();
+    if (backends.empty())
         DIVA_FATAL("sweep spec has no backend axis");
     if (needs_chip_configs && configs.empty())
         DIVA_FATAL("sweep spec has no accelerator-config axis");
@@ -82,8 +61,7 @@ SweepSpec::expand() const
                 for (TrainingAlgorithm algo : algorithms)
                     for (int batch : batches)
                         for (int microbatch : microbatches)
-                            for (const auto &[backend, id] :
-                                 backend_axis) {
+                            for (SweepBackend backend : backends) {
                                 Scenario s;
                                 s.config = cfg;
                                 s.model = model;
@@ -92,7 +70,6 @@ SweepSpec::expand() const
                                 s.batch = batch;
                                 s.microbatch = microbatch;
                                 s.backend = backend;
-                                s.backendId = id;
                                 s.memoryBudget = memoryBudget;
                                 switch (backend) {
                                   case SweepBackend::kSingleChip:

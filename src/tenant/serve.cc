@@ -5,7 +5,6 @@
 #include <limits>
 #include <sstream>
 
-#include "backend/registry.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
@@ -211,21 +210,34 @@ safeRatio(double num, double den)
 }
 
 Scenario
-tenantScenario(const ServeSpec &spec, const TenantJob &job)
+tenantScenario(const AcceleratorConfig &config, int chips,
+               const MultiChipConfig &pod, const TenantJob &job)
 {
     Scenario s;
-    s.config = spec.config;
+    s.config = config;
     s.model = job.model;
     s.modelScale = job.modelScale;
     s.batch = job.batch;
     s.microbatch = job.microbatch;
     s.algorithm = job.algorithm;
-    if (spec.chips > 1) {
+    if (chips > 1) {
         s.backend = SweepBackend::kMultiChip;
-        s.pod = spec.pod;
-        s.pod.numChips = spec.chips;
+        s.pod = pod;
+        s.pod.numChips = chips;
     }
     return s;
+}
+
+IterationCost
+iterationCost(const ScenarioResult &r)
+{
+    IterationCost c;
+    c.seconds = r.seconds;
+    c.energyJ = r.energyJ;
+    c.dramBytes = r.dramBytes;
+    c.cycles = r.cycles;
+    c.resolvedBatch = r.resolvedBatch;
+    return c;
 }
 
 ServeResult
@@ -431,27 +443,19 @@ isolatedCosts(const ServeSpec &spec, SweepRunner &runner,
         return {};
     }
 
-    // Resolve the allowed-backend list through the registry and check
-    // that the substrate this spec needs is permitted.
-    const char *needed = spec.chips > 1 ? "pod" : "chip";
-    bool needed_allowed = spec.backends.empty();
-    for (const std::string &name : spec.backends) {
-        if (!BackendRegistry::instance().find(name)) {
-            *error = "unknown backend '" + name + "'";
-            return {};
-        }
-        needed_allowed = needed_allowed || name == needed;
-    }
-    if (!needed_allowed) {
-        *error = "backend '" + std::string(needed) +
-                 "' is not in the allowed --backends list";
-        return {};
-    }
-
     std::vector<Scenario> scenarios;
     scenarios.reserve(spec.workload.jobs.size());
     for (const TenantJob &job : spec.workload.jobs)
-        scenarios.push_back(tenantScenario(spec, job));
+        scenarios.push_back(
+            tenantScenario(spec.config, spec.chips, spec.pod, job));
+    // The mix validated non-empty, and every tenant prices on the
+    // same backend.
+    const std::string backend_err =
+        backendAllowedError(spec.backends, scenarios.front().backend);
+    if (!backend_err.empty()) {
+        *error = backend_err;
+        return {};
+    }
     const SweepReport report = runner.run(scenarios);
 
     std::vector<IterationCost> costs;
@@ -463,13 +467,7 @@ isolatedCosts(const ServeSpec &spec, SweepRunner &runner,
                      r.error;
             return {};
         }
-        IterationCost c;
-        c.seconds = r.seconds;
-        c.energyJ = r.energyJ;
-        c.dramBytes = r.dramBytes;
-        c.cycles = r.cycles;
-        c.resolvedBatch = r.resolvedBatch;
-        costs.push_back(c);
+        costs.push_back(iterationCost(r));
     }
     return costs;
 }

@@ -108,13 +108,12 @@ struct ServeSpec
     SchedPolicy policy = SchedPolicy::kRoundRobin;
 
     /**
-     * Simulation backends the serve may price isolated costs on, by
-     * BackendRegistry name; empty = any. Every name must resolve
-     * through the registry, and the backend the spec actually needs
-     * ("pod" when chips > 1, else "chip") must be in the list --
-     * otherwise simulateServe returns an error-carrying result.
+     * Backends the serve may price isolated costs on; empty = any.
+     * The backend the spec actually needs (pod when chips > 1, else
+     * chip) must be in the list -- otherwise simulateServe returns an
+     * error-carrying result.
      */
-    std::vector<std::string> backends;
+    std::vector<SweepBackend> backends;
 
     ServeOptions opts;
 };
@@ -295,8 +294,16 @@ ServeResult simulateServe(const ServeSpec &spec, SweepRunner &runner);
 /** Convenience overload with a private single-threaded runner. */
 ServeResult simulateServe(const ServeSpec &spec);
 
-/** The sweep scenario whose result prices one tenant's iteration. */
-Scenario tenantScenario(const ServeSpec &spec, const TenantJob &job);
+/**
+ * The sweep scenario whose result prices one iteration of `job` on
+ * `chips` chips of `config`: a single-chip scenario, or a pod scenario
+ * over `pod`'s links when chips > 1.
+ */
+Scenario tenantScenario(const AcceleratorConfig &config, int chips,
+                        const MultiChipConfig &pod, const TenantJob &job);
+
+/** One iteration's cost, read off the scenario result that priced it. */
+IterationCost iterationCost(const ScenarioResult &r);
 
 } // namespace diva
 

@@ -1,26 +1,26 @@
 /**
  * @file
- * Tests for the pluggable simulation-backend layer: registry lookup
- * and unknown-name handling, capability flags driving empty/NaN CSV
- * and null JSON cells for unmodeled metrics, PlanCache hit/miss
- * accounting, and byte-identity of a mixed chip/pod/gpu sweep across
- * plan-cache on/off and thread counts.
+ * Tests for the sweep backends: the one backend name table and its
+ * --backends list parser, the modeled-metrics rule driving empty/NaN
+ * CSV and null JSON cells and keeping unmodeled metrics out of
+ * summaries and Pareto frontiers, PlanCache hit/miss accounting, and
+ * byte-identity of a mixed chip/pod/gpu sweep across plan-cache on/off
+ * and thread counts.
  */
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "backend/backend.h"
-#include "backend/chip_backend.h"
-#include "backend/plan_cache.h"
-#include "backend/registry.h"
 #include "common/task_pool.h"
+#include "sweep/aggregate.h"
 #include "sweep/emit.h"
+#include "sweep/plan_cache.h"
 #include "sweep/runner.h"
 #include "sweep/spec.h"
 #include "tenant/serve.h"
@@ -58,106 +58,58 @@ column(const std::string &name)
     return 0;
 }
 
-TEST(BackendRegistry, BuiltInsResolveByNameAndKind)
+constexpr SweepBackend kBackends[] = {
+    SweepBackend::kSingleChip, SweepBackend::kMultiChip, SweepBackend::kGpu};
+
+TEST(Backends, NamesRoundTripThroughTheNameTable)
 {
-    BackendRegistry &reg = BackendRegistry::instance();
-    for (const char *name : {"chip", "pod", "gpu"}) {
-        const SimBackend *b = reg.find(name);
-        ASSERT_NE(b, nullptr) << name;
-        EXPECT_STREQ(b->name(), name);
-        // The kind round-trips through the name-keyed map.
-        EXPECT_EQ(&reg.at(b->kind()), b);
-    }
-    const std::vector<std::string> names = reg.names();
-    EXPECT_GE(names.size(), 3u);
-    EXPECT_EQ(names[0], "chip");
-    EXPECT_EQ(names[1], "pod");
-    EXPECT_EQ(names[2], "gpu");
+    for (const SweepBackend b : kBackends)
+        EXPECT_EQ(backendFromName(backendName(b)), b) << backendName(b);
+    EXPECT_STREQ(backendName(SweepBackend::kSingleChip), "chip");
+    EXPECT_STREQ(backendName(SweepBackend::kMultiChip), "pod");
+    EXPECT_STREQ(backendName(SweepBackend::kGpu), "gpu");
+    EXPECT_EQ(backendFromName("tpu-v9"), std::nullopt);
+    EXPECT_EQ(backendFromName("Chip"), std::nullopt);
+    EXPECT_EQ(backendFromName(""), std::nullopt);
 }
 
-TEST(BackendRegistry, UnknownNameIsNullAndDuplicateAddThrows)
+TEST(Backends, ParseBackendListKeepsOrderAndDropsRepeats)
 {
-    EXPECT_EQ(BackendRegistry::instance().find("tpu-v9"), nullptr);
-    // Registering over an existing name must be refused: shadowing a
-    // substrate would silently change what cached keys mean.
-    EXPECT_THROW(BackendRegistry::instance().add(
-                     std::make_unique<ChipBackend>()),
-                 std::runtime_error);
+    std::vector<SweepBackend> out;
+    EXPECT_EQ(parseBackendList("gpu,chip,gpu,pod,chip", &out), "");
+    EXPECT_EQ(out, (std::vector<SweepBackend>{SweepBackend::kGpu,
+                                              SweepBackend::kSingleChip,
+                                              SweepBackend::kMultiChip}));
 }
 
-/** A toy substrate registered at runtime: proves register-and-go. */
-class EchoBackend : public SimBackend
+TEST(Backends, ParseBackendListRejectsUnknownNamesAndEmptyLists)
 {
-  public:
-    const char *name() const override { return "echo"; }
-    SweepBackend kind() const override
-    {
-        return SweepBackend::kSingleChip;
-    }
-    BackendCaps capabilities() const override { return {}; }
-    void evaluate(const Scenario &scenario, PlanCache &plans,
-                  ScenarioResult &out) const override
-    {
-        planNetwork(scenario, plans, out);
-        out.seconds = 42.0;
-    }
-};
-
-TEST(BackendRegistry, RuntimeBackendIsReachableByNameAlone)
-{
-    if (!BackendRegistry::instance().find("echo"))
-        BackendRegistry::instance().add(
-            std::make_unique<EchoBackend>());
-
-    SweepSpec spec;
-    spec.configs = {divaDefault(true)};
-    spec.models = {"SqueezeNet"};
-    spec.batches = {8};
-    spec.backendNames = {"chip", "echo"};
-    SweepRunner runner;
-    const SweepReport report = runner.run(spec);
-    ASSERT_EQ(report.results.size(), 2u);
-    const ScenarioResult &chip = report.results[0];
-    const ScenarioResult &echo = report.results[1];
-    ASSERT_TRUE(echo.ok()) << echo.error;
-    // The registered backend, not the built-in of its kind, ran.
-    EXPECT_EQ(echo.scenario.effectiveBackend(), "echo");
-    EXPECT_EQ(echo.seconds, 42.0);
-    ASSERT_TRUE(chip.ok()) << chip.error;
-    EXPECT_NE(chip.seconds, 42.0);
-    // Distinct canonical keys: no result-cache aliasing.
-    EXPECT_NE(chip.scenario.canonicalKey(),
-              echo.scenario.canonicalKey());
-    // CSV reports the registered name and its capability flags.
-    const std::vector<std::string> row = cells(csvRow(echo));
-    EXPECT_EQ(row[column("backend")], "echo");
-    EXPECT_EQ(row[column("cycles")], "");
-    EXPECT_EQ(row[column("utilization")], "nan");
+    std::vector<SweepBackend> out = {SweepBackend::kGpu};
+    EXPECT_EQ(parseBackendList("chip,warp-drive", &out),
+              "must name backends (chip, pod, gpu), got 'warp-drive'");
+    EXPECT_EQ(parseBackendList(",", &out),
+              "needs at least one item, got ','");
+    // A rejected list leaves the previous value alone.
+    EXPECT_EQ(out, std::vector<SweepBackend>{SweepBackend::kGpu});
 }
 
-TEST(SweepRunner, UnknownBackendIdIsAnErrorResult)
+TEST(Backends, AllowListErrorNamesTheMissingBackend)
 {
-    Scenario s;
-    s.config = divaDefault(true);
-    s.model = "SqueezeNet";
-    s.batch = 8;
-    s.backendId = "warp-drive";
-    const ScenarioResult r = runScenario(s);
-    EXPECT_FALSE(r.ok());
-    EXPECT_NE(r.error.find("no backend registered"),
-              std::string::npos);
+    EXPECT_EQ(backendAllowedError({}, SweepBackend::kMultiChip), "");
+    EXPECT_EQ(backendAllowedError({SweepBackend::kGpu,
+                                   SweepBackend::kMultiChip},
+                                  SweepBackend::kMultiChip),
+              "");
+    EXPECT_EQ(backendAllowedError({SweepBackend::kMultiChip},
+                                  SweepBackend::kSingleChip),
+              "backend 'chip' is not in the allowed --backends list");
 }
 
-TEST(BackendRegistry, CapabilitiesMatchSubstrates)
+TEST(Backends, OnlyTheGpuRooflineLacksChipMetrics)
 {
-    const BackendCaps chip =
-        BackendRegistry::instance().find("chip")->capabilities();
-    EXPECT_TRUE(chip.cycles && chip.utilization && chip.energy &&
-                chip.dramTraffic && chip.engineRating);
-    const BackendCaps gpu =
-        BackendRegistry::instance().find("gpu")->capabilities();
-    EXPECT_FALSE(gpu.cycles || gpu.utilization || gpu.energy ||
-                 gpu.dramTraffic || gpu.engineRating);
+    EXPECT_TRUE(modelsChipMetrics(SweepBackend::kSingleChip));
+    EXPECT_TRUE(modelsChipMetrics(SweepBackend::kMultiChip));
+    EXPECT_FALSE(modelsChipMetrics(SweepBackend::kGpu));
 }
 
 TEST(PlanCache, CountsHitsAndMissesPerDistinctKey)
@@ -203,21 +155,20 @@ TEST(PlanCache, DisabledCacheBuildsFreshAndCountsNothing)
 }
 
 /**
- * The striping width and the caller's thread count are pure
- * concurrency knobs: a key hashes to one stripe whatever their
- * number, concurrent same-key misses resolve first-insert-wins with
- * the loser counting a hit, and stats() sums stripes in index order.
- * So the hit/miss totals must be byte-identical across stripe counts
- * {1, 4, 16} x thread counts {1, 4} for the same lookup workload.
+ * The caller's thread count is a pure concurrency knob: a key hashes
+ * to one stripe, concurrent same-key misses resolve first-insert-wins
+ * with the loser counting a hit, and stats() sums stripes in index
+ * order. So the hit/miss totals must be identical at 1 and 4 threads
+ * for the same lookup workload.
  */
-TEST(PlanCache, HitMissTotalsIndependentOfStripesAndThreads)
+TEST(PlanCache, HitMissTotalsIndependentOfThreads)
 {
     const char *kModels[] = {"SqueezeNet", "MobileNet"};
     const int kBatches[] = {4, 8};
 
     // Each of `tasks` workers performs the identical lookup sequence:
     // misses == distinct keys, hits == lookups - misses, regardless
-    // of which worker builds first or which stripe a key lands on.
+    // of which worker builds first.
     auto drive = [&](PlanCache &plans, int threads) {
         TaskPool pool;
         const std::size_t tasks = std::size_t(threads) * 2;
@@ -233,21 +184,14 @@ TEST(PlanCache, HitMissTotalsIndependentOfStripesAndThreads)
     };
 
     for (int threads : {1, 4}) {
-        for (std::size_t stripes : {1u, 4u, 16u}) {
-            PlanCache plans(true, stripes);
-            EXPECT_EQ(plans.stripeCount(), stripes);
-            const std::size_t tasks = drive(plans, threads);
-            const PlanCache::Stats s = plans.stats();
-            EXPECT_EQ(s.networkMisses, 2u)
-                << stripes << " stripes, " << threads << " threads";
-            EXPECT_EQ(s.streamMisses, 4u)
-                << stripes << " stripes, " << threads << " threads";
-            EXPECT_EQ(s.networkHits, tasks * 2u - 2u)
-                << stripes << " stripes, " << threads << " threads";
-            EXPECT_EQ(s.streamHits, tasks * 4u - 4u)
-                << stripes << " stripes, " << threads << " threads";
-            EXPECT_EQ(plans.size(), 6u);
-        }
+        PlanCache plans;
+        const std::size_t tasks = drive(plans, threads);
+        const PlanCache::Stats s = plans.stats();
+        EXPECT_EQ(s.networkMisses, 2u) << threads << " threads";
+        EXPECT_EQ(s.streamMisses, 4u) << threads << " threads";
+        EXPECT_EQ(s.networkHits, tasks * 2u - 2u) << threads << " threads";
+        EXPECT_EQ(s.streamHits, tasks * 4u - 4u) << threads << " threads";
+        EXPECT_EQ(plans.size(), 6u);
     }
 }
 
@@ -382,7 +326,7 @@ TEST(Emit, ChipRowsStillCarryEveryMetric)
     EXPECT_NE(row[column("dram_bytes")], "");
 }
 
-TEST(Serve, BackendAllowListResolvesThroughRegistry)
+TEST(Serve, BackendAllowListGatesThePricedBackend)
 {
     ServeSpec spec;
     spec.config = divaDefault(true);
@@ -394,19 +338,92 @@ TEST(Serve, BackendAllowListResolvesThroughRegistry)
     spec.workload.name = "mix";
     spec.workload.jobs = {job};
 
-    spec.backends = {"warp-drive"};
-    EXPECT_NE(simulateServe(spec).error.find("unknown backend"),
-              std::string::npos);
+    // Pricing needs the chip backend here (chips == 1); a pod-only
+    // allow-list must refuse rather than silently switch substrates.
+    spec.backends = {SweepBackend::kMultiChip};
+    EXPECT_EQ(simulateServe(spec).error,
+              "backend 'chip' is not in the allowed --backends list");
 
-    // Pricing needs "chip" here (chips == 1); a pod-only allow-list
-    // must refuse rather than silently switch substrates.
-    spec.backends = {"pod"};
-    EXPECT_NE(simulateServe(spec).error.find("not in the allowed"),
-              std::string::npos);
-
-    spec.backends = {"chip", "pod"};
+    spec.backends = {SweepBackend::kSingleChip, SweepBackend::kMultiChip};
     const ServeResult ok = simulateServe(spec);
     EXPECT_TRUE(ok.ok()) << ok.error;
+}
+
+/** Whether `r` came from the GPU roofline. */
+bool
+isGpu(const ScenarioResult &r)
+{
+    return r.scenario.backend == SweepBackend::kGpu;
+}
+
+TEST(Aggregate, SummaryCountsOnlyRowsThatModelEachMetric)
+{
+    const SweepReport report = SweepRunner().run(mixedSpec());
+    ASSERT_EQ(report.failures, 0u);
+    const std::size_t gpu_rows = std::size_t(std::count_if(
+        report.results.begin(), report.results.end(), isGpu));
+    ASSERT_GT(gpu_rows, 0u);
+    const std::size_t chip_rows = report.results.size() - gpu_rows;
+    ASSERT_GT(chip_rows, 0u);
+
+    const SweepSummary s = summarizeResults(report.results);
+    EXPECT_EQ(s.seconds.count, report.results.size());
+    EXPECT_EQ(s.cycles.count, chip_rows);
+    EXPECT_EQ(s.utilization.count, chip_rows);
+    EXPECT_EQ(s.energyJ.count, chip_rows);
+    // The GPU rows' default zeros are not measurements.
+    EXPECT_GT(s.cycles.min, 0.0);
+    EXPECT_GT(s.utilization.min, 0.0);
+    EXPECT_GT(s.energyJ.min, 0.0);
+
+    // GPU rows alone model no cycles, utilization or energy.
+    std::vector<ScenarioResult> gpu_only;
+    std::copy_if(report.results.begin(), report.results.end(),
+                 std::back_inserter(gpu_only), isGpu);
+    const SweepSummary g = summarizeResults(gpu_only);
+    EXPECT_EQ(g.seconds.count, gpu_rows);
+    EXPECT_EQ(g.cycles.count, 0u);
+    EXPECT_EQ(g.utilization.count, 0u);
+    EXPECT_EQ(g.energyJ.count, 0u);
+}
+
+TEST(Aggregate, ParetoLeavesOutRowsThatDoNotModelAnObjective)
+{
+    const SweepReport report = SweepRunner().run(mixedSpec());
+    ASSERT_EQ(report.failures, 0u);
+    for (const std::vector<Objective> &objectives :
+         {std::vector<Objective>{Objective::kEnergy, Objective::kSeconds},
+          std::vector<Objective>{Objective::kCycles},
+          std::vector<Objective>{Objective::kUtilization,
+                                 Objective::kSeconds}}) {
+        const std::vector<std::size_t> frontier =
+            paretoFrontier(report.results, objectives);
+        EXPECT_FALSE(frontier.empty());
+        for (const std::size_t i : frontier)
+            EXPECT_FALSE(isGpu(report.results[i]))
+                << report.results[i].scenario.label() << " on the "
+                << objectiveName(objectives.front()) << " frontier";
+    }
+
+    // Seconds is modeled everywhere: GPU rows still compete on it,
+    // and the frontier is the fastest row of the whole sweep.
+    double min_seconds = report.results.front().seconds;
+    std::vector<std::size_t> want;
+    for (std::size_t i = 0; i < report.results.size(); ++i) {
+        const double sec = report.results[i].seconds;
+        if (sec < min_seconds)
+            want.clear();
+        if (sec <= min_seconds) {
+            min_seconds = sec;
+            want.push_back(i);
+        }
+    }
+    EXPECT_EQ(paretoFrontier(report.results, {Objective::kSeconds}), want);
+    std::vector<ScenarioResult> gpu_only;
+    std::copy_if(report.results.begin(), report.results.end(),
+                 std::back_inserter(gpu_only), isGpu);
+    EXPECT_FALSE(paretoFrontier(gpu_only, {Objective::kSeconds}).empty());
+    EXPECT_TRUE(paretoFrontier(gpu_only, {Objective::kEnergy}).empty());
 }
 
 } // namespace

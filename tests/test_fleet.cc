@@ -22,6 +22,7 @@
 #include "fleet/engine.h"
 #include "fleet/migration.h"
 #include "tenant/context_switch.h"
+#include "tenant/serve.h"
 
 namespace diva
 {
@@ -88,7 +89,7 @@ TEST(FleetSpecParse, TemplatesExpandAndValidate)
     const std::vector<PodSpec> group = podsOf("df=OS,chips=2,count=3");
     ASSERT_EQ(group.size(), 3u);
     EXPECT_EQ(group[0].chips, 2);
-    EXPECT_STREQ(group[0].backendName(), "pod");
+    EXPECT_EQ(group[0].backend(), SweepBackend::kMultiChip);
 
     std::string err;
     EXPECT_FALSE(parsePodTemplate("df=WS,ppu=on", &err).has_value());
@@ -422,13 +423,15 @@ TEST(FleetValidation, BadSpecsAndTracesErrorOut)
     zero_chip.pods[0].chips = 0;
     EXPECT_FALSE(simulateFleet(zero_chip, one).ok());
 
+    // Single-chip pods price on the chip backend, which a pod-only
+    // allow-list refuses.
     FleetSpec bad_backend = fleetOf({podsOf("df=DiVa")},
                                     PlacementKind::kFirstFit);
-    bad_backend.backends = {"bogus"};
+    bad_backend.backends = {SweepBackend::kMultiChip};
     r = simulateFleet(bad_backend, one);
     EXPECT_FALSE(r.ok());
-    EXPECT_NE(r.error.find("unknown backend"), std::string::npos)
-        << r.error;
+    EXPECT_EQ(r.error, "backend 'chip' is not in the allowed --backends "
+                       "list");
 
     const FleetSpec good = fleetOf({podsOf("df=DiVa")},
                                    PlacementKind::kFirstFit);
@@ -444,6 +447,40 @@ TEST(FleetValidation, BadSpecsAndTracesErrorOut)
     std::ostringstream json;
     writeFleetJson(json, r);
     EXPECT_NE(json.str().find("\"error\""), std::string::npos);
+}
+
+TEST(FleetPricing, PodsSharingAConfigNameArePricedOnTheirOwnConfig)
+{
+    // Two pods whose configs share a name but not a clock: each must
+    // be priced on its own design point, not merged into one type.
+    FleetSpec spec = buildFleet({defaultPodGroup(2)});
+    spec.placement = PlacementKind::kLoadAware;
+    spec.pods[1].config.freqGhz /= 2.0;
+    ASSERT_EQ(spec.pods[0].config.name, spec.pods[1].config.name);
+    std::string err;
+    const auto gen = parseTraceGenSpec(
+        "poisson:rate=2,horizon=20,seed=5,qos=1,cap=40", &err);
+    ASSERT_TRUE(gen.has_value()) << err;
+    const FleetResult r = simulateFleet(spec, generateTrace(*gen));
+    ASSERT_TRUE(r.ok()) << r.error;
+
+    std::size_t placed_on[2] = {0, 0};
+    for (const FleetTenantMetrics &t : r.tenants) {
+        if (t.finalPod == kNoPod)
+            continue;
+        ASSERT_LT(t.finalPod, spec.pods.size());
+        ++placed_on[t.finalPod];
+        const PodSpec &pod = spec.pods[t.finalPod];
+        const ScenarioResult priced =
+            runScenario(tenantScenario(pod.config, pod.chips, pod.pod, t.job));
+        ASSERT_TRUE(priced.ok()) << priced.error;
+        EXPECT_EQ(t.isolatedStepsPerSec, 1.0 / priced.seconds)
+            << t.job.name << " (" << t.job.model << ") on pod "
+            << t.finalPod;
+    }
+    // Both design points served tenants, so both prices were checked.
+    EXPECT_GT(placed_on[0], 0u);
+    EXPECT_GT(placed_on[1], 0u);
 }
 
 TEST(FleetWorkingSet, PartialSwitchIsStrictlyCheaper)

@@ -206,7 +206,7 @@ TEST(SweepRunner, FailedResultsAreNotCachedAcrossRuns)
     s.batch = 1;
     s.backend = SweepBackend::kMultiChip;
     s.pod.numChips = 8; // fails: batch 1 cannot shard over 8 chips
-    SweepRunner runner; // cacheAcrossRuns = true
+    SweepRunner runner;
     const SweepReport first = runner.run(std::vector<Scenario>{s});
     EXPECT_EQ(first.failures, 1u);
     EXPECT_EQ(first.cacheMisses, 1u);
@@ -527,7 +527,7 @@ std::string
 referenceCanonicalKey(const Scenario &s)
 {
     std::ostringstream oss;
-    oss << s.effectiveBackend() << '|' << s.model << '|' << s.modelScale
+    oss << backendName(s.backend) << '|' << s.model << '|' << s.modelScale
         << '|' << algorithmName(s.algorithm) << '|' << s.batch << '|'
         << s.microbatch;
     if (s.batch == kAutoBatch)
@@ -618,7 +618,6 @@ struct KeyFuzzer
         s.backend = pick<SweepBackend>({SweepBackend::kSingleChip,
                                         SweepBackend::kMultiChip,
                                         SweepBackend::kGpu});
-        s.backendId = pick<std::string>({"", "", "echo", "warp-drive"});
         s.model = pick<std::string>({"ResNet-50", "BERT-base", "", "a|b;c"});
         s.modelScale = coin() ? 0 : integer();
         s.batch = coin() ? kAutoBatch : integer();

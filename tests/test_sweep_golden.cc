@@ -4,7 +4,10 @@
  * diva_sweep prices every zoo model under every algorithm, dataflow
  * and PPU choice at auto batch, monolithic and micro-batched (270
  * scenarios), and must reproduce the checked-in CSV and disk store
- * bit for bit at 1 and 4 threads. A warm rerun on a copy of the
+ * bit for bit at 1 and 4 threads. A second sweep crosses the chip,
+ * pod and GPU backends (232 scenarios) and pins their CSV, JSON and
+ * store bytes, including the empty/nan/null cells of the metrics the
+ * GPU roofline does not model. A warm rerun on a copy of either
  * checked-in store must serve every scenario from it: the store is
  * indexed by canonical keys, so a drift in the key format shows up as
  * misses. The built diva_paper must print the checked-in figures,
@@ -37,6 +40,16 @@ const char *const kZooSweep =
     "./diva_sweep --models VGG-16,ResNet-50,ResNet-152,SqueezeNet,"
     "MobileNet,BERT-base,BERT-large,LSTM-small,LSTM-large "
     "--algos sgd,dpsgd,dpsgdr --batches auto --microbatches 0,8 --quiet";
+
+/**
+ * Two models on all three backends: 40 chip, 160 pod (chips x ici)
+ * and 32 GPU scenarios. The fixtures were written by the tool before
+ * the backends became one switch, and must not move.
+ */
+const char *const kBackendSweep =
+    "./diva_sweep --models SqueezeNet,BERT-base --algos dpsgd,dpsgdr "
+    "--batches 8,auto --backends chip,pod,gpu --chips 2,4 --ici-gbs 35,70 "
+    "--no-speedup --quiet";
 
 std::string
 slurp(const fs::path &path)
@@ -142,6 +155,77 @@ TEST_F(SweepGolden, CheckedInStoreServesEveryScenario)
     // Nothing was re-simulated, so nothing was appended.
     expectFixture(dir / "store" / "sweep-results.cache",
                   "sweep/sweep-results.cache");
+}
+
+TEST_F(SweepGolden, ColdBackendSweepMatchesFixtureAtOneAndFourThreads)
+{
+    for (const char *threads : {"1", "4"}) {
+        SCOPED_TRACE(std::string("--threads ") + threads);
+        const fs::path dir = freshDir(std::string("backends-t") + threads);
+        ASSERT_EQ(runTo(std::string(kBackendSweep) + " --threads " +
+                            threads + " --cache-dir " +
+                            (dir / "store").string() + " --csv " +
+                            (dir / "out.csv").string() + " --json " +
+                            (dir / "out.json").string(),
+                        dir / "stdout.txt"),
+                  0);
+        expectFixture(dir / "out.csv", "sweep/backends.csv");
+        expectFixture(dir / "out.json", "sweep/backends.json");
+        expectFixture(dir / "store" / "sweep-results.cache",
+                      "sweep/backends.cache");
+    }
+}
+
+TEST_F(SweepGolden, CheckedInBackendStoreServesEveryScenario)
+{
+    const fs::path dir = freshDir("backends-warm");
+    fs::create_directories(dir / "store");
+    fs::copy_file(goldenDir() / "sweep" / "backends.cache",
+                  dir / "store" / "sweep-results.cache");
+    ASSERT_EQ(runTo(std::string(kBackendSweep) + " --cache-dir " +
+                        (dir / "store").string() + " --csv " +
+                        (dir / "out.csv").string() + " --json " +
+                        (dir / "out.json").string(),
+                    dir / "stdout.txt"),
+              0);
+    const std::string summary = slurp(dir / "stdout.txt");
+    EXPECT_NE(summary.find("cache: 232 hits, 0 misses"), std::string::npos)
+        << summary;
+    expectFixture(dir / "out.csv", "sweep/backends.csv");
+    expectFixture(dir / "out.json", "sweep/backends.json");
+    expectFixture(dir / "store" / "sweep-results.cache",
+                  "sweep/backends.cache");
+}
+
+/** The summary rows of `stdout` that start with "| <metric> ". */
+std::string
+summaryRow(const std::string &stdout_text, const std::string &metric)
+{
+    std::istringstream in(stdout_text);
+    for (std::string line; std::getline(in, line);)
+        if (line.rfind("| " + metric + " ", 0) == 0)
+            return line;
+    return "";
+}
+
+TEST_F(SweepGolden, GpuOnlySummaryPrintsDashesForUnmodeledMetrics)
+{
+    const fs::path dir = freshDir("gpu-summary");
+    ASSERT_EQ(runTo("./diva_sweep --backends gpu --models SqueezeNet "
+                    "--batches 8 --no-speedup --quiet",
+                    dir / "stdout.txt"),
+              0);
+    const std::string out = slurp(dir / "stdout.txt");
+    for (const char *metric : {"cycles", "utilization", "energy (J)"}) {
+        const std::string row = summaryRow(out, metric);
+        ASSERT_FALSE(row.empty()) << metric << " row missing:\n" << out;
+        // Four "-" cells (min, median, p95, max), never a fake 0.
+        std::size_t dashes = 0;
+        for (std::size_t at = row.find("| - "); at != std::string::npos;
+             at = row.find("| - ", at + 1))
+            ++dashes;
+        EXPECT_EQ(dashes, 4u) << row;
+    }
 }
 
 /**

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "arrivals/generate.h"
-#include "backend/registry.h"
 #include "common/cli.h"
 #include "common/format.h"
 #include "common/logging.h"
@@ -157,10 +156,9 @@ flagTable(Args &args)
            "completion",
            cli::set(f.wallLimitSec, cli::real(0.0))},
           {"--backends", "LIST",
-           "allowed isolated-cost backends by registry name (default: "
-           "all)",
+           "allowed isolated-cost backends (default: all)",
            [&f](const std::string &v) {
-               return parseBackendNames(v, &f.backends);
+               return parseBackendList(v, &f.backends);
            }}}},
         {"Execution",
          {{"--threads", "N",

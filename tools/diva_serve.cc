@@ -27,7 +27,6 @@
 
 #include "arrivals/generate.h"
 #include "arrivals/replay.h"
-#include "backend/registry.h"
 #include "common/cli.h"
 #include "common/format.h"
 #include "common/logging.h"
@@ -178,11 +177,10 @@ flagTable(Args &args)
            cli::set(args.serve.chips,
                     cli::integer(1, MultiChipConfig::kMaxChips))},
           {"--backends", "LIST",
-           "allowed isolated-cost backends by registry name (default: "
-           "all); the serve prices tenants on 'pod' when --chips > 1, "
-           "else 'chip'",
+           "allowed isolated-cost backends (default: all); the serve "
+           "prices tenants on 'pod' when --chips > 1, else 'chip'",
            [&args](const std::string &v) {
-               return parseBackendNames(v, &args.serve.backends);
+               return parseBackendList(v, &args.serve.backends);
            }}}},
         {"Execution",
          {{"--threads", "N",

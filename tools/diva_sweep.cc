@@ -40,7 +40,6 @@
 
 #include "arrivals/generate.h"
 #include "arrivals/replay.h"
-#include "backend/registry.h"
 #include "common/cli.h"
 #include "common/format.h"
 #include "common/logging.h"
@@ -90,8 +89,8 @@ struct Args
     std::vector<double> iciGbs;
     std::vector<int> linkLatencies;
     std::vector<GpuConfig> gpus;
-    /** Registry names from --backends; empty = infer from the axes. */
-    std::vector<std::string> backendNames;
+    /** --backends; empty = infer from the axes. */
+    std::vector<SweepBackend> backends;
     std::vector<Objective> pareto;
     SweepOptions runner;
     bool quiet = false;
@@ -187,11 +186,10 @@ flagTable(Args &args)
                           {"a100-fp32", GpuConfig::a100Fp32()},
                           {"a100-fp16", GpuConfig::a100Fp16()}}))},
           {"--backends", "LIST",
-           "execution backends by registry name (chip, pod, gpu); "
-           "default: chip, plus pod when a pod axis is given, plus gpu "
-           "when --gpus is given",
+           "execution backends (chip, pod, gpu); default: chip, plus "
+           "pod when a pod axis is given, plus gpu when --gpus is given",
            [&args](const std::string &v) {
-               return parseBackendNames(v, &args.backendNames);
+               return parseBackendList(v, &args.backends);
            }}}},
         {"Execution",
          {{"--threads", "N", "worker threads (default 1)",
@@ -342,23 +340,15 @@ buildSpec(const Args &args)
     spec.batches = args.batches;
     spec.microbatches = args.microbatches;
 
-    // The backend axis: --backends names resolved through the
-    // registry (carried by name so non-built-in backends work), or
-    // (without the flag) chip plus whatever backends the pod/GPU axes
-    // imply. spec.backends always holds the kinds: the pod/GPU axis
-    // decisions below and the speedup-table gating read them.
-    spec.backends.clear();
-    if (args.backendNames.empty()) {
+    // The backend axis: --backends, or (without the flag) chip plus
+    // whatever backends the pod/GPU axes imply.
+    spec.backends = args.backends;
+    if (args.backends.empty()) {
         spec.backends = {SweepBackend::kSingleChip};
         if (hasPodAxis(args))
             spec.backends.push_back(SweepBackend::kMultiChip);
         if (!args.gpus.empty())
             spec.backends.push_back(SweepBackend::kGpu);
-    } else {
-        spec.backendNames = args.backendNames;
-        for (const std::string &name : args.backendNames)
-            spec.backends.push_back(
-                BackendRegistry::instance().find(name)->kind());
     }
     const auto has_backend = [&](SweepBackend b) {
         return std::find(spec.backends.begin(), spec.backends.end(),
@@ -367,7 +357,7 @@ buildSpec(const Args &args)
     // An explicit --backends list wins over implied axes, but never
     // silently: a sweep missing points the user spelled out reads as
     // complete when it is not.
-    if (!args.backendNames.empty()) {
+    if (!args.backends.empty()) {
         if (!has_backend(SweepBackend::kMultiChip) && hasPodAxis(args))
             std::cerr << "diva_sweep: warning: --chips/--ici-gbs/"
                          "--link-lat ignored ('pod' is not in "
@@ -642,7 +632,7 @@ runTenantModes(const Args &args, SweepRunner &runner)
             spec.config = p.config;
             spec.chips = p.chips;
             spec.pod = p.pod;
-            spec.backends = args.backendNames;
+            spec.backends = args.backends;
             spec.policy = policy;
             spec.opts.quantumIters = args.quantum;
             spec.opts.wallLimitSec = args.wallSec;
@@ -753,7 +743,7 @@ runTraceMode(const Args &args, SweepRunner &runner)
         // change per cell.
         ReplaySpec rs;
         rs.trace = trace;
-        rs.backends = args.backendNames;
+        rs.backends = args.backends;
         rs.opts.quantumIters = args.quantum;
         rs.opts.wallLimitSec = args.wallSec;
         // Shared telemetry bundle: replay cells run sequentially and
@@ -846,10 +836,8 @@ runSweepMode(const Args &args, SweepRunner &runner)
     if (speedup_table) {
         SweepSpec base = spec;
         base.configs = {tpuV3Ws()};
+        // Chip-only whatever backend axis the main sweep uses.
         base.backends = {SweepBackend::kSingleChip};
-        // expand() gives backendNames priority over backends; the
-        // baseline is chip-only whatever axis the main sweep uses.
-        base.backendNames = {"chip"};
         base.pods.clear();
         base.gpus.clear();
         if (!args.quiet)
@@ -904,16 +892,16 @@ runSweepMode(const Args &args, SweepRunner &runner)
     TextTable summary({"metric", "min", "median", "p95", "max"});
     auto statRow = [&](const char *name, const SummaryStats &s,
                        bool integral) {
+        auto cell = [&](double v) {
+            // "-": rows succeeded, but none models this metric (all
+            // GPU). Every backend models seconds, so its count tells.
+            if (s.count == 0 && stats.seconds.count > 0)
+                return std::string("-");
+            return integral ? std::to_string(std::uint64_t(v))
+                            : formatDouble(v);
+        };
         summary.addRow(
-            {name,
-             integral ? std::to_string(std::uint64_t(s.min))
-                      : formatDouble(s.min),
-             integral ? std::to_string(std::uint64_t(s.median))
-                      : formatDouble(s.median),
-             integral ? std::to_string(std::uint64_t(s.p95))
-                      : formatDouble(s.p95),
-             integral ? std::to_string(std::uint64_t(s.max))
-                      : formatDouble(s.max)});
+            {name, cell(s.min), cell(s.median), cell(s.p95), cell(s.max)});
     };
     statRow("cycles", stats.cycles, true);
     statRow("utilization", stats.utilization, false);
