@@ -1,13 +1,13 @@
 /**
  * @file
- * QoS admission control for trace replay and serve runs: before any
- * scheduling happens, each tenant's aggregate utilization demand --
- * the fraction of the engine its QoS target claims, priced from its
- * isolated iteration cost -- is summed in priority order, and tenants
- * whose demand would push the total past capacity are rejected. The
- * admitted subset is the feasible mix the ROADMAP's admission-control
- * bullet asks for; rejected tenants keep their report rows (admitted
- * = false) so the operator sees exactly what was shed.
+ * QoS admission control for any serve (ServeOptions::admission, static
+ * mix or trace replay): before any scheduling happens, each tenant's
+ * aggregate utilization demand -- the fraction of the engine its QoS
+ * target claims, priced from its isolated iteration cost -- is summed
+ * in priority order, and tenants whose demand would push the total
+ * past capacity are rejected. The admitted subset is the feasible
+ * mix; rejected tenants keep their report rows (admitted = false) so
+ * the operator sees exactly what was shed.
  *
  * Demand model: a rate target of R steps/sec on a step that takes C
  * isolated seconds claims R*C of the engine; a deadline target claims
@@ -25,7 +25,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "tenant/serve.h"
 #include "tenant/tenant.h"
 
 namespace diva

@@ -1,110 +1,7 @@
 #include "dp/dp_sgd.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "common/logging.h"
-
 namespace diva
 {
-
-DpTrainerBase::DpTrainerBase(Mlp &model, const DpSgdConfig &cfg)
-    : model_(model), cfg_(cfg), noiseRng_(cfg.noiseSeed)
-{
-    DIVA_ASSERT(cfg.clipNorm > 0.0, "clip norm must be positive");
-    DIVA_ASSERT(cfg.noiseMultiplier >= 0.0);
-}
-
-double
-DpTrainerBase::clipFactor(double norm) const
-{
-    return 1.0 / std::max(1.0, norm / cfg_.clipNorm);
-}
-
-void
-DpTrainerBase::noiseAndAverage(MlpGrads &grads, std::int64_t batch)
-{
-    const double stddev = cfg_.noiseMultiplier * cfg_.clipNorm;
-    if (stddev > 0.0) {
-        for (auto &t : grads.dw)
-            for (auto &v : t.data())
-                v = float(v + noiseRng_.gaussian(0.0, stddev));
-        for (auto &t : grads.db)
-            for (auto &v : t.data())
-                v = float(v + noiseRng_.gaussian(0.0, stddev));
-    }
-    grads.scale(1.0 / double(batch));
-}
-
-DpStepResult
-DpTrainerBase::step(const Tensor &x, const std::vector<int> &y)
-{
-    MlpGrads grads = model_.zeroGrads();
-    DpStepResult result = noisyGradient(x, y, grads);
-    model_.applyUpdate(grads, cfg_.learningRate);
-    return result;
-}
-
-DpStepResult
-DpSgdTrainer::noisyGradient(const Tensor &x, const std::vector<int> &y,
-                            MlpGrads &out)
-{
-    DpStepResult result;
-    Mlp::Cache cache;
-    Tensor dlogits;
-    result.meanLoss = model_.lossAndLogitGrad(x, y, cache, dlogits);
-
-    const std::int64_t batch = x.rows();
-    out = model_.zeroGrads();
-    MlpGrads example = model_.zeroGrads();
-    std::int64_t clipped = 0;
-    for (std::int64_t i = 0; i < batch; ++i) {
-        // Algorithm 1, lines 19-23: materialize g_i, derive its norm,
-        // scale by min(1, C/n_i), and accumulate.
-        model_.perExampleGrad(cache, dlogits, i, example);
-        const double norm = std::sqrt(example.l2NormSq());
-        result.perExampleNorms.push_back(norm);
-        const double factor = clipFactor(norm);
-        if (factor < 1.0)
-            ++clipped;
-        out.addScaled(example, factor);
-    }
-    result.clippedFraction = double(clipped) / double(batch);
-    noiseAndAverage(out, batch);
-    return result;
-}
-
-DpStepResult
-DpSgdRTrainer::noisyGradient(const Tensor &x, const std::vector<int> &y,
-                             MlpGrads &out)
-{
-    DpStepResult result;
-    Mlp::Cache cache;
-    Tensor dlogits;
-    result.meanLoss = model_.lossAndLogitGrad(x, y, cache, dlogits);
-
-    const std::int64_t batch = x.rows();
-
-    // First pass (Algorithm 1, lines 30-33): per-example norms only;
-    // no per-example gradient tensor is ever materialized.
-    std::vector<double> weights(std::size_t(batch), 0.0);
-    std::int64_t clipped = 0;
-    for (std::int64_t i = 0; i < batch; ++i) {
-        const double norm =
-            std::sqrt(model_.perExampleGradNormSq(cache, dlogits, i));
-        result.perExampleNorms.push_back(norm);
-        weights[std::size_t(i)] = clipFactor(norm);
-        if (weights[std::size_t(i)] < 1.0)
-            ++clipped;
-    }
-    result.clippedFraction = double(clipped) / double(batch);
-
-    // Second pass (lines 35-40): per-batch backprop of the reweighted
-    // loss; clipping and reduction are fused into the GEMMs.
-    model_.backwardReweighted(cache, dlogits, weights, out);
-    noiseAndAverage(out, batch);
-    return result;
-}
 
 SgdTrainer::SgdTrainer(Mlp &model, double learning_rate)
     : model_(model), learningRate_(learning_rate)

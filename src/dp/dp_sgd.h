@@ -1,6 +1,7 @@
 /**
  * @file
- * Functional DP-SGD and DP-SGD(R) trainers (Algorithm 1 of the paper).
+ * Functional DP-SGD and DP-SGD(R) trainers for the Mlp (Algorithm 1 of
+ * the paper), plus the non-private SGD baseline.
  *
  * DpSgdTrainer materializes every per-example gradient, clips each to
  * the max norm C, aggregates, and adds N(0, sigma^2 C^2 I) noise.
@@ -8,7 +9,8 @@
  * gradients (first pass), then runs a reweighted second backward pass
  * whose per-batch gradient equals the sum of clipped per-example
  * gradients (Lee & Kifer). Given the same RNG seed, the two trainers
- * produce identical noisy updates -- a key property test.
+ * produce identical noisy updates -- a key property test. Both are the
+ * model-generic trainers of dp/trainer.h instantiated on Mlp.
  */
 
 #ifndef DIVA_DP_DP_SGD_H
@@ -16,84 +18,18 @@
 
 #include <vector>
 
-#include "common/rng.h"
 #include "dp/mlp.h"
 #include "dp/tensor.h"
+#include "dp/trainer.h"
 
 namespace diva
 {
 
-/** Hyper-parameters shared by both trainers. */
-struct DpSgdConfig
-{
-    double clipNorm = 1.0;        ///< C, max per-example gradient norm
-    double noiseMultiplier = 1.0; ///< sigma
-    double learningRate = 0.5;
-    std::uint64_t noiseSeed = 0x90155eed;
-};
-
-/** Result of deriving one noisy mini-batch gradient. */
-struct DpStepResult
-{
-    double meanLoss = 0.0;
-    std::vector<double> perExampleNorms;
-    /** Fraction of examples whose gradient hit the clip bound. */
-    double clippedFraction = 0.0;
-};
-
-/** Common machinery for the two DP trainers. */
-class DpTrainerBase
-{
-  public:
-    DpTrainerBase(Mlp &model, const DpSgdConfig &cfg);
-    virtual ~DpTrainerBase() = default;
-
-    /**
-     * Derive the differentially private gradient for (x, y): the
-     * aggregate of clipped per-example gradients, noised and averaged
-     * by the mini-batch size (Algorithm 1, line 24 / 41).
-     */
-    virtual DpStepResult noisyGradient(const Tensor &x,
-                                       const std::vector<int> &y,
-                                       MlpGrads &out) = 0;
-
-    /** One full training step: noisyGradient + SGD update. */
-    DpStepResult step(const Tensor &x, const std::vector<int> &y);
-
-    Mlp &model() { return model_; }
-    const DpSgdConfig &config() const { return cfg_; }
-
-  protected:
-    /** Add N(0, sigma^2 C^2 I) then scale by 1/B. */
-    void noiseAndAverage(MlpGrads &grads, std::int64_t batch);
-
-    /** Clip factor r_i = 1 / max(1, n_i / C). */
-    double clipFactor(double norm) const;
-
-    Mlp &model_;
-    DpSgdConfig cfg_;
-    Rng noiseRng_;
-};
-
 /** Vanilla DP-SGD (Algorithm 1, DERIVE_DP_GRADIENTS). */
-class DpSgdTrainer : public DpTrainerBase
-{
-  public:
-    using DpTrainerBase::DpTrainerBase;
-
-    DpStepResult noisyGradient(const Tensor &x, const std::vector<int> &y,
-                               MlpGrads &out) override;
-};
+using DpSgdTrainer = DpSgdTrainerT<Mlp>;
 
 /** Reweighted DP-SGD (Algorithm 1, DERIVE_REWEIGHTED_DP_GRADIENTS). */
-class DpSgdRTrainer : public DpTrainerBase
-{
-  public:
-    using DpTrainerBase::DpTrainerBase;
-
-    DpStepResult noisyGradient(const Tensor &x, const std::vector<int> &y,
-                               MlpGrads &out) override;
-};
+using DpSgdRTrainer = DpSgdRTrainerT<Mlp>;
 
 /** Non-private SGD baseline with the same interfaces. */
 class SgdTrainer

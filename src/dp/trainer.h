@@ -13,8 +13,8 @@
  *   - `applyUpdate(grads, lr)`.
  *
  * Both Mlp (dp/mlp.h) and ConvNet (dp/convnet.h) satisfy this concept;
- * the concrete DpSgdTrainer/DpSgdRTrainer classes in dp/dp_sgd.h are
- * the Mlp instantiations kept for convenience.
+ * dp/dp_sgd.h names the Mlp instantiations DpSgdTrainer and
+ * DpSgdRTrainer.
  */
 
 #ifndef DIVA_DP_TRAINER_H
@@ -22,15 +22,33 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
-#include "dp/dp_sgd.h"
 #include "dp/tensor.h"
 
 namespace diva
 {
+
+/** Hyper-parameters shared by both trainers. */
+struct DpSgdConfig
+{
+    double clipNorm = 1.0;        ///< C, max per-example gradient norm
+    double noiseMultiplier = 1.0; ///< sigma
+    double learningRate = 0.5;
+    std::uint64_t noiseSeed = 0x90155eed;
+};
+
+/** Result of deriving one noisy mini-batch gradient. */
+struct DpStepResult
+{
+    double meanLoss = 0.0;
+    std::vector<double> perExampleNorms;
+    /** Fraction of examples whose gradient hit the clip bound. */
+    double clippedFraction = 0.0;
+};
 
 /** Shared mechanics of the generic trainers. */
 template <typename Model>
@@ -48,6 +66,11 @@ class DpTrainerBaseT
 
     virtual ~DpTrainerBaseT() = default;
 
+    /**
+     * Derive the differentially private gradient for (x, y): the
+     * aggregate of clipped per-example gradients, noised and averaged
+     * by the mini-batch size (Algorithm 1, line 24 / 41).
+     */
     virtual DpStepResult noisyGradient(const Tensor &x,
                                        const std::vector<int> &y,
                                        Grads &out) = 0;
@@ -66,12 +89,14 @@ class DpTrainerBaseT
     const DpSgdConfig &config() const { return cfg_; }
 
   protected:
+    /** Clip factor r_i = 1 / max(1, n_i / C). */
     double
     clipFactor(double norm) const
     {
         return 1.0 / std::max(1.0, norm / cfg_.clipNorm);
     }
 
+    /** Add N(0, sigma^2 C^2 I) then scale by 1/B. */
     void
     noiseAndAverage(Grads &grads, std::int64_t batch)
     {
@@ -114,6 +139,8 @@ class DpSgdTrainerT : public DpTrainerBaseT<Model>
         Grads example = this->model_.zeroGrads();
         std::int64_t clipped = 0;
         for (std::int64_t i = 0; i < batch; ++i) {
+            // Algorithm 1, lines 19-23: materialize g_i, derive its
+            // norm, scale by min(1, C/n_i), and accumulate.
             this->model_.perExampleGrad(cache, dlogits, i, example);
             const double norm = std::sqrt(example.l2NormSq());
             result.perExampleNorms.push_back(norm);
@@ -148,6 +175,9 @@ class DpSgdRTrainerT : public DpTrainerBaseT<Model>
             this->model_.lossAndLogitGrad(x, y, cache, dlogits);
 
         const std::int64_t batch = x.rows();
+
+        // First pass (Algorithm 1, lines 30-33): per-example norms
+        // only; no per-example gradient tensor is ever materialized.
         std::vector<double> weights(std::size_t(batch), 0.0);
         std::int64_t clipped = 0;
         for (std::int64_t i = 0; i < batch; ++i) {
@@ -160,6 +190,9 @@ class DpSgdRTrainerT : public DpTrainerBaseT<Model>
         }
         result.clippedFraction = double(clipped) / double(batch);
 
+        // Second pass (lines 35-40): per-batch backprop of the
+        // reweighted loss; clipping and reduction are fused into the
+        // GEMMs.
         this->model_.backwardReweighted(cache, dlogits, weights, out);
         this->noiseAndAverage(out, batch);
         return result;

@@ -1163,41 +1163,13 @@ FleetSim::assemble(int threads)
         m.resolvedBatch =
             cost.resolvedBatch > 0 ? cost.resolvedBatch : job.batch;
 
-        // Departed: the session ended with steps outstanding and its
-        // departure (not the wall budget) is what ended it.
-        m.departed = !rt.core.completed && job.departSec > 0.0 &&
-                     (wall <= 0.0 || job.departSec < wall + kEps);
-        m.endSec = rt.core.completed
-                       ? rt.core.completionSec
-                       : (m.departed ? std::min(job.departSec,
-                                                out.makespanSec)
-                                     : out.makespanSec);
-        const double window =
-            std::max(0.0, m.endSec - job.arrivalSec);
-        m.achievedStepsPerSec =
-            window > 0.0 ? double(rt.core.done) / window
-                         : (rt.core.done > 0 ? kInf : 0.0);
+        const SessionOutcome end =
+            sessionOutcome(job, rt.core, out.makespanSec, wall);
+        m.departed = end.departed;
+        m.endSec = end.endSec;
+        m.achievedStepsPerSec = end.achievedStepsPerSec;
+        m.qosAttainmentPct = end.qosAttainmentPct;
         m.isolatedStepsPerSec = safeRatio(1.0, cost.seconds);
-
-        // QoS attainment: of the steps the target demanded by endSec,
-        // the share that met their deadline (see tenant/serve.cc).
-        double demanded = kNaN;
-        if (job.qosStepsPerSec > 0.0) {
-            demanded = rt.core.completed
-                           ? double(job.steps)
-                           : std::floor(window * job.qosStepsPerSec);
-            if (job.steps > 0)
-                demanded = std::min(demanded, double(job.steps));
-        } else if (job.qosDeadlineSec > 0.0) {
-            if (rt.core.completed || job.qosDeadlineSec <= m.endSec)
-                demanded = double(job.steps);
-        }
-        if (std::isfinite(demanded) && demanded > 0.0)
-            m.qosAttainmentPct =
-                100.0 * std::min(1.0, double(rt.core.metDeadlines) /
-                                          demanded);
-        else
-            m.qosAttainmentPct = kNaN;
 
         m.stepLatency =
             rt.steps > 0

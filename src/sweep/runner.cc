@@ -119,12 +119,8 @@ SweepRunner::SweepRunner(SweepOptions opts)
 {
     if (opts_.threads < 1)
         opts_.threads = 1;
-    if (!opts_.cacheDir.empty()) {
+    if (!opts_.cacheDir.empty())
         disk_ = std::make_unique<DiskCache>(opts_.cacheDir);
-        // The one and only preload: run() extends this mirror with
-        // fresh appends instead of re-reading the store per call.
-        persistent_ = disk_->entries();
-    }
 }
 
 void
@@ -143,11 +139,9 @@ SweepRunner::printDiskCacheBanner(std::ostream &os) const
 const ScenarioResult *
 SweepRunner::cached(const std::string &key) const
 {
-    if (const auto it = cache_.find(key); it != cache_.end())
-        return &it->second;
-    if (const auto it = persistent_.find(key); it != persistent_.end())
-        return &it->second;
-    return nullptr;
+    const auto &entries = disk_ ? disk_->entries() : cache_;
+    const auto it = entries.find(key);
+    return it != entries.end() ? &it->second : nullptr;
 }
 
 SweepReport
@@ -229,11 +223,10 @@ SweepRunner::run(const std::vector<Scenario> &scenarios)
     report.planHits = plans_after.hits() - plans_before.hits();
     report.planMisses = plans_after.misses() - plans_before.misses();
 
-    // Only successful results enter the cross-run cache (and the disk
-    // store): a cached failure would replay a possibly transient error
-    // forever instead of retrying it. With a disk store, fresh results
-    // go into the persistent_ mirror (matching the bytes appended);
-    // otherwise into the in-memory cache.
+    // Only successful results enter the cross-run cache (the disk
+    // store when there is one, else memory): a cached failure would
+    // replay a possibly transient error forever instead of retrying
+    // it.
     std::vector<std::pair<std::string, ScenarioResult>> fresh_ok;
     for (std::size_t j = 0; j < jobs.size(); ++j) {
         if (!job_results[j].ok())
@@ -242,8 +235,6 @@ SweepRunner::run(const std::vector<Scenario> &scenarios)
     }
     if (disk_) {
         disk_->append(fresh_ok);
-        for (const auto &[key, result] : fresh_ok)
-            persistent_.emplace(key, result);
     } else {
         for (const auto &[key, result] : fresh_ok)
             cache_.emplace(key, result);

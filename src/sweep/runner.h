@@ -107,18 +107,14 @@ class SweepRunner
     /** Run an explicit scenario list. */
     SweepReport run(const std::vector<Scenario> &scenarios);
 
-    /** Number of cached unique-scenario results (memory + preload). */
+    /** Number of cached unique-scenario results (store or memory). */
     std::size_t cacheSize() const
     {
-        return cache_.size() + persistent_.size();
+        return disk_ ? disk_->size() : cache_.size();
     }
 
-    /** Drop the in-memory caches (the disk store is untouched). */
-    void clearCache()
-    {
-        cache_.clear();
-        persistent_.clear();
-    }
+    /** Drop the in-memory cache (the disk store is untouched). */
+    void clearCache() { cache_.clear(); }
 
     const SweepOptions &options() const { return opts_; }
 
@@ -147,11 +143,10 @@ class SweepRunner
      */
     std::unordered_map<std::string, ScenarioResult> cache_;
     /**
-     * In-memory mirror of the disk store: loaded *once* at
-     * construction, then extended with every appended result -- never
-     * re-read per run(). Empty without a disk store.
+     * The disk store, loaded once at construction; its entries are the
+     * cache when it exists. A result whose append failed is not among
+     * them, so the next run() simulates and appends it again.
      */
-    std::unordered_map<std::string, ScenarioResult> persistent_;
     std::unique_ptr<DiskCache> disk_;
 };
 

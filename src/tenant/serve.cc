@@ -190,6 +190,25 @@ validateInputs(const ServeSpec &spec,
     return "";
 }
 
+/** The report row of a tenant admission control shed: no service
+ *  window, no steps, NaN rates -- but the job echoed for the report. */
+TenantMetrics
+shedRow(const TenantJob &job, const IterationCost &cost)
+{
+    TenantMetrics m;
+    m.job = job;
+    m.admitted = false;
+    m.resolvedBatch = cost.resolvedBatch > 0 ? cost.resolvedBatch
+                                             : job.batch;
+    m.endSec = job.arrivalSec;
+    m.waitSec = kNaN;
+    m.isolatedStepsPerSec = safeRatio(1.0, cost.seconds);
+    m.slowdown = kNaN;
+    m.qosAttainmentPct = kNaN;
+    m.stepLatency = computeLatencyStats({});
+    return m;
+}
+
 } // namespace
 
 std::size_t
@@ -228,6 +247,58 @@ tenantScenario(const AcceleratorConfig &config, int chips,
     return s;
 }
 
+SessionOutcome
+sessionOutcome(const TenantJob &job, const serve_core::TaskCore &core,
+               double makespanSec, double wallLimitSec)
+{
+    SessionOutcome o;
+    // Departed: the session ended with steps outstanding and its
+    // departure (not the wall budget) is what ended it.
+    o.departed =
+        !core.completed && job.departSec > 0.0 &&
+        (wallLimitSec <= 0.0 || job.departSec < wallLimitSec + kEps);
+    o.endSec = core.completed
+                   ? core.completionSec
+                   : (o.departed ? std::min(job.departSec, makespanSec)
+                                 : makespanSec);
+    const double window = std::max(0.0, o.endSec - job.arrivalSec);
+    o.achievedStepsPerSec = window > 0.0 ? double(core.done) / window
+                                         : (core.done > 0 ? kInf : 0.0);
+
+    // QoS attainment: of the steps the target demanded by endSec, the
+    // share that met their deadline.
+    double demanded = kNaN;
+    if (job.qosStepsPerSec > 0.0) {
+        demanded = core.completed ? double(job.steps)
+                                  : std::floor(window * job.qosStepsPerSec);
+        if (job.steps > 0)
+            demanded = std::min(demanded, double(job.steps));
+    } else if (job.qosDeadlineSec > 0.0) {
+        // Deadline targets are validated to have bounded steps;
+        // nothing is demanded until the deadline has passed.
+        if (core.completed || job.qosDeadlineSec <= o.endSec)
+            demanded = double(job.steps);
+    }
+    o.qosAttainmentPct =
+        std::isfinite(demanded) && demanded > 0.0
+            ? 100.0 * std::min(1.0, double(core.metDeadlines) / demanded)
+            : kNaN;
+    return o;
+}
+
+ServeResult
+serveHeader(const ServeSpec &spec)
+{
+    ServeResult out;
+    out.workloadName = spec.workload.name;
+    out.configName = spec.config.name;
+    out.policy = spec.policy;
+    out.chips = spec.chips;
+    out.quantumIters = spec.opts.quantumIters;
+    out.wallLimitSec = spec.opts.wallLimitSec;
+    return out;
+}
+
 IterationCost
 iterationCost(const ScenarioResult &r)
 {
@@ -244,13 +315,7 @@ ServeResult
 runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
              const SwitchCost &switchCost)
 {
-    ServeResult out;
-    out.workloadName = spec.workload.name;
-    out.configName = spec.config.name;
-    out.policy = spec.policy;
-    out.chips = spec.chips;
-    out.quantumIters = spec.opts.quantumIters;
-    out.wallLimitSec = spec.opts.wallLimitSec;
+    ServeResult out = serveHeader(spec);
     out.error = validateInputs(spec, costs, switchCost);
     if (!out.ok())
         return out;
@@ -265,6 +330,40 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
                 jobs[i].qosStepsPerSec =
                     safeRatio(1.0, costs[i].seconds) / double(n);
 
+    // Admission prices the targets the loop enforces, so it runs
+    // after the fair-share fill; one decision batch per serve.
+    std::vector<bool> admitted(n, true);
+    if (spec.opts.admission) {
+        AdmissionDecision decision =
+            decideAdmission(jobs, costs, *spec.opts.admission);
+        if (auto &metrics = obs::MetricsRegistry::instance();
+            metrics.enabled()) {
+            metrics.addCounter("admission.admitted",
+                               decision.admittedCount);
+            metrics.addCounter("admission.rejected",
+                               decision.rejectedCount);
+        }
+        if (obs::TraceTrack *track = spec.opts.traceTrack)
+            for (std::size_t i = 0; i < n; ++i)
+                track->instant(jobs[i].arrivalSec,
+                               (decision.admitted[i] ? "admit "
+                                                     : "shed ") +
+                                   jobs[i].name,
+                               "admission");
+        if (decision.admittedCount == 0) {
+            // Nothing feasible: an empty engine has no makespan,
+            // energy or latency to report, so no loop runs.
+            for (std::size_t i = 0; i < n; ++i) {
+                out.tenants.push_back(shedRow(jobs[i], costs[i]));
+                out.tenants.back().energyShare = safeRatio(0.0, 0.0);
+            }
+            out.meanQosAttainmentPct = kNaN;
+            out.aggStepLatency = computeLatencyStatsSortedMean({});
+            return out;
+        }
+        admitted = std::move(decision.admitted);
+    }
+
     const double wall = spec.opts.wallLimitSec;
     std::vector<TenantRun> run(n);
     ServeClient client(jobs, costs, switchCost, out, run);
@@ -272,10 +371,12 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
     if (obs::RunTelemetry *tel = spec.opts.telemetry) {
         if (!(tel->invWindowSec > 0.0)) {
             // Deterministic span guess from the inputs alone: the
-            // wall budget when one is set, else the last arrival.
+            // wall budget when one is set, else the last admitted
+            // arrival.
             double span = wall;
-            for (const TenantJob &j : jobs)
-                span = std::max(span, j.arrivalSec);
+            for (std::size_t i = 0; i < n; ++i)
+                if (admitted[i])
+                    span = std::max(span, jobs[i].arrivalSec);
             if (!tel->resolveWindow(span, &out.error))
                 return out;
         }
@@ -294,10 +395,11 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
     // on their due times, as the fleet does.
     cfg.rateGates = spec.opts.openLoop;
 
+    // Shed tenants never enter the engine.
     serve_core::Executor ex;
-    ex.arrivals.resize(n);
     for (std::size_t i = 0; i < n; ++i)
-        ex.arrivals[i] = std::uint32_t(i);
+        if (admitted[i])
+            ex.arrivals.push_back(std::uint32_t(i));
     std::stable_sort(ex.arrivals.begin(), ex.arrivals.end(),
                      [&](std::uint32_t a, std::uint32_t b) {
                          return jobs[a].arrivalSec < jobs[b].arrivalSec;
@@ -316,6 +418,8 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
                  std::map<std::int64_t, obs::ComponentWindows::Row>>
             by_prio;
         for (std::size_t i = 0; i < n; ++i) {
+            if (!admitted[i])
+                continue;
             run[i].windows.finish();
             std::map<std::int64_t, obs::ComponentWindows::Row> rows;
             obs::mergeComponentRows(run[i].windows.rows(), &rows);
@@ -356,6 +460,10 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
     std::size_t qos_count = 0;
     std::vector<double> all_latencies;
     for (std::size_t i = 0; i < n; ++i) {
+        if (!admitted[i]) {
+            out.tenants.push_back(shedRow(jobs[i], costs[i]));
+            continue;
+        }
         TenantMetrics m;
         m.job = jobs[i];
         m.resolvedBatch = costs[i].resolvedBatch > 0
@@ -363,50 +471,21 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
                               : jobs[i].batch;
         m.stepsDone = cores[i].done;
         m.completed = cores[i].completed;
-        // Departed: the tenant's session ended with steps outstanding
-        // and its departure (not the wall budget) is what ended it.
-        m.departed = !cores[i].completed && jobs[i].departSec > 0.0 &&
-                     (wall <= 0.0 || jobs[i].departSec < wall + kEps);
-        m.endSec = cores[i].completed
-                       ? cores[i].completionSec
-                       : (m.departed ? std::min(jobs[i].departSec,
-                                                out.makespanSec)
-                                     : out.makespanSec);
+        const SessionOutcome end =
+            sessionOutcome(jobs[i], cores[i], out.makespanSec, wall);
+        m.departed = end.departed;
+        m.endSec = end.endSec;
+        m.achievedStepsPerSec = end.achievedStepsPerSec;
+        m.qosAttainmentPct = end.qosAttainmentPct;
         m.waitSec = run[i].started
                         ? run[i].firstStartSec - jobs[i].arrivalSec
                         : kNaN;
-        const double window =
-            std::max(0.0, m.endSec - jobs[i].arrivalSec);
-        m.achievedStepsPerSec =
-            window > 0.0 ? double(cores[i].done) / window
-                         : (cores[i].done > 0 ? kInf : 0.0);
         m.isolatedStepsPerSec = safeRatio(1.0, costs[i].seconds);
         m.slowdown =
             safeRatio(m.isolatedStepsPerSec, m.achievedStepsPerSec);
-
-        // QoS attainment: of the steps the target demanded by endSec,
-        // the share that met their deadline.
-        double demanded = kNaN;
-        if (jobs[i].qosStepsPerSec > 0.0) {
-            demanded = cores[i].completed
-                           ? double(jobs[i].steps)
-                           : std::floor(window * jobs[i].qosStepsPerSec);
-            if (jobs[i].steps > 0)
-                demanded = std::min(demanded, double(jobs[i].steps));
-        } else if (jobs[i].qosDeadlineSec > 0.0) {
-            // Deadline targets are validated to have bounded steps;
-            // nothing is demanded until the deadline has passed.
-            if (cores[i].completed || jobs[i].qosDeadlineSec <= m.endSec)
-                demanded = double(jobs[i].steps);
-        }
-        if (std::isfinite(demanded) && demanded > 0.0) {
-            m.qosAttainmentPct =
-                100.0 *
-                std::min(1.0, double(cores[i].metDeadlines) / demanded);
+        if (std::isfinite(m.qosAttainmentPct)) {
             qos_sum += m.qosAttainmentPct;
             ++qos_count;
-        } else {
-            m.qosAttainmentPct = kNaN;
         }
 
         m.stepLatency = computeLatencyStats(run[i].latencySec);
@@ -475,18 +554,11 @@ isolatedCosts(const ServeSpec &spec, SweepRunner &runner,
 ServeResult
 simulateServe(const ServeSpec &spec, SweepRunner &runner)
 {
-    ServeResult out;
-    out.workloadName = spec.workload.name;
-    out.configName = spec.config.name;
-    out.policy = spec.policy;
-    out.chips = spec.chips;
-    out.quantumIters = spec.opts.quantumIters;
-    out.wallLimitSec = spec.opts.wallLimitSec;
-
     std::string err;
     const std::vector<IterationCost> costs =
         isolatedCosts(spec, runner, &err);
     if (!err.empty()) {
+        ServeResult out = serveHeader(spec);
         out.error = err;
         return out;
     }

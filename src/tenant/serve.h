@@ -19,10 +19,12 @@
 #define DIVA_TENANT_SERVE_H
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "arch/accelerator_config.h"
+#include "arrivals/admission.h"
 #include "common/percentile.h"
 #include "serve_core/core.h"
 #include "sim/multichip.h"
@@ -89,6 +91,16 @@ struct ServeOptions
      * serve results are byte-identical either way.
      */
     obs::RunTelemetry *telemetry = nullptr;
+
+    /**
+     * Optional QoS admission control (see arrivals/admission.h). When
+     * set, the loop decides admission over the targets it enforces
+     * (fair-share targets filled in first), serves only the admitted
+     * tenants and reports the shed ones in place with admitted =
+     * false, zero steps and NaN rates. Unset (the default) admits
+     * everyone.
+     */
+    std::optional<AdmissionOptions> admission;
 };
 
 /** Everything one serve simulation needs. */
@@ -116,24 +128,6 @@ struct ServeSpec
     std::vector<SweepBackend> backends;
 
     ServeOptions opts;
-};
-
-/** Per-tenant isolated iteration cost feeding the serve loop. */
-struct IterationCost
-{
-    /** Wall-clock seconds of one isolated training iteration. */
-    double seconds = 0.0;
-
-    /** Joules of one isolated training iteration. */
-    double energyJ = 0.0;
-
-    /** Off-chip bytes of one isolated training iteration. */
-    Bytes dramBytes = 0;
-
-    Cycles cycles = 0;
-
-    /** Mini-batch after kAutoBatch resolution. */
-    int resolvedBatch = 0;
 };
 
 /** What one tenant experienced over the serve run. */
@@ -260,12 +254,34 @@ struct ServeResult
  */
 double safeRatio(double num, double den);
 
+/** How one session's service window ended (see TenantMetrics). */
+struct SessionOutcome
+{
+    bool departed = false;
+    double endSec = 0.0;
+    double achievedStepsPerSec = 0.0;
+    double qosAttainmentPct = 0.0;
+};
+
 /**
- * The scheduling loop alone, over explicit per-tenant iteration costs
- * (costs[i] belongs to workload.jobs[i]) and an explicit switch bill.
- * Exposed for tests and custom cost models; validates the spec and
- * costs, returning an error-carrying result instead of running on bad
- * input.
+ * The session-end rule the tenant loop and the fleet share: the
+ * outcome of `job`, whose serve-core state is `core`, in a run whose
+ * last work ended at `makespanSec` under the wall budget
+ * `wallLimitSec` (0 = none).
+ */
+SessionOutcome sessionOutcome(const TenantJob &job,
+                              const serve_core::TaskCore &core,
+                              double makespanSec, double wallLimitSec);
+
+/** A result echoing `spec`'s inputs, with no tenant rows yet. */
+ServeResult serveHeader(const ServeSpec &spec);
+
+/**
+ * The scheduling loop, over explicit per-tenant iteration costs
+ * (costs[i] belongs to workload.jobs[i]) and an explicit switch bill:
+ * every serve runs through here, admission control included. Exposed
+ * for tests and custom cost models; validates the spec and costs,
+ * returning an error-carrying result instead of running on bad input.
  */
 ServeResult runServeLoop(const ServeSpec &spec,
                          const std::vector<IterationCost> &costs,
@@ -276,8 +292,6 @@ ServeResult runServeLoop(const ServeSpec &spec,
  * scenario through `runner` (cache-, disk-cache- and thread-pool-
  * aware). Validates the spec's config, workload and backend list
  * first; on any failure returns an empty vector and sets *error.
- * Exposed so the arrival-trace replay engine can price tenants (and
- * decide admission) without re-implementing the pipeline.
  */
 std::vector<IterationCost> isolatedCosts(const ServeSpec &spec,
                                          SweepRunner &runner,

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/types.h"
 #include "train/algorithm.h"
 
 namespace diva
@@ -81,6 +82,24 @@ struct TenantJob
      * steps are only terminating under a wall budget).
      */
     std::string validationError(bool wallLimited) const;
+};
+
+/** Per-tenant isolated iteration cost feeding the serve loop. */
+struct IterationCost
+{
+    /** Wall-clock seconds of one isolated training iteration. */
+    double seconds = 0.0;
+
+    /** Joules of one isolated training iteration. */
+    double energyJ = 0.0;
+
+    /** Off-chip bytes of one isolated training iteration. */
+    Bytes dramBytes = 0;
+
+    Cycles cycles = 0;
+
+    /** Mini-batch after kAutoBatch resolution. */
+    int resolvedBatch = 0;
 };
 
 /**

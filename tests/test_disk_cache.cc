@@ -3,7 +3,8 @@
  * Tests for the persistent on-disk sweep result cache: round-trip
  * fidelity, corruption tolerance, version handling, the
  * never-persist-failures rule, and SweepRunner integration (fresh run
- * = misses, rerun = 100% hits, byte-identical CSV).
+ * = misses, rerun = 100% hits, byte-identical CSV, a failed append
+ * retried by the next run).
  */
 
 #include <gtest/gtest.h>
@@ -288,10 +289,36 @@ TEST(DiskCache, RunnerPersistsAcrossClearCacheViaDisk)
     SweepRunner runner(opts);
     const SweepReport first = runner.run(scenarios);
     EXPECT_EQ(first.cacheMisses, scenarios.size());
-    // Fresh results go to the disk store and its preloaded mirror.
+    // Fresh results go to the disk store, which clearCache() keeps.
+    runner.clearCache();
     const SweepReport second = runner.run(scenarios);
     EXPECT_EQ(second.cacheMisses, 0u);
     EXPECT_EQ(second.cacheHits, scenarios.size());
+}
+
+TEST(DiskCache, FailedAppendIsRetriedByTheNextRun)
+{
+    // The runner serves only what the store holds: a result whose
+    // append failed is simulated and appended again by the next run()
+    // instead of being served from memory and never written.
+    const std::string dir = freshCacheDir("retry");
+    const std::vector<Scenario> scenarios = tinySpec().expand().scenarios;
+    SweepOptions opts;
+    opts.cacheDir = dir;
+    SweepRunner runner(opts);
+    const std::filesystem::path store = runner.diskCache()->filePath();
+    // A directory where the store file belongs makes the append fail.
+    std::filesystem::create_directories(store);
+    const SweepReport first = runner.run(scenarios);
+    EXPECT_EQ(first.cacheMisses, scenarios.size());
+    EXPECT_EQ(runner.cacheSize(), 0u);
+
+    std::filesystem::remove(store);
+    const SweepReport second = runner.run(scenarios);
+    EXPECT_EQ(second.cacheMisses, scenarios.size());
+    EXPECT_EQ(runner.diskCache()->size(), scenarios.size());
+    EXPECT_EQ(SweepRunner(opts).cacheSize(), scenarios.size())
+        << "a fresh runner must find the retried results on disk";
 }
 
 } // namespace

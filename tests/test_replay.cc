@@ -3,20 +3,25 @@
  * Tests of open-loop trace replay: departures ending sessions mid-run,
  * open-loop step issue (latency measured against the trace clock and
  * growing under overload), EDF <= FIFO on p99 step latency in a
- * constructed overload, admission control keeping the admitted
- * subset's QoS attainment above the uncontrolled run, and
+ * constructed overload, admission control (ServeOptions::admission)
+ * keeping the admitted subset's QoS attainment above the uncontrolled
+ * run and serving exactly what a run over that subset serves, and
  * byte-determinism of replayed CSV across runner thread counts and
  * reruns.
  */
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "arrivals/generate.h"
 #include "arrivals/replay.h"
+#include "obs/slo.h"
 #include "tenant/emit.h"
 #include "tenant/serve.h"
 
@@ -61,6 +66,50 @@ cost(double seconds)
 }
 
 const SwitchCost kFreeSwitch{};
+
+/** Bit-for-bit equality, with any NaN equal to any NaN. */
+bool
+sameBits(double a, double b)
+{
+    if (std::isnan(a) || std::isnan(b))
+        return std::isnan(a) && std::isnan(b);
+    return std::bit_cast<std::uint64_t>(a) ==
+           std::bit_cast<std::uint64_t>(b);
+}
+
+void
+expectSameLatency(const LatencyStats &a, const LatencyStats &b)
+{
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_TRUE(sameBits(a.meanSec, b.meanSec));
+    EXPECT_TRUE(sameBits(a.p50Sec, b.p50Sec));
+    EXPECT_TRUE(sameBits(a.p95Sec, b.p95Sec));
+    EXPECT_TRUE(sameBits(a.p99Sec, b.p99Sec));
+    EXPECT_TRUE(sameBits(a.maxSec, b.maxSec));
+}
+
+void
+expectSameRow(const TenantMetrics &a, const TenantMetrics &b)
+{
+    SCOPED_TRACE(a.job.name);
+    EXPECT_EQ(a.job.name, b.job.name);
+    EXPECT_TRUE(sameBits(a.job.qosStepsPerSec, b.job.qosStepsPerSec));
+    EXPECT_EQ(a.resolvedBatch, b.resolvedBatch);
+    EXPECT_EQ(a.stepsDone, b.stepsDone);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.departed, b.departed);
+    EXPECT_EQ(a.admitted, b.admitted);
+    EXPECT_TRUE(sameBits(a.endSec, b.endSec));
+    EXPECT_TRUE(sameBits(a.waitSec, b.waitSec));
+    EXPECT_TRUE(sameBits(a.achievedStepsPerSec, b.achievedStepsPerSec));
+    EXPECT_TRUE(sameBits(a.isolatedStepsPerSec, b.isolatedStepsPerSec));
+    EXPECT_TRUE(sameBits(a.slowdown, b.slowdown));
+    EXPECT_TRUE(sameBits(a.qosAttainmentPct, b.qosAttainmentPct));
+    expectSameLatency(a.stepLatency, b.stepLatency);
+    EXPECT_TRUE(sameBits(a.energyJ, b.energyJ));
+    EXPECT_TRUE(sameBits(a.energyShare, b.energyShare));
+    EXPECT_EQ(a.switchesIn, b.switchesIn);
+}
 
 TEST(Departure, SessionEndsAtDepartureWithStepsOutstanding)
 {
@@ -195,58 +244,145 @@ TEST(OpenLoop, EdfNoWorseThanFifoOnP99UnderOverload)
 TEST(Replay, AdmissionKeepsAttainmentAboveUncontrolledRun)
 {
     // Three rate tenants demanding 0.6 of the machine each (1.8x
-    // capacity). Uncontrolled, everyone misses; with admission, one
-    // is shed and the admitted pair meets its schedule.
-    auto mk = [&](bool admission) {
-        ReplaySpec rs;
-        rs.trace.name = "overload";
-        for (int i = 0; i < 3; ++i) {
-            TenantJob j =
-                job("t" + std::to_string(i) + ":SqueezeNet", 0.0, 0,
-                    0.0);
-            j.steps = 20;
-            j.qosStepsPerSec = 0.6; // x cost 1.0 => demand 0.6
-            j.priority = i;
-            rs.trace.jobs.push_back(j);
-        }
-        rs.config = divaDefault(true);
-        rs.policy = SchedPolicy::kEdf;
-        rs.admission = admission;
-        return rs;
-    };
-    // Inject the costs by replaying through the serve loop directly:
-    // price with serveWithAdmission/simulateServe would simulate the
-    // real model, so instead drive runServeLoop through the same
-    // specs the replay engine builds.
+    // capacity). Uncontrolled, everyone misses; with admission, the
+    // loop sheds the infeasible demand and the admitted tenant meets
+    // its schedule.
+    std::vector<TenantJob> mix;
+    for (int i = 0; i < 3; ++i) {
+        // 0.6 steps/s x cost 1.0 => demand 0.6
+        TenantJob j =
+            job("t" + std::to_string(i) + ":SqueezeNet", 0.0, 20, 0.6);
+        j.priority = i;
+        mix.push_back(j);
+    }
+    ServeSpec s = spec(mix, SchedPolicy::kEdf);
+    s.opts.openLoop = true;
     const std::vector<IterationCost> costs = {cost(1.0), cost(1.0),
                                               cost(1.0)};
-    ServeSpec uncontrolled;
-    uncontrolled.workload = mk(false).trace.workload();
-    uncontrolled.config = divaDefault(true);
-    uncontrolled.policy = SchedPolicy::kEdf;
-    uncontrolled.opts.openLoop = true;
-    const ServeResult all =
-        runServeLoop(uncontrolled, costs, kFreeSwitch);
+    const ServeResult all = runServeLoop(s, costs, kFreeSwitch);
     ASSERT_TRUE(all.ok()) << all.error;
 
-    const AdmissionDecision d = decideAdmission(
-        uncontrolled.workload.jobs, costs, AdmissionOptions{});
-    EXPECT_EQ(d.admittedCount, 1u) << "0.6 + 0.6 already exceeds 1.0";
-    ServeSpec admitted = uncontrolled;
-    admitted.workload.jobs.clear();
-    std::vector<IterationCost> admitted_costs;
-    for (std::size_t i = 0; i < d.admitted.size(); ++i)
-        if (d.admitted[i]) {
-            admitted.workload.jobs.push_back(
-                uncontrolled.workload.jobs[i]);
-            admitted_costs.push_back(costs[i]);
-        }
-    const ServeResult kept =
-        runServeLoop(admitted, admitted_costs, kFreeSwitch);
+    s.opts.admission = AdmissionOptions{};
+    const ServeResult kept = runServeLoop(s, costs, kFreeSwitch);
     ASSERT_TRUE(kept.ok()) << kept.error;
+    EXPECT_EQ(kept.admittedCount(), 1u) << "0.6 + 0.6 already exceeds 1.0";
     EXPECT_GT(kept.meanQosAttainmentPct, all.meanQosAttainmentPct)
         << "shedding infeasible demand must raise attainment";
     EXPECT_DOUBLE_EQ(kept.meanQosAttainmentPct, 100.0);
+}
+
+TEST(Replay, AdmissionServesExactlyTheFeasibleSubset)
+{
+    // A mixed-priority open-loop trace under a 0.9 cap. In admission
+    // order (priority desc, arrival asc): g alone claims 1.5 (shed),
+    // b 0.5 (in), f 0.5 (shed), c 0.3 (in, 0.8), e 0.2 (shed), a 0.5
+    // (shed), best-effort d 0 (in). The shed g is the only priority-3
+    // tenant and the shed f the last arrival, so per-priority series
+    // and the auto window span both notice a shed tenant leaking in.
+    auto rate = [](const std::string &name, double arrival,
+                   std::uint64_t steps, double sps, int prio) {
+        TenantJob j = job(name, arrival, steps, sps);
+        j.priority = prio;
+        return j;
+    };
+    std::vector<TenantJob> mix = {
+        rate("a", 0.0, 8, 0.5, 0),  rate("b", 0.5, 6, 0.25, 2),
+        rate("c", 1.0, 10, 1.0, 1), rate("d", 1.5, 5, 0.0, 0),
+        rate("e", 2.0, 4, 0.5, 1),  rate("f", 2.5, 6, 2.0, 2),
+        rate("g", 0.2, 3, 5.0, 3)};
+    mix[5].departSec = 6.0;
+    const std::vector<IterationCost> costs = {
+        cost(1.0), cost(2.0), cost(0.3), cost(0.5),
+        cost(0.4), cost(0.25), cost(0.3)};
+    const std::set<std::string> feasible = {"b", "c", "d"};
+    SwitchCost sw;
+    sw.seconds = 0.05;
+    sw.energyJ = 0.5;
+
+    ServeSpec s = spec(mix, SchedPolicy::kEdf);
+    s.opts.openLoop = true;
+    s.opts.quantumIters = 2;
+    AdmissionOptions cap;
+    cap.utilizationCap = 0.9;
+    s.opts.admission = cap;
+    std::string err;
+    obs::RunTelemetry tel;
+    ASSERT_TRUE(obs::parseSloSpec("0.5,1:0.25", &tel.slo, &err)) << err;
+    s.opts.telemetry = &tel;
+    const ServeResult r = runServeLoop(s, costs, sw);
+    ASSERT_TRUE(r.ok()) << r.error;
+    ASSERT_EQ(r.tenants.size(), mix.size());
+
+    ServeSpec subset = spec({}, SchedPolicy::kEdf);
+    subset.opts = s.opts;
+    subset.opts.admission.reset();
+    std::vector<IterationCost> subset_costs;
+    for (std::size_t i = 0; i < mix.size(); ++i)
+        if (feasible.count(mix[i].name)) {
+            subset.workload.jobs.push_back(mix[i]);
+            subset_costs.push_back(costs[i]);
+        }
+    obs::RunTelemetry subset_tel;
+    subset_tel.slo = tel.slo;
+    subset.opts.telemetry = &subset_tel;
+    const ServeResult want = runServeLoop(subset, subset_costs, sw);
+    ASSERT_TRUE(want.ok()) << want.error;
+
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < mix.size(); ++i) {
+        const TenantMetrics &t = r.tenants[i];
+        ASSERT_EQ(t.job.name, mix[i].name) << "rows stay in input order";
+        if (feasible.count(t.job.name)) {
+            expectSameRow(t, want.tenants[next++]);
+            continue;
+        }
+        SCOPED_TRACE(t.job.name);
+        EXPECT_FALSE(t.admitted);
+        EXPECT_EQ(t.stepsDone, 0u);
+        EXPECT_TRUE(std::isnan(t.qosAttainmentPct));
+        EXPECT_EQ(t.endSec, t.job.arrivalSec);
+        EXPECT_EQ(t.stepLatency.count, 0u);
+        EXPECT_EQ(t.energyShare, 0.0);
+    }
+    EXPECT_EQ(next, want.tenants.size());
+    EXPECT_TRUE(sameBits(r.makespanSec, want.makespanSec));
+    EXPECT_TRUE(sameBits(r.totalEnergyJ, want.totalEnergyJ));
+    EXPECT_EQ(r.contextSwitches, want.contextSwitches);
+    EXPECT_TRUE(sameBits(r.meanQosAttainmentPct, want.meanQosAttainmentPct));
+    expectSameLatency(r.aggStepLatency, want.aggStepLatency);
+    EXPECT_EQ(r.coreCounters.events(), want.coreCounters.events());
+
+    std::ostringstream got_json, want_json;
+    tel.writeJson(got_json);
+    subset_tel.writeJson(want_json);
+    EXPECT_EQ(got_json.str(), want_json.str());
+}
+
+TEST(Replay, AdmissionThatShedsEveryoneReportsUndefinedEnergyShare)
+{
+    // Nothing fits under the cap: no loop runs, no energy is spent,
+    // and each tenant's share of zero joules is NaN, not 0.
+    ServeSpec s = spec({job("a", 0.0, 4, 0.5), job("b", 1.0, 4, 0.5)},
+                       SchedPolicy::kEdf);
+    s.opts.openLoop = true;
+    AdmissionOptions cap;
+    cap.utilizationCap = 0.1;
+    s.opts.admission = cap;
+    obs::RunTelemetry tel;
+    s.opts.telemetry = &tel;
+    const ServeResult r =
+        runServeLoop(s, {cost(1.0), cost(1.0)}, kFreeSwitch);
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(r.admittedCount(), 0u);
+    EXPECT_EQ(r.coreCounters.events(), 0u);
+    EXPECT_EQ(r.totalEnergyJ, 0.0);
+    EXPECT_TRUE(std::isnan(r.meanQosAttainmentPct));
+    for (const TenantMetrics &t : r.tenants) {
+        EXPECT_FALSE(t.admitted);
+        EXPECT_EQ(t.endSec, t.job.arrivalSec);
+        EXPECT_TRUE(std::isnan(t.energyShare)) << t.job.name;
+    }
+    EXPECT_TRUE(tel.snapshot.series.empty()) << "no telemetry without a run";
 }
 
 TEST(Replay, FullPipelineAdmissionReportsRejectedRows)
@@ -269,7 +405,7 @@ TEST(Replay, FullPipelineAdmissionReportsRejectedRows)
     }
     rs.config = divaDefault(true);
     rs.policy = SchedPolicy::kEdf;
-    rs.admission = true;
+    rs.opts.admission = AdmissionOptions{};
     const ServeResult r = replayTrace(rs);
     ASSERT_TRUE(r.ok()) << r.error;
     ASSERT_EQ(r.tenants.size(), 3u);
@@ -286,7 +422,7 @@ TEST(Replay, FullPipelineAdmissionReportsRejectedRows)
 
     // The uncontrolled replay serves everyone (worse attainment or
     // equal, never more admitted context).
-    rs.admission = false;
+    rs.opts.admission.reset();
     const ServeResult open = replayTrace(rs);
     ASSERT_TRUE(open.ok()) << open.error;
     for (const TenantMetrics &t : open.tenants)
@@ -311,8 +447,9 @@ TEST(Replay, AdmissionSeesAutoFairShareTargets)
         j.model = "SqueezeNet";
     AdmissionOptions cap;
     cap.utilizationCap = 0.5;
+    s.opts.admission = cap;
     SweepRunner runner;
-    const ServeResult r = serveWithAdmission(s, cap, runner);
+    const ServeResult r = simulateServe(s, runner);
     ASSERT_TRUE(r.ok()) << r.error;
     EXPECT_EQ(r.admittedCount(), 1u)
         << "two 1/3 shares exceed the 0.5 cap";

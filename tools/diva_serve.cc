@@ -68,8 +68,9 @@ struct Args
     std::vector<SchedPolicy> policies = {SchedPolicy::kRoundRobin};
     Dataflow dataflow = Dataflow::kOuterProduct;
     std::optional<bool> ppu;
-    /** Chips, backends, quantum and wall budget; policy set per run. */
-    ServeSpec serve;
+    /** Chips, backends, quantum and wall budget; policy set per run,
+     *  trace and admission after parsing. */
+    ReplaySpec serve;
     SweepOptions runner;
     bool quiet = false;
     bool summary = true;
@@ -309,7 +310,7 @@ main(int argc, char **argv)
     if (args.steps == 0 && args.serve.opts.wallLimitSec <= 0.0 &&
         args.explicitTenants.empty() && !trace_mode)
         return cli::fail(kTool, "--steps 0 (unbounded) needs --wall-s");
-    ServeSpec &spec = args.serve;
+    ReplaySpec &spec = args.serve;
     spec.config = presetConfig(args.dataflow, args.ppu);
     if (!spec.config.validationError().empty())
         return cli::fail(kTool, "--dataflow WS has no PPU datapath (use "
@@ -325,7 +326,6 @@ main(int argc, char **argv)
 
     // Trace replay: the arrival stream (generated or recorded)
     // replaces the static mix and drives the serve loop open-loop.
-    ArrivalTrace trace;
     if (trace_mode) {
         std::string err;
         std::optional<ArrivalTrace> t = traceFromFlags(
@@ -343,7 +343,7 @@ main(int argc, char **argv)
             args.saveTracePath, &err);
         if (!t)
             return cli::fail(kTool, err);
-        trace = std::move(*t);
+        spec.trace = std::move(*t);
     }
 
     spec.workload = buildWorkload(args);
@@ -353,6 +353,8 @@ main(int argc, char **argv)
     // One telemetry bundle across all policy runs; the serve loop
     // prefixes its series "serve.<policy>.", so runs never collide.
     spec.opts.telemetry = args.obs.telemetry.get();
+    if (args.admission)
+        spec.opts.admission = args.admissionOpts;
 
     std::vector<ServeResult> serves;
     bool any_error = false;
@@ -365,10 +367,10 @@ main(int argc, char **argv)
             spec.opts.traceTrack = args.obs.sink->track(
                 policy_idx++, std::string("serve ") + policyName(policy));
         if (!args.quiet)
-            std::cerr << (trace_mode ? "replaying trace '" + trace.name +
-                                           "', "
+            std::cerr << (trace_mode ? "replaying trace '" +
+                                           spec.trace.name + "', "
                                      : "serving ")
-                      << (trace_mode ? trace.jobs.size()
+                      << (trace_mode ? spec.trace.jobs.size()
                                      : spec.workload.jobs.size())
                       << " tenant(s) under " << policyName(policy)
                       << " on " << spec.config.name
@@ -377,23 +379,8 @@ main(int argc, char **argv)
                               : "")
                       << (args.admission ? ", admission on" : "")
                       << "...\n";
-        ServeResult r;
-        if (trace_mode) {
-            ReplaySpec rs;
-            rs.trace = trace;
-            rs.config = spec.config;
-            rs.chips = spec.chips;
-            rs.policy = policy;
-            rs.backends = spec.backends;
-            rs.opts = spec.opts;
-            rs.admission = args.admission;
-            rs.admissionOpts = args.admissionOpts;
-            r = replayTrace(rs, runner);
-        } else if (args.admission) {
-            r = serveWithAdmission(spec, args.admissionOpts, runner);
-        } else {
-            r = simulateServe(spec, runner);
-        }
+        ServeResult r = trace_mode ? replayTrace(spec, runner)
+                                   : simulateServe(spec, runner);
         if (!r.ok()) {
             std::cerr << "diva_serve: " << policyName(policy) << ": "
                       << r.error << "\n";

@@ -749,8 +749,8 @@ runTraceMode(const Args &args, SweepRunner &runner)
         // Shared telemetry bundle: replay cells run sequentially and
         // the serve loop prefixes its series "serve.<policy>.".
         rs.opts.telemetry = args.obs.telemetry.get();
-        rs.admission = args.admission;
-        rs.admissionOpts = args.admissionOpts;
+        if (args.admission)
+            rs.opts.admission = args.admissionOpts;
         for (const Platform &p : platforms)
             for (SchedPolicy policy : args.policies) {
                 rs.config = p.config;
