@@ -41,28 +41,45 @@ class Executor
     explicit Executor(const AcceleratorConfig &cfg);
 
     /**
-     * Simulate one training iteration. When `trace` is non-null, a
-     * per-op latency/traffic record is appended for every op.
+     * Simulate one training iteration. An op's cost depends only on
+     * the op, the stream's algorithm and the configuration, so each
+     * class of the stream's class table is priced once and added
+     * count times; every accumulated field is an integer, so the
+     * result is exactly the per-op sum. When `trace` is non-null, a
+     * latency/traffic record is appended for every op, in op order,
+     * from its class's cost. A stream whose class table does not
+     * cover its ops (one never passed through indexOpClasses()) is
+     * an error.
      */
     SimResult run(const OpStream &stream, Trace *trace = nullptr) const;
 
     const AcceleratorConfig &config() const { return cfg_; }
 
   private:
-    void runGemm(SimResult &result, const Op &op,
-                 TrainingAlgorithm algo) const;
-    void runGradNorm(SimResult &result, const Op &op,
-                     TrainingAlgorithm algo) const;
-    void runGradClip(SimResult &result, const Op &op) const;
-    void runGradReduce(SimResult &result, const Op &op) const;
-    void runNoiseAdd(SimResult &result, const Op &op) const;
+    /** What one op costs; all of it falls in the op's stage. */
+    struct OpCost
+    {
+        Cycles cycles = 0;
+        Macs macs = 0;
+        DramTraffic dram;
+        Bytes sramReadBytes = 0;
+        Bytes sramWriteBytes = 0;
+        /** Share of the traffic that is gradient post-processing. */
+        DramTraffic postProcessingDram;
+    };
+
+    OpCost price(const Op &op, TrainingAlgorithm algo) const;
+    OpCost runGemm(const Op &op, TrainingAlgorithm algo) const;
+    OpCost runGradNorm(const Op &op) const;
+    OpCost runGradClip(const Op &op) const;
+    OpCost runGradReduce(const Op &op) const;
+    OpCost runNoiseAdd(const Op &op) const;
 
     /** Whether per-example gradient GEMM outputs must go to DRAM. */
     bool spillPerExampleGrads(TrainingAlgorithm algo) const;
 
-    /** Account a memory-bound post-processing phase. */
-    void addPostProc(SimResult &result, Stage stage, Cycles compute,
-                     Bytes read, Bytes write) const;
+    /** The cost of a memory-bound post-processing phase. */
+    OpCost postProcCost(Cycles compute, Bytes read, Bytes write) const;
 
     AcceleratorConfig cfg_;
     std::unique_ptr<GemmEngineModel> engine_;

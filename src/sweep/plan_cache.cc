@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdint>
 #include <cstring>
 #include <utility>
 
@@ -36,14 +37,8 @@ class KeyBuf
 
     void append(char c) { append(std::string_view(&c, 1)); }
 
-    void append(int v)
-    {
-        char digits[16];
-        const auto [end, ec] =
-            std::to_chars(digits, digits + sizeof(digits), v);
-        (void)ec; // 16 chars always fit an int
-        append(std::string_view(digits, std::size_t(end - digits)));
-    }
+    void append(int v) { appendNumber(v); }
+    void append(std::uint64_t v) { appendNumber(v); }
 
     std::string_view view() const
     {
@@ -51,6 +46,16 @@ class KeyBuf
     }
 
   private:
+    template <typename T>
+    void appendNumber(T v)
+    {
+        char digits[24];
+        const auto [end, ec] =
+            std::to_chars(digits, digits + sizeof(digits), v);
+        (void)ec; // 24 chars always fit a 64-bit integer
+        append(std::string_view(digits, std::size_t(end - digits)));
+    }
+
     char buf_[192];
     std::size_t len_ = 0;
 };
@@ -62,6 +67,15 @@ networkKey(const std::string &model, int scale)
     key.append(model);
     key.append('|');
     key.append(scale);
+    return key;
+}
+
+KeyBuf
+autoBatchKey(const std::string &model, int scale, Bytes budget)
+{
+    KeyBuf key = networkKey(model, scale);
+    key.append('|');
+    key.append(std::uint64_t(budget));
     return key;
 }
 
@@ -170,6 +184,27 @@ PlanCache::stream(const Network &net, const std::string &model,
     return it->second;
 }
 
+int
+PlanCache::resolvedBatch(const Scenario &s, const Network &net)
+{
+    if (s.batch != kAutoBatch || !enabled_)
+        return resolveBatch(s, net);
+    const KeyBuf key = autoBatchKey(s.model, s.modelScale, s.memoryBudget);
+    Stripe &stripe = stripeOf(key.view());
+    {
+        std::lock_guard<std::mutex> lock(stripe.mutex);
+        const auto it = stripe.autoBatches.find(key.view());
+        if (it != stripe.autoBatches.end())
+            return it->second;
+    }
+    // Searched outside the lock; racing workers compute the same
+    // answer and the first insert wins.
+    const int batch = resolveBatch(s, net);
+    std::lock_guard<std::mutex> lock(stripe.mutex);
+    return stripe.autoBatches.emplace(std::string(key.view()), batch)
+        .first->second;
+}
+
 PlanCache::Stats
 PlanCache::stats() const
 {
@@ -202,6 +237,7 @@ PlanCache::clear()
         std::lock_guard<std::mutex> lock(stripe.mutex);
         stripe.networks.clear();
         stripe.streams.clear();
+        stripe.autoBatches.clear();
         stripe.stats = {};
     }
 }

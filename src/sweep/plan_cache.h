@@ -13,6 +13,11 @@
  * same monolithic stream entry) and is safe to use from the sweep
  * runner's worker pool.
  *
+ * Next to the networks the cache also memoizes the kAutoBatch answer
+ * per (model, scale, memory budget): a sweep asks for it once per
+ * auto-batch scenario but has few distinct answers. That memo is not
+ * a plan, so stats() and size() leave it out.
+ *
  * Concurrency: the table is striped 16 ways -- each stripe owns its
  * own mutex, map and counters, and a key hashes to exactly one stripe --
  * so concurrent lookups of different keys proceed in parallel instead
@@ -46,6 +51,8 @@
 
 namespace diva
 {
+
+struct Scenario;
 
 /** Thread-safe, stripe-locked memoizer for buildModel+buildOpStream. */
 class PlanCache
@@ -93,15 +100,24 @@ class PlanCache
                                            TrainingAlgorithm algo,
                                            int batch, int microbatch);
 
+    /**
+     * The mini-batch scenario `s` runs, as resolveBatch() gives it:
+     * explicit batches pass through, and the kAutoBatch search over
+     * `net` (the scenario's network) is computed at most once per
+     * (model, scale, memory budget). Not counted in stats() or size();
+     * a disabled cache computes it every time.
+     */
+    int resolvedBatch(const Scenario &s, const Network &net);
+
     bool enabled() const { return enabled_; }
 
     /** Summed over the stripes in index order (deterministic). */
     Stats stats() const;
 
-    /** Number of cached plans (networks + streams). */
+    /** Number of cached plans (networks + streams; not batches). */
     std::size_t size() const;
 
-    /** Drop every cached plan and reset the counters. */
+    /** Drop every cached plan and batch and reset the counters. */
     void clear();
 
   private:
@@ -124,6 +140,9 @@ class PlanCache
     {
         mutable std::mutex mutex;
         Stats stats;
+        /** "model|scale|budget" -> resolved auto batch. */
+        std::unordered_map<std::string, int, KeyHash, std::equal_to<>>
+            autoBatches;
         std::unordered_map<std::string,
                            std::shared_ptr<const Network>, KeyHash,
                            std::equal_to<>>

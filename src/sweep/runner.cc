@@ -5,6 +5,7 @@
 #include <exception>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "common/task_pool.h"
 #include "energy/energy_model.h"
@@ -43,7 +44,7 @@ evaluate(const Scenario &s, PlanCache &plans, ScenarioResult &out)
 {
     const std::shared_ptr<const Network> net =
         plans.network(s.model, s.modelScale);
-    out.resolvedBatch = resolveBatch(s, *net);
+    out.resolvedBatch = plans.resolvedBatch(s, *net);
     const AcceleratorConfig &config = s.config;
     int chips = 1;
     switch (s.backend) {
@@ -153,24 +154,54 @@ SweepRunner::run(const SweepSpec &spec)
 SweepReport
 SweepRunner::run(const std::vector<Scenario> &scenarios)
 {
+    const std::size_t n = scenarios.size();
     SweepReport report;
-    report.results.resize(scenarios.size());
+    report.results.resize(n);
 
-    // Map each scenario to its canonical key; the first scenario to
-    // claim an uncached key becomes a simulation job, the rest are
-    // cache hits resolved after the pool drains.
-    std::vector<std::string> keys(scenarios.size());
-    std::vector<std::size_t> jobs; // indices into `scenarios`
-    std::unordered_map<std::string, std::size_t> claimed; // key -> job
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    // Render every scenario's canonical key on the pool and look it up
+    // in the cross-run cache (read-only until the pool drains below);
+    // only scenarios the cache misses need a plan signature.
+    std::vector<std::string> keys(n);
+    std::vector<std::string> sigs(n);
+    std::vector<const ScenarioResult *> hit(n);
+    TaskPool::shared().parallelFor(n, opts_.threads, [&](std::size_t i) {
         keys[i] = scenarios[i].canonicalKey();
-        if (cached(keys[i]) || claimed.count(keys[i])) {
-            ++report.cacheHits;
-            continue;
+        hit[i] = cached(keys[i]);
+        if (!hit[i])
+            sigs[i] = planSignature(scenarios[i]);
+    });
+
+    // The first scenario to claim an uncached key becomes a simulation
+    // job, the rest are cache hits resolved after the pool drains.
+    // source[i] is scenario i's job, or kCached; last_ref[j] is the
+    // last scenario reading job j, which may take its result by move.
+    constexpr std::size_t kCached = static_cast<std::size_t>(-1);
+    std::vector<std::size_t> source(n, kCached);
+    std::vector<std::size_t> jobs; // indices into `scenarios`
+    std::vector<std::size_t> last_ref;
+    {
+        const std::size_t uncached =
+            std::size_t(std::count(hit.begin(), hit.end(), nullptr));
+        std::unordered_map<std::string_view, std::size_t> claimed;
+        claimed.reserve(uncached);
+        jobs.reserve(uncached);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (hit[i]) {
+                ++report.cacheHits;
+                continue;
+            }
+            const auto [it, fresh] =
+                claimed.try_emplace(keys[i], jobs.size());
+            source[i] = it->second;
+            if (fresh) {
+                jobs.push_back(i);
+                last_ref.push_back(i);
+                ++report.cacheMisses;
+            } else {
+                last_ref[it->second] = i;
+                ++report.cacheHits;
+            }
         }
-        claimed.emplace(keys[i], jobs.size());
-        jobs.push_back(i);
-        ++report.cacheMisses;
     }
 
     const PlanCache::Stats plans_before = plans_.stats();
@@ -185,11 +216,10 @@ SweepRunner::run(const std::vector<Scenario> &scenarios)
     // per-scenario assembly below imposes the deterministic order.
     std::vector<std::vector<std::size_t>> groups; // job slots
     {
-        std::unordered_map<std::string, std::size_t> group_of;
+        std::unordered_map<std::string_view, std::size_t> group_of;
         for (std::size_t j = 0; j < jobs.size(); ++j) {
-            const std::string sig = planSignature(scenarios[jobs[j]]);
             const auto [it, fresh] =
-                group_of.emplace(sig, groups.size());
+                group_of.try_emplace(sigs[jobs[j]], groups.size());
             if (fresh)
                 groups.emplace_back();
             groups[it->second].push_back(j);
@@ -223,42 +253,59 @@ SweepRunner::run(const std::vector<Scenario> &scenarios)
     report.planHits = plans_after.hits() - plans_before.hits();
     report.planMisses = plans_after.misses() - plans_before.misses();
 
+    // The batch-size histogram reads the fresh results, so it is
+    // recorded before they move into the report.
+    auto &metrics = obs::MetricsRegistry::instance();
+    if (metrics.enabled())
+        for (const ScenarioResult &r : job_results)
+            if (r.ok())
+                metrics.recordValue("sweep.batch_size",
+                                    double(r.resolvedBatch));
+
     // Only successful results enter the cross-run cache (the disk
     // store when there is one, else memory): a cached failure would
     // replay a possibly transient error forever instead of retrying
-    // it.
-    std::vector<std::pair<std::string, ScenarioResult>> fresh_ok;
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-        if (!job_results[j].ok())
-            continue;
-        fresh_ok.emplace_back(keys[jobs[j]], job_results[j]);
-    }
+    // it. Each is copied once, and its key moved: the claim map that
+    // viewed the keys is gone.
     if (disk_) {
+        std::vector<std::pair<std::string, ScenarioResult>> fresh_ok;
+        for (std::size_t j = 0; j < jobs.size(); ++j)
+            if (job_results[j].ok())
+                fresh_ok.emplace_back(std::move(keys[jobs[j]]),
+                                      job_results[j]);
         disk_->append(fresh_ok);
     } else {
-        for (const auto &[key, result] : fresh_ok)
-            cache_.emplace(key, result);
+        cache_.reserve(cache_.size() + jobs.size());
+        for (std::size_t j = 0; j < jobs.size(); ++j)
+            if (job_results[j].ok())
+                cache_.emplace(std::move(keys[jobs[j]]), job_results[j]);
     }
 
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-        const auto claim = claimed.find(keys[i]);
-        // Simulated this run, or (for pure hits) already in the cache.
-        ScenarioResult r = claim != claimed.end()
-                               ? job_results[claim->second]
-                               : *cached(keys[i]);
+    for (std::size_t i = 0; i < n; ++i) {
+        ScenarioResult &r = report.results[i];
+        const std::size_t j = source[i];
+        if (j == kCached) {
+            r = *hit[i];
+            r.cacheHit = true;
+        } else {
+            // Every duplicate gets the full result, failures included;
+            // the last reader takes it by move.
+            if (last_ref[j] == i)
+                r = std::move(job_results[j]);
+            else
+                r = job_results[j];
+            r.cacheHit = jobs[j] != i;
+        }
         // Report the requester's own scenario (labels may differ even
         // when the canonical simulation inputs coincide).
         r.scenario = scenarios[i];
-        r.cacheHit = claim == claimed.end() || jobs[claim->second] != i;
         if (!r.ok())
             ++report.failures;
-        report.results[i] = std::move(r);
     }
 
     // Published once per run from this (sequential) tail, so the
     // totals are independent of worker scheduling.
-    if (auto &metrics = obs::MetricsRegistry::instance();
-        metrics.enabled()) {
+    if (metrics.enabled()) {
         metrics.addCounter("sweep.scenarios", scenarios.size());
         metrics.addCounter("sweep.jobs", jobs.size());
         metrics.addCounter("sweep.plan_groups", groups.size());
@@ -269,11 +316,6 @@ SweepRunner::run(const std::vector<Scenario> &scenarios)
         for (const auto &group : groups)
             metrics.recordValue("sweep.group_size",
                                 double(group.size()));
-        for (std::size_t j = 0; j < jobs.size(); ++j)
-            if (job_results[j].ok())
-                metrics.recordValue(
-                    "sweep.batch_size",
-                    double(job_results[j].resolvedBatch));
     }
     return report;
 }

@@ -32,12 +32,17 @@ enum class OpType
 
 const char *opTypeName(OpType t);
 
-/** One operation of a training iteration. */
+/**
+ * One operation of a training iteration (72 bytes on LP64). The layer
+ * is an index into its stream's `layerNames` rather than a string, so
+ * lowering a stream allocates nothing per op.
+ */
 struct Op
 {
     OpType type = OpType::kGemm;
+    /** Index into OpStream::layerNames. */
+    std::uint32_t layer = 0;
     Stage stage = Stage::kForward;
-    std::string layerName;
 
     /** GEMM payload: `count` independent GEMMs of shape `shape`. */
     GemmShape shape;
@@ -49,6 +54,9 @@ struct Op
      */
     bool perExampleOutput = false;
 
+    /** Index into OpStream::classes (set by indexOpClasses()). */
+    std::uint32_t opClass = 0;
+
     /** Post-processing payload: total elements read / written. */
     Elems inElems = 0;
     Elems outElems = 0;
@@ -59,13 +67,38 @@ struct Op
     }
 };
 
-/** A full training iteration for one network/algorithm/batch triple. */
+/** A class of identically priced ops: the first of them, and how many. */
+struct OpClass
+{
+    std::uint32_t firstOp = 0;
+    std::uint32_t count = 0;
+};
+
+/**
+ * A full training iteration for one network/algorithm/batch triple.
+ *
+ * Zoo networks repeat their layers, so most ops of a stream price
+ * exactly like an earlier one. The planner groups ops that agree on
+ * every field pricing reads (type, stage, GEMM shape and count,
+ * per-example flag, in/out elements; not the layer) into classes, in
+ * first-appearance order, and the executor prices each class once:
+ * `classes` partitions `ops`, and every op's `opClass` names its
+ * class. The planner's builders index every stream they produce (see
+ * indexOpClasses() in train/planner.h).
+ */
 struct OpStream
 {
     std::string networkName;
     TrainingAlgorithm algorithm = TrainingAlgorithm::kSgd;
     int batch = 0;
+
+    /**
+     * The network's layer names in layer order, then "all_layers" for
+     * the whole-network post-processing ops; stored once per stream.
+     */
+    std::vector<std::string> layerNames;
     std::vector<Op> ops;
+    std::vector<OpClass> classes;
 
     Macs totalGemmMacs() const;
 };

@@ -1,5 +1,7 @@
 #include "train/planner.h"
 
+#include <limits>
+
 #include "common/logging.h"
 
 namespace diva
@@ -8,9 +10,12 @@ namespace diva
 namespace
 {
 
+/** Marks an empty slot of the class table's probe. */
+constexpr std::uint32_t kNoClass = std::numeric_limits<std::uint32_t>::max();
+
 /** Append a GEMM op if the layer produces one for this operation. */
 void
-pushGemm(OpStream &stream, const Layer &layer, const GemmInstance &gi,
+pushGemm(OpStream &stream, std::size_t layer, const GemmInstance &gi,
          Stage stage, bool per_example_output = false)
 {
     if (!gi.valid())
@@ -18,32 +23,32 @@ pushGemm(OpStream &stream, const Layer &layer, const GemmInstance &gi,
     Op op;
     op.type = OpType::kGemm;
     op.stage = stage;
-    op.layerName = layer.name;
+    op.layer = std::uint32_t(layer);
     op.shape = gi.shape;
     op.count = gi.count;
     op.perExampleOutput = per_example_output;
-    stream.ops.push_back(std::move(op));
+    stream.ops.push_back(op);
 }
 
 /** Append a post-processing op over `in` input / `out` output elems. */
 void
 pushPostProc(OpStream &stream, OpType type, Stage stage,
-             const std::string &layer_name, Elems in, Elems out)
+             std::size_t layer, Elems in, Elems out)
 {
     Op op;
     op.type = type;
     op.stage = stage;
-    op.layerName = layer_name;
+    op.layer = std::uint32_t(layer);
     op.inElems = in;
     op.outElems = out;
-    stream.ops.push_back(std::move(op));
+    stream.ops.push_back(op);
 }
 
 void
 emitForward(OpStream &stream, const Network &net, int batch)
 {
-    for (const auto &layer : net.layers)
-        pushGemm(stream, layer, layer.forwardGemm(batch),
+    for (std::size_t i = 0; i < net.layers.size(); ++i)
+        pushGemm(stream, i, net.layers[i].forwardGemm(batch),
                  Stage::kForward);
 }
 
@@ -52,20 +57,16 @@ emitActGrad(OpStream &stream, const Network &net, int batch, Stage stage)
 {
     // Reverse layer order; the first layer's input gradient is never
     // needed (there is no upstream layer to propagate it to).
-    for (std::size_t i = net.layers.size(); i-- > 1;) {
-        const auto &layer = net.layers[i];
-        pushGemm(stream, layer, layer.actGradGemm(batch), stage);
-    }
+    for (std::size_t i = net.layers.size(); i-- > 1;)
+        pushGemm(stream, i, net.layers[i].actGradGemm(batch), stage);
 }
 
 void
 emitPerBatchWGrad(OpStream &stream, const Network &net, int batch)
 {
-    for (std::size_t i = net.layers.size(); i-- > 0;) {
-        const auto &layer = net.layers[i];
-        pushGemm(stream, layer, layer.perBatchWGradGemm(batch),
+    for (std::size_t i = net.layers.size(); i-- > 0;)
+        pushGemm(stream, i, net.layers[i].perBatchWGradGemm(batch),
                  Stage::kPerBatchGrad);
-    }
 }
 
 void
@@ -74,65 +75,61 @@ emitPerExampleWGradAndNorm(OpStream &stream, const Network &net,
 {
     for (std::size_t i = net.layers.size(); i-- > 0;) {
         const auto &layer = net.layers[i];
-        pushGemm(stream, layer, layer.perExampleWGradGemm(batch),
+        pushGemm(stream, i, layer.perExampleWGradGemm(batch),
                  Stage::kPerExampleGrad, /*per_example_output=*/true);
         if (layer.hasWeights()) {
             const Elems grads =
                 Elems(batch) * Elems(layer.paramCount());
             // One squared-norm partial per example per layer.
-            pushPostProc(stream, OpType::kGradNorm, Stage::kGradNorm,
-                         layer.name, grads, Elems(batch));
+            pushPostProc(stream, OpType::kGradNorm, Stage::kGradNorm, i,
+                         grads, Elems(batch));
         }
     }
 }
 
-} // namespace
-
-OpStream
-buildMicrobatchedOpStream(const Network &net, TrainingAlgorithm algo,
-                          int batch, int microbatch)
+/** Upper bound on the ops one iteration of `layers` layers emits. */
+std::size_t
+maxOpsPerPass(TrainingAlgorithm algo, std::size_t layers)
 {
-    DIVA_ASSERT(batch > 0 && microbatch > 0);
-    DIVA_ASSERT(microbatch <= batch,
-                "micro-batch cannot exceed the mini-batch");
+    switch (algo) {
+      case TrainingAlgorithm::kSgd: return 3 * layers;
+      case TrainingAlgorithm::kDpSgd: return 4 * layers + 3;
+      case TrainingAlgorithm::kDpSgdR: return 6 * layers + 1;
+    }
+    return 0;
+}
 
-    const int full_passes = batch / microbatch;
-    const int remainder = batch % microbatch;
-
+/**
+ * An empty stream of `passes` iterations of `net`: header fields, the
+ * layer-name table (layer names, then "all_layers") and reserved ops.
+ */
+OpStream
+newStream(const Network &net, TrainingAlgorithm algo, int batch,
+          std::size_t passes)
+{
+    DIVA_ASSERT(!net.layers.empty(), "network '", net.name,
+                "' has no layers");
     OpStream stream;
     stream.networkName = net.name;
     stream.algorithm = algo;
     stream.batch = batch;
-
-    auto append_pass = [&](int mb, bool last) {
-        OpStream pass = buildOpStream(net, algo, mb);
-        for (auto &op : pass.ops) {
-            // Noise is added once per logical mini-batch, after the
-            // last micro-batch's gradients are accumulated.
-            if (op.type == OpType::kNoiseAdd && !last)
-                continue;
-            stream.ops.push_back(std::move(op));
-        }
-    };
-    for (int p = 0; p < full_passes; ++p)
-        append_pass(microbatch, remainder == 0 && p + 1 == full_passes);
-    if (remainder > 0)
-        append_pass(remainder, true);
+    stream.layerNames.reserve(net.layers.size() + 1);
+    for (const auto &layer : net.layers)
+        stream.layerNames.push_back(layer.name);
+    stream.layerNames.push_back("all_layers");
+    stream.ops.reserve(passes * maxOpsPerPass(algo, net.layers.size()));
     return stream;
 }
 
-OpStream
-buildOpStream(const Network &net, TrainingAlgorithm algo, int batch)
+/**
+ * Append one iteration over `batch` examples (Algorithm 1); the noise
+ * addition only when `add_noise`.
+ */
+void
+lowerIteration(OpStream &stream, const Network &net,
+               TrainingAlgorithm algo, int batch, bool add_noise)
 {
-    DIVA_ASSERT(batch > 0, "mini-batch must be positive");
-    DIVA_ASSERT(!net.layers.empty(), "network '", net.name,
-                "' has no layers");
-
-    OpStream stream;
-    stream.networkName = net.name;
-    stream.algorithm = algo;
-    stream.batch = batch;
-
+    const std::size_t all_layers = net.layers.size();
     const Elems params = Elems(net.paramCount());
     const Elems per_example_grads = Elems(batch) * params;
 
@@ -150,11 +147,12 @@ buildOpStream(const Network &net, TrainingAlgorithm algo, int batch)
         // Algorithm 1, lines 23-24: clip every per-example gradient,
         // reduce into one per-batch gradient, then add noise.
         pushPostProc(stream, OpType::kGradClip, Stage::kGradClip,
-                     "all_layers", per_example_grads, per_example_grads);
+                     all_layers, per_example_grads, per_example_grads);
         pushPostProc(stream, OpType::kGradReduce, Stage::kReduceNoise,
-                     "all_layers", per_example_grads, params);
-        pushPostProc(stream, OpType::kNoiseAdd, Stage::kReduceNoise,
-                     "all_layers", params, params);
+                     all_layers, per_example_grads, params);
+        if (add_noise)
+            pushPostProc(stream, OpType::kNoiseAdd, Stage::kReduceNoise,
+                         all_layers, params, params);
         break;
 
       case TrainingAlgorithm::kDpSgdR:
@@ -165,10 +163,104 @@ buildOpStream(const Network &net, TrainingAlgorithm algo, int batch)
         emitPerExampleWGradAndNorm(stream, net, batch);
         emitActGrad(stream, net, batch, Stage::kActGrad2);
         emitPerBatchWGrad(stream, net, batch);
-        pushPostProc(stream, OpType::kNoiseAdd, Stage::kReduceNoise,
-                     "all_layers", params, params);
+        if (add_noise)
+            pushPostProc(stream, OpType::kNoiseAdd, Stage::kReduceNoise,
+                         all_layers, params, params);
         break;
     }
+}
+
+/**
+ * Whether `a` and `b` cost the same on any executor: equal on every
+ * field pricing reads. The layer is a label, not a pricing input.
+ */
+bool
+samePricing(const Op &a, const Op &b)
+{
+    return a.type == b.type && a.stage == b.stage && a.shape == b.shape &&
+           a.count == b.count && a.perExampleOutput == b.perExampleOutput &&
+           a.inElems == b.inElems && a.outElems == b.outElems;
+}
+
+/** Hash of the fields samePricing() compares. */
+std::uint64_t
+pricingHash(const Op &op)
+{
+    std::uint64_t h = 0;
+    for (const std::uint64_t v :
+         {std::uint64_t(op.type), std::uint64_t(op.stage),
+          std::uint64_t(op.shape.m), std::uint64_t(op.shape.k),
+          std::uint64_t(op.shape.n), op.count,
+          std::uint64_t(op.perExampleOutput), op.inElems, op.outElems}) {
+        h = (h ^ v) * 0x9e3779b97f4a7c15ULL;
+        h ^= h >> 32;
+    }
+    return h;
+}
+
+} // namespace
+
+void
+indexOpClasses(OpStream &stream)
+{
+    // A flat open-addressing table of class indices, sized from the op
+    // count (load factor at most 1/2).
+    std::vector<Op> &ops = stream.ops;
+    DIVA_ASSERT(ops.size() < kNoClass, "op stream of ", ops.size(),
+                " ops is too long to index");
+    std::size_t capacity = 16;
+    while (capacity < 2 * ops.size())
+        capacity <<= 1;
+    const std::size_t mask = capacity - 1;
+    std::vector<std::uint32_t> slots(capacity, kNoClass);
+    stream.classes.clear();
+    for (std::uint32_t i = 0; i < ops.size(); ++i) {
+        Op &op = ops[i];
+        std::size_t slot = pricingHash(op) & mask;
+        while (slots[slot] != kNoClass &&
+               !samePricing(ops[stream.classes[slots[slot]].firstOp], op))
+            slot = (slot + 1) & mask;
+        if (slots[slot] == kNoClass) {
+            slots[slot] = std::uint32_t(stream.classes.size());
+            stream.classes.push_back({i, 0});
+        }
+        op.opClass = slots[slot];
+        ++stream.classes[op.opClass].count;
+    }
+}
+
+OpStream
+buildMicrobatchedOpStream(const Network &net, TrainingAlgorithm algo,
+                          int batch, int microbatch)
+{
+    DIVA_ASSERT(batch > 0 && microbatch > 0);
+    DIVA_ASSERT(microbatch <= batch,
+                "micro-batch cannot exceed the mini-batch");
+
+    const int full_passes = batch / microbatch;
+    const int remainder = batch % microbatch;
+
+    OpStream stream = newStream(net, algo, batch,
+                                std::size_t(full_passes) + (remainder > 0));
+    // Noise is added once per logical mini-batch, after the last
+    // micro-batch's gradients are accumulated.
+    for (int p = 0; p < full_passes; ++p)
+        lowerIteration(stream, net, algo, microbatch,
+                       remainder == 0 && p + 1 == full_passes);
+    if (remainder > 0)
+        lowerIteration(stream, net, algo, remainder, true);
+    // Indexed after concatenation, so identical passes share classes.
+    indexOpClasses(stream);
+    return stream;
+}
+
+OpStream
+buildOpStream(const Network &net, TrainingAlgorithm algo, int batch)
+{
+    DIVA_ASSERT(batch > 0, "mini-batch must be positive");
+    OpStream stream = newStream(net, algo, batch, 1);
+    lowerIteration(stream, net, algo, batch, true);
+    indexOpClasses(stream);
     return stream;
 }
 

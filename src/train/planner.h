@@ -40,6 +40,14 @@ OpStream buildMicrobatchedOpStream(const Network &net,
                                    TrainingAlgorithm algo, int batch,
                                    int microbatch);
 
+/**
+ * Group `stream`'s ops into pricing classes, in first-appearance
+ * order: ops that agree on every field pricing reads share a class
+ * (see OpStream). Both builders call it on the finished stream; a
+ * stream assembled by hand needs it before Executor::run.
+ */
+void indexOpClasses(OpStream &stream);
+
 } // namespace diva
 
 #endif // DIVA_TRAIN_PLANNER_H

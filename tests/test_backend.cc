@@ -24,6 +24,7 @@
 #include "sweep/runner.h"
 #include "sweep/spec.h"
 #include "tenant/serve.h"
+#include "train/memory_model.h"
 
 namespace diva
 {
@@ -112,6 +113,19 @@ TEST(Backends, OnlyTheGpuRooflineLacksChipMetrics)
     EXPECT_FALSE(modelsChipMetrics(SweepBackend::kGpu));
 }
 
+/** An auto-batch chip scenario of `model` at `scale` and `budget`. */
+Scenario
+autoBatchScenario(const std::string &model, int scale, Bytes budget)
+{
+    Scenario s;
+    s.config = divaDefault(true);
+    s.model = model;
+    s.modelScale = scale;
+    s.batch = kAutoBatch;
+    s.memoryBudget = budget;
+    return s;
+}
+
 TEST(PlanCache, CountsHitsAndMissesPerDistinctKey)
 {
     PlanCache plans;
@@ -119,6 +133,10 @@ TEST(PlanCache, CountsHitsAndMissesPerDistinctKey)
     const auto net_b = plans.network("SqueezeNet", 0);
     EXPECT_EQ(net_a.get(), net_b.get()); // shared, not rebuilt
     plans.network("MobileNet", 0);
+    // Auto-batch lookups, repeated or not, are not plan lookups.
+    for (const Bytes budget : {16_GiB, 16_GiB, 1_GiB})
+        plans.resolvedBatch(autoBatchScenario("SqueezeNet", 0, budget),
+                            *net_a);
     PlanCache::Stats s = plans.stats();
     EXPECT_EQ(s.networkMisses, 2u);
     EXPECT_EQ(s.networkHits, 1u);
@@ -135,6 +153,10 @@ TEST(PlanCache, CountsHitsAndMissesPerDistinctKey)
     EXPECT_EQ(s.streamHits, 1u);
     EXPECT_EQ(s.hits(), 2u);
     EXPECT_EQ(s.misses(), 4u);
+    EXPECT_EQ(plans.size(), 4u);
+    plans.resolvedBatch(autoBatchScenario("SqueezeNet", 0, 1_GiB), *net_a);
+    EXPECT_EQ(plans.stats().hits(), 2u);
+    EXPECT_EQ(plans.stats().misses(), 4u);
     EXPECT_EQ(plans.size(), 4u);
 
     plans.clear();
@@ -178,6 +200,10 @@ TEST(PlanCache, HitMissTotalsIndependentOfThreads)
                 for (int batch : kBatches)
                     plans.stream(*net, model, 0,
                                  TrainingAlgorithm::kDpSgdR, batch, 0);
+                // Memoized auto batches leave the counts alone.
+                for (const Bytes budget : {1_GiB, 16_GiB})
+                    plans.resolvedBatch(
+                        autoBatchScenario(model, 0, budget), *net);
             }
         });
         return tasks;
@@ -192,6 +218,48 @@ TEST(PlanCache, HitMissTotalsIndependentOfThreads)
         EXPECT_EQ(s.networkHits, tasks * 2u - 2u) << threads << " threads";
         EXPECT_EQ(s.streamHits, tasks * 4u - 4u) << threads << " threads";
         EXPECT_EQ(plans.size(), 6u);
+    }
+}
+
+/**
+ * The auto batch memoized per (model, scale, budget) is the
+ * Figure-5/13 protocol's answer, asked sequentially or from 4 pool
+ * lanes on one shared cache. Each (model, scale) is asked for its
+ * budgets back to back, so a memo keyed on less than all three would
+ * hand out a neighbour's answer.
+ */
+TEST(PlanCache, MemoizedAutoBatchMatchesTheProtocol)
+{
+    const Bytes kBudgets[] = {1_MiB, 1_GiB, 16_GiB, 1024_GiB};
+    std::vector<Scenario> scenarios;
+    std::vector<int> expected;
+    for (const std::string &model : knownModels()) {
+        for (const int scale : {0, 48, 128}) {
+            const Network net = buildModel(model, scale);
+            for (const Bytes budget : kBudgets) {
+                scenarios.push_back(autoBatchScenario(model, scale, budget));
+                expected.push_back(std::max(
+                    1, maxBatchSize(net, TrainingAlgorithm::kDpSgd, budget)));
+                // 1 MiB fits no batch; the protocol never goes below 1.
+                if (budget == 1_MiB) {
+                    EXPECT_EQ(expected.back(), 1) << model << " " << scale;
+                }
+            }
+        }
+    }
+
+    for (const int threads : {1, 4}) {
+        PlanCache plans;
+        std::vector<int> got(scenarios.size());
+        TaskPool pool;
+        pool.parallelFor(scenarios.size(), threads, [&](std::size_t i) {
+            got[i] = runScenario(scenarios[i], plans).resolvedBatch;
+        });
+        for (std::size_t i = 0; i < scenarios.size(); ++i)
+            EXPECT_EQ(got[i], expected[i])
+                << scenarios[i].label() << " at " << threads << " threads";
+        // Memo entries are neither plans nor lookups.
+        EXPECT_EQ(plans.size(), plans.stats().misses());
     }
 }
 

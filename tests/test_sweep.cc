@@ -15,6 +15,7 @@
 #include "sweep/spec.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -224,6 +225,82 @@ TEST(SweepRunner, FailedResultsAreNotCachedAcrossRuns)
     EXPECT_EQ(dup.cacheMisses, 1u);
     EXPECT_EQ(dup.cacheHits, 1u);
     EXPECT_EQ(dup.failures, 2u);
+}
+
+/** Whether two results carry bit-identical metrics and errors. */
+bool
+sameMetrics(const ScenarioResult &a, const ScenarioResult &b)
+{
+    auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    return a.resolvedBatch == b.resolvedBatch && a.cycles == b.cycles &&
+           a.computeCycles == b.computeCycles &&
+           a.allReduceCycles == b.allReduceCycles &&
+           bits(a.seconds) == bits(b.seconds) &&
+           bits(a.utilization) == bits(b.utilization) &&
+           bits(a.energyJ) == bits(b.energyJ) &&
+           a.dramBytes == b.dramBytes &&
+           a.postProcDramBytes == b.postProcDramBytes &&
+           bits(a.enginePowerW) == bits(b.enginePowerW) &&
+           bits(a.engineAreaMm2) == bits(b.engineAreaMm2) &&
+           a.error == b.error;
+}
+
+TEST(SweepRunner, DuplicatesSurviveTheMoveIntoTheReport)
+{
+    // F fails and S succeeds; a primed twin differs from its original
+    // only in the GPU design point, which the canonical key of a chip
+    // or pod scenario ignores. Every duplicate needs the full result
+    // (a report that moves a result out on its first reference hands
+    // the later ones an empty error) and its own Scenario.
+    Scenario f;
+    f.config = divaDefault(true);
+    f.model = "ResNet-50";
+    f.batch = 1;
+    f.backend = SweepBackend::kMultiChip;
+    f.pod.numChips = 8; // fails: batch 1 cannot shard over 8 chips
+    f.gpu = GpuConfig::a100Fp16();
+    Scenario f2 = f;
+    f2.gpu = GpuConfig::v100Fp32();
+    Scenario s;
+    s.config = systolicOs(true);
+    s.model = "SqueezeNet";
+    s.batch = 8;
+    s.gpu = GpuConfig::a100Fp16();
+    Scenario s2 = s;
+    s2.gpu = GpuConfig::v100Fp32();
+    ASSERT_EQ(f.canonicalKey(), f2.canonicalKey());
+    ASSERT_EQ(s.canonicalKey(), s2.canonicalKey());
+    const std::vector<Scenario> scenarios = {f, f2, s, s2, f};
+
+    const ScenarioResult f_alone = runScenario(f);
+    const ScenarioResult s_alone = runScenario(s);
+    ASSERT_FALSE(f_alone.ok());
+    ASSERT_TRUE(s_alone.ok()) << s_alone.error;
+
+    auto check = [&](const SweepReport &report,
+                     const std::vector<bool> &hits) {
+        ASSERT_EQ(report.results.size(), scenarios.size());
+        EXPECT_EQ(report.failures, 3u);
+        for (std::size_t i = 0; i < scenarios.size(); ++i) {
+            const ScenarioResult &r = report.results[i];
+            SCOPED_TRACE("row " + std::to_string(i));
+            EXPECT_EQ(r.scenario.gpu.name, scenarios[i].gpu.name);
+            EXPECT_EQ(r.scenario.gpu.peakTflops, scenarios[i].gpu.peakTflops);
+            EXPECT_EQ(r.scenario.model, scenarios[i].model);
+            EXPECT_TRUE(sameMetrics(
+                r, scenarios[i].model == f.model ? f_alone : s_alone));
+            EXPECT_EQ(r.cacheHit, hits[i]);
+        }
+    };
+
+    SweepRunner runner;
+    const SweepReport first = runner.run(scenarios);
+    check(first, {false, true, false, true, true});
+    EXPECT_EQ(first.results[0].error, f_alone.error);
+    // Failures are never cached: the second run simulates F again and
+    // serves everything else as a hit.
+    const SweepReport second = runner.run(scenarios);
+    check(second, {false, true, true, true, true});
 }
 
 TEST(SweepRunner, PodScenariosReportEnergyUtilizationAndTraffic)
