@@ -9,8 +9,10 @@
  * The pod points run as ordinary sweep scenarios on the pod backend
  * (SweepBackend::kMultiChip, evaluated by runScenario() in
  * src/sweep/runner.cc), so the chip-count axis is simulated on the
- * runner's worker pool with one shared workload plan instead of
- * rebuilding the model per point.
+ * runner's worker pool with one shared workload plan: every point
+ * shares one network, and each chip count's shard stream comes from
+ * the runner's PlanCache, shared by the WS and DiVa points, instead
+ * of being rebuilt per point.
  *
  * Usage: pod_scaling [model-name] [global-batch]
  */

@@ -11,7 +11,6 @@
 
 #include <cstdio>
 #include <iostream>
-#include <memory>
 #include <vector>
 
 #include "arch/accelerator_config.h"
@@ -46,8 +45,8 @@ main()
     TextTable table({"GEMM", "engine", "cycles", "util", "eff TFLOPS"});
     for (const auto &c : cases) {
         for (const auto &cfg : configs) {
-            auto engine = GemmEngineModel::create(cfg);
-            const GemmResult r = engine->simulateBatched(c.shape, c.count);
+            const GemmResult r =
+                GemmEngineModel(cfg).simulateBatched(c.shape, c.count);
             table.addRow({c.desc, cfg.name, std::to_string(r.cycles),
                           TextTable::fmtPct(r.utilization(cfg)),
                           TextTable::fmt(r.effectiveTflops(cfg), 2)});

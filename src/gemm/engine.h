@@ -1,18 +1,17 @@
 /**
  * @file
- * Abstract cycle-level GEMM engine model and its result record.
+ * Cycle-level GEMM engine model and its result record.
  *
- * Concrete engines implement the three dataflows studied in the paper:
- * weight-stationary systolic (WsSystolicModel), output-stationary
- * systolic (OsSystolicModel), and DiVa's outer-product broadcast engine
- * (OuterProductModel). All engines share the same DRAM traffic model so
- * that performance differences come from the dataflow, as in the paper.
+ * One engine models the three dataflows studied in the paper and
+ * switches over the configuration's Dataflow: weight-stationary
+ * systolic (the TPUv3-like baseline), output-stationary systolic, and
+ * DiVa's outer-product broadcast engine. All three share the same DRAM
+ * traffic model so that performance differences come from the
+ * dataflow, as in the paper.
  */
 
 #ifndef DIVA_GEMM_ENGINE_H
 #define DIVA_GEMM_ENGINE_H
-
-#include <memory>
 
 #include "arch/accelerator_config.h"
 #include "common/types.h"
@@ -80,15 +79,15 @@ struct GemmResult
 };
 
 /**
- * Base class for cycle-level GEMM engine models. Subclasses provide the
- * dataflow-specific compute-cycle count; the base class supplies the
- * shared DRAM traffic model and compute/memory overlap policy.
+ * Cycle-level GEMM engine model of cfg.dataflow: the dataflow decides
+ * the compute-cycle count and the SRAM port rates; the DRAM traffic
+ * model and the compute/memory overlap policy are shared.
  */
 class GemmEngineModel
 {
   public:
+    /** Throws std::runtime_error when `cfg` fails validate(). */
     explicit GemmEngineModel(const AcceleratorConfig &cfg);
-    virtual ~GemmEngineModel() = default;
 
     /** Simulate a single GEMM. */
     GemmResult simulate(const GemmShape &shape,
@@ -105,11 +104,7 @@ class GemmEngineModel
 
     const AcceleratorConfig &config() const { return cfg_; }
 
-    /** Factory keyed on cfg.dataflow. */
-    static std::unique_ptr<GemmEngineModel>
-    create(const AcceleratorConfig &cfg);
-
-  protected:
+  private:
     /**
      * Dataflow-specific PE-array occupancy in cycles for one GEMM,
      * excluding memory stalls. Costs O(1) in the shape: the result
@@ -118,11 +113,11 @@ class GemmEngineModel
      * remainder tile per axis. SRAM traffic comes from the per-cycle
      * rates below.
      */
-    virtual Cycles computeCycles(const GemmShape &shape) const = 0;
+    Cycles computeCycles(const GemmShape &shape) const;
 
     /** Per-cycle SRAM read/write rates of this dataflow (Table I). */
-    virtual Bytes sramReadBytesPerCycle() const = 0;
-    virtual Bytes sramWriteBytesPerCycle() const = 0;
+    Bytes sramReadBytesPerCycle() const;
+    Bytes sramWriteBytesPerCycle() const;
 
     AcceleratorConfig cfg_;
     DramModel dram_;

@@ -9,8 +9,7 @@ namespace diva
 {
 
 Executor::Executor(const AcceleratorConfig &cfg)
-    : cfg_(cfg), engine_(GemmEngineModel::create(cfg)), dram_(cfg),
-      vectorUnit_(cfg)
+    : cfg_(cfg), engine_(cfg), dram_(cfg), vectorUnit_(cfg)
 {
     if (cfg_.hasPpu)
         ppu_.emplace(cfg_);
@@ -53,8 +52,7 @@ Executor::runGemm(const Op &op, TrainingAlgorithm algo) const
     if (op.perExampleOutput)
         opt.writeOutputToDram = spillPerExampleGrads(algo);
 
-    const GemmResult r = engine_->simulateBatched(op.shape, op.count,
-                                                  opt);
+    const GemmResult r = engine_.simulateBatched(op.shape, op.count, opt);
     OpCost cost;
     cost.cycles = r.cycles;
     cost.macs = r.usefulMacs;

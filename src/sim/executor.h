@@ -19,7 +19,6 @@
 #ifndef DIVA_SIM_EXECUTOR_H
 #define DIVA_SIM_EXECUTOR_H
 
-#include <memory>
 #include <optional>
 
 #include "arch/accelerator_config.h"
@@ -82,7 +81,7 @@ class Executor
     OpCost postProcCost(Cycles compute, Bytes read, Bytes write) const;
 
     AcceleratorConfig cfg_;
-    std::unique_ptr<GemmEngineModel> engine_;
+    GemmEngineModel engine_;
     DramModel dram_;
     std::optional<PpuModel> ppu_;
     VectorUnitModel vectorUnit_;

@@ -5,31 +5,28 @@
 
 #include "common/logging.h"
 #include "energy/energy_model.h"
-#include "sim/executor.h"
-#include "train/planner.h"
 
 namespace diva
 {
 
-ScalingResult
-simulateDataParallel(const AcceleratorConfig &chip, const Network &net,
-                     TrainingAlgorithm algo, int global_batch,
-                     const MultiChipConfig &pod)
+int
+shardBatch(int global_batch, const MultiChipConfig &pod)
 {
     DIVA_ASSERT(pod.numChips >= 1);
     if (global_batch < pod.numChips)
         DIVA_FATAL("global batch ", global_batch,
                    " cannot shard over ", pod.numChips, " chips");
+    return ceilDiv(global_batch, pod.numChips);
+}
 
+ScalingResult
+simulateDataParallel(const AcceleratorConfig &chip, const Network &net,
+                     const SimResult &shard, const MultiChipConfig &pod)
+{
+    DIVA_ASSERT(pod.numChips >= 1);
     ScalingResult result;
-    result.numChips = pod.numChips;
-    result.perChipBatch = ceilDiv(global_batch, pod.numChips);
-
-    const Executor exec(chip);
     // The slowest chip carries the ceil-sized shard.
-    const SimResult chip_result =
-        exec.run(buildOpStream(net, algo, result.perChipBatch));
-    result.computeCycles = chip_result.totalCycles();
+    result.computeCycles = shard.totalCycles();
 
     const double grad_bytes = double(net.paramCount()) * 4.0;
     if (pod.numChips > 1) {
@@ -47,20 +44,20 @@ simulateDataParallel(const AcceleratorConfig &chip, const Network &net,
     result.totalCycles = result.computeCycles + result.allReduceCycles;
 
     // Pod-level utilization, traffic, and energy. Every chip runs the
-    // same shard simulation, so pod totals are numChips times the
-    // per-chip result plus the all-reduce contributions: each chip
-    // streams its gradients out to the link and the reduced gradients
-    // back (2*|G| of DRAM traffic), and its engine keeps drawing power
-    // while stalled on the ring.
+    // same shard, so pod totals are numChips times the per-chip result
+    // plus the all-reduce contributions: each chip streams its
+    // gradients out to the link and the reduced gradients back (2*|G|
+    // of DRAM traffic), and its engine keeps drawing power while
+    // stalled on the ring.
     const double chips = double(pod.numChips);
     result.utilization =
         result.totalCycles == 0
             ? 0.0
-            : chip_result.overallUtilization(chip) *
+            : shard.overallUtilization(chip) *
                   double(result.computeCycles) /
                   double(result.totalCycles);
-    Bytes per_chip_dram = chip_result.totalDram().total();
-    double pod_energy = chips * EnergyModel::energy(chip_result, chip).total();
+    Bytes per_chip_dram = shard.totalDram().total();
+    double pod_energy = chips * EnergyModel::energy(shard, chip).total();
     if (pod.numChips > 1) {
         const Bytes reduce_dram = Bytes(2.0 * grad_bytes);
         per_chip_dram += reduce_dram;
@@ -72,12 +69,7 @@ simulateDataParallel(const AcceleratorConfig &chip, const Network &net,
     result.dramBytes = Bytes(chips) * per_chip_dram;
     result.energyJ = pod_energy;
     result.postProcDramBytes =
-        Bytes(chips) * chip_result.postProcessingDram.total();
-
-    const Cycles single =
-        exec.run(buildOpStream(net, algo, global_batch)).totalCycles();
-    result.efficiency = double(single) / (double(pod.numChips) *
-                                          double(result.totalCycles));
+        Bytes(chips) * shard.postProcessingDram.total();
     return result;
 }
 

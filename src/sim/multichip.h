@@ -7,6 +7,12 @@
  * (noised) update. DP-SGD composes cleanly with data parallelism:
  * per-example clipping is local to the chip that saw the example, and
  * noise is added once after the reduction.
+ *
+ * Each chip still hits DP-SGD's per-example-gradient memory wall on
+ * its shard, so a shard is an ordinary single-chip iteration,
+ * micro-batch included: the sweep runner takes its op stream from the
+ * PlanCache and prices it with the chip's Executor, and this file
+ * composes the pod iteration from that priced shard.
  */
 
 #ifndef DIVA_SIM_MULTICHIP_H
@@ -15,7 +21,7 @@
 #include "arch/accelerator_config.h"
 #include "common/types.h"
 #include "models/network.h"
-#include "train/algorithm.h"
+#include "sim/result.h"
 
 namespace diva
 {
@@ -37,17 +43,9 @@ struct MultiChipConfig
 /** Outcome of one data-parallel training iteration. */
 struct ScalingResult
 {
-    int numChips = 1;
-    int perChipBatch = 0;
     Cycles computeCycles = 0;   ///< slowest chip's local iteration
     Cycles allReduceCycles = 0; ///< ring all-reduce of G(W)
     Cycles totalCycles = 0;
-
-    /**
-     * Strong-scaling efficiency: single-chip time at the global batch
-     * divided by (numChips x multi-chip time). 1.0 = perfect scaling.
-     */
-    double efficiency = 0.0;
 
     /**
      * Pod-level effective FLOPS utilization: the per-chip iteration
@@ -72,13 +70,20 @@ struct ScalingResult
 };
 
 /**
- * Simulate one data-parallel iteration of `global_batch` examples
- * sharded over the pod. Requires global_batch >= numChips.
+ * The shard of a `global_batch` mini-batch that the slowest chip of
+ * `pod` trains: ceil(global_batch / numChips) examples. Throws
+ * std::runtime_error unless global_batch >= numChips.
+ */
+int shardBatch(int global_batch, const MultiChipConfig &pod);
+
+/**
+ * Compose one data-parallel iteration of `net` on `pod` from `shard`,
+ * one `chip`'s priced iteration at shardBatch(): every chip runs the
+ * shard, then the per-batch weight gradients are ring-all-reduced.
  */
 ScalingResult simulateDataParallel(const AcceleratorConfig &chip,
                                    const Network &net,
-                                   TrainingAlgorithm algo,
-                                   int global_batch,
+                                   const SimResult &shard,
                                    const MultiChipConfig &pod);
 
 } // namespace diva

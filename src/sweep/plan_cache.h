@@ -9,9 +9,10 @@
  * A design-space sweep crosses many accelerator design points with few
  * workloads, so without memoization each sweep cell rebuilds the same
  * Network and OpStream hundreds of times. The cache is shared by all
- * backends (chip, pod and GPU scenarios over one workload share the
- * same monolithic stream entry) and is safe to use from the sweep
- * runner's worker pool.
+ * backends and is safe to use from the sweep runner's worker pool: a
+ * pod looks up its shard's stream (the entry a chip scenario at that
+ * batch and micro-batch uses), and a GPU scenario the monolithic
+ * stream at its whole batch.
  *
  * Next to the networks the cache also memoizes the kAutoBatch answer
  * per (model, scale, memory budget): a sweep asks for it once per

@@ -22,8 +22,9 @@ namespace
 /**
  * The inputs that decide which execution plan (model build + op
  * stream) a scenario needs -- the PlanCache's key, minus the resolved
- * batch it cannot know before evaluation. Scenarios sharing a
- * signature share a plan.
+ * batch it cannot know before evaluation. Chip scenarios sharing a
+ * signature share a plan; pods sharing one share the network, but
+ * each chip count prices its own shard stream.
  */
 std::string
 planSignature(const Scenario &s)
@@ -46,13 +47,18 @@ evaluate(const Scenario &s, PlanCache &plans, ScenarioResult &out)
         plans.network(s.model, s.modelScale);
     out.resolvedBatch = plans.resolvedBatch(s, *net);
     const AcceleratorConfig &config = s.config;
+    // One chip's iteration at `batch`, micro-batched as the scenario
+    // asks: the chip itself, or one shard of a pod.
+    const auto price_chip = [&](int batch) {
+        const std::shared_ptr<const OpStream> stream =
+            plans.stream(*net, s.model, s.modelScale, s.algorithm, batch,
+                         s.microbatch);
+        return Executor(config).run(*stream);
+    };
     int chips = 1;
     switch (s.backend) {
       case SweepBackend::kSingleChip: {
-        const std::shared_ptr<const OpStream> stream =
-            plans.stream(*net, s.model, s.modelScale, s.algorithm,
-                         out.resolvedBatch, s.microbatch);
-        const SimResult r = Executor(config).run(*stream);
+        const SimResult r = price_chip(out.resolvedBatch);
         out.cycles = r.totalCycles();
         out.computeCycles = out.cycles;
         out.seconds = r.seconds(config);
@@ -63,8 +69,12 @@ evaluate(const Scenario &s, PlanCache &plans, ScenarioResult &out)
         break;
       }
       case SweepBackend::kMultiChip: {
-        const ScalingResult r = simulateDataParallel(
-            config, *net, s.algorithm, out.resolvedBatch, s.pod);
+        // Shardability is checked before the shard is lowered, so an
+        // unshardable batch reports that, not its micro-batch.
+        const SimResult shard =
+            price_chip(shardBatch(out.resolvedBatch, s.pod));
+        const ScalingResult r =
+            simulateDataParallel(config, *net, shard, s.pod);
         out.cycles = r.totalCycles;
         out.computeCycles = r.computeCycles;
         out.allReduceCycles = r.allReduceCycles;
@@ -209,11 +219,15 @@ SweepRunner::run(const std::vector<Scenario> &scenarios)
     // Batch the jobs into structure-of-arrays groups keyed on the
     // plan signature (parallel arrays: job index list per signature,
     // in first-appearance order). One worker claims a whole group, so
-    // after the first member's PlanCache miss every other member is an
-    // in-thread hit -- and two workers never build the same plan
-    // concurrently. Each worker still writes only its own jobs'
-    // slots, so results are independent of scheduling; the
-    // per-scenario assembly below imposes the deterministic order.
+    // after the first member's PlanCache miss most other members are
+    // in-thread hits. Groups can still need one plan -- a pod's shard
+    // stream is a chip scenario's stream at the shard batch, and an
+    // auto batch can resolve to an explicit one -- so two workers may
+    // build it concurrently; the PlanCache keeps the first build and
+    // counts the other a hit, so its counters stay deterministic.
+    // Each worker writes only its own jobs' slots, so results are
+    // independent of scheduling; the per-scenario assembly below
+    // imposes the deterministic order.
     std::vector<std::vector<std::size_t>> groups; // job slots
     {
         std::unordered_map<std::string_view, std::size_t> group_of;

@@ -211,6 +211,11 @@ Scenario::canonicalKey() const
         appendConfigKey(key, config);
         key << "|chips=" << pod.numChips << "|ici="
             << pod.interconnectGBs << "|lat=" << pod.linkLatencyCycles;
+        // Pods apply the micro-batch per chip. Stores written before
+        // they did hold micro-batched pod rows priced without it; the
+        // marker leaves those entries unreachable.
+        if (microbatch > 0)
+            key << "|mb=per-chip";
         break;
       case SweepBackend::kGpu:
         // Key on every timing-relevant GpuConfig field, not just the

@@ -37,7 +37,10 @@ enum class SweepBackend
 {
     /** One accelerator chip via Executor. */
     kSingleChip,
-    /** Data-parallel pod via simulateDataParallel. */
+    /**
+     * Data-parallel pod: one chip's shard priced like kSingleChip,
+     * composed into the pod iteration by simulateDataParallel.
+     */
     kMultiChip,
     /** Roofline GPU model (Figure 17 protocol). */
     kGpu,
@@ -98,7 +101,11 @@ struct Scenario
      */
     int batch = kAutoBatch;
 
-    /** Micro-batch size for gradient accumulation; 0 = monolithic. */
+    /**
+     * Micro-batch size for gradient accumulation; 0 = monolithic. A
+     * pod applies it per chip, to each chip's shard of `batch`; the
+     * GPU backend ignores it.
+     */
     int microbatch = 0;
 
     TrainingAlgorithm algorithm = TrainingAlgorithm::kDpSgdR;

@@ -3,9 +3,9 @@
  * Tests for the sweep backends: the one backend name table and its
  * --backends list parser, the modeled-metrics rule driving empty/NaN
  * CSV and null JSON cells and keeping unmodeled metrics out of
- * summaries and Pareto frontiers, PlanCache hit/miss accounting, and
- * byte-identity of a mixed chip/pod/gpu sweep across plan-cache on/off
- * and thread counts.
+ * summaries and Pareto frontiers, PlanCache hit/miss accounting (pods
+ * included), pods pricing exactly their shard, and byte-identity of a
+ * mixed chip/pod/gpu sweep across plan-cache on/off and thread counts.
  */
 
 #include <gtest/gtest.h>
@@ -176,12 +176,26 @@ TEST(PlanCache, DisabledCacheBuildsFreshAndCountsNothing)
     EXPECT_EQ(plans.stats().misses(), 0u);
 }
 
+/** A pod scenario: DiVa+PPU, DP-SGD(R), `batch` over `chips` chips. */
+Scenario
+podScenario(const std::string &model, int batch, int chips)
+{
+    Scenario s;
+    s.config = divaDefault(true);
+    s.model = model;
+    s.batch = batch;
+    s.backend = SweepBackend::kMultiChip;
+    s.pod.numChips = chips;
+    return s;
+}
+
 /**
  * The caller's thread count is a pure concurrency knob: a key hashes
  * to one stripe, concurrent same-key misses resolve first-insert-wins
  * with the loser counting a hit, and stats() sums stripes in index
  * order. So the hit/miss totals must be identical at 1 and 4 threads
- * for the same lookup workload.
+ * for the same lookup workload, pod scenarios pricing their shards
+ * included.
  */
 TEST(PlanCache, HitMissTotalsIndependentOfThreads)
 {
@@ -204,6 +218,13 @@ TEST(PlanCache, HitMissTotalsIndependentOfThreads)
                 for (const Bytes budget : {1_GiB, 16_GiB})
                     plans.resolvedBatch(
                         autoBatchScenario(model, 0, budget), *net);
+                // B=16 pods look up the network and their shard
+                // stream: B=16 on 1 chip is a new stream, B=8 and
+                // B=4 (on 2 and 4 chips) are the ones above.
+                for (const int chips : {1, 2, 4})
+                    EXPECT_TRUE(
+                        runScenario(podScenario(model, 16, chips), plans)
+                            .ok());
             }
         });
         return tasks;
@@ -214,11 +235,23 @@ TEST(PlanCache, HitMissTotalsIndependentOfThreads)
         const std::size_t tasks = drive(plans, threads);
         const PlanCache::Stats s = plans.stats();
         EXPECT_EQ(s.networkMisses, 2u) << threads << " threads";
-        EXPECT_EQ(s.streamMisses, 4u) << threads << " threads";
-        EXPECT_EQ(s.networkHits, tasks * 2u - 2u) << threads << " threads";
-        EXPECT_EQ(s.streamHits, tasks * 4u - 4u) << threads << " threads";
-        EXPECT_EQ(plans.size(), 6u);
+        EXPECT_EQ(s.streamMisses, 6u) << threads << " threads";
+        EXPECT_EQ(s.networkHits, tasks * 8u - 2u) << threads << " threads";
+        EXPECT_EQ(s.streamHits, tasks * 10u - 6u) << threads << " threads";
+        EXPECT_EQ(plans.size(), 8u);
     }
+
+    // A pod at B=64 on 2 chips prices the B=32 stream that a chip
+    // scenario already built: a stream hit, not a second build.
+    PlanCache plans;
+    Scenario chip = podScenario("SqueezeNet", 32, 1);
+    chip.backend = SweepBackend::kSingleChip;
+    ASSERT_TRUE(runScenario(chip, plans).ok());
+    const PlanCache::Stats before = plans.stats();
+    ASSERT_TRUE(runScenario(podScenario("SqueezeNet", 64, 2), plans).ok());
+    const PlanCache::Stats after = plans.stats();
+    EXPECT_EQ(after.streamMisses, before.streamMisses);
+    EXPECT_EQ(after.streamHits, before.streamHits + 1);
 }
 
 /**
@@ -269,6 +302,79 @@ TEST(PlanCache, UnknownModelThrowsAndCachesNothing)
     EXPECT_THROW(plans.network("AlexNet", 0), std::runtime_error);
     EXPECT_EQ(plans.size(), 0u);
     EXPECT_EQ(plans.stats().misses(), 0u);
+}
+
+/**
+ * Run pod scenario `pod` and check it against the chip scenario at its
+ * shard batch ceil(B/N) with the same micro-batch: the pod's compute
+ * cycles are that scenario's cycles, a 1-chip pod is the chip scenario
+ * itself, and a micro-batch larger than the shard fails as it does on
+ * a chip. Returns the pod's result.
+ */
+ScenarioResult
+expectPodPricesItsShard(const Scenario &pod, PlanCache &plans)
+{
+    const ScenarioResult p = runScenario(pod, plans);
+    const int chips = pod.pod.numChips;
+    const std::string what = pod.label();
+    if (p.resolvedBatch < chips) {
+        EXPECT_EQ(p.error, "fatal: global batch " +
+                               std::to_string(p.resolvedBatch) +
+                               " cannot shard over " +
+                               std::to_string(chips) + " chips")
+            << what;
+        return p;
+    }
+    Scenario shard = pod;
+    shard.backend = SweepBackend::kSingleChip;
+    shard.batch = ceilDiv(p.resolvedBatch, chips);
+    const ScenarioResult c = runScenario(shard, plans);
+    EXPECT_EQ(p.error, c.error) << what;
+    if (!p.ok())
+        return p;
+    EXPECT_EQ(p.computeCycles, c.cycles) << what;
+    if (chips == 1) {
+        EXPECT_EQ(p.cycles, c.cycles) << what;
+        EXPECT_EQ(p.seconds, c.seconds) << what;
+        EXPECT_EQ(p.utilization, c.utilization) << what;
+        EXPECT_EQ(p.energyJ, c.energyJ) << what;
+        EXPECT_EQ(p.dramBytes, c.dramBytes) << what;
+        EXPECT_EQ(p.postProcDramBytes, c.postProcDramBytes) << what;
+    }
+    return p;
+}
+
+TEST(PodPricing, APodPricesExactlyItsShard)
+{
+    PlanCache plans;
+    int priced = 0;
+    for (const std::string &model : knownModels())
+        for (const AcceleratorConfig &config : {tpuV3Ws(), divaDefault(true)})
+            for (const TrainingAlgorithm algo :
+                 {TrainingAlgorithm::kDpSgd, TrainingAlgorithm::kDpSgdR})
+                for (const int batch : {kAutoBatch, 37})
+                    for (const int chips : {1, 2, 4, 8}) {
+                        Scenario pod;
+                        pod.config = config;
+                        pod.model = model;
+                        pod.algorithm = algo;
+                        pod.batch = batch;
+                        pod.backend = SweepBackend::kMultiChip;
+                        pod.pod.numChips = chips;
+                        const ScenarioResult mono =
+                            expectPodPricesItsShard(pod, plans);
+                        pod.microbatch = 4;
+                        const ScenarioResult micro =
+                            expectPodPricesItsShard(pod, plans);
+                        priced += int(mono.ok()) + int(micro.ok());
+                        // The ring moves |G(W)|, whatever the micro-batch.
+                        if (mono.ok() && micro.ok())
+                            EXPECT_EQ(micro.allReduceCycles,
+                                      mono.allReduceCycles)
+                                << pod.label();
+                    }
+    // Only shards smaller than the micro-batch fail.
+    EXPECT_GT(priced, 500);
 }
 
 /** Mixed chip/pod/gpu spec: 2 configs x 1 model x 2 batches. */

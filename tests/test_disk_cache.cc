@@ -4,7 +4,7 @@
  * fidelity, corruption tolerance, version handling, the
  * never-persist-failures rule, and SweepRunner integration (fresh run
  * = misses, rerun = 100% hits, byte-identical CSV, a failed append
- * retried by the next run).
+ * retried by the next run, stale micro-batched pod rows re-simulated).
  */
 
 #include <gtest/gtest.h>
@@ -319,6 +319,43 @@ TEST(DiskCache, FailedAppendIsRetriedByTheNextRun)
     EXPECT_EQ(runner.diskCache()->size(), scenarios.size());
     EXPECT_EQ(SweepRunner(opts).cacheSize(), scenarios.size())
         << "a fresh runner must find the retried results on disk";
+}
+
+TEST(DiskCache, StaleMicrobatchedPodRowIsResimulated)
+{
+    // Pods once ignored the micro-batch, and a store written then keys
+    // such a row exactly as below. The row must never be served: the
+    // pod is simulated afresh and stored under its current key.
+    const std::string stale_key =
+        "pod|ResNet-50|0|DP-SGD|64|4|cfg=DiVa;DiVa;128;128;0.94;16777216;"
+        "450;100;8;0;8;1;2;4;1024|chips=2|ici=70|lat=500";
+    Scenario pod;
+    pod.config = divaDefault(true);
+    pod.model = "ResNet-50";
+    pod.algorithm = TrainingAlgorithm::kDpSgd;
+    pod.batch = 64;
+    pod.microbatch = 4;
+    pod.backend = SweepBackend::kMultiChip;
+    pod.pod.numChips = 2;
+    ASSERT_EQ(pod.canonicalKey(), stale_key + "|mb=per-chip");
+
+    const std::string dir = freshCacheDir("stale-pod");
+    ASSERT_EQ(DiskCache(dir).append({{stale_key, sampleResult(0)}}), 1u);
+
+    SweepOptions opts;
+    opts.cacheDir = dir;
+    SweepRunner runner(opts);
+    ASSERT_TRUE(runner.diskCache()->contains(stale_key));
+    const SweepReport report = runner.run(std::vector<Scenario>{pod});
+    EXPECT_EQ(report.cacheHits, 0u);
+    EXPECT_EQ(report.cacheMisses, 1u);
+    const ScenarioResult &r = report.results[0];
+    ASSERT_TRUE(r.ok()) << r.error;
+    Scenario shard = pod;
+    shard.backend = SweepBackend::kSingleChip;
+    shard.batch = 32;
+    EXPECT_EQ(r.computeCycles, runScenario(shard).cycles);
+    EXPECT_TRUE(SweepRunner(opts).diskCache()->contains(pod.canonicalKey()));
 }
 
 } // namespace

@@ -50,12 +50,12 @@ TEST_P(ConfigSweep, ConfigValidates)
 
 TEST_P(ConfigSweep, GemmInvariantsHold)
 {
-    const auto engine = GemmEngineModel::create(cfg_);
+    const GemmEngineModel engine(cfg_);
     const GemmShape shapes[] = {
         {1, 1, 1}, {100, 3, 700}, {4096, 1, 64}, {128, 2048, 128},
     };
     for (const auto &s : shapes) {
-        const GemmResult r = engine->simulate(s);
+        const GemmResult r = engine.simulate(s);
         EXPECT_GT(r.cycles, 0u) << cfg_.name << " " << s.str();
         EXPECT_EQ(r.usefulMacs, s.macs());
         EXPECT_LE(r.utilization(cfg_), 1.0)

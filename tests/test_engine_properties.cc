@@ -41,7 +41,7 @@ class EngineShapeSweep : public ::testing::TestWithParam<ShapeParam>
         const auto &[engine, m, k, n] = GetParam();
         cfg_ = configFor(engine);
         shape_ = GemmShape(m, k, n);
-        result_ = GemmEngineModel::create(cfg_)->simulate(shape_);
+        result_ = GemmEngineModel(cfg_).simulate(shape_);
     }
 
     AcceleratorConfig cfg_;
@@ -95,8 +95,7 @@ TEST_P(EngineShapeSweep, DoublingMNeverReducesCycles)
     // cycle, so growing M within one PE-array tile is free -- that is
     // exactly its robustness property.
     const GemmShape doubled(shape_.m * 2, shape_.k, shape_.n);
-    const GemmResult r2 =
-        GemmEngineModel::create(cfg_)->simulate(doubled);
+    const GemmResult r2 = GemmEngineModel(cfg_).simulate(doubled);
     EXPECT_GE(r2.computeCycles, result_.computeCycles);
     EXPECT_EQ(r2.usefulMacs, 2 * result_.usefulMacs);
 }
@@ -104,8 +103,7 @@ TEST_P(EngineShapeSweep, DoublingMNeverReducesCycles)
 TEST_P(EngineShapeSweep, DoublingKIncreasesCycles)
 {
     const GemmShape doubled(shape_.m, shape_.k * 2, shape_.n);
-    const GemmResult r2 =
-        GemmEngineModel::create(cfg_)->simulate(doubled);
+    const GemmResult r2 = GemmEngineModel(cfg_).simulate(doubled);
     EXPECT_GE(r2.computeCycles, result_.computeCycles);
 }
 
@@ -138,10 +136,8 @@ TEST_P(PerExampleShapeSweep, OuterProductBeatsWsComputeOnSmallK)
     opt.writeOutputToDram = false;
     const AcceleratorConfig ws = tpuV3Ws();
     const AcceleratorConfig dv = divaDefault(false);
-    const GemmResult rw =
-        GemmEngineModel::create(ws)->simulateBatched(s, 32, opt);
-    const GemmResult rd =
-        GemmEngineModel::create(dv)->simulateBatched(s, 32, opt);
+    const GemmResult rw = GemmEngineModel(ws).simulateBatched(s, 32, opt);
+    const GemmResult rd = GemmEngineModel(dv).simulateBatched(s, 32, opt);
     // Small-K GEMMs: the outer-product engine's compute occupancy must
     // be strictly better than WS (the paper's Section IV-B claim).
     EXPECT_LT(rd.computeCycles, rw.computeCycles)

@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the three GEMM-engine cycle models, checking the
- * dataflow-specific behaviors the paper builds its case on and that
- * each closed-form cycle count equals its per-tile sum.
+ * Unit tests for the GEMM engine's three dataflow cycle models,
+ * checking the dataflow-specific behaviors the paper builds its case on
+ * and that each closed-form cycle count equals its per-tile sum.
  */
 
 #include <algorithm>
@@ -13,9 +13,6 @@
 
 #include "arch/accelerator_config.h"
 #include "gemm/engine.h"
-#include "gemm/os_systolic.h"
-#include "gemm/outer_product.h"
-#include "gemm/ws_systolic.h"
 
 namespace diva
 {
@@ -26,21 +23,7 @@ GemmResult
 simulate(const AcceleratorConfig &cfg, const GemmShape &shape,
          std::uint64_t count = 1, GemmOptions opt = {})
 {
-    return GemmEngineModel::create(cfg)->simulateBatched(shape, count,
-                                                         opt);
-}
-
-TEST(EngineFactory, CreatesMatchingEngine)
-{
-    EXPECT_NE(dynamic_cast<WsSystolicModel *>(
-                  GemmEngineModel::create(tpuV3Ws()).get()),
-              nullptr);
-    EXPECT_NE(dynamic_cast<OsSystolicModel *>(
-                  GemmEngineModel::create(systolicOs(false)).get()),
-              nullptr);
-    EXPECT_NE(dynamic_cast<OuterProductModel *>(
-                  GemmEngineModel::create(divaDefault()).get()),
-              nullptr);
+    return GemmEngineModel(cfg).simulateBatched(shape, count, opt);
 }
 
 TEST(Engines, UsefulMacsIndependentOfEngine)
@@ -242,9 +225,9 @@ TEST(Engines, SramTrafficScalesWithComputeCycles)
 
 // ------------------------------------ closed forms vs per-tile sums
 //
-// Each engine sums its tile grid in closed form. The references below
-// accumulate the grid tile by tile: every remainder tile, fill and
-// drain must land on the same count.
+// Each dataflow sums its tile grid in closed form. The references
+// below accumulate the grid tile by tile: every remainder tile, fill
+// and drain must land on the same count.
 
 Cycles
 referenceOsCycles(const AcceleratorConfig &cfg, const GemmShape &shape)

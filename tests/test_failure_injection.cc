@@ -45,17 +45,17 @@ TEST(FailureInjection, ConfigGeometry)
 
 TEST(FailureInjection, EngineConstructionValidates)
 {
-    // The engine factory must refuse invalid configs at construction,
-    // not at first use.
+    // The engine must refuse invalid configs at construction, not at
+    // first use.
     AcceleratorConfig cfg = divaDefault();
     cfg.sramBytes = 0;
-    EXPECT_THROW(GemmEngineModel::create(cfg), std::runtime_error);
+    EXPECT_THROW(GemmEngineModel{cfg}, std::runtime_error);
 }
 
 TEST(FailureInjection, EngineDataflowMismatch)
 {
-    // Constructing a concrete engine with the wrong dataflow is an
-    // internal contract violation.
+    // A dataflow the PPU cannot attach to is refused when the engine
+    // is built, not when the first op is priced.
     EXPECT_THROW(Executor([] {
                      AcceleratorConfig c = tpuV3Ws();
                      c.hasPpu = true; // WS + PPU forbidden
@@ -66,11 +66,9 @@ TEST(FailureInjection, EngineDataflowMismatch)
 
 TEST(FailureInjection, GemmShapes)
 {
-    const auto engine = GemmEngineModel::create(divaDefault());
-    EXPECT_THROW(engine->simulate(GemmShape(1, 0, 1)),
-                 std::logic_error);
-    EXPECT_THROW(engine->simulate(GemmShape(-4, 4, 4)),
-                 std::logic_error);
+    const GemmEngineModel engine(divaDefault());
+    EXPECT_THROW(engine.simulate(GemmShape(1, 0, 1)), std::logic_error);
+    EXPECT_THROW(engine.simulate(GemmShape(-4, 4, 4)), std::logic_error);
 }
 
 TEST(FailureInjection, PlannerInputs)
@@ -104,10 +102,7 @@ TEST(FailureInjection, MultiChipInputs)
 {
     MultiChipConfig pod;
     pod.numChips = 4;
-    EXPECT_THROW(simulateDataParallel(divaDefault(true), resnet50(),
-                                      TrainingAlgorithm::kDpSgd, 2,
-                                      pod),
-                 std::runtime_error);
+    EXPECT_THROW(shardBatch(2, pod), std::runtime_error);
 }
 
 TEST(FailureInjection, GpuModelInputs)

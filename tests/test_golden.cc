@@ -23,7 +23,7 @@ computeOnly(const AcceleratorConfig &cfg, const GemmShape &shape)
     opt.writeOutputToDram = false;
     opt.lhsFromDram = false;
     opt.rhsFromDram = false;
-    return GemmEngineModel::create(cfg)->simulate(shape, opt);
+    return GemmEngineModel(cfg).simulate(shape, opt);
 }
 
 TEST(Golden, WsSingleTileGemm)
@@ -114,8 +114,8 @@ TEST(Golden, TrafficSmallGemmWithDram)
     // (128,128,128) from DRAM: reads 2*128*128*2 = 65536 B, writes
     // 128*128*4 = 65536 B; memory cycles = ceil(131072 / 478.72..)
     // = 274.
-    const GemmResult r = GemmEngineModel::create(divaDefault(false))
-                             ->simulate(GemmShape(128, 128, 128));
+    const GemmResult r = GemmEngineModel(divaDefault(false))
+                             .simulate(GemmShape(128, 128, 128));
     EXPECT_EQ(r.dram.readBytes, 65536u);
     EXPECT_EQ(r.dram.writeBytes, 65536u);
     EXPECT_EQ(r.memoryCycles, 274u);
@@ -125,15 +125,15 @@ TEST(Golden, TrafficSmallGemmWithDram)
 
 TEST(Golden, BatchedScalesExactly)
 {
-    const auto engine = GemmEngineModel::create(divaDefault(false));
+    const GemmEngineModel engine(divaDefault(false));
     GemmOptions opt;
     opt.writeOutputToDram = false;
     opt.lhsFromDram = false;
     opt.rhsFromDram = false;
     const GemmResult one =
-        engine->simulateBatched(GemmShape(128, 64, 128), 1, opt);
+        engine.simulateBatched(GemmShape(128, 64, 128), 1, opt);
     const GemmResult many =
-        engine->simulateBatched(GemmShape(128, 64, 128), 37, opt);
+        engine.simulateBatched(GemmShape(128, 64, 128), 37, opt);
     EXPECT_EQ(many.computeCycles, 37 * one.computeCycles);
     // Latency charged once per train, not per GEMM.
     EXPECT_EQ(many.cycles, many.computeCycles + 100u);

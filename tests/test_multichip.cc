@@ -1,53 +1,88 @@
 /**
  * @file
- * Tests for the data-parallel multi-chip scaling model.
+ * Tests for the data-parallel multi-chip scaling model, read from pod
+ * scenarios priced by runScenario() -- the path every sweep, serve and
+ * fleet takes.
  */
+
+#include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "arch/accelerator_config.h"
-#include "models/zoo.h"
 #include "sim/multichip.h"
+#include "sweep/runner.h"
 
 namespace diva
 {
 namespace
 {
 
+/** DP-SGD(R) on a `chips`-chip pod of `cfg` at global batch `batch`. */
+Scenario
+podScenario(const AcceleratorConfig &cfg, const std::string &model,
+            int batch, int chips, double ici_gbs = 70.0)
+{
+    Scenario s;
+    s.config = cfg;
+    s.model = model;
+    s.batch = batch;
+    s.algorithm = TrainingAlgorithm::kDpSgdR;
+    s.backend = SweepBackend::kMultiChip;
+    s.pod.numChips = chips;
+    s.pod.interconnectGBs = ici_gbs;
+    return s;
+}
+
+ScenarioResult
+run(const Scenario &s)
+{
+    const ScenarioResult r = runScenario(s);
+    EXPECT_TRUE(r.ok()) << s.label() << ": " << r.error;
+    return r;
+}
+
+/**
+ * Strong-scaling efficiency of pod scenario `pod`: one chip's cycles
+ * at the global batch divided by (numChips x pod cycles). 1.0 =
+ * perfect scaling.
+ */
+double
+efficiency(const Scenario &pod)
+{
+    Scenario chip = pod;
+    chip.backend = SweepBackend::kSingleChip;
+    return double(run(chip).cycles) /
+           (double(pod.pod.numChips) * double(run(pod).cycles));
+}
+
 TEST(MultiChip, SingleChipHasNoCommunication)
 {
-    MultiChipConfig pod;
-    pod.numChips = 1;
-    const ScalingResult r = simulateDataParallel(
-        divaDefault(true), resnet50(), TrainingAlgorithm::kDpSgdR, 64,
-        pod);
+    const Scenario pod =
+        podScenario(divaDefault(true), "ResNet-50", 64, 1);
+    const ScenarioResult r = run(pod);
     EXPECT_EQ(r.allReduceCycles, 0u);
-    EXPECT_EQ(r.totalCycles, r.computeCycles);
-    EXPECT_NEAR(r.efficiency, 1.0, 1e-9);
-    EXPECT_EQ(r.perChipBatch, 64);
+    EXPECT_EQ(r.cycles, r.computeCycles);
+    EXPECT_NEAR(efficiency(pod), 1.0, 1e-9);
+    EXPECT_EQ(shardBatch(64, pod.pod), 64);
 }
 
 TEST(MultiChip, ShardSizesCeil)
 {
     MultiChipConfig pod;
     pod.numChips = 8;
-    const ScalingResult r = simulateDataParallel(
-        divaDefault(true), resnet50(), TrainingAlgorithm::kDpSgdR, 100,
-        pod);
-    EXPECT_EQ(r.perChipBatch, 13);
+    EXPECT_EQ(shardBatch(100, pod), 13);
 }
 
 TEST(MultiChip, MoreChipsReduceTime)
 {
     Cycles prev = Cycles(-1);
     for (int n : {1, 2, 4, 8, 16}) {
-        MultiChipConfig pod;
-        pod.numChips = n;
-        const ScalingResult r = simulateDataParallel(
-            divaDefault(true), resnet152(), TrainingAlgorithm::kDpSgdR,
-            256, pod);
-        EXPECT_LT(r.totalCycles, prev) << n;
-        prev = r.totalCycles;
+        const ScenarioResult r =
+            run(podScenario(divaDefault(true), "ResNet-152", 256, n));
+        EXPECT_LT(r.cycles, prev) << n;
+        prev = r.cycles;
     }
 }
 
@@ -55,66 +90,47 @@ TEST(MultiChip, EfficiencyDegradesWithScale)
 {
     double prev = 1.1;
     for (int n : {1, 4, 16, 64}) {
-        MultiChipConfig pod;
-        pod.numChips = n;
-        const ScalingResult r = simulateDataParallel(
-            divaDefault(true), resnet50(), TrainingAlgorithm::kDpSgdR,
-            512, pod);
-        EXPECT_LE(r.efficiency, prev + 1e-9) << n;
-        EXPECT_GT(r.efficiency, 0.0);
-        prev = r.efficiency;
+        const double e =
+            efficiency(podScenario(divaDefault(true), "ResNet-50", 512, n));
+        EXPECT_LE(e, prev + 1e-9) << n;
+        EXPECT_GT(e, 0.0);
+        prev = e;
     }
 }
 
 TEST(MultiChip, AllReduceScalesWithModelSize)
 {
-    MultiChipConfig pod;
-    pod.numChips = 8;
-    const ScalingResult small = simulateDataParallel(
-        divaDefault(true), squeezenet(), TrainingAlgorithm::kDpSgdR,
-        256, pod);
-    const ScalingResult large = simulateDataParallel(
-        divaDefault(true), bertLarge(), TrainingAlgorithm::kDpSgdR, 256,
-        pod);
+    const ScenarioResult small =
+        run(podScenario(divaDefault(true), "SqueezeNet", 256, 8));
+    const ScenarioResult large =
+        run(podScenario(divaDefault(true), "BERT-large", 256, 8));
     EXPECT_GT(large.allReduceCycles, 10 * small.allReduceCycles);
 }
 
 TEST(MultiChip, FasterInterconnectHelps)
 {
-    MultiChipConfig slow;
-    slow.numChips = 16;
-    slow.interconnectGBs = 10.0;
-    MultiChipConfig fast = slow;
-    fast.interconnectGBs = 200.0;
-    const ScalingResult a = simulateDataParallel(
-        divaDefault(true), bertBase(), TrainingAlgorithm::kDpSgdR, 256,
-        slow);
-    const ScalingResult b = simulateDataParallel(
-        divaDefault(true), bertBase(), TrainingAlgorithm::kDpSgdR, 256,
-        fast);
-    EXPECT_GT(a.allReduceCycles, b.allReduceCycles);
-    EXPECT_LT(a.efficiency, b.efficiency);
+    const Scenario slow =
+        podScenario(divaDefault(true), "BERT-base", 256, 16, 10.0);
+    const Scenario fast =
+        podScenario(divaDefault(true), "BERT-base", 256, 16, 200.0);
+    EXPECT_GT(run(slow).allReduceCycles, run(fast).allReduceCycles);
+    EXPECT_LT(efficiency(slow), efficiency(fast));
 }
 
 TEST(MultiChip, DivaKeepsItsAdvantageAtPodScale)
 {
-    MultiChipConfig pod;
-    pod.numChips = 8;
-    const ScalingResult ws = simulateDataParallel(
-        tpuV3Ws(), resnet152(), TrainingAlgorithm::kDpSgdR, 512, pod);
-    const ScalingResult dv = simulateDataParallel(
-        divaDefault(true), resnet152(), TrainingAlgorithm::kDpSgdR, 512,
-        pod);
-    EXPECT_GT(double(ws.totalCycles) / double(dv.totalCycles), 2.0);
+    const ScenarioResult ws =
+        run(podScenario(tpuV3Ws(), "ResNet-152", 512, 8));
+    const ScenarioResult dv =
+        run(podScenario(divaDefault(true), "ResNet-152", 512, 8));
+    EXPECT_GT(double(ws.cycles) / double(dv.cycles), 2.0);
 }
 
 TEST(MultiChip, PodEnergyTrafficAndUtilizationAreAccounted)
 {
-    MultiChipConfig pod;
-    pod.numChips = 8;
-    const ScalingResult r = simulateDataParallel(
-        divaDefault(true), resnet50(), TrainingAlgorithm::kDpSgdR, 256,
-        pod);
+    const Scenario pod =
+        podScenario(divaDefault(true), "ResNet-50", 256, 8);
+    const ScenarioResult r = run(pod);
     EXPECT_GT(r.energyJ, 0.0);
     EXPECT_GT(r.dramBytes, 0u);
     EXPECT_GT(r.postProcDramBytes, 0u);
@@ -122,28 +138,21 @@ TEST(MultiChip, PodEnergyTrafficAndUtilizationAreAccounted)
     EXPECT_LE(r.utilization, 1.0);
 
     // The pod at least sums its chips: one chip at the shard batch.
-    MultiChipConfig single;
-    single.numChips = 1;
-    const ScalingResult shard = simulateDataParallel(
-        divaDefault(true), resnet50(), TrainingAlgorithm::kDpSgdR,
-        r.perChipBatch, single);
+    const ScenarioResult shard =
+        run(podScenario(divaDefault(true), "ResNet-50",
+                        shardBatch(256, pod.pod), 1));
     EXPECT_GE(r.energyJ, 8.0 * shard.energyJ);
     EXPECT_GE(r.dramBytes, 8u * shard.dramBytes);
 }
 
 TEST(MultiChip, AllReduceStallLowersUtilization)
 {
-    MultiChipConfig slow;
-    slow.numChips = 16;
-    slow.interconnectGBs = 5.0;
-    const ScalingResult stalled = simulateDataParallel(
-        divaDefault(true), bertBase(), TrainingAlgorithm::kDpSgdR, 256,
-        slow);
-    MultiChipConfig single;
-    single.numChips = 1;
-    const ScalingResult local = simulateDataParallel(
-        divaDefault(true), bertBase(), TrainingAlgorithm::kDpSgdR,
-        stalled.perChipBatch, single);
+    const Scenario slow =
+        podScenario(divaDefault(true), "BERT-base", 256, 16, 5.0);
+    const ScenarioResult stalled = run(slow);
+    const ScenarioResult local =
+        run(podScenario(divaDefault(true), "BERT-base",
+                        shardBatch(256, slow.pod), 1));
     EXPECT_LT(stalled.utilization, local.utilization);
 }
 
@@ -151,10 +160,17 @@ TEST(MultiChip, RejectsUnshardableBatch)
 {
     MultiChipConfig pod;
     pod.numChips = 64;
-    EXPECT_THROW(simulateDataParallel(divaDefault(true), resnet50(),
-                                      TrainingAlgorithm::kDpSgdR, 32,
-                                      pod),
-                 std::runtime_error);
+    EXPECT_THROW(shardBatch(32, pod), std::runtime_error);
+
+    // Shardability is checked before the shard is lowered: a
+    // micro-batch larger than any shard does not mask the error.
+    Scenario s = podScenario(divaDefault(true), "ResNet-50", 32, 64);
+    for (const int microbatch : {0, 64}) {
+        s.microbatch = microbatch;
+        EXPECT_EQ(runScenario(s).error,
+                  "fatal: global batch 32 cannot shard over 64 chips")
+            << "micro-batch " << microbatch;
+    }
 }
 
 } // namespace

@@ -619,6 +619,8 @@ referenceCanonicalKey(const Scenario &s)
         referenceConfigKey(oss, s.config);
         oss << "|chips=" << s.pod.numChips << "|ici="
             << s.pod.interconnectGBs << "|lat=" << s.pod.linkLatencyCycles;
+        if (s.microbatch > 0)
+            oss << "|mb=per-chip";
         break;
       case SweepBackend::kGpu:
         oss << "|gpu=" << s.gpu.name << ';' << s.gpu.peakTflops << ';'
