@@ -2,11 +2,11 @@
  * @file
  * Fleet-engine throughput benchmark: replays generated diurnal traces
  * on 8- and 64-pod fleets (load-aware placement, rebalance on) and
- * reports how fast the engine chews through sessions. Besides the
- * google-benchmark microbenchmarks it writes BENCH_fleet.json (path
- * overridable with --out) -- sessions/sec, serve-core events/sec,
- * migrations/sec and the isolated-cost plan-cache hit rate per fleet
- * size -- so CI can track the fleet perf trajectory.
+ * reports how fast the engine chews through sessions. It writes
+ * BENCH_fleet.json (path overridable with --out) -- sessions/sec,
+ * serve-core events/sec, migrations/sec and the isolated-cost
+ * plan-cache hit rate per fleet size -- so CI can track the fleet perf
+ * trajectory.
  *
  * A thread-scaling sweep (threads 1/2/4/8 at 8 and 64 pods) emits one
  * "scale_p<pods>_t<threads>" row per point, so the regression harness
@@ -14,15 +14,8 @@
  * and not just single-point throughput drift.  An "obs_overhead_p64"
  * row times the 64-pod replay with the windowed telemetry + SLO layer
  * off and on; ci/check_bench.py gates the fractional cost at 5%.
- * Flags:
- *
- *   --threads N    epoch workers for the headline rows (default: the
- *                  machine's hardware concurrency)
- *   --sessions N   sessions per replay (default 200000)
- *   --no-scaling   skip the thread-scaling sweep
+ * `bench_fleet --help` lists the flags.
  */
-
-#include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdlib>
@@ -315,89 +308,31 @@ printFleetThroughput(const std::string &outPath, int threads,
     std::cout << "\nwrote " << outPath << "\n\n";
 }
 
-void
-BM_FleetReplay(benchmark::State &state)
-{
-    const int pods = int(state.range(0));
-    const int sessions = int(state.range(1));
-    const ArrivalTrace trace = diurnalTrace(sessions);
-    const FleetSpec spec = fleetOf(pods);
-    SweepOptions opts;
-    opts.threads = 4;
-    SweepRunner runner(opts);
-    std::uint64_t steps = 0;
-    for (auto _ : state) {
-        const FleetResult r = simulateFleet(spec, trace, runner, 4);
-        steps = r.totalSteps;
-        benchmark::DoNotOptimize(steps);
-    }
-    state.counters["sessions_per_sec"] = benchmark::Counter(
-        double(trace.jobs.size()), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_FleetReplay)
-    ->Args({8, 20000})
-    ->Args({64, 20000})
-    ->Unit(benchmark::kMillisecond);
-
-/**
- * Consume the bench_fleet-specific flags (see the file comment) from
- * argv before benchmark::Initialize sees -- and rejects -- them.
- */
-void
-parseFleetFlags(int &argc, char **argv, int &threads, int &sessions,
-                bool &scaling)
-{
-    int w = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--threads" && i + 1 < argc) {
-            threads = std::atoi(argv[++i]);
-            continue;
-        }
-        if (arg.rfind("--threads=", 0) == 0) {
-            threads = std::atoi(arg.c_str() + 10);
-            continue;
-        }
-        if (arg == "--sessions" && i + 1 < argc) {
-            sessions = std::atoi(argv[++i]);
-            continue;
-        }
-        if (arg.rfind("--sessions=", 0) == 0) {
-            sessions = std::atoi(arg.c_str() + 11);
-            continue;
-        }
-        if (arg == "--no-scaling") {
-            scaling = false;
-            continue;
-        }
-        argv[w++] = argv[i];
-    }
-    argc = w;
-    argv[argc] = nullptr;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const std::string out =
-        benchutil::benchOutPath(argc, argv, "BENCH_fleet.json");
-    int threads = 0;
+    std::string out = "BENCH_fleet.json";
+    int threads = autoThreads();
     int sessions = 200000;
     bool scaling = true;
-    parseFleetFlags(argc, argv, threads, sessions, scaling);
-    if (threads <= 0)
-        threads = autoThreads();
-    if (sessions <= 0) {
-        std::cerr << "bench_fleet: --sessions must be positive\n";
-        return 1;
-    }
+    const cli::FlagTable flags = {
+        {"Options",
+         {benchutil::outFlag(out),
+          {"--threads", "N",
+           "epoch workers for the headline rows (default: the machine's "
+           "hardware concurrency)",
+           cli::set(threads, cli::integer(1, 1024))},
+          {"--sessions", "N", "sessions per replay (default 200000)",
+           cli::set(sessions, cli::integer(1))},
+          {"--no-scaling", "", "skip the thread-scaling sweep",
+           cli::toggle(scaling, false)}}}};
+    if (const auto rc = cli::parseArgs("bench_fleet", argc, argv, flags))
+        return *rc;
     // Collect phase timings across the artifact runs; writeBenchJson
     // folds them into the envelope's "profile" object.
     obs::Profiler::instance().enable(true);
     printFleetThroughput(out, threads, sessions, scaling);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

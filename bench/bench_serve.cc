@@ -6,13 +6,11 @@
  * itself rather than the cost-pricing pipeline. Three mixes cover the
  * core's regimes: round-robin time slicing (dispatch-heavy), FIFO
  * run-to-completion (coalescing-heavy) and open-loop EDF replay under
- * rate targets (gate/idle-jump-heavy). Besides the google-benchmark
- * microbenchmarks it writes BENCH_serve.json (path overridable with
- * --out) -- steps/sec, serve-core events/sec and the coalesced-quanta
- * ratio per mix -- so CI can track the serve perf trajectory.
+ * rate targets (gate/idle-jump-heavy). It writes BENCH_serve.json
+ * (path overridable with --out) -- steps/sec, serve-core events/sec and
+ * the coalesced-quanta ratio per mix -- so CI can track the serve perf
+ * trajectory.
  */
-
-#include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <iostream>
@@ -192,40 +190,18 @@ printServeThroughput(const std::string &outPath)
     std::cout << "\nwrote " << outPath << "\n\n";
 }
 
-void
-BM_ServeLoop(benchmark::State &state)
-{
-    const SchedPolicy policy = SchedPolicy(state.range(0));
-    const ServeSpec spec = specOf(policy, false, 0.0, 0.5);
-    const std::vector<IterationCost> costs =
-        syntheticCosts(spec.workload.jobs.size());
-    const SwitchCost sw = syntheticSwitch();
-    for (auto _ : state) {
-        const ServeResult r = runServeLoop(spec, costs, sw);
-        benchmark::DoNotOptimize(r.makespanSec);
-    }
-    state.counters["steps_per_sec"] = benchmark::Counter(
-        double(kTenants) * double(kStepsEach),
-        benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ServeLoop)
-    ->Arg(int(SchedPolicy::kRoundRobin))
-    ->Arg(int(SchedPolicy::kFifo))
-    ->Arg(int(SchedPolicy::kEdf))
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const std::string out =
-        benchutil::benchOutPath(argc, argv, "BENCH_serve.json");
+    std::string out = "BENCH_serve.json";
+    if (const auto rc = cli::parseArgs("bench_serve", argc, argv,
+                                       {{"Output", {benchutil::outFlag(out)}}}))
+        return *rc;
     // Collect phase timings across the artifact runs; writeBenchJson
     // folds them into the envelope's "profile" object.
     obs::Profiler::instance().enable(true);
     printServeThroughput(out);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -8,15 +8,13 @@
  * milliseconds), "warm-memory" (the same runner
  * resolving a tiled request list from its result cache) and
  * "warm-disk" (a fresh runner whose mmap preload of the on-disk store
- * serves the same tiled list). Besides the google-benchmark
- * microbenchmarks it writes BENCH_sweep.json (path overridable with
- * --out) -- scenarios/sec and /min plus plan- and result-cache hit
- * rates per regime -- so CI can track the sweep perf trajectory. The
- * warm regimes are the ones held to the >= 1e6 scenarios/minute bar;
- * cold rows measure real simulation and sit far below it by design.
+ * serves the same tiled list). It writes BENCH_sweep.json (path
+ * overridable with --out) -- scenarios/sec and /min plus plan- and
+ * result-cache hit rates per regime -- so CI can track the sweep perf
+ * trajectory. The warm regimes are the ones held to the >= 1e6
+ * scenarios/minute bar; cold rows measure real simulation and sit far
+ * below it by design.
  */
-
-#include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <filesystem>
@@ -200,38 +198,18 @@ printSweepThroughput(const std::string &outPath)
     std::cout << "\nwrote " << outPath << "\n\n";
 }
 
-void
-BM_SweepWarmResolve(benchmark::State &state)
-{
-    const SweepSpec spec = benchSpec();
-    const std::vector<Scenario> scenarios = spec.expand().scenarios;
-    const std::vector<Scenario> tiled =
-        tile(scenarios, std::size_t(state.range(0)));
-    SweepOptions opts;
-    opts.threads = 4;
-    SweepRunner runner(opts);
-    runner.run(scenarios); // warm the result cache once
-    for (auto _ : state) {
-        const SweepReport report = runner.run(tiled);
-        benchmark::DoNotOptimize(report.cacheHits);
-    }
-    state.counters["scenarios_per_sec"] = benchmark::Counter(
-        double(tiled.size()), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SweepWarmResolve)->Arg(40)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const std::string out =
-        benchutil::benchOutPath(argc, argv, "BENCH_sweep.json");
+    std::string out = "BENCH_sweep.json";
+    if (const auto rc = cli::parseArgs("bench_sweep", argc, argv,
+                                       {{"Output", {benchutil::outFlag(out)}}}))
+        return *rc;
     // Collect phase timings across the artifact runs; writeBenchJson
     // folds them into the envelope's "profile" object.
     obs::Profiler::instance().enable(true);
     printSweepThroughput(out);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "arch/accelerator_config.h"
+#include "common/cli.h"
 #include "common/format.h"
 #include "obs/profile.h"
 
@@ -58,32 +59,12 @@ gitDescribe()
     return out;
 }
 
-/**
- * Consume `--out <path>` / `--out=<path>` from argv (they must be
- * stripped before benchmark::Initialize, which rejects flags it does
- * not know) and return the BENCH_*.json destination, `def` when the
- * flag is absent.
- */
-inline std::string
-benchOutPath(int &argc, char **argv, const std::string &def)
+/** The `--out PATH` flag of every bench main; `path` holds the default. */
+inline cli::Flag
+outFlag(std::string &path)
 {
-    std::string path = def;
-    int w = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--out" && i + 1 < argc) {
-            path = argv[++i];
-            continue;
-        }
-        if (arg.rfind("--out=", 0) == 0) {
-            path = arg.substr(6);
-            continue;
-        }
-        argv[w++] = argv[i];
-    }
-    argc = w;
-    argv[argc] = nullptr;
-    return path;
+    return {"--out", "PATH", "write the report to PATH (default " + path + ")",
+            cli::text(path)};
 }
 
 /** One BENCH_*.json metric: field name plus the unit it is read in. */

@@ -4,14 +4,16 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/logging.h"
+
 namespace diva
 {
 
 std::string
-csvCell(const std::string &s)
+csvCell(std::string_view s)
 {
-    if (s.find_first_of(",\"\n") == std::string::npos)
-        return s;
+    if (s.find_first_of(",\"\n") == std::string_view::npos)
+        return std::string(s);
     std::string quoted = "\"";
     for (char c : s) {
         if (c == '"')
@@ -23,7 +25,7 @@ csvCell(const std::string &s)
 }
 
 std::string
-jsonEscape(const std::string &s)
+jsonEscape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size());
@@ -85,6 +87,54 @@ jsonNumber(double v)
 {
     // JSON has no NaN/Infinity literals; emit null for non-finite.
     return std::isfinite(v) ? formatDouble(v) : "null";
+}
+
+void
+RowWriter::operator()(const Column &c, const Cell &cell, bool inJson)
+{
+    const bool json = part_ == kJsonFields;
+    const char *name = json ? c.json : c.csv;
+    if (!name || (json && !inJson))
+        return;
+    out_ += sep_;
+    sep_ = json ? ", " : ",";
+    if (part_ == kCsvHeader) {
+        out_ += name;
+        return;
+    }
+    if (part_ == kCsvFailedRow) {
+        out_ += c.failed ? std::string(c.failed) : csvCell(error_);
+        return;
+    }
+    if (json)
+        out_.append("\"").append(name).append("\": ");
+    if (!cell.modeled) {
+        out_ += json ? "null"
+                : c.kind == ColumnKind::kReal ? "nan"
+                : c.kind == ColumnKind::kText ? "-"
+                                               : "";
+        return;
+    }
+    DIVA_ASSERT(cell.kind == c.kind, "column '", name,
+                "' read another kind of value");
+    switch (c.kind) {
+      case ColumnKind::kText:
+        out_ += json ? '"' + jsonEscape(cell.text) + '"'
+                     : csvCell(cell.text);
+        break;
+      case ColumnKind::kInteger:
+        if (cell.negative)
+            out_ += '-';
+        out_ += std::to_string(cell.magnitude);
+        break;
+      case ColumnKind::kReal:
+        out_ += json ? jsonNumber(cell.real) : formatDouble(cell.real);
+        break;
+      case ColumnKind::kFlag:
+        out_ += json ? (cell.flag ? "true" : "false")
+                     : (cell.flag ? "1" : "0");
+        break;
+    }
 }
 
 } // namespace diva

@@ -1,7 +1,5 @@
 #include "fleet/emit.h"
 
-#include <sstream>
-
 #include "common/format.h"
 
 namespace diva
@@ -10,195 +8,128 @@ namespace diva
 namespace
 {
 
-/** The run-level cells shared by every row of one fleet result. */
-std::string
-fleetPrefix(const FleetResult &f)
+using enum ColumnKind;
+
+/**
+ * The run-level cells that lead each row of both fleet tables; the
+ * JSON document opens with them plus the quantum and the wall.
+ */
+void
+runColumns(RowWriter col, const FleetResult &f)
 {
-    std::ostringstream oss;
-    oss << csvCell(std::string(policyName(f.policy))) << ','
-        << csvCell(std::string(placementName(f.placement))) << ','
-        << csvCell(f.fleetName) << ',' << csvCell(f.traceName);
-    return oss.str();
+    col({"policy", "policy", kText}, policyName(f.policy));
+    col({"placement", "placement", kText}, placementName(f.placement));
+    col({"fleet", "fleet", kText}, f.fleetName);
+    col({"trace", "trace", kText}, f.traceName);
+    col({nullptr, "quantum", kInteger}, f.quantumIters);
+    col({nullptr, "wall_s", kReal}, f.wallLimitSec);
 }
 
+/**
+ * One session's cells. The JSON object calls the session `name`,
+ * leaves out `qos_deadline_s`, and a session that never reached a pod
+ * has `pod` null.
+ */
 void
-appendDouble(std::string &out, double v)
+tenantColumns(RowWriter col, const FleetResult &f,
+              const FleetTenantMetrics &t)
 {
-    out += formatDouble(v);
+    col({"tenant", "name", kText, "-"}, t.job.name);
+    col({"model", "model", kText, "-"}, t.job.model);
+    col({"batch", "batch", kInteger, "0"}, t.resolvedBatch);
+    col({"priority", "priority", kInteger, "0"}, t.job.priority);
+    col({"arrival_s", "arrival_s", kReal, "0"}, t.job.arrivalSec);
+    col({"depart_s", "depart_s", kReal, "0"}, t.job.departSec);
+    col({"qos_sps", "qos_sps", kReal, "0"}, t.job.qosStepsPerSec);
+    col({"qos_deadline_s", nullptr, kReal, "0"}, t.job.qosDeadlineSec);
+    col({"steps", "steps", kInteger, "0"}, t.job.steps);
+    col({"steps_done", "steps_done", kInteger, "0"}, t.stepsDone);
+    col({"pod", "pod", kText, "-"},
+        t.finalPod == kNoPod ? Cell() : Cell(f.pods[t.finalPod].name));
+    col({"admitted", "admitted", kFlag, "0"}, t.admitted);
+    col({"completed", "completed", kFlag, "0"}, t.completed);
+    col({"departed", "departed", kFlag, "0"}, t.departed);
+    col({"end_s", "end_s", kReal, "nan"}, t.endSec);
+    col({"achieved_sps", "achieved_sps", kReal, "nan"},
+        t.achievedStepsPerSec);
+    col({"isolated_sps", "isolated_sps", kReal, "nan"},
+        t.isolatedStepsPerSec);
+    col({"lat_p50_s", "lat_p50_s", kReal, "nan"}, t.stepLatency.p50Sec);
+    col({"lat_p95_s", "lat_p95_s", kReal, "nan"}, t.stepLatency.p95Sec);
+    col({"lat_p99_s", "lat_p99_s", kReal, "nan"}, t.stepLatency.p99Sec);
+    col({"qos_attainment_pct", "qos_attainment_pct", kReal, "nan"},
+        t.qosAttainmentPct);
+    col({"energy_j", "energy_j", kReal, "nan"}, t.energyJ);
+    col({"switches_in", "switches_in", kInteger, "0"}, t.switchesIn);
+    col({"migrations", "migrations", kInteger, "0"}, t.migrations);
+    col({"migration_s", "migration_s", kReal, "nan"}, t.migrationSec);
+    col({"migration_energy_j", "migration_energy_j", kReal, "nan"},
+        t.migrationEnergyJ);
+    col({"suspensions", "suspensions", kInteger, "0"}, t.suspensions);
+    // Only a failed run has an error, and its placeholder row prints it.
+    col({"error", nullptr, kText}, "");
 }
 
+/** One pod's cells. */
 void
-appendTenantRow(std::string &out, const std::string &prefix,
-                const FleetResult &f, const FleetTenantMetrics &t)
+podColumns(RowWriter col, const FleetResult &,
+           const FleetPodReport &p)
 {
-    out += prefix;
-    out += ',';
-    out += csvCell(t.job.name);
-    out += ',';
-    out += csvCell(t.job.model);
-    out += ',';
-    out += std::to_string(t.resolvedBatch);
-    out += ',';
-    out += std::to_string(t.job.priority);
-    out += ',';
-    appendDouble(out, t.job.arrivalSec);
-    out += ',';
-    appendDouble(out, t.job.departSec);
-    out += ',';
-    appendDouble(out, t.job.qosStepsPerSec);
-    out += ',';
-    appendDouble(out, t.job.qosDeadlineSec);
-    out += ',';
-    out += std::to_string(t.job.steps);
-    out += ',';
-    out += std::to_string(t.stepsDone);
-    out += ',';
-    out += t.finalPod == kNoPod ? std::string("-")
-                                : f.pods[t.finalPod].name;
-    out += ',';
-    out += t.admitted ? '1' : '0';
-    out += ',';
-    out += t.completed ? '1' : '0';
-    out += ',';
-    out += t.departed ? '1' : '0';
-    out += ',';
-    appendDouble(out, t.endSec);
-    out += ',';
-    appendDouble(out, t.achievedStepsPerSec);
-    out += ',';
-    appendDouble(out, t.isolatedStepsPerSec);
-    out += ',';
-    appendDouble(out, t.stepLatency.p50Sec);
-    out += ',';
-    appendDouble(out, t.stepLatency.p95Sec);
-    out += ',';
-    appendDouble(out, t.stepLatency.p99Sec);
-    out += ',';
-    appendDouble(out, t.qosAttainmentPct);
-    out += ',';
-    appendDouble(out, t.energyJ);
-    out += ',';
-    out += std::to_string(t.switchesIn);
-    out += ',';
-    out += std::to_string(t.migrations);
-    out += ',';
-    appendDouble(out, t.migrationSec);
-    out += ',';
-    appendDouble(out, t.migrationEnergyJ);
-    out += ',';
-    out += std::to_string(t.suspensions);
-    out += ',';
-    out += '\n';
+    col({"pod", "pod", kText, "-"}, p.name);
+    col({"config", "config", kText, "-"}, p.configName);
+    col({"chips", "chips", kInteger, "0"}, p.chips);
+    col({"backend", "backend", kText, "-"}, p.backend);
+    col({"placed", "placed", kInteger, "0"}, p.placed);
+    col({"migrated_in", "migrated_in", kInteger, "0"}, p.migratedIn);
+    col({"migrated_out", "migrated_out", kInteger, "0"}, p.migratedOut);
+    col({"ended", "ended", kInteger, "0"}, p.ended);
+    col({"steps_done", "steps_done", kInteger, "0"}, p.stepsDone);
+    col({"busy_s", "busy_s", kReal, "0"}, p.busySec);
+    col({"utilization", "utilization", kReal, "nan"}, p.utilization);
+    col({"energy_j", "energy_j", kReal, "0"}, p.energyJ);
+    col({"energy_share", "energy_share", kReal, "nan"}, p.energyShare);
+    col({"switches", "switches", kInteger, "0"}, p.contextSwitches);
+    col({"switch_s", "switch_s", kReal, "0"}, p.switchSec);
+    col({"switch_energy_j", "switch_energy_j", kReal, "0"},
+        p.switchEnergyJ);
+    col({"migration_s", "migration_s", kReal, "0"}, p.migrationSec);
+    col({"migration_energy_j", "migration_energy_j", kReal, "0"},
+        p.migrationEnergyJ);
+    col({"migration_bytes", "migration_bytes", kInteger, "0"},
+        p.migrationBytes);
+    col({"lat_count", "lat_count", kInteger, "0"}, p.stepLatency.count);
+    col({"lat_p50_s", "lat_p50_s", kReal, "nan"}, p.stepLatency.p50Sec);
+    col({"lat_p95_s", "lat_p95_s", kReal, "nan"}, p.stepLatency.p95Sec);
+    col({"lat_p99_s", "lat_p99_s", kReal, "nan"}, p.stepLatency.p99Sec);
+    col({"mean_qos_attainment_pct", "mean_qos_attainment_pct", kReal,
+         "nan"},
+        p.meanQosAttainmentPct);
+    col({"error", nullptr, kText}, "");
 }
 
 } // namespace
 
-std::string
-fleetTenantCsvHeader()
-{
-    return "policy,placement,fleet,trace,tenant,model,batch,priority,"
-           "arrival_s,depart_s,qos_sps,qos_deadline_s,steps,"
-           "steps_done,pod,admitted,completed,departed,end_s,"
-           "achieved_sps,isolated_sps,lat_p50_s,lat_p95_s,lat_p99_s,"
-           "qos_attainment_pct,energy_j,switches_in,migrations,"
-           "migration_s,migration_energy_j,suspensions,error";
-}
-
-std::string
-fleetTenantCsvRow(const FleetResult &fleet,
-                  const FleetTenantMetrics &tenant)
-{
-    std::string out;
-    appendTenantRow(out, fleetPrefix(fleet), fleet, tenant);
-    out.pop_back(); // the trailing newline is writeFleetTenantCsv's
-    return out;
-}
-
-std::string
-fleetPodCsvHeader()
-{
-    return "policy,placement,fleet,trace,pod,config,chips,backend,"
-           "placed,migrated_in,migrated_out,ended,steps_done,busy_s,"
-           "utilization,energy_j,energy_share,switches,switch_s,"
-           "switch_energy_j,migration_s,migration_energy_j,"
-           "migration_bytes,lat_count,lat_p50_s,lat_p95_s,lat_p99_s,"
-           "mean_qos_attainment_pct,error";
-}
-
-std::string
-fleetPodCsvRow(const FleetResult &fleet, const FleetPodReport &p)
-{
-    std::ostringstream oss;
-    oss << fleetPrefix(fleet) << ',' << csvCell(p.name) << ','
-        << csvCell(p.configName) << ',' << p.chips << ','
-        << csvCell(p.backend) << ',' << p.placed << ',' << p.migratedIn
-        << ',' << p.migratedOut << ',' << p.ended << ',' << p.stepsDone
-        << ',' << formatDouble(p.busySec) << ','
-        << formatDouble(p.utilization) << ','
-        << formatDouble(p.energyJ) << ','
-        << formatDouble(p.energyShare) << ',' << p.contextSwitches
-        << ',' << formatDouble(p.switchSec) << ','
-        << formatDouble(p.switchEnergyJ) << ','
-        << formatDouble(p.migrationSec) << ','
-        << formatDouble(p.migrationEnergyJ) << ',' << p.migrationBytes
-        << ',' << p.stepLatency.count << ','
-        << formatDouble(p.stepLatency.p50Sec) << ','
-        << formatDouble(p.stepLatency.p95Sec) << ','
-        << formatDouble(p.stepLatency.p99Sec) << ','
-        << formatDouble(p.meanQosAttainmentPct) << ',';
-    return oss.str();
-}
-
 void
 writeFleetTenantCsv(std::ostream &os, const FleetResult &fleet)
 {
-    os << fleetTenantCsvHeader() << '\n';
-    if (!fleet.ok()) {
-        // One placeholder cell per tenant column, error last.
-        os << fleetPrefix(fleet)
-           << ",-,-,0,0,0,0,0,0,0,0,-,0,0,0,nan,nan,nan,nan,nan,nan,"
-              "nan,nan,0,0,nan,nan,0,"
-           << csvCell(fleet.error) << '\n';
-        return;
-    }
-    const std::string prefix = fleetPrefix(fleet);
-    std::string buf;
-    buf.reserve(1 << 20);
-    for (const FleetTenantMetrics &t : fleet.tenants) {
-        appendTenantRow(buf, prefix, fleet, t);
-        if (buf.size() > (1 << 20) - 1024) {
-            os.write(buf.data(), std::streamsize(buf.size()));
-            buf.clear();
-        }
-    }
-    os.write(buf.data(), std::streamsize(buf.size()));
+    os << runTableHeader(runColumns, tenantColumns);
+    writeRunRows(os, runColumns, fleet, tenantColumns, fleet.tenants);
 }
 
 void
 writeFleetPodCsv(std::ostream &os, const FleetResult &fleet)
 {
-    os << fleetPodCsvHeader() << '\n';
-    if (!fleet.ok()) {
-        os << fleetPrefix(fleet)
-           << ",-,-,0,-,0,0,0,0,0,0,nan,0,nan,0,0,0,0,0,0,0,nan,nan,"
-              "nan,nan,"
-           << csvCell(fleet.error) << '\n';
-        return;
-    }
-    for (const FleetPodReport &p : fleet.pods)
-        os << fleetPodCsvRow(fleet, p) << '\n';
+    os << runTableHeader(runColumns, podColumns);
+    writeRunRows(os, runColumns, fleet, podColumns, fleet.pods);
 }
 
 void
 writeFleetJson(std::ostream &os, const FleetResult &f,
                bool includeTenants)
 {
-    os << "{\n  \"policy\": \"" << policyName(f.policy)
-       << "\", \"placement\": \"" << placementName(f.placement)
-       << "\", \"fleet\": \"" << jsonEscape(f.fleetName)
-       << "\", \"trace\": \"" << jsonEscape(f.traceName)
-       << "\", \"quantum\": " << f.quantumIters
-       << ", \"wall_s\": " << jsonNumber(f.wallLimitSec);
+    std::string fields;
+    runColumns(RowWriter(fields, RowWriter::kJsonFields), f);
+    os << "{\n  " << fields;
     if (!f.ok()) {
         os << ", \"error\": \"" << jsonEscape(f.error) << "\"\n}\n";
         return;
@@ -225,74 +156,19 @@ writeFleetJson(std::ostream &os, const FleetResult &f,
        << ", \"lat_max_s\": " << jsonNumber(f.aggStepLatency.maxSec)
        << ",\n  \"pods\": [";
     for (std::size_t p = 0; p < f.pods.size(); ++p) {
-        const FleetPodReport &r = f.pods[p];
-        os << (p ? ",\n    {" : "\n    {") << "\"pod\": \""
-           << jsonEscape(r.name) << "\", \"config\": \""
-           << jsonEscape(r.configName) << "\", \"chips\": " << r.chips
-           << ", \"backend\": \"" << jsonEscape(r.backend)
-           << "\", \"placed\": " << r.placed
-           << ", \"migrated_in\": " << r.migratedIn
-           << ", \"migrated_out\": " << r.migratedOut
-           << ", \"ended\": " << r.ended
-           << ", \"steps_done\": " << r.stepsDone
-           << ", \"busy_s\": " << jsonNumber(r.busySec)
-           << ", \"utilization\": " << jsonNumber(r.utilization)
-           << ", \"energy_j\": " << jsonNumber(r.energyJ)
-           << ", \"energy_share\": " << jsonNumber(r.energyShare)
-           << ", \"switches\": " << r.contextSwitches
-           << ", \"switch_s\": " << jsonNumber(r.switchSec)
-           << ", \"switch_energy_j\": " << jsonNumber(r.switchEnergyJ)
-           << ", \"migration_s\": " << jsonNumber(r.migrationSec)
-           << ", \"migration_energy_j\": "
-           << jsonNumber(r.migrationEnergyJ)
-           << ", \"migration_bytes\": " << r.migrationBytes
-           << ", \"lat_count\": " << r.stepLatency.count
-           << ", \"lat_p50_s\": " << jsonNumber(r.stepLatency.p50Sec)
-           << ", \"lat_p95_s\": " << jsonNumber(r.stepLatency.p95Sec)
-           << ", \"lat_p99_s\": " << jsonNumber(r.stepLatency.p99Sec)
-           << ", \"mean_qos_attainment_pct\": "
-           << jsonNumber(r.meanQosAttainmentPct) << "}";
+        fields.clear();
+        podColumns(RowWriter(fields, RowWriter::kJsonFields), f,
+                   f.pods[p]);
+        os << (p ? ",\n    {" : "\n    {") << fields << "}";
     }
     os << "\n  ]";
     if (includeTenants) {
         os << ",\n  \"tenants\": [";
         for (std::size_t i = 0; i < f.tenants.size(); ++i) {
-            const FleetTenantMetrics &t = f.tenants[i];
-            os << (i ? ",\n    {" : "\n    {") << "\"name\": \""
-               << jsonEscape(t.job.name) << "\", \"model\": \""
-               << jsonEscape(t.job.model)
-               << "\", \"batch\": " << t.resolvedBatch
-               << ", \"priority\": " << t.job.priority
-               << ", \"arrival_s\": " << jsonNumber(t.job.arrivalSec)
-               << ", \"depart_s\": " << jsonNumber(t.job.departSec)
-               << ", \"qos_sps\": " << jsonNumber(t.job.qosStepsPerSec)
-               << ", \"steps\": " << t.job.steps
-               << ", \"steps_done\": " << t.stepsDone << ", \"pod\": "
-               << (t.finalPod == kNoPod
-                       ? std::string("null")
-                       : '"' + jsonEscape(f.pods[t.finalPod].name) +
-                             '"')
-               << ", \"admitted\": " << (t.admitted ? "true" : "false")
-               << ", \"completed\": "
-               << (t.completed ? "true" : "false")
-               << ", \"departed\": " << (t.departed ? "true" : "false")
-               << ", \"end_s\": " << jsonNumber(t.endSec)
-               << ", \"achieved_sps\": "
-               << jsonNumber(t.achievedStepsPerSec)
-               << ", \"isolated_sps\": "
-               << jsonNumber(t.isolatedStepsPerSec)
-               << ", \"lat_p50_s\": " << jsonNumber(t.stepLatency.p50Sec)
-               << ", \"lat_p95_s\": " << jsonNumber(t.stepLatency.p95Sec)
-               << ", \"lat_p99_s\": " << jsonNumber(t.stepLatency.p99Sec)
-               << ", \"qos_attainment_pct\": "
-               << jsonNumber(t.qosAttainmentPct)
-               << ", \"energy_j\": " << jsonNumber(t.energyJ)
-               << ", \"switches_in\": " << t.switchesIn
-               << ", \"migrations\": " << t.migrations
-               << ", \"migration_s\": " << jsonNumber(t.migrationSec)
-               << ", \"migration_energy_j\": "
-               << jsonNumber(t.migrationEnergyJ)
-               << ", \"suspensions\": " << t.suspensions << "}";
+            fields.clear();
+            tenantColumns(RowWriter(fields, RowWriter::kJsonFields), f,
+                          f.tenants[i]);
+            os << (i ? ",\n    {" : "\n    {") << fields << "}";
         }
         os << "\n  ]";
     }

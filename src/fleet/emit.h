@@ -9,39 +9,24 @@
  * Cache accounting (plan hits/misses) never appears here, so reruns
  * against a warm disk cache stay byte-identical too.
  *
- * Per-tenant rows are built by appending into one reused buffer
- * rather than a stream per row: million-session fleets emit their CSV
- * in a few seconds instead of minutes.
+ * A row is the fleet's run-level cells followed by one session's or
+ * one pod's; each list of cells is declared once, in emit.cc, and
+ * renders through the RowWriter of common/format.h.
  */
 
 #ifndef DIVA_FLEET_EMIT_H
 #define DIVA_FLEET_EMIT_H
 
 #include <ostream>
-#include <string>
 
 #include "fleet/engine.h"
 
 namespace diva
 {
 
-/** Header matching fleetTenantCsvRow()'s columns. */
-std::string fleetTenantCsvHeader();
-
-/** One CSV row for one tenant session of one fleet run. */
-std::string fleetTenantCsvRow(const FleetResult &fleet,
-                              const FleetTenantMetrics &tenant);
-
-/** Header matching fleetPodCsvRow()'s columns. */
-std::string fleetPodCsvHeader();
-
-/** One CSV row for one pod of one fleet run. */
-std::string fleetPodCsvRow(const FleetResult &fleet,
-                           const FleetPodReport &pod);
-
 /**
  * Emit header + one row per tenant session. A failed run emits a
- * single row with tenant "-" and the error column filled.
+ * single row of placeholder cells with the error column filled.
  */
 void writeFleetTenantCsv(std::ostream &os, const FleetResult &fleet);
 

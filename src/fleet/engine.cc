@@ -180,18 +180,6 @@ struct PodRt
     std::uint64_t decompFailures = 0;
 };
 
-/** Run the callable over [0, count) pod indices on up to `threads`
- *  persistent pool lanes (trivial runs execute inline -- see
- *  TaskPool::parallelFor).  Each index touches disjoint state, so any
- *  schedule is race-free and the simulation output does not depend on
- *  the thread count. */
-template <typename Fn>
-void
-forEachPod(std::size_t count, int threads, Fn fn)
-{
-    TaskPool::shared().parallelFor(count, threads, fn);
-}
-
 /** The whole simulation state, shared by the engine's phases. */
 struct FleetSim
 {
@@ -211,7 +199,6 @@ struct FleetSim
     std::vector<IterationCost> costs;
     std::vector<SwitchCost> switchCosts;         // per type
     std::vector<MigrationCost> migCosts;         // type x type
-    std::vector<double> isoRate;                 // per (type, cls)
 
     std::vector<TenantRt> tenants;
     std::vector<PodRt> pods;
@@ -497,7 +484,6 @@ FleetSim::price(SweepRunner &runner)
     out.planMisses = report.planMisses;
 
     costs.resize(report.results.size());
-    isoRate.resize(report.results.size());
     for (std::size_t k = 0; k < report.results.size(); ++k) {
         const ScenarioResult &r = report.results[k];
         const PodSpec &type = types[k / numCls];
@@ -512,7 +498,6 @@ FleetSim::price(SweepRunner &runner)
             return where.str() +
                    ": iteration cost must be positive and finite";
         costs[k] = iterationCost(r);
-        isoRate[k] = 1.0 / r.seconds;
     }
 
     switchCosts.reserve(types.size());
@@ -1048,8 +1033,12 @@ FleetSim::run(int threads)
 
         {
             obs::ScopedPhase phase("epoch_serve");
-            forEachPod(pods.size(), threads,
-                       [&](std::size_t p) { runPodEpoch(p, t1); });
+            // Each pod's epoch touches only its own state, so any
+            // schedule is race-free and the output does not depend on
+            // the thread count.
+            TaskPool::shared().parallelFor(
+                pods.size(), threads,
+                [&](std::size_t p) { runPodEpoch(p, t1); });
         }
 
         std::uint64_t epochSteps = 0;
@@ -1130,7 +1119,7 @@ FleetSim::assemble(int threads)
     // order -- and therefore every mean byte -- is independent of the
     // worker count.
     out.tenants.resize(n);
-    forEachPod(n, threads, [&](std::size_t i) {
+    TaskPool::shared().parallelFor(n, threads, [&](std::size_t i) {
         const TenantJob &job = trace.jobs[i];
         TenantRt &rt = tenants[i];
         FleetTenantMetrics &m = out.tenants[i];
@@ -1218,7 +1207,7 @@ FleetSim::assemble(int threads)
     // Same split as the tenant rows: per-pod rows build in parallel,
     // totals accumulate sequentially afterwards.
     out.pods.resize(pods.size());
-    forEachPod(pods.size(), threads, [&](std::size_t p) {
+    TaskPool::shared().parallelFor(pods.size(), threads, [&](std::size_t p) {
         PodRt &pod = pods[p];
         const PodSpec &ps = spec.pods[p];
         FleetPodReport &r = out.pods[p];

@@ -1,68 +1,88 @@
 #include "sweep/emit.h"
 
-#include <cmath>
-#include <cstdio>
-#include <sstream>
-
 namespace diva
 {
+
+namespace
+{
+
+using enum ColumnKind;
+
+/**
+ * The sweep row's columns. A GPU row's design-point cells read the
+ * GPU; the JSON object leaves out the design-point columns `config`
+ * names, writes the pod link only for pod rows and the error only for
+ * failed ones.
+ */
+void
+columns(RowWriter col, const ScenarioResult &r)
+{
+    const Scenario &s = r.scenario;
+    const bool gpu = s.backend == SweepBackend::kGpu;
+    const bool pod = s.backend == SweepBackend::kMultiChip;
+    // Metrics the backend does not model are unmodeled cells, never
+    // fake zeros a reader could mistake for measurements.
+    const bool modeled = modelsChipMetrics(s.backend);
+    const auto chip = [modeled](const Cell &c) {
+        return modeled ? c : Cell();
+    };
+    col({"config", "config", kText}, gpu ? s.gpu.name : s.config.name);
+    col({"dataflow", nullptr, kText},
+        gpu ? Cell() : Cell(dataflowName(s.config.dataflow)));
+    col({"ppu", nullptr, kFlag}, !gpu && s.config.hasPpu);
+    col({"pe_rows", nullptr, kInteger}, gpu ? 0 : s.config.peRows);
+    col({"pe_cols", nullptr, kInteger}, gpu ? 0 : s.config.peCols);
+    col({"sram_mib", nullptr, kInteger},
+        gpu ? 0 : s.config.sramBytes >> 20);
+    col({"dram_gbs", nullptr, kReal},
+        gpu ? s.gpu.bandwidthGBs : s.config.dramBandwidthGBs);
+    col({"backend", "backend", kText}, backendName(s.backend));
+    col({"chips", "chips", kInteger}, pod ? s.pod.numChips : 1, pod);
+    col({"ici_gbs", "ici_gbs", kReal}, pod ? s.pod.interconnectGBs : 0.0,
+        pod);
+    col({"link_lat", "link_lat", kInteger},
+        pod ? s.pod.linkLatencyCycles : 0, pod);
+    col({"model", "model", kText}, s.model);
+    col({"scale", "scale", kInteger}, s.modelScale);
+    col({"algorithm", "algorithm", kText}, algorithmName(s.algorithm));
+    col({"batch", "batch", kInteger}, r.resolvedBatch);
+    col({"microbatch", "microbatch", kInteger}, s.microbatch);
+    col({"cycles", "cycles", kInteger}, chip(r.cycles));
+    col({"compute_cycles", "compute_cycles", kInteger},
+        chip(r.computeCycles));
+    col({"allreduce_cycles", "allreduce_cycles", kInteger},
+        chip(r.allReduceCycles));
+    col({"seconds", "seconds", kReal}, r.seconds);
+    col({"utilization", "utilization", kReal}, chip(r.utilization));
+    col({"energy_j", "energy_j", kReal}, chip(r.energyJ));
+    col({"dram_bytes", "dram_bytes", kInteger}, chip(r.dramBytes));
+    col({"postproc_dram_bytes", nullptr, kInteger},
+        chip(r.postProcDramBytes));
+    col({"engine_power_w", nullptr, kReal}, chip(r.enginePowerW));
+    col({"engine_area_mm2", nullptr, kReal}, chip(r.engineAreaMm2));
+    col({"error", "error", kText}, r.error, !r.ok());
+}
+
+std::string
+render(RowWriter::Part part, const ScenarioResult &r)
+{
+    std::string out;
+    columns(RowWriter(out, part), r);
+    return out;
+}
+
+} // namespace
 
 std::string
 csvHeader()
 {
-    return "config,dataflow,ppu,pe_rows,pe_cols,sram_mib,dram_gbs,"
-           "backend,chips,ici_gbs,link_lat,model,scale,algorithm,"
-           "batch,microbatch,cycles,compute_cycles,allreduce_cycles,"
-           "seconds,utilization,energy_j,dram_bytes,"
-           "postproc_dram_bytes,engine_power_w,engine_area_mm2,error";
+    return render(RowWriter::kCsvHeader, ScenarioResult{});
 }
 
 std::string
 csvRow(const ScenarioResult &r)
 {
-    const Scenario &s = r.scenario;
-    const bool gpu = s.backend == SweepBackend::kGpu;
-    // Metrics the backend does not model are emitted as empty cells
-    // (integral columns) or "nan" (floating columns), never as fake
-    // zeros a reader could mistake for measurements.
-    const bool modeled = modelsChipMetrics(s.backend);
-    std::ostringstream oss;
-    oss << csvCell(gpu ? s.gpu.name : s.config.name) << ','
-        << (gpu ? "-" : dataflowName(s.config.dataflow)) << ','
-        << (gpu ? 0 : int(s.config.hasPpu)) << ','
-        << (gpu ? 0 : s.config.peRows) << ','
-        << (gpu ? 0 : s.config.peCols) << ','
-        << (gpu ? 0 : s.config.sramBytes >> 20) << ','
-        << formatDouble(gpu ? s.gpu.bandwidthGBs
-                            : s.config.dramBandwidthGBs)
-        << ',' << backendName(s.backend) << ','
-        << (s.backend == SweepBackend::kMultiChip ? s.pod.numChips : 1)
-        << ',';
-    // Pod link design point; zeros for backends without interconnect.
-    if (s.backend == SweepBackend::kMultiChip)
-        oss << formatDouble(s.pod.interconnectGBs) << ','
-            << s.pod.linkLatencyCycles;
-    else
-        oss << 0 << ',' << 0;
-    oss << ',' << csvCell(s.model) << ',' << s.modelScale << ','
-        << csvCell(algorithmName(s.algorithm)) << ',' << r.resolvedBatch
-        << ',' << s.microbatch << ',';
-    if (modeled)
-        oss << r.cycles << ',' << r.computeCycles << ','
-            << r.allReduceCycles << ',';
-    else
-        oss << ",,,";
-    oss << formatDouble(r.seconds) << ','
-        << (modeled ? formatDouble(r.utilization) : "nan") << ','
-        << (modeled ? formatDouble(r.energyJ) : "nan") << ',';
-    if (modeled)
-        oss << r.dramBytes << ',' << r.postProcDramBytes << ',';
-    else
-        oss << ",,";
-    oss << (modeled ? formatDouble(r.enginePowerW) : "nan") << ','
-        << (modeled ? formatDouble(r.engineAreaMm2) : "nan") << ','
-        << csvCell(r.error);
-    return oss.str();
+    return render(RowWriter::kCsvRow, r);
 }
 
 void
@@ -81,45 +101,9 @@ writeJson(std::ostream &os, const SweepReport &report)
     // byte-identical. Cache hit/miss counts go to the CLI summary.
     os << "{\n  \"failures\": " << report.failures
        << ",\n  \"results\": [";
-    for (std::size_t i = 0; i < report.results.size(); ++i) {
-        const ScenarioResult &r = report.results[i];
-        const Scenario &s = r.scenario;
-        const bool gpu = s.backend == SweepBackend::kGpu;
-        // Unmodeled metrics are null, never fake zeros.
-        const bool modeled = modelsChipMetrics(s.backend);
-        os << (i ? ",\n    {" : "\n    {") << "\"config\": \""
-           << jsonEscape(gpu ? s.gpu.name : s.config.name)
-           << "\", \"backend\": \"" << backendName(s.backend) << '"';
-        if (s.backend == SweepBackend::kMultiChip)
-            os << ", \"chips\": " << s.pod.numChips << ", \"ici_gbs\": "
-               << jsonNumber(s.pod.interconnectGBs)
-               << ", \"link_lat\": " << s.pod.linkLatencyCycles;
-        os << ", \"model\": \"" << jsonEscape(s.model)
-           << "\", \"scale\": " << s.modelScale << ", \"algorithm\": \""
-           << jsonEscape(algorithmName(s.algorithm))
-           << "\", \"batch\": " << r.resolvedBatch
-           << ", \"microbatch\": " << s.microbatch << ", \"cycles\": ";
-        if (modeled)
-            os << r.cycles << ", \"compute_cycles\": "
-               << r.computeCycles << ", \"allreduce_cycles\": "
-               << r.allReduceCycles;
-        else
-            os << "null, \"compute_cycles\": null"
-               << ", \"allreduce_cycles\": null";
-        os << ", \"seconds\": " << jsonNumber(r.seconds)
-           << ", \"utilization\": "
-           << (modeled ? jsonNumber(r.utilization) : "null")
-           << ", \"energy_j\": "
-           << (modeled ? jsonNumber(r.energyJ) : "null")
-           << ", \"dram_bytes\": ";
-        if (modeled)
-            os << r.dramBytes;
-        else
-            os << "null";
-        if (!r.ok())
-            os << ", \"error\": \"" << jsonEscape(r.error) << "\"";
-        os << "}";
-    }
+    for (std::size_t i = 0; i < report.results.size(); ++i)
+        os << (i ? ",\n    {" : "\n    {")
+           << render(RowWriter::kJsonFields, report.results[i]) << "}";
     os << "\n  ]\n}\n";
 }
 

@@ -3,6 +3,9 @@
  * Deterministic CSV and JSON emitters for sweep reports. Output is a
  * pure function of the results (no timestamps, no wall-clock), so a
  * parallel sweep emits bytes identical to a serial one.
+ *
+ * The row's columns are declared once, in emit.cc, and render through
+ * the RowWriter of common/format.h.
  */
 
 #ifndef DIVA_SWEEP_EMIT_H
@@ -32,10 +35,6 @@ void writeCsv(std::ostream &os, const SweepReport &report);
  * excluded so reruns against a warm disk cache emit identical bytes).
  */
 void writeJson(std::ostream &os, const SweepReport &report);
-
-// formatDouble / jsonNumber / csvCell / jsonEscape moved to
-// common/format.h (shared with the serve and trace emitters); the
-// include above keeps existing callers of this header compiling.
 
 } // namespace diva
 

@@ -1,7 +1,5 @@
 #include "tenant/emit.h"
 
-#include <sstream>
-
 #include "common/format.h"
 
 namespace diva
@@ -10,74 +8,74 @@ namespace diva
 namespace
 {
 
-/** The run-level cells shared by every tenant row of one serve. */
-std::string
-servePrefix(const ServeResult &s)
+using enum ColumnKind;
+
+/** The run-level cells that lead each row of one serve, and its JSON. */
+void
+runColumns(RowWriter col, const ServeResult &s)
 {
-    std::ostringstream oss;
-    oss << csvCell(std::string(policyName(s.policy))) << ','
-        << csvCell(s.configName) << ',' << csvCell(s.workloadName) << ','
-        << s.chips << ',' << s.quantumIters << ','
-        << formatDouble(s.wallLimitSec);
-    return oss.str();
+    col({"policy", "policy", kText}, policyName(s.policy));
+    col({"config", "config", kText}, s.configName);
+    col({"workload", "workload", kText}, s.workloadName);
+    col({"chips", "chips", kInteger}, s.chips);
+    col({"quantum", "quantum", kInteger}, s.quantumIters);
+    col({"wall_s", "wall_s", kReal}, s.wallLimitSec);
+}
+
+/**
+ * One tenant's cells. The JSON object calls the tenant `name`, leaves
+ * out `scale` and adds the latency sample count and maximum.
+ */
+void
+tenantColumns(RowWriter col, const ServeResult &,
+              const TenantMetrics &t)
+{
+    col({"tenant", "name", kText, "-"}, t.job.name);
+    col({"model", "model", kText, "-"}, t.job.model);
+    col({"scale", nullptr, kInteger, "0"}, t.job.modelScale);
+    col({"algorithm", "algorithm", kText, "-"},
+        algorithmName(t.job.algorithm));
+    col({"batch", "batch", kInteger, "0"}, t.resolvedBatch);
+    col({"priority", "priority", kInteger, "0"}, t.job.priority);
+    col({"arrival_s", "arrival_s", kReal, "0"}, t.job.arrivalSec);
+    col({"depart_s", "depart_s", kReal, "0"}, t.job.departSec);
+    col({"qos_sps", "qos_sps", kReal, "0"}, t.job.qosStepsPerSec);
+    col({"qos_deadline_s", "qos_deadline_s", kReal, "0"},
+        t.job.qosDeadlineSec);
+    col({"steps", "steps", kInteger, "0"}, t.job.steps);
+    col({"steps_done", "steps_done", kInteger, "0"}, t.stepsDone);
+    col({"completed", "completed", kFlag, "0"}, t.completed);
+    col({"departed", "departed", kFlag, "0"}, t.departed);
+    col({"admitted", "admitted", kFlag, "0"}, t.admitted);
+    col({"wait_s", "wait_s", kReal, "nan"}, t.waitSec);
+    col({"end_s", "end_s", kReal, "nan"}, t.endSec);
+    col({"achieved_sps", "achieved_sps", kReal, "nan"},
+        t.achievedStepsPerSec);
+    col({"isolated_sps", "isolated_sps", kReal, "nan"},
+        t.isolatedStepsPerSec);
+    col({"slowdown", "slowdown", kReal, "nan"}, t.slowdown);
+    col({nullptr, "lat_count", kInteger}, t.stepLatency.count);
+    col({"lat_p50_s", "lat_p50_s", kReal, "nan"}, t.stepLatency.p50Sec);
+    col({"lat_p95_s", "lat_p95_s", kReal, "nan"}, t.stepLatency.p95Sec);
+    col({"lat_p99_s", "lat_p99_s", kReal, "nan"}, t.stepLatency.p99Sec);
+    col({nullptr, "lat_max_s", kReal}, t.stepLatency.maxSec);
+    col({"qos_attainment_pct", "qos_attainment_pct", kReal, "nan"},
+        t.qosAttainmentPct);
+    col({"energy_j", "energy_j", kReal, "nan"}, t.energyJ);
+    col({"energy_share", "energy_share", kReal, "nan"}, t.energyShare);
+    col({"switches_in", "switches_in", kInteger, "0"}, t.switchesIn);
+    // Only a failed run has an error, and its placeholder row prints it.
+    col({"error", nullptr, kText}, "");
 }
 
 } // namespace
 
-std::string
-serveCsvHeader()
-{
-    return "policy,config,workload,chips,quantum,wall_s,tenant,model,"
-           "scale,algorithm,batch,priority,arrival_s,depart_s,qos_sps,"
-           "qos_deadline_s,steps,steps_done,completed,departed,"
-           "admitted,wait_s,end_s,achieved_sps,isolated_sps,slowdown,"
-           "lat_p50_s,lat_p95_s,lat_p99_s,qos_attainment_pct,"
-           "energy_j,energy_share,switches_in,error";
-}
-
-std::string
-serveCsvRow(const ServeResult &serve, const TenantMetrics &t)
-{
-    std::ostringstream oss;
-    oss << servePrefix(serve) << ',' << csvCell(t.job.name) << ','
-        << csvCell(t.job.model) << ',' << t.job.modelScale << ','
-        << csvCell(algorithmName(t.job.algorithm)) << ','
-        << t.resolvedBatch << ',' << t.job.priority << ','
-        << formatDouble(t.job.arrivalSec) << ','
-        << formatDouble(t.job.departSec) << ','
-        << formatDouble(t.job.qosStepsPerSec) << ','
-        << formatDouble(t.job.qosDeadlineSec) << ',' << t.job.steps
-        << ',' << t.stepsDone << ',' << int(t.completed) << ','
-        << int(t.departed) << ',' << int(t.admitted) << ','
-        << formatDouble(t.waitSec) << ',' << formatDouble(t.endSec)
-        << ',' << formatDouble(t.achievedStepsPerSec) << ','
-        << formatDouble(t.isolatedStepsPerSec) << ','
-        << formatDouble(t.slowdown) << ','
-        << formatDouble(t.stepLatency.p50Sec) << ','
-        << formatDouble(t.stepLatency.p95Sec) << ','
-        << formatDouble(t.stepLatency.p99Sec) << ','
-        << formatDouble(t.qosAttainmentPct) << ','
-        << formatDouble(t.energyJ) << ',' << formatDouble(t.energyShare)
-        << ',' << t.switchesIn << ',';
-    return oss.str();
-}
-
 void
 writeServeCsv(std::ostream &os, const std::vector<ServeResult> &serves)
 {
-    os << serveCsvHeader() << '\n';
-    for (const ServeResult &s : serves) {
-        if (!s.ok()) {
-            // One placeholder cell per tenant column, error last.
-            os << servePrefix(s)
-               << ",-,-,0,-,0,0,0,0,0,0,0,0,0,0,0,nan,nan,nan,nan,nan,"
-                  "nan,nan,nan,nan,nan,nan,0,"
-               << csvCell(s.error) << '\n';
-            continue;
-        }
-        for (const TenantMetrics &t : s.tenants)
-            os << serveCsvRow(s, t) << '\n';
-    }
+    os << runTableHeader(runColumns, tenantColumns);
+    for (const ServeResult &s : serves)
+        writeRunRows(os, runColumns, s, tenantColumns, s.tenants);
 }
 
 void
@@ -86,12 +84,9 @@ writeServeJson(std::ostream &os, const std::vector<ServeResult> &serves)
     os << "{\n  \"serves\": [";
     for (std::size_t i = 0; i < serves.size(); ++i) {
         const ServeResult &s = serves[i];
-        os << (i ? ",\n    {" : "\n    {") << "\"policy\": \""
-           << policyName(s.policy) << "\", \"config\": \""
-           << jsonEscape(s.configName) << "\", \"workload\": \""
-           << jsonEscape(s.workloadName) << "\", \"chips\": " << s.chips
-           << ", \"quantum\": " << s.quantumIters << ", \"wall_s\": "
-           << jsonNumber(s.wallLimitSec);
+        std::string fields;
+        runColumns(RowWriter(fields, RowWriter::kJsonFields), s);
+        os << (i ? ",\n    {" : "\n    {") << fields;
         if (!s.ok()) {
             os << ", \"error\": \"" << jsonEscape(s.error) << "\"}";
             continue;
@@ -115,39 +110,10 @@ writeServeJson(std::ostream &os, const std::vector<ServeResult> &serves)
            << ", \"lat_max_s\": " << jsonNumber(s.aggStepLatency.maxSec)
            << ", \"tenants\": [";
         for (std::size_t j = 0; j < s.tenants.size(); ++j) {
-            const TenantMetrics &t = s.tenants[j];
-            os << (j ? ", {" : "{") << "\"name\": \""
-               << jsonEscape(t.job.name) << "\", \"model\": \""
-               << jsonEscape(t.job.model) << "\", \"algorithm\": \""
-               << jsonEscape(algorithmName(t.job.algorithm))
-               << "\", \"batch\": " << t.resolvedBatch
-               << ", \"priority\": " << t.job.priority
-               << ", \"arrival_s\": " << jsonNumber(t.job.arrivalSec)
-               << ", \"depart_s\": " << jsonNumber(t.job.departSec)
-               << ", \"qos_sps\": " << jsonNumber(t.job.qosStepsPerSec)
-               << ", \"qos_deadline_s\": "
-               << jsonNumber(t.job.qosDeadlineSec) << ", \"steps\": "
-               << t.job.steps << ", \"steps_done\": " << t.stepsDone
-               << ", \"completed\": " << (t.completed ? "true" : "false")
-               << ", \"departed\": " << (t.departed ? "true" : "false")
-               << ", \"admitted\": " << (t.admitted ? "true" : "false")
-               << ", \"wait_s\": " << jsonNumber(t.waitSec)
-               << ", \"end_s\": " << jsonNumber(t.endSec)
-               << ", \"achieved_sps\": "
-               << jsonNumber(t.achievedStepsPerSec)
-               << ", \"isolated_sps\": "
-               << jsonNumber(t.isolatedStepsPerSec) << ", \"slowdown\": "
-               << jsonNumber(t.slowdown)
-               << ", \"lat_count\": " << t.stepLatency.count
-               << ", \"lat_p50_s\": " << jsonNumber(t.stepLatency.p50Sec)
-               << ", \"lat_p95_s\": " << jsonNumber(t.stepLatency.p95Sec)
-               << ", \"lat_p99_s\": " << jsonNumber(t.stepLatency.p99Sec)
-               << ", \"lat_max_s\": " << jsonNumber(t.stepLatency.maxSec)
-               << ", \"qos_attainment_pct\": "
-               << jsonNumber(t.qosAttainmentPct) << ", \"energy_j\": "
-               << jsonNumber(t.energyJ) << ", \"energy_share\": "
-               << jsonNumber(t.energyShare) << ", \"switches_in\": "
-               << t.switchesIn << "}";
+            fields.clear();
+            tenantColumns(RowWriter(fields, RowWriter::kJsonFields), s,
+                          s.tenants[j]);
+            os << (j ? ", {" : "{") << fields << "}";
         }
         os << "]}";
     }

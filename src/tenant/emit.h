@@ -5,13 +5,16 @@
  * row per tenant per serve run), doubles go through formatDouble /
  * jsonNumber so NaN renders as "nan" in CSV and null in JSON, and a
  * parallel-backed serve emits bytes identical to a serial one.
+ *
+ * A row is the serve's run-level cells followed by one tenant's; each
+ * list of cells is declared once, in emit.cc, and renders through the
+ * RowWriter of common/format.h.
  */
 
 #ifndef DIVA_TENANT_EMIT_H
 #define DIVA_TENANT_EMIT_H
 
 #include <ostream>
-#include <string>
 #include <vector>
 
 #include "tenant/serve.h"
@@ -19,16 +22,9 @@
 namespace diva
 {
 
-/** Header matching serveCsvRow()'s columns. */
-std::string serveCsvHeader();
-
-/** One CSV row for one tenant of one serve run. */
-std::string serveCsvRow(const ServeResult &serve,
-                        const TenantMetrics &tenant);
-
 /**
  * Emit header + one row per tenant per serve run. Failed runs emit a
- * single row with tenant "-" and the error column filled.
+ * single row of placeholder cells with the error column filled.
  */
 void writeServeCsv(std::ostream &os,
                    const std::vector<ServeResult> &serves);

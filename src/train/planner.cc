@@ -234,8 +234,9 @@ buildMicrobatchedOpStream(const Network &net, TrainingAlgorithm algo,
                           int batch, int microbatch)
 {
     DIVA_ASSERT(batch > 0 && microbatch > 0);
-    DIVA_ASSERT(microbatch <= batch,
-                "micro-batch cannot exceed the mini-batch");
+    if (microbatch > batch)
+        DIVA_FATAL("micro-batch ", microbatch, " exceeds the mini-batch ",
+                   batch);
 
     const int full_passes = batch / microbatch;
     const int remainder = batch % microbatch;

@@ -77,7 +77,7 @@ TEST(FailureInjection, PlannerInputs)
                  std::logic_error);
     EXPECT_THROW(buildMicrobatchedOpStream(
                      resnet50(), TrainingAlgorithm::kDpSgd, 16, 32),
-                 std::logic_error);
+                 std::runtime_error);
 }
 
 TEST(FailureInjection, MemoryModelInputs)

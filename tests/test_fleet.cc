@@ -73,6 +73,26 @@ fleetOf(const std::vector<std::vector<PodSpec>> &groups,
     return spec;
 }
 
+/** The cell count of each row of a CSV document (RFC 4180 quoting). */
+std::vector<std::size_t>
+csvRowWidths(const std::string &doc)
+{
+    std::vector<std::size_t> widths;
+    std::size_t cells = 1;
+    bool quoted = false;
+    for (char c : doc) {
+        if (c == '"') {
+            quoted = !quoted;
+        } else if (!quoted && c == ',') {
+            ++cells;
+        } else if (!quoted && c == '\n') {
+            widths.push_back(cells);
+            cells = 1;
+        }
+    }
+    return widths;
+}
+
 /** Total energy of `jobs` served by the given single-pod fleet. */
 double
 energyOn(const std::vector<PodSpec> &pod,
@@ -447,6 +467,76 @@ TEST(FleetValidation, BadSpecsAndTracesErrorOut)
     std::ostringstream json;
     writeFleetJson(json, r);
     EXPECT_NE(json.str().find("\"error\""), std::string::npos);
+
+    // In-process `diva_fleet --pods 2 --arrivals
+    // poisson:rate=2,horizon=4,seed=1 --backends pod`: every table of
+    // the failed run, byte for byte.
+    std::string err;
+    const auto gen = parseTraceGenSpec("poisson:rate=2,horizon=4,seed=1",
+                                       &err);
+    ASSERT_TRUE(gen.has_value()) << err;
+    FleetSpec pod_only = buildFleet({defaultPodGroup(2)});
+    pod_only.backends = {SweepBackend::kMultiChip};
+    r = simulateFleet(pod_only, generateTrace(*gen));
+    ASSERT_FALSE(r.ok());
+    std::ostringstream tenants, pods, doc;
+    writeFleetTenantCsv(tenants, r);
+    writeFleetPodCsv(pods, r);
+    writeFleetJson(doc, r, true);
+    EXPECT_EQ(tenants.str(),
+              "policy,placement,fleet,trace,tenant,model,batch,priority,"
+              "arrival_s,depart_s,qos_sps,qos_deadline_s,steps,"
+              "steps_done,pod,admitted,completed,departed,end_s,"
+              "achieved_sps,isolated_sps,lat_p50_s,lat_p95_s,lat_p99_s,"
+              "qos_attainment_pct,energy_j,switches_in,migrations,"
+              "migration_s,migration_energy_j,suspensions,error\n"
+              "rr,first-fit,fleet-2,poisson-r2-s1,-,-,0,0,0,0,0,0,0,0,-,"
+              "0,0,0,nan,nan,nan,nan,nan,nan,nan,nan,0,0,nan,nan,0,"
+              "backend 'chip' is not in the allowed --backends list\n");
+    EXPECT_EQ(pods.str(),
+              "policy,placement,fleet,trace,pod,config,chips,backend,"
+              "placed,migrated_in,migrated_out,ended,steps_done,busy_s,"
+              "utilization,energy_j,energy_share,switches,switch_s,"
+              "switch_energy_j,migration_s,migration_energy_j,"
+              "migration_bytes,lat_count,lat_p50_s,lat_p95_s,lat_p99_s,"
+              "mean_qos_attainment_pct,error\n"
+              "rr,first-fit,fleet-2,poisson-r2-s1,-,-,0,-,0,0,0,0,0,0,"
+              "nan,0,nan,0,0,0,0,0,0,0,nan,nan,nan,nan,backend 'chip' is "
+              "not in the allowed --backends list\n");
+    EXPECT_EQ(doc.str(),
+              "{\n  \"policy\": \"rr\", \"placement\": \"first-fit\", "
+              "\"fleet\": \"fleet-2\", \"trace\": \"poisson-r2-s1\", "
+              "\"quantum\": 1, \"wall_s\": 0, \"error\": \"backend "
+              "'chip' is not in the allowed --backends list\"\n}\n");
+    EXPECT_EQ(csvRowWidths(tenants.str()),
+              (std::vector<std::size_t>{32, 32}));
+    EXPECT_EQ(csvRowWidths(pods.str()),
+              (std::vector<std::size_t>{29, 29}));
+}
+
+TEST(FleetEmit, EveryRowHasTheHeadersCellCount)
+{
+    // Sessions on pods, sessions cut by the wall (pod "-"), and one
+    // whose name needs CSV quoting.
+    std::string err;
+    const auto gen = parseTraceGenSpec(
+        "poisson:rate=10,horizon=20,seed=5,qos=3,cap=300", &err);
+    ASSERT_TRUE(gen.has_value()) << err;
+    ArrivalTrace t = generateTrace(*gen);
+    t.jobs[0].name = "a \"quoted\", name";
+    FleetSpec spec = fleetOf({podsOf("df=DiVa,count=4")},
+                             PlacementKind::kFirstFit);
+    spec.wallLimitSec = 10.0;
+    const FleetResult r = simulateFleet(spec, t);
+    ASSERT_TRUE(r.ok()) << r.error;
+
+    std::ostringstream tenants, pods;
+    writeFleetTenantCsv(tenants, r);
+    writeFleetPodCsv(pods, r);
+    EXPECT_EQ(csvRowWidths(tenants.str()),
+              std::vector<std::size_t>(1 + r.tenants.size(), 32));
+    EXPECT_EQ(csvRowWidths(pods.str()),
+              std::vector<std::size_t>(1 + r.pods.size(), 29));
 }
 
 TEST(FleetPricing, PodsSharingAConfigNameArePricedOnTheirOwnConfig)

@@ -79,9 +79,16 @@ TEST(Microbatch, RemainderHandled)
 TEST(Microbatch, RejectsInvalidSplit)
 {
     const Network net = resnet50();
+    // A micro-batch above its batch is an input error naming both.
     EXPECT_THROW(buildMicrobatchedOpStream(
                      net, TrainingAlgorithm::kDpSgd, 8, 16),
-                 std::logic_error);
+                 std::runtime_error);
+    try {
+        buildMicrobatchedOpStream(net, TrainingAlgorithm::kDpSgd, 8, 16);
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(),
+                     "fatal: micro-batch 16 exceeds the mini-batch 8");
+    }
     EXPECT_THROW(buildMicrobatchedOpStream(
                      net, TrainingAlgorithm::kDpSgd, 8, 0),
                  std::logic_error);

@@ -370,5 +370,74 @@ TEST(ServePipeline, SurfacesScenarioErrors)
     EXPECT_FALSE(simulateServe(bad_cfg).ok());
 }
 
+/** The cell count of each row of a CSV document (RFC 4180 quoting). */
+std::vector<std::size_t>
+csvRowWidths(const std::string &doc)
+{
+    std::vector<std::size_t> widths;
+    std::size_t cells = 1;
+    bool quoted = false;
+    for (char c : doc) {
+        if (c == '"') {
+            quoted = !quoted;
+        } else if (!quoted && c == ',') {
+            ++cells;
+        } else if (!quoted && c == '\n') {
+            widths.push_back(cells);
+            cells = 1;
+        }
+    }
+    return widths;
+}
+
+TEST(ServeEmit, FailedRunsEmitPinnedPlaceholdersAndRowsMatchTheHeader)
+{
+    // In-process `diva_serve --tenants 2 --steps 4 --backends pod`:
+    // single-chip tenants price on the chip backend, which a pod-only
+    // allow-list refuses, so the run fails and emits one placeholder
+    // row and an error object.
+    ServeSpec failing;
+    failing.workload = defaultWorkload(2, 4, 8, 0.0);
+    failing.config = divaDefault(true);
+    failing.backends = {SweepBackend::kMultiChip};
+    failing.opts.autoQosFairShare = true;
+    const ServeResult failed = simulateServe(failing);
+    ASSERT_FALSE(failed.ok());
+
+    std::ostringstream csv, json;
+    writeServeCsv(csv, {failed});
+    writeServeJson(json, {failed});
+    EXPECT_EQ(csv.str(),
+              "policy,config,workload,chips,quantum,wall_s,tenant,model,"
+              "scale,algorithm,batch,priority,arrival_s,depart_s,qos_sps,"
+              "qos_deadline_s,steps,steps_done,completed,departed,"
+              "admitted,wait_s,end_s,achieved_sps,isolated_sps,slowdown,"
+              "lat_p50_s,lat_p95_s,lat_p99_s,qos_attainment_pct,"
+              "energy_j,energy_share,switches_in,error\n"
+              "rr,DiVa,mixed-2,1,1,0,-,-,0,-,0,0,0,0,0,0,0,0,0,0,0,nan,"
+              "nan,nan,nan,nan,nan,nan,nan,nan,nan,nan,0,backend 'chip' "
+              "is not in the allowed --backends list\n");
+    EXPECT_EQ(json.str(),
+              "{\n  \"serves\": [\n    {\"policy\": \"rr\", \"config\": "
+              "\"DiVa\", \"workload\": \"mixed-2\", \"chips\": 1, "
+              "\"quantum\": 1, \"wall_s\": 0, \"error\": \"backend "
+              "'chip' is not in the allowed --backends list\"}\n  ]\n}\n");
+
+    // Tenant rows of a run that succeeds, one of them with a name
+    // that needs CSV quoting, next to the failed run's row.
+    ServeSpec ok = failing;
+    ok.backends.clear();
+    ok.workload.jobs[0].name = "a \"quoted\", name";
+    const ServeResult served = simulateServe(ok);
+    ASSERT_TRUE(served.ok()) << served.error;
+    std::ostringstream both;
+    writeServeCsv(both, {served, failed});
+    const std::vector<std::size_t> widths = csvRowWidths(both.str());
+    ASSERT_EQ(widths.size(), 1 + served.tenants.size() + 1);
+    EXPECT_EQ(widths[0], 34u);
+    for (std::size_t i = 1; i < widths.size(); ++i)
+        EXPECT_EQ(widths[i], widths[0]) << "row " << i;
+}
+
 } // namespace
 } // namespace diva

@@ -424,6 +424,68 @@ TEST(Emit, CsvIsDeterministicAndAlignedWithHeader)
     EXPECT_EQ(count_commas(row), count_commas(csvHeader()));
 }
 
+/** The cell count of each row of a CSV document (RFC 4180 quoting). */
+std::vector<std::size_t>
+csvRowWidths(const std::string &doc)
+{
+    std::vector<std::size_t> widths;
+    std::size_t cells = 1;
+    bool quoted = false;
+    for (char c : doc) {
+        if (c == '"') {
+            quoted = !quoted;
+        } else if (!quoted && c == ',') {
+            ++cells;
+        } else if (!quoted && c == '\n') {
+            widths.push_back(cells);
+            cells = 1;
+        }
+    }
+    return widths;
+}
+
+TEST(Emit, EveryRowHasTheHeadersCellCount)
+{
+    // Chip, pod and GPU rows; failed rows for a micro-batch larger
+    // than its batch and for one larger than the pod's shard; and an
+    // error text that needs CSV quoting.
+    Scenario chip;
+    chip.config = divaDefault(true);
+    chip.model = "SqueezeNet";
+    chip.algorithm = TrainingAlgorithm::kDpSgd;
+    chip.batch = 8;
+    Scenario pod = chip;
+    pod.backend = SweepBackend::kMultiChip;
+    pod.pod.numChips = 4;
+    Scenario gpu = chip;
+    gpu.backend = SweepBackend::kGpu;
+    gpu.gpu = GpuConfig::a100Fp16();
+    Scenario chip_mb = chip;
+    chip_mb.batch = 2;
+    chip_mb.microbatch = 4;
+    Scenario pod_mb = pod;
+    pod_mb.microbatch = 4;
+    SweepRunner runner;
+    SweepReport report =
+        runner.run(std::vector<Scenario>{chip, pod, gpu, chip_mb, pod_mb});
+    ASSERT_EQ(report.results.size(), 5u);
+    for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_TRUE(report.results[i].ok()) << report.results[i].error;
+    EXPECT_FALSE(report.results[3].ok());
+    EXPECT_FALSE(report.results[4].ok());
+    ScenarioResult quoted = report.results[0];
+    quoted.error = "a \"quoted\", two-line\nerror";
+    report.results.push_back(quoted);
+
+    std::ostringstream csv;
+    writeCsv(csv, report);
+    const std::vector<std::size_t> widths = csvRowWidths(csv.str());
+    ASSERT_EQ(widths.size(), report.results.size() + 1);
+    EXPECT_EQ(widths[0], 27u);
+    for (std::size_t i = 1; i < widths.size(); ++i)
+        EXPECT_EQ(widths[i], widths[0]) << "row " << i;
+}
+
 TEST(Emit, JsonIsIndependentOfCacheState)
 {
     // The JSON file is a pure function of the scenario list, so a
