@@ -33,10 +33,11 @@ verbosityFlag()
 }
 
 /**
- * The single guarded sink every non-fatal severity funnels through:
- * one lock, one prefixed line, one flush. Building the full line
- * before streaming keeps a message atomic even if a future sink
- * writes in chunks.
+ * The single guarded sink every severity but panic funnels through:
+ * one lock, one prefixed line, one flush, and nothing below
+ * `minLevel` (kQuiet always prints). Building the full line before
+ * streaming keeps a message atomic even if a future sink writes in
+ * chunks.
  */
 void
 sinkWrite(const char *prefix, const std::string &msg,
@@ -74,13 +75,9 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
+fatalImpl(const std::string &msg)
 {
-    {
-        std::lock_guard<std::mutex> lock(sinkMutex());
-        std::cerr << "fatal: " << msg << " @ " << file << ":" << line
-                  << std::endl;
-    }
+    sinkWrite("fatal: ", msg, LogVerbosity::kQuiet);
     throw std::runtime_error("fatal: " + msg);
 }
 

@@ -21,9 +21,11 @@ namespace diva
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 
-/** Terminate with a user-error message (bad configuration). */
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
+/**
+ * Terminate with a user-error message (bad configuration). The line
+ * ends at the message: a user error is not a place in the source.
+ */
+[[noreturn]] void fatalImpl(const std::string &msg);
 
 /** Print a warning to stderr without stopping. */
 void warnImpl(const std::string &msg);
@@ -73,7 +75,7 @@ concat(Args &&...args)
     ::diva::panicImpl(__FILE__, __LINE__, ::diva::detail::concat(__VA_ARGS__))
 
 #define DIVA_FATAL(...) \
-    ::diva::fatalImpl(__FILE__, __LINE__, ::diva::detail::concat(__VA_ARGS__))
+    ::diva::fatalImpl(::diva::detail::concat(__VA_ARGS__))
 
 #define DIVA_WARN(...) \
     ::diva::warnImpl(::diva::detail::concat(__VA_ARGS__))

@@ -93,10 +93,10 @@ radixSortPositive(double *v, std::size_t n, double *scratch)
 
 /**
  * Distinct-value census of a strictly positive, NaN-free sample set.
- * Order statistics over (value, count) pairs beat both a full sort and
- * per-rank selection when a set repeats heavily (a steady tenant's few
- * distinct step latencies).  The census keeps the same precondition
- * as radixSortPositive (every sample > 0.0): positive doubles order by
+ * Order statistics over (value, count) pairs beat a full sort when a
+ * set repeats heavily (a steady tenant's few distinct step
+ * latencies).  The census keeps the same precondition as
+ * radixSortPositive (every sample > 0.0): positive doubles order by
  * their raw bits and carry one bit pattern per value, so "distinct
  * bits" and "distinct value" coincide and the derived statistics are
  * bit-identical to sorting the raw array.  Gives up (returning false,
@@ -171,62 +171,36 @@ censusPositive(const double *s, std::size_t n,
     return true;
 }
 
-/** Drop NaNs in place; the survivors keep their relative order. */
-void
-dropNaNs(std::vector<double> &samples)
-{
-    samples.erase(std::remove_if(samples.begin(), samples.end(),
-                                 [](double v) { return std::isnan(v); }),
-                  samples.end());
-}
-
 /**
- * Shared tail of computeLatencyStats: statistics over a NaN-free
- * buffer of n samples, reordering the buffer as a side effect.
+ * Statistics over a NaN-free buffer of n samples, reordering the
+ * buffer as a side effect: the one rule behind every LatencyStats.  A
+ * large duplicate-heavy set is ranked from its distinct-value census,
+ * any other set is sorted (sortPositiveRun, or std::sort on a run it
+ * refuses) and ranked by index.  Either way the mean sums the samples
+ * in ascending order, so it depends on the multiset alone.
  */
 LatencyStats
 statsOverBuffer(double *s, std::size_t n)
 {
-    LatencyStats out;
-    if (n == 0) {
-        out.meanSec = out.p50Sec = out.p95Sec = out.p99Sec = out.maxSec =
-            kNaN;
-        return out;
-    }
-    out.count = n;
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-        sum += s[i];
-    out.meanSec = sum / double(n);
-
-    // Small sets (the per-tenant fleet stats: one run per session)
-    // take one tiny full sort instead of three selection passes; the
-    // ranked values are the same elements either way.  Most steady
-    // tenants see one constant step latency, and a constant set makes
-    // every pick that value -- detected with one scan, no sort.  (Not
-    // for zeros: +0.0 == -0.0 with distinct bytes, so those keep the
-    // sort path that arbitrates which pattern each rank yields.)
-    if (n <= 32) {
-        bool all_eq = s[0] != 0.0;
-        for (std::size_t i = 1; all_eq && i < n; ++i)
-            all_eq = s[i] == s[0];
-        if (all_eq) {
-            out.maxSec = out.p50Sec = out.p95Sec = out.p99Sec = s[0];
-            return out;
-        }
-        std::sort(s, s + n);
-        return sortedRunStats(s, n, sum);
-    }
-
-    // Large positive sets: rank lookups over the distinct-value census
-    // replace the selection passes (same elements, same bytes).  Below
-    // kRadixMin the census table's setup dwarfs the selections it
+    // Below kRadixMin the census table's setup dwarfs the sort it
     // saves.
     if (n >= kRadixMin) {
         std::vector<std::uint64_t> bits;
         std::vector<std::size_t> cnt;
         if (censusPositive(s, n, bits, cnt)) {
-            out.maxSec = bitsToDouble(bits.back());
+            // Summing each value `count` times in ascending value
+            // order replays the addition sequence of summing the
+            // sorted array, and cumulative counts index the same
+            // elements a sort would.
+            LatencyStats out;
+            out.count = n;
+            double sum = 0.0;
+            for (std::size_t i = 0; i < bits.size(); ++i) {
+                const double v = bitsToDouble(bits[i]);
+                for (std::size_t k = 0; k < cnt[i]; ++k)
+                    sum += v;
+            }
+            out.meanSec = sum / double(n);
             const std::size_t ranks[3] = {nearestRank(50.0, n),
                                           nearestRank(95.0, n),
                                           nearestRank(99.0, n)};
@@ -240,36 +214,19 @@ statsOverBuffer(double *s, std::size_t n)
             out.p50Sec = vals[0];
             out.p95Sec = vals[1];
             out.p99Sec = vals[2];
+            out.maxSec = bitsToDouble(bits.back());
             return out;
         }
     }
-    out.maxSec = *std::max_element(s, s + n);
-
-    // One O(n) selection per rank instead of an O(n log n) full sort.
-    // Each nth_element leaves [first, nth) <= *nth <= (nth, last), so
-    // selecting the (non-decreasing) ranks in order lets every later
-    // selection start past the previous rank. The selected values are
-    // the same elements a full sort would index: bit-identical
-    // nearest-rank percentiles, cheaper tails.
-    const double ps[3] = {50.0, 95.0, 99.0};
-    double vals[3];
-    std::size_t prev = 0; // s[0 .. prev) already partitioned off
-    std::size_t prev_rank = 0;
-    for (int i = 0; i < 3; ++i) {
-        const std::size_t rank = nearestRank(ps[i], n);
-        if (i > 0 && rank == prev_rank) {
-            vals[i] = vals[i - 1];
-            continue;
-        }
-        std::nth_element(s + prev, s + (rank - 1), s + n);
-        vals[i] = s[rank - 1];
-        prev = rank;
-        prev_rank = rank;
-    }
-    out.p50Sec = vals[0];
-    out.p95Sec = vals[1];
-    out.p99Sec = vals[2];
-    return out;
+    // sortPositiveRun refuses a set holding a zero or a negative
+    // sample, whose raw bits do not order like its value; std::sort
+    // takes that set.  new[] (not vector) keeps the scratch
+    // uninitialized: the radix passes write every slot they read.
+    std::unique_ptr<double[]> scratch(n >= kRadixMin ? new double[n]
+                                                     : nullptr);
+    if (!sortPositiveRun(s, n, scratch.get()))
+        std::sort(s, s + n);
+    return sortedRunStats(s, n);
 }
 
 /** Samples at or below `v` across every run. */
@@ -389,8 +346,7 @@ percentileSorted(const std::vector<double> &sorted, double p)
 LatencyStats
 computeLatencyStats(std::vector<double> samples)
 {
-    dropNaNs(samples);
-    return statsOverBuffer(samples.data(), samples.size());
+    return computeLatencyStatsScratch(samples.data(), samples.size());
 }
 
 LatencyStats
@@ -400,69 +356,6 @@ computeLatencyStatsScratch(double *samples, std::size_t count)
         samples, samples + count,
         [](double v) { return std::isnan(v); });
     return statsOverBuffer(samples, std::size_t(last - samples));
-}
-
-LatencyStats
-computeLatencyStatsSortedMean(std::vector<double> samples)
-{
-    dropNaNs(samples);
-    const std::size_t n = samples.size();
-
-    // First choice for big sample sets: the distinct-value census.
-    // Summing each value `count` times in ascending value order
-    // replays the exact addition sequence of summing the sorted array,
-    // and rank lookups over the cumulative counts index the same
-    // elements a sort would -- identical bytes, no 8-byte-per-sample
-    // scratch, no scatter passes.
-    if (n >= kRadixMin) {
-        std::vector<std::uint64_t> bits;
-        std::vector<std::size_t> cnt;
-        if (censusPositive(samples.data(), n, bits, cnt)) {
-            LatencyStats out;
-            out.count = n;
-            double sum = 0.0;
-            for (std::size_t i = 0; i < bits.size(); ++i) {
-                const double v = bitsToDouble(bits[i]);
-                for (std::size_t k = 0; k < cnt[i]; ++k)
-                    sum += v;
-            }
-            out.meanSec = sum / double(n);
-            const std::size_t ranks[3] = {nearestRank(50.0, n),
-                                          nearestRank(95.0, n),
-                                          nearestRank(99.0, n)};
-            double vals[3] = {0.0, 0.0, 0.0};
-            std::size_t cum = 0, r = 0;
-            for (std::size_t i = 0; i < bits.size() && r < 3; ++i) {
-                cum += cnt[i];
-                while (r < 3 && ranks[r] <= cum)
-                    vals[r++] = bitsToDouble(bits[i]);
-            }
-            out.p50Sec = vals[0];
-            out.p95Sec = vals[1];
-            out.p99Sec = vals[2];
-            out.maxSec = bitsToDouble(bits.back());
-            return out;
-        }
-    }
-
-    // The radix path requires strictly positive samples: with zeros of
-    // both signs in play, a comparison sort's placement among "equal"
-    // elements would be observable.  Real latencies are positive; any
-    // other input makes the radix sort bail and takes the comparison
-    // sort.
-    bool sorted = false;
-    if (n >= kRadixMin) {
-        // new[] (not vector) so the scratch stays uninitialized: every
-        // slot is written before it is read.
-        std::unique_ptr<double[]> scratch(new double[n]);
-        sorted = radixSortPositive(samples.data(), n, scratch.get());
-    }
-    if (!sorted)
-        std::sort(samples.begin(), samples.end());
-    double sum = 0.0;
-    for (double v : samples)
-        sum += v;
-    return sortedRunStats(samples.data(), n, sum);
 }
 
 bool
@@ -477,7 +370,7 @@ sortPositiveRun(double *run, std::size_t n, double *scratch)
 }
 
 LatencyStats
-sortedRunStats(const double *sorted, std::size_t n, double sum)
+sortedRunStats(const double *sorted, std::size_t n)
 {
     LatencyStats out;
     if (n == 0) {
@@ -485,6 +378,9 @@ sortedRunStats(const double *sorted, std::size_t n, double sum)
             kNaN;
         return out;
     }
+    double sum = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+        sum += sorted[i];
     out.count = n;
     out.meanSec = sum / double(n);
     out.p50Sec = sorted[nearestRank(50.0, n) - 1];
@@ -503,7 +399,7 @@ mergeSortedRuns(const std::vector<std::span<const double>> &runs,
     for (const std::span<const double> &r : runs)
         n += r.size();
     if (n == 0)
-        return sortedRunStats(out, 0, 0.0);
+        return sortedRunStats(out, 0);
 
     // One value-range slice per lane, kRadixMin samples or more each.
     // Slice k opens, in every run, at the first occurrence of the
@@ -530,13 +426,7 @@ mergeSortedRuns(const std::vector<std::span<const double>> &runs,
             at += cut[k * R + r];
         mergeSlice(runs, &cut[k * R], &cut[(k + 1) * R], out + at);
     });
-
-    // The addition sequence of summing a full sort, so the mean is
-    // computeLatencyStatsSortedMean's to the bit.
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-        sum += out[i];
-    return sortedRunStats(out, n, sum);
+    return sortedRunStats(out, n);
 }
 
 } // namespace diva

@@ -4,16 +4,19 @@
  * tail-latency reporting (p50/p95/p99) uses the nearest-rank
  * definition -- no interpolation, no streaming sketches -- so two
  * runs over the same samples produce the same bytes and a percentile
- * is always a value that actually occurred. NaN samples (e.g. steps
- * that never ran) are excluded up front rather than poisoning the
- * ranks.
+ * is always a value that actually occurred.
  *
- * Two shapes of input have their own entry points, and both index the
- * same elements a full sort would:
- *   - one sample set (computeLatencyStats and its variants): a
- *     duplicate-heavy set is ranked from a distinct-value census, any
- *     other one by std::nth_element selections or, for the
- *     sorted-mean variant, by a radix sort;
+ * Every LatencyStats follows one rule: NaN samples (e.g. steps that
+ * never ran) are dropped; the rest are read as a sorted sample set,
+ * each percentile by its nearest rank and the max as the last
+ * element; and the mean sums the samples in ascending order. The
+ * statistics are therefore a function of the multiset alone, never of
+ * the order in which a caller gathered it. Two shapes of input reach
+ * that rule:
+ *   - one sample set (computeLatencyStats): a large duplicate-heavy
+ *     set is ranked from its distinct-value census, any other one is
+ *     sorted (a radix sort for a long strictly positive run,
+ *     std::sort otherwise) and ranked by index;
  *   - one sample set split into runs (the fleet's per-pod step
  *     latencies): each run sorts in place (sortPositiveRun) and is
  *     ranked by index (sortedRunStats), then the sorted runs merge on
@@ -61,10 +64,9 @@ struct LatencyStats
 };
 
 /**
- * Exact stats over `samples` (taken by value; reordered in place by
- * the per-rank selections). NaN samples are dropped first; an empty
- * (or all-NaN) set yields count 0 with every statistic NaN. The mean
- * accumulates in the samples' input order.
+ * Exact stats over `samples` (taken by value and sorted in place).
+ * NaN samples are dropped first; an empty (or all-NaN) set yields
+ * count 0 with every statistic NaN.
  */
 LatencyStats computeLatencyStats(std::vector<double> samples);
 
@@ -79,15 +81,6 @@ LatencyStats computeLatencyStatsScratch(double *samples,
                                         std::size_t count);
 
 /**
- * Same statistics via a full sort, with the mean accumulated in
- * ascending order. The aggregate CSV/JSON rows are the only emitters
- * of meanSec and have always summed the sorted samples, so they call
- * this variant to keep their bytes stable; percentiles, count and max
- * are bit-identical between the two functions.
- */
-LatencyStats computeLatencyStatsSortedMean(std::vector<double> samples);
-
-/**
  * Sort `run` (n samples) ascending in place and return true if every
  * sample is > 0; on any other sample (NaN included) return false with
  * the run untouched. Runs of 4,096 samples or more take an LSD radix
@@ -100,25 +93,22 @@ bool sortPositiveRun(double *run, std::size_t n, double *scratch);
 
 /**
  * Stats of an ascending, NaN-free run of n samples: count, max and the
- * nearest-rank percentiles by direct index, and meanSec = sum / n for
- * a `sum` the caller accumulated in the order its contract names --
- * input order gives computeLatencyStats' mean, ascending order
- * computeLatencyStatsSortedMean's. n == 0 yields count 0 with every
- * statistic NaN.
+ * nearest-rank percentiles by direct index, and the mean of one
+ * front-to-back (ascending) sum. Bit-identical to computeLatencyStats
+ * over the same samples. n == 0 yields count 0 with every statistic
+ * NaN.
  */
-LatencyStats sortedRunStats(const double *sorted, std::size_t n,
-                            double sum);
+LatencyStats sortedRunStats(const double *sorted, std::size_t n);
 
 /**
  * Merge ascending runs of strictly positive samples into `out` (room
  * for their total, overlapping no run) on up to `threads` TaskPool
  * lanes, and return the union's stats, bit-identical to
- * computeLatencyStatsSortedMean over the runs' concatenation: one
- * sequential ascending sum over `out` gives the mean, and the ranks
- * index `out`. Each lane merges one value range whose edges are found
- * by binary search over the raw bits of the positive doubles, so equal
- * values never straddle two lanes and `out` is the same at any thread
- * count.
+ * computeLatencyStats over the runs' concatenation: sortedRunStats
+ * reads them off `out`. Each lane merges one value range whose edges
+ * are found by binary search over the raw bits of the positive
+ * doubles, so equal values never straddle two lanes and `out` is the
+ * same at any thread count.
  */
 LatencyStats mergeSortedRuns(const std::vector<std::span<const double>> &runs,
                              double *out, int threads);

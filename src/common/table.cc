@@ -68,38 +68,6 @@ TextTable::print(std::ostream &os) const
     printRule();
 }
 
-void
-TextTable::printCsv(std::ostream &os) const
-{
-    auto printRow = [&](const std::vector<std::string> &cells) {
-        for (std::size_t c = 0; c < header_.size(); ++c) {
-            if (c > 0)
-                os << ',';
-            const std::string &cell = c < cells.size() ? cells[c] : "";
-            const bool quote =
-                cell.find_first_of(",\"\n") != std::string::npos;
-            if (quote) {
-                os << '"';
-                for (char ch : cell) {
-                    if (ch == '"')
-                        os << '"';
-                    os << ch;
-                }
-                os << '"';
-            } else {
-                os << cell;
-            }
-        }
-        os << '\n';
-    };
-    printRow(header_);
-    for (const auto &row : rows_) {
-        if (!row.empty() && row[0] == kSeparatorTag)
-            continue;
-        printRow(row);
-    }
-}
-
 std::string
 TextTable::fmt(double v, int precision)
 {

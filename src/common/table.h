@@ -32,12 +32,6 @@ class TextTable
     /** Render the table to the stream. */
     void print(std::ostream &os) const;
 
-    /**
-     * Render as CSV (header + data rows; separators omitted). Cells
-     * containing commas or quotes are quoted per RFC 4180.
-     */
-    void printCsv(std::ostream &os) const;
-
     /** Number of data rows (separators excluded). */
     std::size_t numRows() const { return numDataRows_; }
 

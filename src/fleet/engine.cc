@@ -98,6 +98,10 @@ struct TenantRt
      *  steps > 0; step k's latency lands in slot latOff + k - 1). */
     std::size_t latOff = 0;
 
+    /** Steps done when the session arrived on its current pod: its
+     *  samples [stayStart, done) belong to that pod's run. */
+    std::uint64_t stayStart = 0;
+
     /** Index into FleetSim::prioValues (telemetry runs only). */
     std::uint32_t prioSlot = 0;
 
@@ -153,6 +157,8 @@ struct PodRt
     std::uint64_t epochSteps = 0;
     std::size_t finishedThisEpoch = 0;
 
+    /** The step latencies served here, gathered from the sessions'
+     *  slices stay by stay (FleetSim::closeStay). */
     std::vector<double> latencySec;
 
     // Windowed telemetry (telemetry runs only). All pod-owned:
@@ -407,6 +413,7 @@ struct FleetSim
     std::size_t rebalanceRound(double nowSec, double widthSec);
     void migrate(std::uint32_t idx, std::size_t srcP, std::size_t dstP,
                  double nowSec);
+    void closeStay(std::uint32_t idx);
 
     double globalNextEventSec();
     double totalEnergySoFar() const;
@@ -640,7 +647,6 @@ FleetSim::onStep(serve_core::Executor &ex, std::uint32_t i,
         latArena[rt.latOff + rt.core.done - 1] = latencySec;
     else
         rt.latencySec.push_back(latencySec);
-    pod.latencySec.push_back(latencySec);
     pod.lastActiveSec = ex.nowSec;
     if (telemetry) {
         // Stall overlaps: the switch billed immediately ahead of this
@@ -790,6 +796,7 @@ FleetSim::migrate(std::uint32_t idx, std::size_t srcP,
     serve_core::unschedule(*this, src.core, idx);
     if (src.core.last == idx)
         src.core.last = serve_core::kNoTask;
+    closeStay(idx);
 
     const MigrationCost &mc =
         migCosts[std::size_t(src.type) * types.size() + dst.type];
@@ -835,6 +842,23 @@ FleetSim::migrate(std::uint32_t idx, std::size_t srcP,
                       : rt.arrival;
     serve_core::gate(*this, dst.core, idx,
                      std::max(due, rt.gateUntil));
+}
+
+/**
+ * Append tenant `idx`'s samples of its stay on its current pod, steps
+ * [stayStart, done), to that pod's run, and open the next stay at
+ * `done`. Sequential only: it runs in migrate() at epoch boundaries
+ * and once per session in assemble().
+ */
+void
+FleetSim::closeStay(std::uint32_t idx)
+{
+    TenantRt &rt = tenants[idx];
+    const double *lat = rt.steps > 0 ? latArena.data() + rt.latOff
+                                     : rt.latencySec.data();
+    std::vector<double> &run = pods[rt.pod].latencySec;
+    run.insert(run.end(), lat + rt.stayStart, lat + rt.core.done);
+    rt.stayStart = rt.core.done;
 }
 
 std::size_t
@@ -1112,8 +1136,16 @@ FleetSim::assemble(int threads)
 
     {
     obs::ScopedPhase tenants_phase("assemble_tenants");
+    // Each pod's run still lacks its sessions' last stays: gather them
+    // before the tenant rows reorder their slices. A run holds exactly
+    // the pod's steps, so it is sized once.
+    for (PodRt &pod : pods)
+        pod.latencySec.reserve(pod.steps);
+    for (std::size_t i = 0; i < n; ++i)
+        if (tenants[i].pod != kNoPod)
+            closeStay(std::uint32_t(i));
     // Each row is a pure function of its own tenant's runtime state
-    // (the latency selections sort disjoint arena ranges in place),
+    // (the latency stats sort disjoint arena ranges in place),
     // so rows build in parallel; the floating-point QoS accumulators
     // run in a sequential index-order pass below so their addition
     // order -- and therefore every mean byte -- is independent of the
@@ -1184,9 +1216,8 @@ FleetSim::assemble(int threads)
     out.meanQosAttainmentPct =
         qos_count > 0 ? qos_sum / double(qos_count) : kNaN;
 
-    // Step latencies: each pod sums its run in input order (the pod
-    // mean), sorts it in place and reads its ranks by index; the
-    // fleet-wide stats then merge the sorted runs.
+    // Step latencies: each pod sorts its run in place and reads its
+    // stats by index; the fleet-wide stats then merge the sorted runs.
     std::size_t total_lat = 0;
     std::vector<std::size_t> lat_off(pods.size());
     for (std::size_t p = 0; p < pods.size(); ++p) {
@@ -1234,16 +1265,13 @@ FleetSim::assemble(int threads)
                 ? pod_qos_sum[p] / double(pod_qos_count[p])
                 : kNaN;
         std::vector<double> &lat = pod.latencySec;
-        double sum = 0.0;
-        for (const double v : lat)
-            sum += v;
         if (sortPositiveRun(lat.data(), lat.size(),
                             latArena.data() + lat_off[p])) {
             run_sorted[p] = 1;
-            r.stepLatency = sortedRunStats(lat.data(), lat.size(), sum);
+            r.stepLatency = sortedRunStats(lat.data(), lat.size());
         } else {
-            // A NaN or non-positive latency keeps the exact selection
-            // path, on a copy: the refused run stays as it was for the
+            // A NaN or non-positive latency takes the exact fallback,
+            // on a copy: the refused run stays as it was for the
             // fleet-wide fallback below.
             r.stepLatency = computeLatencyStats(lat);
         }
@@ -1312,17 +1340,17 @@ FleetSim::assemble(int threads)
             out.aggStepLatency =
                 mergeSortedRuns(runs, latArena.data(), threads);
         } else {
-            // The concatenation of sorted and refused runs: the sorted
-            // mean sorts it anyway, and a step latency (now - eligible
-            // after a step of positive cost) is never -0.0, so no
-            // +0/-0 tie can make the order show.
+            // The concatenation of sorted and refused runs: the stats
+            // sort it anyway, and a step latency (now - eligible after
+            // a step of positive cost) is never -0.0, so no +0/-0 tie
+            // can make the order show.
             std::vector<double> all_lat;
             all_lat.reserve(total_lat);
             for (const PodRt &pod : pods)
                 all_lat.insert(all_lat.end(), pod.latencySec.begin(),
                                pod.latencySec.end());
             out.aggStepLatency =
-                computeLatencyStatsSortedMean(std::move(all_lat));
+                computeLatencyStats(std::move(all_lat));
         }
     }
 }

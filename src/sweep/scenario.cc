@@ -195,9 +195,11 @@ Scenario::canonicalKey() const
     std::string out;
     out.reserve(128);
     KeyWriter key(out);
+    // GPUs price the monolithic stream (runScenario), so their
+    // micro-batch never reaches the result and keys as 0.
     key << backendName(backend) << '|' << model << '|' << modelScale
         << '|' << algorithmName(algorithm) << '|' << batch << '|'
-        << microbatch;
+        << (backend == SweepBackend::kGpu ? 0 : microbatch);
     // The auto-batch protocol depends on the budget only when active.
     if (batch == kAutoBatch)
         key << "|mem=" << memoryBudget;

@@ -128,8 +128,9 @@ struct Scenario
      * Canonical key of the simulation inputs this scenario denotes.
      * Two scenarios with equal keys produce identical results; fields
      * irrelevant to the selected backend (e.g. the accelerator config
-     * under kGpu, the pod shape under kSingleChip) are excluded so
-     * sweeps over unrelated axes collapse into one simulation.
+     * and the micro-batch under kGpu, the pod shape under kSingleChip)
+     * are excluded so sweeps over unrelated axes collapse into one
+     * simulation.
      */
     std::string canonicalKey() const;
 };

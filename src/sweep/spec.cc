@@ -1,6 +1,7 @@
 #include "sweep/spec.h"
 
 #include <algorithm>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
@@ -48,7 +49,12 @@ SweepSpec::expand() const
             ++out.invalidSkipped;
             return;
         }
-        if (!seen.insert(s.canonicalKey()).second) {
+        // A row prints the micro-batch it asked for, also where the
+        // key leaves it out (GPUs price the monolithic stream), so two
+        // such rows stay apart here and share one result in the runner.
+        if (!seen.insert(s.canonicalKey() + '|' +
+                         std::to_string(s.microbatch))
+                 .second) {
             ++out.duplicatesRemoved;
             return;
         }

@@ -5,7 +5,7 @@
  * micro-batch sizes, training algorithms and execution backends.
  * expand() takes the full cartesian product, drops invalid design
  * points (e.g. a WS array with a PPU), and deduplicates scenarios
- * whose canonical keys coincide.
+ * whose canonical keys and micro-batches coincide.
  */
 
 #ifndef DIVA_SWEEP_SPEC_H
@@ -62,7 +62,9 @@ struct SweepSpec
         /** Combos dropped because the config failed validate(). */
         std::size_t invalidSkipped = 0;
 
-        /** Combos dropped as exact canonical-key duplicates. */
+        /** Combos dropped as duplicates: same canonical key and
+         *  micro-batch (the one field a row prints that a key may
+         *  leave out). */
         std::size_t duplicatesRemoved = 0;
     };
 
@@ -70,7 +72,7 @@ struct SweepSpec
      * Expand the axes into a deduplicated scenario list. Ordering is
      * deterministic: config-major, then model, scale, algorithm,
      * batch, micro-batch, backend (pods/GPUs innermost); the first
-     * occurrence of each canonical key survives.
+     * occurrence of each (canonical key, micro-batch) survives.
      */
     Expansion expand() const;
 };

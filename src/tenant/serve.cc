@@ -358,7 +358,7 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
                 out.tenants.back().energyShare = safeRatio(0.0, 0.0);
             }
             out.meanQosAttainmentPct = kNaN;
-            out.aggStepLatency = computeLatencyStatsSortedMean({});
+            out.aggStepLatency = computeLatencyStats({});
             return out;
         }
         admitted = std::move(decision.admitted);
@@ -502,7 +502,7 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
         m.energyShare = safeRatio(m.energyJ, out.totalEnergyJ);
     out.meanQosAttainmentPct =
         qos_count > 0 ? qos_sum / double(qos_count) : kNaN;
-    out.aggStepLatency = computeLatencyStatsSortedMean(std::move(all_latencies));
+    out.aggStepLatency = computeLatencyStats(std::move(all_latencies));
     return out;
 }
 

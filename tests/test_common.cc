@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for common utilities: RNG determinism and statistics,
- * text-table formatting, ceil-division, logging macros.
+ * text-table formatting, CSV cell quoting, ceil-division, logging
+ * macros.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <set>
 #include <sstream>
 
+#include "common/format.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/table.h"
@@ -132,12 +134,21 @@ TEST(Rng, FillGaussianStddev)
 
 TEST(Logging, PanicThrowsLogicError)
 {
+    // A panic is an internal fault, so its line says where it fired.
+    testing::internal::CaptureStderr();
     EXPECT_THROW(DIVA_PANIC("boom ", 42), std::logic_error);
+    const std::string line = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(line.rfind("panic: boom 42 @ ", 0), 0u) << line;
+    EXPECT_NE(line.find("test_common.cc:"), std::string::npos) << line;
 }
 
 TEST(Logging, FatalThrowsRuntimeError)
 {
+    // A fatal is a user error: its line ends at the message.
+    testing::internal::CaptureStderr();
     EXPECT_THROW(DIVA_FATAL("bad config ", 1.5), std::runtime_error);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "fatal: bad config 1.5\n");
 }
 
 TEST(Logging, AssertPassesOnTrue)
@@ -172,15 +183,13 @@ TEST(TextTable, SeparatorDoesNotCountAsRow)
     EXPECT_EQ(t.numRows(), 2u);
 }
 
-TEST(TextTable, CsvOutput)
+TEST(Format, CsvCellQuotesPerRfc4180)
 {
-    TextTable t({"a", "b"});
-    t.addRow({"1", "two, three"});
-    t.addSeparator();
-    t.addRow({"quo\"te", ""});
-    std::ostringstream oss;
-    t.printCsv(oss);
-    EXPECT_EQ(oss.str(), "a,b\n1,\"two, three\"\n\"quo\"\"te\",\n");
+    EXPECT_EQ(csvCell("two, three"), "\"two, three\"");
+    EXPECT_EQ(csvCell("quo\"te"), "\"quo\"\"te\"");
+    EXPECT_EQ(csvCell("line\nbreak"), "\"line\nbreak\"");
+    EXPECT_EQ(csvCell(""), "");
+    EXPECT_EQ(csvCell("plain"), "plain");
 }
 
 TEST(TextTable, Formatters)

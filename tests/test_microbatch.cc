@@ -92,6 +92,14 @@ TEST(Microbatch, RejectsInvalidSplit)
     EXPECT_THROW(buildMicrobatchedOpStream(
                      net, TrainingAlgorithm::kDpSgd, 8, 0),
                  std::logic_error);
+    // A user error's stderr line names the inputs, not the source
+    // file that rejected them.
+    testing::internal::CaptureStderr();
+    EXPECT_THROW(buildMicrobatchedOpStream(
+                     net, TrainingAlgorithm::kDpSgd, 2, 4),
+                 std::runtime_error);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              "fatal: micro-batch 4 exceeds the mini-batch 2\n");
 }
 
 TEST(Microbatch, MemoryShrinksWithMicrobatch)

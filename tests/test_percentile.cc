@@ -53,10 +53,10 @@ expectSameStats(const LatencyStats &got, const LatencyStats &want,
 /**
  * Sort reference for a NaN-free sample set: count, nearest-rank
  * percentiles and max off a full std::sort, with the mean summed in
- * ascending order or in input order.
+ * ascending order.
  */
 LatencyStats
-sortReference(const std::vector<double> &samples, bool ascendingMean)
+sortReference(const std::vector<double> &samples)
 {
     std::vector<double> sorted = samples;
     std::sort(sorted.begin(), sorted.end());
@@ -65,9 +65,8 @@ sortReference(const std::vector<double> &samples, bool ascendingMean)
         s.meanSec = s.p50Sec = s.p95Sec = s.p99Sec = s.maxSec = kNaN;
         return s;
     }
-    const std::vector<double> &order = ascendingMean ? sorted : samples;
     double sum = 0.0;
-    for (double v : order)
+    for (double v : sorted)
         sum += v;
     s.count = sorted.size();
     s.meanSec = sum / double(sorted.size());
@@ -152,11 +151,11 @@ TEST(Percentile, NearestRankNeverInterpolates)
 
 TEST(Percentile, SelectionMatchesSortReferenceBitIdentically)
 {
-    // The nth_element-based computeLatencyStats must select exactly
-    // the elements a full sort would index: cross-check count, every
-    // percentile and the max against a sort-based reference over
-    // deterministic pseudo-random sample sets of awkward sizes
-    // (including rank collisions at n < 20 and duplicate-heavy sets).
+    // computeLatencyStats must rank exactly the elements a full sort
+    // would index: cross-check count, every percentile and the max
+    // against a sort-based reference over deterministic pseudo-random
+    // sample sets of awkward sizes (including rank collisions at
+    // n < 20 and duplicate-heavy sets).
     std::uint64_t lcg = 0x2545f4914f6cdd1dULL;
     auto next = [&lcg]() {
         lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -182,18 +181,11 @@ TEST(Percentile, SelectionMatchesSortReferenceBitIdentically)
         EXPECT_EQ(s.p99Sec, percentileSorted(sorted, 99.0)) << "n=" << n;
         EXPECT_EQ(s.maxSec, sorted.back()) << "n=" << n;
 
-        // The sorted-mean variant is the old sort-based path: its
-        // percentiles must agree bit-for-bit, and its mean must equal
-        // an ascending-order accumulation exactly.
-        const LatencyStats agg = computeLatencyStatsSortedMean(samples);
-        EXPECT_EQ(agg.p50Sec, s.p50Sec);
-        EXPECT_EQ(agg.p95Sec, s.p95Sec);
-        EXPECT_EQ(agg.p99Sec, s.p99Sec);
-        EXPECT_EQ(agg.maxSec, s.maxSec);
+        // The mean must equal an ascending-order accumulation exactly.
         double sum = 0.0;
         for (double v : sorted)
             sum += v;
-        EXPECT_EQ(agg.meanSec, sum / double(n)) << "n=" << n;
+        EXPECT_EQ(s.meanSec, sum / double(n)) << "n=" << n;
     }
 }
 
@@ -201,10 +193,10 @@ TEST(Percentile, CensusPathMatchesSortReferenceBitIdentically)
 {
     // Large strictly-positive duplicate-heavy sets take the
     // distinct-value census path (rank lookups over per-value counts
-    // instead of selection / radix sort).  Its stats must match the
-    // sort reference bit-for-bit, and the sorted-mean variant's mean
-    // must equal an ascending-order accumulation exactly -- the census
-    // replays that exact addition sequence per distinct value.
+    // instead of a sort).  Its stats must match the sort reference
+    // bit-for-bit, and its mean must equal an ascending-order
+    // accumulation exactly -- the census replays that exact addition
+    // sequence per distinct value.
     std::uint64_t lcg = 0x9e3779b97f4a7c15ULL;
     auto next = [&lcg]() {
         lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -233,15 +225,10 @@ TEST(Percentile, CensusPathMatchesSortReferenceBitIdentically)
         EXPECT_EQ(s.p99Sec, percentileSorted(sorted, 99.0)) << "n=" << n;
         EXPECT_EQ(s.maxSec, sorted.back()) << "n=" << n;
 
-        const LatencyStats agg = computeLatencyStatsSortedMean(samples);
-        EXPECT_EQ(agg.p50Sec, s.p50Sec);
-        EXPECT_EQ(agg.p95Sec, s.p95Sec);
-        EXPECT_EQ(agg.p99Sec, s.p99Sec);
-        EXPECT_EQ(agg.maxSec, s.maxSec);
         double sum = 0.0;
         for (double v : sorted)
             sum += v;
-        EXPECT_EQ(agg.meanSec, sum / double(n)) << "n=" << n;
+        EXPECT_EQ(s.meanSec, sum / double(n)) << "n=" << n;
     }
 
     // A single non-positive sample disqualifies the census (positive
@@ -257,12 +244,10 @@ TEST(Percentile, CensusPathMatchesSortReferenceBitIdentically)
     EXPECT_EQ(m.p50Sec, percentileSorted(sortedMixed, 50.0));
     EXPECT_EQ(m.p99Sec, percentileSorted(sortedMixed, 99.0));
     EXPECT_EQ(m.maxSec, sortedMixed.back());
-    const LatencyStats ma = computeLatencyStatsSortedMean(mixed);
-    EXPECT_EQ(ma.p50Sec, m.p50Sec);
     double msum = 0.0;
     for (double v : sortedMixed)
         msum += v;
-    EXPECT_EQ(ma.meanSec, msum / double(mixed.size()));
+    EXPECT_EQ(m.meanSec, msum / double(mixed.size()));
 }
 
 TEST(Percentile, StatsAreOrderedAndSorted)
@@ -281,9 +266,9 @@ TEST(Percentile, StatsAreOrderedAndSorted)
 TEST(PercentileRuns, SortedRunsAndTheirMergeMatchSortReference)
 {
     // The fleet's latency stats: every pod run sorts in place and is
-    // ranked by index (mean in input order), and the sorted runs
-    // merge into one array on 1-8 pool lanes (mean in ascending
-    // order). Both must match the sort reference bit for bit.
+    // ranked by index, and the sorted runs merge into one array on 1-8
+    // pool lanes. Both must match the sort reference (mean in
+    // ascending order) bit for bit.
     std::uint64_t lcg = 0xda3e39cb94b95bdbULL;
     auto next = [&lcg]() {
         lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -333,8 +318,8 @@ TEST(PercentileRuns, SortedRunsAndTheirMergeMatchSortReference)
             all.insert(all.end(), run.begin(), run.end());
         std::vector<double> sortedAll = all;
         std::sort(sortedAll.begin(), sortedAll.end());
-        const LatencyStats want = sortReference(all, true);
-        expectSameStats(computeLatencyStatsSortedMean(all), want, c.name);
+        const LatencyStats want = sortReference(all);
+        expectSameStats(computeLatencyStats(all), want, c.name);
 
         for (int lanes : {1, 2, 4, 8}) {
             const std::string what =
@@ -345,16 +330,13 @@ TEST(PercentileRuns, SortedRunsAndTheirMergeMatchSortReference)
             std::size_t off = 0;
             for (std::size_t r = 0; r < runs.size(); ++r) {
                 std::vector<double> &run = runs[r];
-                double sum = 0.0;
-                for (double v : run)
-                    sum += v;
                 ASSERT_TRUE(sortPositiveRun(run.data(), run.size(),
                                             arena.data() + off))
                     << what;
                 off += run.size();
                 EXPECT_TRUE(std::is_sorted(run.begin(), run.end())) << what;
-                expectSameStats(sortedRunStats(run.data(), run.size(), sum),
-                                sortReference(c.runs[r], false),
+                expectSameStats(sortedRunStats(run.data(), run.size()),
+                                sortReference(c.runs[r]),
                                 what + ", run " + std::to_string(r));
                 spans.emplace_back(run);
             }

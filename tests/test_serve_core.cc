@@ -158,6 +158,75 @@ TEST_F(ServeCoreGolden, FleetReplayMatchesPreRefactorBytes)
     expectFixture("sc_fleet_pod.csv", "fleet_smoke_pod.csv");
 }
 
+/** Cells of one CSV line (the fleet pod CSV quotes none). */
+std::vector<std::string>
+csvFields(const std::string &line)
+{
+    std::vector<std::string> cells;
+    std::istringstream in(line);
+    for (std::string cell; std::getline(in, cell, ',');)
+        cells.push_back(cell);
+    return cells;
+}
+
+/** True if some row of a fleet pod CSV has migrated_out > 0. */
+bool
+somePodMigratesOut(const std::string &podCsv)
+{
+    std::istringstream in(slurp(podCsv));
+    std::string line;
+    std::getline(in, line);
+    const std::vector<std::string> header = csvFields(line);
+    const std::size_t col =
+        std::size_t(std::find(header.begin(), header.end(),
+                              "migrated_out") -
+                    header.begin());
+    while (std::getline(in, line)) {
+        const std::vector<std::string> row = csvFields(line);
+        if (col < row.size() && std::stoul(row[col]) > 0)
+            return true;
+    }
+    return false;
+}
+
+// Each pod's latency run is gathered from its sessions' stays, so the
+// stats of a pod that sends and receives sessions are pinned here:
+// first-fit packs p0/p1 and rebalancing moves their sessions on.
+TEST_F(ServeCoreGolden, MigratingFleetMatchesPreRefactorBytes)
+{
+    ASSERT_EQ(
+        runQuiet("./diva_fleet --pod df=DiVa,count=3 --pod df=OS "
+                 "--placement first-fit "
+                 "--arrivals diurnal:rate=24,horizon=6,seed=11,qos=4,"
+                 "hold=4,cap=160 "
+                 "--rebalance-every 0.5 --quiet --no-summary "
+                 "--pod-csv sc_migrate_pod.csv --csv sc_migrate.csv "
+                 "--json sc_migrate.json"),
+        0);
+    EXPECT_TRUE(somePodMigratesOut("sc_migrate_pod.csv"));
+    expectFixture("sc_migrate.csv", "fleet_migrate.csv");
+    expectFixture("sc_migrate.json", "fleet_migrate.json");
+    expectFixture("sc_migrate_pod.csv", "fleet_migrate_pod.csv");
+}
+
+// Unbounded sessions (steps=0) keep their samples in an overflow
+// vector instead of the arena; their migrations hand those over.
+TEST_F(ServeCoreGolden, MigratingUnboundedSessionsMatchPreRefactorBytes)
+{
+    ASSERT_EQ(
+        runQuiet("./diva_fleet --pods 4 --placement first-fit "
+                 "--arrivals poisson:rate=40,horizon=10,seed=5,qos=2,"
+                 "steps=0,hold=3,cap=300 "
+                 "--rebalance-every 1 --quiet --no-summary "
+                 "--pod-csv sc_unbounded_pod.csv --csv sc_unbounded.csv "
+                 "--json sc_unbounded.json"),
+        0);
+    EXPECT_TRUE(somePodMigratesOut("sc_unbounded_pod.csv"));
+    expectFixture("sc_unbounded.csv", "fleet_unbounded.csv");
+    expectFixture("sc_unbounded.json", "fleet_unbounded.json");
+    expectFixture("sc_unbounded_pod.csv", "fleet_unbounded_pod.csv");
+}
+
 // ---------------------------------------------- coalescing equivalence
 
 /** Minimal serve_core client: fixed per-task costs, a billing log. */

@@ -86,6 +86,32 @@ TEST(SweepSpec, GpuScenariosIgnoreConfigAxis)
     EXPECT_EQ(e.scenarios.size(), 12u);
 }
 
+TEST(SweepRunner, GpuMicrobatchesShareOneSimulation)
+{
+    // GPUs price the monolithic stream, so a micro-batch axis yields
+    // one simulation per GPU point; each row still reports the
+    // micro-batch it asked for.
+    SweepSpec spec;
+    spec.models = {"SqueezeNet"};
+    spec.algorithms = {TrainingAlgorithm::kDpSgdR};
+    spec.batches = {8};
+    spec.microbatches = {0, 4};
+    spec.backends = {SweepBackend::kGpu};
+    spec.gpus = {GpuConfig::a100Fp16()};
+    const SweepSpec::Expansion e = spec.expand();
+    ASSERT_EQ(e.scenarios.size(), 2u);
+    EXPECT_EQ(e.scenarios[0].canonicalKey(), e.scenarios[1].canonicalKey());
+
+    SweepRunner runner;
+    const SweepReport report = runner.run(e.scenarios);
+    EXPECT_EQ(report.cacheMisses, 1u);
+    EXPECT_EQ(report.cacheHits, 1u);
+    ASSERT_EQ(report.results.size(), 2u);
+    EXPECT_EQ(report.results[0].scenario.microbatch, 0);
+    EXPECT_EQ(report.results[1].scenario.microbatch, 4);
+    EXPECT_EQ(report.results[0].seconds, report.results[1].seconds);
+}
+
 TEST(SweepSpec, ExpansionOrderIsDeterministic)
 {
     const SweepSpec spec = smallSpec();
@@ -668,7 +694,7 @@ referenceCanonicalKey(const Scenario &s)
     std::ostringstream oss;
     oss << backendName(s.backend) << '|' << s.model << '|' << s.modelScale
         << '|' << algorithmName(s.algorithm) << '|' << s.batch << '|'
-        << s.microbatch;
+        << (s.backend == SweepBackend::kGpu ? 0 : s.microbatch);
     if (s.batch == kAutoBatch)
         oss << "|mem=" << s.memoryBudget;
     switch (s.backend) {
