@@ -120,12 +120,16 @@ class SmallVector
     }
 
     /** Erase the element at `pos`; returns the next element. */
-    iterator erase(iterator pos)
+    iterator erase(iterator pos) { return erase(pos, pos + 1); }
+
+    /** Erase [first, last), shifting the tail down; returns the
+     *  element after the erased ones. */
+    iterator erase(iterator first, iterator last)
     {
-        const std::size_t at = std::size_t(pos - data_);
-        std::memmove(data_ + at, data_ + at + 1,
-                     (size_ - at - 1) * sizeof(T));
-        --size_;
+        const std::size_t at = std::size_t(first - data_);
+        const std::size_t gone = std::size_t(last - first);
+        std::memmove(data_ + at, last, (size_ - at - gone) * sizeof(T));
+        size_ -= gone;
         return data_ + at;
     }
 

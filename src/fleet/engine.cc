@@ -75,6 +75,9 @@ struct TenantRt
 
     std::size_t pod = kNoPod;
     bool admitted = true;
+    /** Whether the session has slots in FleetSim::latArena (see
+     *  latencySlots); else its samples go to `latencySec`. */
+    bool inArena = false;
 
     /** Scheduling state (queue membership, generation, step counts),
      *  owned by the shared event core. */
@@ -95,7 +98,7 @@ struct TenantRt
     std::uint64_t busyStamp = ~std::uint64_t(0);
 
     /** Start of this tenant's slice in FleetSim::latArena (valid when
-     *  steps > 0; step k's latency lands in slot latOff + k - 1). */
+     *  inArena; step k's latency lands in slot latOff + k - 1). */
     std::size_t latOff = 0;
 
     /** Steps done when the session arrived on its current pod: its
@@ -105,8 +108,8 @@ struct TenantRt
     /** Index into FleetSim::prioValues (telemetry runs only). */
     std::uint32_t prioSlot = 0;
 
-    /** Overflow store for unbounded sessions (steps == 0), whose
-     *  sample count has no a-priori cap. */
+    /** Overflow store for sessions without arena slots, whose sample
+     *  count has no a-priori cap. */
     std::vector<double> latencySec;
 };
 
@@ -210,7 +213,7 @@ struct FleetSim
     std::vector<PodRt> pods;
 
     /** Per-tenant step-latency slices, packed by arrival order (slice
-     *  i starts at tenants[i].latOff, one slot per budgeted step).
+     *  i starts at tenants[i].latOff, with latencySlots' slots).
      *  Direct indexed stores -- pods write disjoint tenants' slices --
      *  replace 200k per-tenant realloc chains on the hot path. */
     std::vector<double> latArena;
@@ -642,8 +645,8 @@ FleetSim::onStep(serve_core::Executor &ex, std::uint32_t i,
     ++pod.steps;
     ++pod.epochSteps;
     // Step tc.done just ran (the core bumps `done` before this hook),
-    // so bounded sessions store straight into their arena slice.
-    if (rt.steps > 0)
+    // so sessions with slots store straight into their arena slice.
+    if (rt.inArena)
         latArena[rt.latOff + rt.core.done - 1] = latencySec;
     else
         rt.latencySec.push_back(latencySec);
@@ -854,8 +857,8 @@ void
 FleetSim::closeStay(std::uint32_t idx)
 {
     TenantRt &rt = tenants[idx];
-    const double *lat = rt.steps > 0 ? latArena.data() + rt.latOff
-                                     : rt.latencySec.data();
+    const double *lat = rt.inArena ? latArena.data() + rt.latOff
+                                   : rt.latencySec.data();
     std::vector<double> &run = pods[rt.pod].latencySec;
     run.insert(run.end(), lat + rt.stayStart, lat + rt.core.done);
     rt.stayStart = rt.core.done;
@@ -954,6 +957,14 @@ FleetSim::run(int threads)
     unfinished = n;
 
     tenants.resize(n);
+    // A class's cheapest step on any pod type bounds how many of its
+    // steps fit before a session's end, wherever it is placed.
+    std::vector<double> min_step(numCls, kInf);
+    for (std::size_t t = 0; t < types.size(); ++t)
+        for (std::size_t c = 0; c < numCls; ++c)
+            min_step[c] = std::min(
+                min_step[c],
+                costOf(std::uint32_t(t), std::uint32_t(c)).seconds);
     std::size_t lat_slots = 0;
     for (std::size_t i = 0; i < n; ++i) {
         const TenantJob &job = trace.jobs[i];
@@ -966,8 +977,11 @@ FleetSim::run(int threads)
         rt.priority = job.priority;
         rt.cls = jobCls[i];
         rt.core.lastCompletionSec = job.arrivalSec;
+        const std::uint64_t slots =
+            latencySlots(job, min_step[rt.cls], wall);
+        rt.inArena = slots > 0;
         rt.latOff = lat_slots;
-        lat_slots += job.steps; // bounded sessions: one slot per step
+        lat_slots += slots;
     }
     latArena.resize(lat_slots);
     pods.resize(spec.pods.size());
@@ -1193,7 +1207,7 @@ FleetSim::assemble(int threads)
         m.isolatedStepsPerSec = safeRatio(1.0, cost.seconds);
 
         m.stepLatency =
-            rt.steps > 0
+            rt.inArena
                 ? computeLatencyStatsScratch(
                       latArena.data() + rt.latOff, rt.core.done)
                 : computeLatencyStats(std::move(rt.latencySec));
@@ -1229,8 +1243,9 @@ FleetSim::assemble(int threads)
     obs::ScopedPhase pods_phase("assemble_pods");
     // latArena is dead once the tenant rows have read their slices:
     // here it is the pods' disjoint radix scratch, in assemble_agg the
-    // merged fleet-wide run. Only unbounded sessions, whose samples
-    // live outside it, can push the step count past its size.
+    // merged fleet-wide run. Only sessions on their overflow vector,
+    // whose samples live outside it, can push the step count past its
+    // size.
     if (latArena.size() < total_lat) {
         std::vector<double>().swap(latArena);
         latArena.resize(total_lat);

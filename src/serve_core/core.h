@@ -130,9 +130,11 @@ enum class TaskState : std::uint8_t
  * The ready set: a sorted small-vector ordered exactly like the
  * std::set<ReadyKey> it replaced (operator<, first element = the
  * policy's pick), with the first 8 entries stored inline in the
- * executor.  Most executors hold a handful of runnable tasks, so a
- * scheduling transition is a memmove within one cache line instead of
- * a red-black-tree node allocation; the schedule it produces is
+ * executor.  The live keys are [head_, end): popping the pick only
+ * advances the head, and `insert` compacts that dead prefix only when
+ * the storage is full, so a round-robin dispatch (pop the first key,
+ * append the next sequence number) moves keys only at a compaction,
+ * not once per dispatch.  The schedule it produces is
  * element-for-element identical, which the golden serve-core byte
  * fixtures hold it to.
  */
@@ -141,30 +143,53 @@ class ReadySet
   public:
     using iterator = ReadyKey *;
 
-    bool empty() const { return keys_.empty(); }
-    std::size_t size() const { return keys_.size(); }
-    iterator begin() { return keys_.begin(); }
+    bool empty() const { return head_ == keys_.size(); }
+    std::size_t size() const { return keys_.size() - head_; }
+    iterator begin() { return keys_.begin() + head_; }
     iterator end() { return keys_.end(); }
 
-    void insert(const ReadyKey &k) { keys_.insert(lower_bound(k), k); }
+    void insert(const ReadyKey &k)
+    {
+        if (head_ > 0 && keys_.size() == keys_.capacity()) {
+            keys_.erase(keys_.begin(), begin());
+            head_ = 0;
+        }
+        // Round-robin keys only grow, so they append without a search.
+        if (empty() || keys_.back() < k)
+            keys_.push_back(k);
+        else
+            keys_.insert(lower_bound(k), k);
+    }
 
     /** Remove `k` if present (std::set::erase(key) semantics). */
     void erase(const ReadyKey &k)
     {
         const iterator it = lower_bound(k);
-        if (it != keys_.end() && !(k < *it))
-            keys_.erase(it);
+        if (it != end() && !(k < *it))
+            erase(it);
     }
 
-    iterator erase(iterator it) { return keys_.erase(it); }
+    /** Erase the key at `it`; returns the next key. */
+    iterator erase(iterator it)
+    {
+        if (it != begin())
+            return keys_.erase(it);
+        if (++head_ == keys_.size()) {
+            keys_.clear();
+            head_ = 0;
+        }
+        return begin();
+    }
 
   private:
     iterator lower_bound(const ReadyKey &k)
     {
-        return std::lower_bound(keys_.begin(), keys_.end(), k);
+        return std::lower_bound(begin(), end(), k);
     }
 
     SmallVector<ReadyKey, 8> keys_;
+    /** Keys before this index have been popped. */
+    std::size_t head_ = 0;
 };
 
 /**

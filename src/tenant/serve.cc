@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
-#include <sstream>
+#include <span>
 
 #include "obs/metrics.h"
 #include "obs/slo.h"
@@ -31,7 +32,14 @@ struct TenantRun
     double energyJ = 0.0;
     std::uint64_t switchesIn = 0;
 
-    /** Per-executed-step latency samples, chronological. */
+    /** Whether the tenant has slots in ServeClient::latArena (see
+     *  latencySlots); step k's latency then lands in slot
+     *  latOff + k - 1. */
+    bool inArena = false;
+    std::size_t latOff = 0;
+
+    /** Overflow store for tenants without arena slots, whose sample
+     *  count has no a-priori cap. */
     std::vector<double> latencySec;
 
     /** Windowed latency decomposition (telemetry runs only). */
@@ -49,6 +57,11 @@ struct ServeClient
     ServeResult &out;
     std::vector<TenantRun> &run;
     std::vector<serve_core::TaskCore> cores;
+
+    /** Per-tenant step-latency slices, packed in tenant order (the
+     *  fleet's FleetSim::latArena layout), sized once before the loop. */
+    std::vector<double> latArena;
+
     obs::TraceTrack *trace = nullptr;
     obs::RunTelemetry *telemetry = nullptr;
 
@@ -107,6 +120,14 @@ struct ServeClient
         return cores[i];
     }
 
+    /** Tenant i's step latencies: its arena slice, or its overflow. */
+    std::span<double> samples(std::size_t i)
+    {
+        if (run[i].inArena)
+            return {latArena.data() + run[i].latOff, cores[i].done};
+        return run[i].latencySec;
+    }
+
     void onSwitch(serve_core::Executor &ex, std::uint32_t i)
     {
         ++out.contextSwitches;
@@ -132,7 +153,11 @@ struct ServeClient
             run[i].firstStartSec = stepStartSec;
         }
         run[i].energyJ += costs[i].energyJ;
-        run[i].latencySec.push_back(latencySec);
+        // The core bumps `done` before this hook: step `done` just ran.
+        if (run[i].inArena)
+            latArena[run[i].latOff + cores[i].done - 1] = latencySec;
+        else
+            run[i].latencySec.push_back(latencySec);
         lastActiveSec = ex.nowSec;
         if (telemetry) {
             obs::LatencyComponents comp;
@@ -286,6 +311,21 @@ sessionOutcome(const TenantJob &job, const serve_core::TaskCore &core,
     return o;
 }
 
+std::uint64_t
+latencySlots(const TenantJob &job, double minStepSec, double wallLimitSec)
+{
+    if (job.steps == 0)
+        return 0;
+    double endSec = job.departSec > 0.0 ? job.departSec : kInf;
+    if (wallLimitSec > 0.0)
+        endSec = std::min(endSec, wallLimitSec);
+    // Back-to-back steps from the arrival at the cheapest cost are the
+    // most any schedule can fit before the session's end.
+    return job.arrivalSec + double(job.steps) * minStepSec <= endSec + kEps
+               ? job.steps
+               : 0;
+}
+
 ServeResult
 serveHeader(const ServeSpec &spec)
 {
@@ -395,11 +435,20 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
     // on their due times, as the fleet does.
     cfg.rateGates = spec.opts.openLoop;
 
-    // Shed tenants never enter the engine.
+    // Shed tenants never enter the engine, and reserve no slots.
     serve_core::Executor ex;
-    for (std::size_t i = 0; i < n; ++i)
-        if (admitted[i])
-            ex.arrivals.push_back(std::uint32_t(i));
+    std::size_t lat_slots = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!admitted[i])
+            continue;
+        ex.arrivals.push_back(std::uint32_t(i));
+        const std::uint64_t slots =
+            latencySlots(jobs[i], costs[i].seconds, wall);
+        run[i].inArena = slots > 0;
+        run[i].latOff = lat_slots;
+        lat_slots += slots;
+    }
+    client.latArena.resize(lat_slots);
     std::stable_sort(ex.arrivals.begin(), ex.arrivals.end(),
                      [&](std::uint32_t a, std::uint32_t b) {
                          return jobs[a].arrivalSec < jobs[b].arrivalSec;
@@ -449,16 +498,18 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
         metrics.addCounter("serve_core.idle_jumps", c.idleJumps);
         metrics.addCounter("serve_core.context_switches", c.switches);
         metrics.addCounter("serve_core.retired", c.retired);
-        for (const TenantRun &r : run)
-            metrics.recordValues("serve.step_latency_sec",
-                                 r.latencySec.data(), r.latencySec.size());
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::span<const double> lat = client.samples(i);
+            metrics.recordValues("serve.step_latency_sec", lat.data(),
+                                 lat.size());
+        }
     }
     const std::vector<serve_core::TaskCore> &cores = client.cores;
 
-    // Per-tenant metrics.
+    // Per-tenant metrics; the latency stats reorder each tenant's
+    // samples in place.
     double qos_sum = 0.0;
     std::size_t qos_count = 0;
-    std::vector<double> all_latencies;
     for (std::size_t i = 0; i < n; ++i) {
         if (!admitted[i]) {
             out.tenants.push_back(shedRow(jobs[i], costs[i]));
@@ -488,10 +539,8 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
             ++qos_count;
         }
 
-        m.stepLatency = computeLatencyStats(run[i].latencySec);
-        all_latencies.insert(all_latencies.end(),
-                             run[i].latencySec.begin(),
-                             run[i].latencySec.end());
+        const std::span<double> lat = client.samples(i);
+        m.stepLatency = computeLatencyStatsScratch(lat.data(), lat.size());
 
         m.energyJ = run[i].energyJ;
         m.switchesIn = run[i].switchesIn;
@@ -502,7 +551,35 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
         m.energyShare = safeRatio(m.energyJ, out.totalEnergyJ);
     out.meanQosAttainmentPct =
         qos_count > 0 ? qos_sum / double(qos_count) : kNaN;
-    out.aggStepLatency = computeLatencyStats(std::move(all_latencies));
+
+    // The aggregate reads every tenant's samples off one packed arena.
+    // Each tenant's stats left its finite samples at the front of its
+    // store. The slices pack down first, in tenant order: a slice never
+    // lands past its own start, so it never overwrites one not yet
+    // moved. The overflow runs, which occupy no slots, go after them.
+    std::vector<double> &arena = client.latArena;
+    std::size_t packed = 0;
+    std::size_t overflow = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t count = out.tenants[i].stepLatency.count;
+        if (run[i].inArena) {
+            std::memmove(arena.data() + packed,
+                         arena.data() + run[i].latOff,
+                         count * sizeof(double));
+            packed += count;
+        } else {
+            overflow += count;
+        }
+    }
+    arena.resize(packed + overflow);
+    for (std::size_t i = 0; i < n; ++i)
+        if (!run[i].inArena) {
+            const std::size_t count = out.tenants[i].stepLatency.count;
+            std::copy_n(run[i].latencySec.begin(), count,
+                        arena.begin() + std::ptrdiff_t(packed));
+            packed += count;
+        }
+    out.aggStepLatency = computeLatencyStatsScratch(arena.data(), packed);
     return out;
 }
 

@@ -273,6 +273,19 @@ SessionOutcome sessionOutcome(const TenantJob &job,
                               const serve_core::TaskCore &core,
                               double makespanSec, double wallLimitSec);
 
+/**
+ * The latency-slot rule the tenant loop and the fleet share: how many
+ * slots `job` reserves in its loop's step-latency arena, where step k
+ * lands in the session's slot k - 1. A bounded session gets one slot
+ * per budgeted step when that whole budget can run before its
+ * departure or the wall budget `wallLimitSec` (0 = none) at its
+ * cheapest step cost `minStepSec`; any other session gets none and
+ * keeps its samples in an overflow vector, so a budget the run can
+ * never reach reserves nothing.
+ */
+std::uint64_t latencySlots(const TenantJob &job, double minStepSec,
+                           double wallLimitSec);
+
 /** A result echoing `spec`'s inputs, with no tenant rows yet. */
 ServeResult serveHeader(const ServeSpec &spec);
 

@@ -7,8 +7,8 @@
  * per-tenant sums, energy-budget preemption ordering, partial-SRAM
  * working-set switch costs, spec/trace validation, and
  * byte-determinism of the fleet emitters across engine thread counts
- * and warm plan caches -- including runs whose step latencies take
- * the exact-stats fallback.
+ * and warm plan caches -- including runs whose step latencies no radix
+ * sort takes -- and runs whose step budgets outrun the wall.
  */
 
 #include <algorithm>
@@ -415,6 +415,35 @@ TEST(FleetWall, SessionsArrivingAfterTheWallGetRowsWithoutAPod)
     EXPECT_EQ(dash_rows, cut);
 }
 
+TEST(FleetWall, BudgetFarPastTheWallReplaysEveryStepOnce)
+{
+    // 1e12 steps of about a millisecond cannot fit in a 5 s wall, so
+    // these sessions reserve no latency slots (a slot per budgeted
+    // step would be 24 TB) and keep their samples in overflow vectors;
+    // the first session's 50-step budget fits and keeps its slice.
+    std::string err;
+    const auto gen = parseTraceGenSpec(
+        "poisson:rate=1,horizon=4,seed=1,cap=3,steps=1000000000000",
+        &err);
+    ASSERT_TRUE(gen.has_value()) << err;
+    ArrivalTrace t = generateTrace(*gen);
+    t.jobs[0].steps = 50;
+    FleetSpec spec = fleetOf({podsOf("df=DiVa,count=2")},
+                             PlacementKind::kFirstFit);
+    spec.wallLimitSec = 5.0;
+    const FleetResult r = simulateFleet(spec, t);
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_TRUE(r.tenants[0].completed);
+    std::size_t pod_samples = 0;
+    for (const FleetPodReport &p : r.pods)
+        pod_samples += p.stepLatency.count;
+    for (const FleetTenantMetrics &m : r.tenants)
+        EXPECT_EQ(m.stepLatency.count, m.stepsDone) << m.job.name;
+    EXPECT_GT(r.totalSteps, 1000u);
+    EXPECT_EQ(pod_samples, r.totalSteps);
+    EXPECT_EQ(r.aggStepLatency.count, r.totalSteps);
+}
+
 TEST(FleetAdmission, InfeasibleDemandIsRejected)
 {
     const FleetResult r = simulateFleet(
@@ -684,8 +713,10 @@ TEST(FleetDeterminism, RefusedLatencyRunsTakeTheExactFallback)
 {
     // Near 1e17 s one ulp of the clock is 16 s, so every ~ms step is
     // lost in it and every step latency is exactly 0.0. sortPositiveRun
-    // refuses such a run, so the pod row and the fleet-wide stats both
-    // take the exact selection fallback in FleetSim::assemble.
+    // refuses such a run, so FleetSim::assemble falls back to
+    // computeLatencyStats twice: the pod row over a copy of its run,
+    // the fleet-wide stats over the concatenated runs, each of which
+    // std::sort orders since no radix sort takes a zero sample.
     std::string err;
     const auto gen = parseTraceGenSpec(
         "poisson:rate=4,horizon=4,seed=3,cap=6,steps=20,qos=0", &err);

@@ -300,6 +300,52 @@ TEST(ServeLoop, RejectsBadSpecs)
     EXPECT_FALSE(runServeLoop(bad, {}, kFreeSwitch).ok());
 }
 
+TEST(ServeLoop, LatencySlotsCoverOnlyABudgetThatCanRun)
+{
+    // 10 steps of 1 s from t=2 end at t=12.
+    TenantJob j = job("a", 2.0, 10, 0.0);
+    EXPECT_EQ(latencySlots(j, 1.0, 0.0), 10u) << "no wall, no departure";
+    EXPECT_EQ(latencySlots(j, 1.0, 12.0), 10u) << "ends on the wall";
+    EXPECT_EQ(latencySlots(j, 1.0, 11.5), 0u) << "wall too early";
+    EXPECT_EQ(latencySlots(j, 0.5, 11.5), 10u) << "cheaper steps fit";
+    j.departSec = 11.0;
+    EXPECT_EQ(latencySlots(j, 1.0, 0.0), 0u) << "departs too early";
+    EXPECT_EQ(latencySlots(j, 1.0, 20.0), 0u)
+        << "the departure binds before the wall";
+    j.departSec = 0.0;
+    j.steps = 0;
+    EXPECT_EQ(latencySlots(j, 1.0, 20.0), 0u) << "unbounded";
+    j.steps = 1000000000000ull;
+    EXPECT_EQ(latencySlots(j, 1e-3, 0.5), 0u) << "huge budget";
+}
+
+TEST(ServeLoop, BudgetFarPastTheWallReplaysEveryStepOnce)
+{
+    // 1e12 steps of 1 ms cannot fit in a 0.5 s wall: the tenant keeps
+    // its samples in its overflow vector rather than an 8 TB arena
+    // slice, beside a neighbour whose 20-step budget fits its slice.
+    ServeSpec s = spec({job("huge", 0.0, 1000000000000ull, 0.0),
+                        job("small", 0.0, 20, 0.0)},
+                       SchedPolicy::kRoundRobin);
+    s.opts.wallLimitSec = 0.5;
+    const ServeResult r = runServeLoop(
+        s, {cost(0.001, 1.0), cost(0.002, 1.0)}, switchCost(1e-4, 0.0));
+    ASSERT_TRUE(r.ok()) << r.error;
+    std::uint64_t total_steps = 0;
+    for (const TenantMetrics &m : r.tenants) {
+        total_steps += m.stepsDone;
+        EXPECT_EQ(m.stepLatency.count, m.stepsDone) << m.job.name;
+    }
+    EXPECT_FALSE(r.tenants[0].completed);
+    EXPECT_TRUE(r.tenants[1].completed);
+    EXPECT_GT(r.tenants[0].stepsDone, 400u);
+    EXPECT_EQ(total_steps, r.coreCounters.steps);
+    EXPECT_EQ(r.aggStepLatency.count, total_steps);
+    EXPECT_EQ(r.aggStepLatency.maxSec,
+              std::max(r.tenants[0].stepLatency.maxSec,
+                       r.tenants[1].stepLatency.maxSec));
+}
+
 TEST(Speedup, GuardsZeroDenominator)
 {
     SimResult some;

@@ -9,7 +9,9 @@
  * produce the same bytes with 1 and 4 engine threads (run in-process
  * so the TSan job also proves the epoch parallelism race-free); (4)
  * one serve semantics -- an open-loop diva_serve trace replay and a
- * one-pod fleet must give every tenant the same results.
+ * one-pod fleet must give every tenant the same results; (5) ready-set
+ * order -- the head-indexed ReadySet must iterate exactly like a
+ * std::set<ReadyKey> under random operation sequences.
  *
  * The golden tests run the tool binaries out of the build directory
  * (ctest's working directory) against fixtures under
@@ -23,6 +25,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -140,6 +145,23 @@ TEST_F(ServeCoreGolden, PodTimeSharingServeMatchesPreRefactorBytes)
               0);
     expectFixture("sc_pod.csv", "serve_pod.csv");
     expectFixture("sc_pod.json", "serve_pod.json");
+}
+
+// Two bounded tenants keep their samples in arena slices and an
+// unbounded one in its overflow vector; the aggregate packs all three
+// into one run, so its stats pin that no slice is overwritten before
+// it is read.
+TEST_F(ServeCoreGolden, MixedArenaAndOverflowServeMatchesBytes)
+{
+    ASSERT_EQ(runQuiet("./diva_serve --quiet "
+                       "--tenant SqueezeNet:8:0:0:0:50 "
+                       "--tenant SqueezeNet:8:0:0:0:0 "
+                       "--tenant MobileNet:8:0:0:0:50 "
+                       "--wall-s 0.4 --policy rr "
+                       "--csv sc_mixed.csv --json sc_mixed.json"),
+              0);
+    expectFixture("sc_mixed.csv", "serve_mixed.csv");
+    expectFixture("sc_mixed.json", "serve_mixed.json");
 }
 
 TEST_F(ServeCoreGolden, FleetReplayMatchesPreRefactorBytes)
@@ -411,6 +433,120 @@ TEST(ServeCoreCoalescing, EdfModeMultiQuantumAdvanceEqualsSingleSteps)
     cfg.policy = SchedPolicy::kEdf;
     cfg.quantumIters = 2;
     expectCoalescingEquivalence(cfg);
+}
+
+// ------------------------------------------------- ready-set ordering
+
+/** A random key in one policy's shape (see serve_core::makeKey): 0
+ *  FIFO (arrival), 1 priority (-priority, arrival), 2 EDF (deadline,
+ *  arrival), 3 round robin (a fresh sequence number). Few distinct
+ *  values, so ties on the leading fields reach the later ones. */
+serve_core::ReadyKey
+randomKey(std::mt19937_64 &rng, int shape, std::uint64_t &rrSeq)
+{
+    serve_core::ReadyKey k;
+    k.idx = std::uint32_t(rng() % 48);
+    const double arrival = 0.5 * double(rng() % 12);
+    switch (shape) {
+      case 0:
+        k.k1 = arrival;
+        break;
+      case 1:
+        k.k1 = -double(rng() % 4);
+        k.k2 = arrival;
+        break;
+      case 2:
+        k.k1 = rng() % 6 == 0 ? serve_core::kInfSec
+                              : 0.25 * double(rng() % 16);
+        k.k2 = arrival;
+        break;
+      default:
+        k.seq = ++rrSeq;
+        break;
+    }
+    return k;
+}
+
+void
+expectSameKeys(serve_core::ReadySet &ready,
+               const std::set<serve_core::ReadyKey> &ref)
+{
+    ASSERT_EQ(ready.size(), ref.size());
+    ASSERT_EQ(ready.empty(), ref.empty());
+    auto want = ref.begin();
+    for (auto it = ready.begin(); it != ready.end(); ++it, ++want) {
+        ASSERT_EQ(it->k1, want->k1);
+        ASSERT_EQ(it->k2, want->k2);
+        ASSERT_EQ(it->seq, want->seq);
+        ASSERT_EQ(it->idx, want->idx);
+    }
+}
+
+// The ready set pops its first key by advancing a head index and
+// compacts the popped prefix only when its storage is full. Random
+// inserts, erases by key (present or not) and iterator erases -- the
+// first key, and runs from the front as the dispatch scan retires
+// tasks -- must leave it equal to a std::set element by element, with
+// sizes that sweep through the inline and heap capacities so
+// compaction and growth happen mid-sequence.
+TEST(ServeCoreReadySet, MatchesStdSetUnderRandomOperations)
+{
+    for (int shape = 0; shape < 4; ++shape)
+        for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+            std::mt19937_64 rng(seed * 4 + std::uint64_t(shape));
+            serve_core::ReadySet ready;
+            std::set<serve_core::ReadyKey> ref;
+            std::uint64_t rr_seq = 0;
+            for (int op = 0; op < 3000; ++op) {
+                // Alternate growing and draining phases of 300 ops:
+                // the size sweeps from empty to about a hundred keys.
+                const bool grow = (op / 300) % 2 == 0;
+                const unsigned dice = unsigned(rng() % 20);
+                if (ref.empty() || dice < (grow ? 14u : 5u)) {
+                    const serve_core::ReadyKey k =
+                        randomKey(rng, shape, rr_seq);
+                    if (ref.count(k) != 0)
+                        continue; // a task sits in the set at most once
+                    ready.insert(k);
+                    ref.insert(k);
+                } else if (dice < (grow ? 16u : 12u)) {
+                    ready.erase(ready.begin());
+                    ref.erase(ref.begin());
+                } else if (dice < (grow ? 18u : 16u)) {
+                    // Erase by key: a present one, or a random one.
+                    const serve_core::ReadyKey k =
+                        rng() % 2 == 0
+                            ? *std::next(ref.begin(),
+                                         long(rng() % ref.size()))
+                            : randomKey(rng, shape, rr_seq);
+                    ready.erase(k);
+                    ref.erase(k);
+                } else {
+                    // The dispatch scan: erase a run of keys from the
+                    // front through the returned iterator, then maybe
+                    // one further in.
+                    const std::size_t run = std::size_t(rng() % 3);
+                    auto it = ready.begin();
+                    for (std::size_t r = 0; r < run && !ref.empty(); ++r) {
+                        it = ready.erase(it);
+                        ref.erase(ref.begin());
+                        ASSERT_TRUE(it == ready.begin());
+                    }
+                    if (!ref.empty()) {
+                        const std::size_t at =
+                            std::size_t(rng() % ref.size());
+                        const auto next =
+                            ready.erase(ready.begin() + at);
+                        ref.erase(std::next(ref.begin(), long(at)));
+                        ASSERT_TRUE(next == ready.begin() + at);
+                    }
+                }
+                expectSameKeys(ready, ref);
+                if (HasFatalFailure())
+                    FAIL() << "shape " << shape << " seed " << seed
+                           << " op " << op;
+            }
+        }
 }
 
 // ------------------------------------------- thread-count determinism
