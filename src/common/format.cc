@@ -76,10 +76,13 @@ formatDouble(double v)
     int digits = 0;
     for (const char *c = sci; c != res.ptr && *c != 'e'; ++c)
         digits += *c >= '0' && *c <= '9';
+    // to_chars with chars_format::general and a precision is defined
+    // as printf's "%.*g", without printf's format parsing and locale.
     char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*g", digits < 6 ? 6 : digits,
-                  v);
-    return buf;
+    const auto out =
+        std::to_chars(buf, buf + sizeof(buf), v,
+                      std::chars_format::general, digits < 6 ? 6 : digits);
+    return std::string(buf, out.ptr);
 }
 
 std::string

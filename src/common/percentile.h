@@ -13,10 +13,13 @@
  * statistics are therefore a function of the multiset alone, never of
  * the order in which a caller gathered it. Two shapes of input reach
  * that rule:
- *   - one sample set (computeLatencyStats): a large duplicate-heavy
- *     set is ranked from its distinct-value census, any other one is
- *     sorted (a radix sort for a long strictly positive run,
- *     std::sort otherwise) and ranked by index;
+ *   - one sample set (computeLatencyStats): a strictly positive set
+ *     of 256 samples or more holding at most min(8,192, n/8) distinct
+ *     values is ranked from its distinct-value census, whose table
+ *     grows with the distinct count and which counts each run of equal
+ *     consecutive samples once; any other set is sorted (a radix sort
+ *     for a long strictly positive run, std::sort otherwise) and
+ *     ranked by index;
  *   - one sample set split into runs (the fleet's per-pod step
  *     latencies): each run sorts in place (sortPositiveRun) and is
  *     ranked by index (sortedRunStats), then the sorted runs merge on

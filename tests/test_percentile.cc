@@ -3,7 +3,8 @@
  * Edge-case tests of the exact-sort percentile helpers backing the
  * tail-latency reports: empty and single-sample sets, all-identical
  * samples, NaN exclusion, and the nearest-rank definition on sets
- * where interpolation would invent values that never occurred; and
+ * where interpolation would invent values that never occurred; the
+ * distinct-value census on both sides of each edge of its rule; and
  * the sorted-runs helpers behind the fleet's per-pod and fleet-wide
  * stats, checked bit for bit against a sort reference.
  */
@@ -191,63 +192,117 @@ TEST(Percentile, SelectionMatchesSortReferenceBitIdentically)
 
 TEST(Percentile, CensusPathMatchesSortReferenceBitIdentically)
 {
-    // Large strictly-positive duplicate-heavy sets take the
-    // distinct-value census path (rank lookups over per-value counts
-    // instead of a sort).  Its stats must match the sort reference
-    // bit-for-bit, and its mean must equal an ascending-order
-    // accumulation exactly -- the census replays that exact addition
-    // sequence per distinct value.
+    // A strictly positive set of 256 samples or more holding at most
+    // min(8,192, n/8) distinct values is ranked from its distinct-value
+    // census (rank lookups over per-value counts instead of a sort);
+    // any other set is sorted. Either way the stats must match the sort
+    // reference bit for bit, the mean included: the census replays the
+    // ascending-order addition sequence per distinct value. The cases
+    // sit on both sides of each edge of that rule, cross several
+    // doublings of the census table, and hold runs of equal samples,
+    // which the census counts at once.
     std::uint64_t lcg = 0x9e3779b97f4a7c15ULL;
     auto next = [&lcg]() {
         lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
         return lcg >> 33;
     };
-    for (std::size_t n : {4096u, 5000u, 20000u}) {
-        // A pool of ~64 distinct positive values, wildly duplicated:
-        // the census's home ground (a steady tenant's few distinct
-        // step latencies). Fleet-wide sets are far wider -- the
-        // perfbench fleets hold 370k-526k distinct values -- and take
-        // the sorted-runs merge tested below.
-        std::vector<double> pool;
-        for (int i = 0; i < 64; ++i)
-            pool.push_back(0.001 + double(next() % 10000) / 1000.0);
-        std::vector<double> samples;
-        samples.reserve(n);
+    // `count` distinct positive latency-like values.
+    auto pool = [](std::size_t count) {
+        std::vector<double> values(count);
+        for (std::size_t i = 0; i < count; ++i)
+            values[i] = 1e-3 * (1.0 + double(i) / 64.0);
+        return values;
+    };
+    // n samples holding every value of `values`, in random order.
+    auto shuffled = [&](const std::vector<double> &values, std::size_t n) {
+        std::vector<double> samples(n);
         for (std::size_t i = 0; i < n; ++i)
-            samples.push_back(pool[next() % pool.size()]);
+            samples[i] = values[i % values.size()];
+        for (std::size_t i = n - 1; i > 0; --i)
+            std::swap(samples[i], samples[next() % (i + 1)]);
+        return samples;
+    };
+    // n samples in runs of `run` equal ones (the last run may be
+    // shorter), each run's value drawn from `values`.
+    auto runs = [&](const std::vector<double> &values, std::size_t n,
+                    std::size_t run) {
+        std::vector<double> samples;
+        while (samples.size() < n) {
+            const double v = values[next() % values.size()];
+            for (std::size_t k = 0; k < run && samples.size() < n; ++k)
+                samples.push_back(v);
+        }
+        return samples;
+    };
 
-        std::vector<double> sorted = samples;
-        std::sort(sorted.begin(), sorted.end());
-        const LatencyStats s = computeLatencyStats(samples);
-        EXPECT_EQ(s.count, n);
-        EXPECT_EQ(s.p50Sec, percentileSorted(sorted, 50.0)) << "n=" << n;
-        EXPECT_EQ(s.p95Sec, percentileSorted(sorted, 95.0)) << "n=" << n;
-        EXPECT_EQ(s.p99Sec, percentileSorted(sorted, 99.0)) << "n=" << n;
-        EXPECT_EQ(s.maxSec, sorted.back()) << "n=" << n;
-
-        double sum = 0.0;
-        for (double v : sorted)
-            sum += v;
-        EXPECT_EQ(s.meanSec, sum / double(n)) << "n=" << n;
+    struct Case
+    {
+        std::string name;
+        std::vector<double> samples;
+    };
+    std::vector<Case> cases;
+    // ~64 distinct positive values, wildly duplicated in random order:
+    // a steady tenant's few distinct step latencies. Fleet-wide sets
+    // are far wider -- the perfbench fleets hold 370k-526k distinct
+    // values -- and take the sorted-runs merge tested below.
+    for (std::size_t n : {4096u, 5000u, 20000u}) {
+        std::vector<double> values;
+        for (int i = 0; i < 64; ++i)
+            values.push_back(0.001 + double(next() % 10000) / 1000.0);
+        std::vector<double> samples(n);
+        for (double &v : samples)
+            v = values[next() % values.size()];
+        cases.push_back({"64 values, n=" + std::to_string(n), samples});
     }
-
+    // The census minimum, from one sample below.
+    cases.push_back({"255 samples in runs", runs(pool(4), 255, 37)});
+    cases.push_back({"256 samples in runs", runs(pool(4), 256, 37)});
+    // An open-loop EDF tenant: four step latencies in five long runs.
+    {
+        const std::vector<double> v = pool(4);
+        std::vector<double> samples;
+        const std::size_t lengths[5] = {600, 400, 500, 300, 200};
+        for (std::size_t r = 0; r < 5; ++r)
+            samples.insert(samples.end(), lengths[r], v[r % 4]);
+        cases.push_back({"open-EDF shape", samples});
+    }
+    // A closed round-robin tenant: ~41 step latencies in runs of 7.
+    cases.push_back({"closed-RR shape", runs(pool(41), 12000, 7)});
+    // The give-up bound at n/8 and at 8,192, and one value past each.
+    cases.push_back({"512 distinct in 4,096", shuffled(pool(512), 4096)});
+    cases.push_back({"513 distinct in 4,096", shuffled(pool(513), 4096)});
+    cases.push_back(
+        {"8,192 distinct in 100,000", shuffled(pool(8192), 100000)});
+    cases.push_back(
+        {"8,193 distinct in 100,000", shuffled(pool(8193), 100000)});
+    // Random order, growing the table from 64 slots well past 5,000
+    // distinct values.
+    cases.push_back(
+        {"5,000 distinct in 60,000", shuffled(pool(5000), 60000)});
     // A single non-positive sample disqualifies the census (positive
     // doubles order by raw bits; zero and negatives do not), so the
-    // fallback must kick in and still match the sort reference.
-    std::vector<double> mixed(4096, 2.5);
-    for (std::size_t i = 0; i < mixed.size(); ++i)
-        mixed[i] = 0.5 + double(i % 97) / 97.0;
-    mixed[1234] = 0.0;
-    std::vector<double> sortedMixed = mixed;
-    std::sort(sortedMixed.begin(), sortedMixed.end());
-    const LatencyStats m = computeLatencyStats(mixed);
-    EXPECT_EQ(m.p50Sec, percentileSorted(sortedMixed, 50.0));
-    EXPECT_EQ(m.p99Sec, percentileSorted(sortedMixed, 99.0));
-    EXPECT_EQ(m.maxSec, sortedMixed.back());
-    double msum = 0.0;
-    for (double v : sortedMixed)
-        msum += v;
-    EXPECT_EQ(m.meanSec, msum / double(mixed.size()));
+    // fallback must kick in: inside a run, first in a small set, and
+    // in a wider set.
+    {
+        std::vector<double> samples = runs(pool(8), 4096, 16);
+        samples[16 * 10 + 5] = 0.0;
+        cases.push_back({"zero inside a run", samples});
+        samples = runs(pool(8), 4096, 16);
+        samples[16 * 100 + 9] = -2.5;
+        cases.push_back({"negative inside a run", samples});
+        samples = runs(pool(4), 256, 8);
+        samples[0] = -1.0;
+        cases.push_back({"negative first sample", samples});
+        samples.assign(4096, 0.0);
+        for (std::size_t i = 0; i < samples.size(); ++i)
+            samples[i] = 0.5 + double(i % 97) / 97.0;
+        samples[1234] = 0.0;
+        cases.push_back({"zero among 97 values", samples});
+    }
+
+    for (const Case &c : cases)
+        expectSameStats(computeLatencyStats(c.samples),
+                        sortReference(c.samples), c.name);
 }
 
 TEST(Percentile, StatsAreOrderedAndSorted)

@@ -164,6 +164,20 @@ TEST_F(ServeCoreGolden, MixedArenaAndOverflowServeMatchesBytes)
     expectFixture("sc_mixed.json", "serve_mixed.json");
 }
 
+// Four tenants of 1,500 samples and their 6,000-sample aggregate, each
+// a few distinct step latencies in runs of equal ones: the
+// distinct-value census ranks them all, so a miscounted run moves every
+// percentile here.
+TEST_F(ServeCoreGolden, CensusRankedServeMatchesBytes)
+{
+    ASSERT_EQ(runQuiet("./diva_serve --tenants 4 --steps 1500 "
+                       "--quantum 8 --qos none --policy rr --quiet "
+                       "--csv sc_census.csv --json sc_census.json"),
+              0);
+    expectFixture("sc_census.csv", "serve_census.csv");
+    expectFixture("sc_census.json", "serve_census.json");
+}
+
 TEST_F(ServeCoreGolden, FleetReplayMatchesPreRefactorBytes)
 {
     ASSERT_EQ(

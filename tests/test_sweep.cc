@@ -16,8 +16,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <random>
 #include <sstream>
@@ -541,6 +543,62 @@ TEST(Emit, FormatDoubleGuardsNonFiniteValues)
     EXPECT_EQ(jsonNumber(std::nan("")), "null");
     EXPECT_EQ(jsonNumber(HUGE_VAL), "null");
     EXPECT_EQ(jsonNumber(0.25), "0.25");
+}
+
+/**
+ * formatDouble's text as printf spells it: the shortest round-trip
+ * digit count (floored at 6) printed by snprintf's "%.*g", the
+ * formula formatDouble replaced with one to_chars call.
+ */
+std::string
+snprintfFormatDouble(double v)
+{
+    char sci[64];
+    const auto res = std::to_chars(sci, sci + sizeof(sci), v,
+                                   std::chars_format::scientific);
+    int digits = 0;
+    for (const char *c = sci; c != res.ptr && *c != 'e'; ++c)
+        digits += *c >= '0' && *c <= '9';
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.*g", digits < 6 ? 6 : digits, v);
+    return buf;
+}
+
+TEST(Emit, FormatDoubleMatchesSnprintfReference)
+{
+    // A seeded corpus of finite doubles: raw bit patterns, latency-range
+    // values, decimal-grid values, every power of two, both zeros and
+    // the smallest subnormal, each spelled as snprintf would.
+    std::mt19937_64 rng(20261019);
+    std::vector<double> corpus = {0.0, -0.0, 5e-324, -5e-324,
+                                  std::numeric_limits<double>::min(),
+                                  std::numeric_limits<double>::max(),
+                                  std::numeric_limits<double>::lowest()};
+    for (int i = 0; i < 30000; ++i) {
+        const double v = std::bit_cast<double>(rng());
+        if (std::isfinite(v))
+            corpus.push_back(v);
+    }
+    std::uniform_real_distribution<double> logSec(-7.0, 3.0);
+    for (int i = 0; i < 30000; ++i)
+        corpus.push_back(std::pow(10.0, logSec(rng)));
+    for (int i = 0; i < 20000; ++i) {
+        const double k = double(rng() % 1000000);
+        corpus.push_back((i % 2 ? -k : k) / std::pow(10.0, double(rng() % 10)));
+    }
+    for (int e = -1074; e <= 1023; ++e) {
+        corpus.push_back(std::ldexp(1.0, e));
+        corpus.push_back(-std::ldexp(1.0, e));
+    }
+    std::size_t mismatches = 0;
+    for (double v : corpus) {
+        const std::string want = snprintfFormatDouble(v);
+        const std::string got = formatDouble(v);
+        if (got != want && ++mismatches <= 5)
+            ADD_FAILURE() << "bits " << std::bit_cast<std::uint64_t>(v)
+                          << ": got " << got << ", snprintf " << want;
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << corpus.size() << " values";
 }
 
 TEST(Emit, JsonStaysValidWithNonFiniteMetrics)
