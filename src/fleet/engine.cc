@@ -64,24 +64,13 @@ sameJobClass(const TenantJob &a, const TenantJob &b)
 /** Mutable per-tenant state tracked by the fleet engine. */
 struct TenantRt
 {
-    // Cached job scalars (hot path avoids chasing the TenantJob).
-    double arrival = 0.0;
-    double depart = 0.0;
-    double rate = 0.0; // qosStepsPerSec; > 0 gates steps open-loop
-    double qosDeadline = 0.0;
-    std::uint64_t steps = 0;
-    int priority = 0;
+    /** The session's facts, scheduling state and step latencies, as
+     *  the shared event core reads and writes them. */
+    serve_core::Task task;
     std::uint32_t cls = 0;
 
     std::size_t pod = kNoPod;
     bool admitted = true;
-    /** Whether the session has slots in FleetSim::latArena (see
-     *  latencySlots); else its samples go to `latencySec`. */
-    bool inArena = false;
-
-    /** Scheduling state (queue membership, generation, step counts),
-     *  owned by the shared event core. */
-    serve_core::TaskCore core;
 
     /** Earliest restart after a migration's state transfer. */
     double gateUntil = 0.0;
@@ -97,20 +86,12 @@ struct TenantRt
     double epochBusySec = 0.0;
     std::uint64_t busyStamp = ~std::uint64_t(0);
 
-    /** Start of this tenant's slice in FleetSim::latArena (valid when
-     *  inArena; step k's latency lands in slot latOff + k - 1). */
-    std::size_t latOff = 0;
-
     /** Steps done when the session arrived on its current pod: its
      *  samples [stayStart, done) belong to that pod's run. */
     std::uint64_t stayStart = 0;
 
     /** Index into FleetSim::prioValues (telemetry runs only). */
     std::uint32_t prioSlot = 0;
-
-    /** Overflow store for sessions without arena slots, whose sample
-     *  count has no a-priori cap. */
-    std::vector<double> latencySec;
 };
 
 /** One pod's per-window telemetry accumulator: event counts, busy
@@ -212,10 +193,10 @@ struct FleetSim
     std::vector<TenantRt> tenants;
     std::vector<PodRt> pods;
 
-    /** Per-tenant step-latency slices, packed by arrival order (slice
-     *  i starts at tenants[i].latOff, with latencySlots' slots).
-     *  Direct indexed stores -- pods write disjoint tenants' slices --
-     *  replace 200k per-tenant realloc chains on the hot path. */
+    /** Per-tenant step-latency slices, packed by arrival order, that
+     *  tenants[i].task.slots points into (latencySlots' slots). Direct
+     *  indexed stores -- pods write disjoint tenants' slices -- replace
+     *  200k per-tenant realloc chains on the hot path. */
     std::vector<double> latArena;
 
     // Placement projection (sequential, arrival-ordered).
@@ -360,26 +341,10 @@ struct FleetSim
     {
         return tenants[idx].pod == ex.id;
     }
-    double arrivalSec(std::uint32_t i) const
+    serve_core::Task &task(std::uint32_t i) { return tenants[i].task; }
+    const serve_core::Task &task(std::uint32_t i) const
     {
-        return tenants[i].arrival;
-    }
-    double departSec(std::uint32_t i) const
-    {
-        return tenants[i].depart;
-    }
-    double rateSps(std::uint32_t i) const { return tenants[i].rate; }
-    double qosDeadlineSec(std::uint32_t i) const
-    {
-        return tenants[i].qosDeadline;
-    }
-    std::uint64_t stepLimit(std::uint32_t i) const
-    {
-        return tenants[i].steps;
-    }
-    int priority(std::uint32_t i) const
-    {
-        return tenants[i].priority;
+        return tenants[i].task;
     }
     double stepSeconds(const serve_core::Executor &ex,
                        std::uint32_t i) const
@@ -389,14 +354,6 @@ struct FleetSim
     double switchSeconds(const serve_core::Executor &ex) const
     {
         return switchCosts[pods[ex.id].type].seconds;
-    }
-    serve_core::TaskCore &core(std::uint32_t i)
-    {
-        return tenants[i].core;
-    }
-    const serve_core::TaskCore &core(std::uint32_t i) const
-    {
-        return tenants[i].core;
     }
     void onSwitch(serve_core::Executor &ex, std::uint32_t i);
     void onStep(serve_core::Executor &ex, std::uint32_t i,
@@ -529,7 +486,7 @@ FleetSim::placeOne(std::size_t i)
 {
     const TenantJob &job = trace.jobs[i];
     TenantRt &rt = tenants[i];
-    const double a = rt.arrival;
+    const double a = rt.task.arrivalSec;
 
     // Retire projected demand whose sessions have ended by now.
     while (!expiry.empty() && expiry.top().endSec <= a + kEps) {
@@ -562,7 +519,7 @@ FleetSim::placeOne(std::size_t i)
                   spec.podDemandCap);
     if (chosen == kNoPod) {
         rt.admitted = false;
-        rt.core.state = TaskState::kDone;
+        rt.task.state = TaskState::kDone;
         ++out.rejectedCount;
         --unfinished;
         bumpCluster(wRejected, a);
@@ -587,13 +544,14 @@ FleetSim::placeOne(std::size_t i)
     loadViews[chosen].demand += d;
     ++loadViews[chosen].sessions;
     const double step_sec = costOf(pod.type, rt.cls).seconds;
+    const serve_core::Task &t = rt.task;
     double end = kInf;
-    if (rt.depart > 0.0)
-        end = rt.depart;
-    else if (rt.steps > 0 && rt.rate > 0.0)
-        end = a + double(rt.steps) / rt.rate;
-    else if (rt.steps > 0)
-        end = a + double(rt.steps) * step_sec;
+    if (t.departSec > 0.0)
+        end = t.departSec;
+    else if (t.stepLimit > 0 && t.rateSps > 0.0)
+        end = a + double(t.stepLimit) / t.rateSps;
+    else if (t.stepLimit > 0)
+        end = a + double(t.stepLimit) * step_sec;
     if (std::isfinite(end))
         expiry.push({end, std::uint32_t(chosen), d});
 }
@@ -644,12 +602,6 @@ FleetSim::onStep(serve_core::Executor &ex, std::uint32_t i,
     rt.epochBusySec += cost.seconds;
     ++pod.steps;
     ++pod.epochSteps;
-    // Step tc.done just ran (the core bumps `done` before this hook),
-    // so sessions with slots store straight into their arena slice.
-    if (rt.inArena)
-        latArena[rt.latOff + rt.core.done - 1] = latencySec;
-    else
-        rt.latencySec.push_back(latencySec);
     pod.lastActiveSec = ex.nowSec;
     if (telemetry) {
         // Stall overlaps: the switch billed immediately ahead of this
@@ -709,18 +661,16 @@ FleetSim::suspendTenant(std::uint32_t idx)
 {
     TenantRt &rt = tenants[idx];
     serve_core::unschedule(*this, pods[rt.pod].core, idx);
-    rt.core.state = TaskState::kSuspended;
+    rt.task.state = TaskState::kSuspended;
 }
 
 void
 FleetSim::resumeTenant(std::uint32_t idx)
 {
-    TenantRt &rt = tenants[idx];
-    const double due =
-        rt.rate > 0.0 ? rt.arrival + double(rt.core.done) / rt.rate
-                      : rt.arrival;
+    const TenantRt &rt = tenants[idx];
     serve_core::gate(*this, pods[rt.pod].core, idx,
-                     std::max(due, rt.gateUntil));
+                     std::max(serve_core::nextDueSec(rt.task),
+                              rt.gateUntil));
 }
 
 void
@@ -731,7 +681,7 @@ FleetSim::enforceBudget(double nowSec, double intervalSec)
                            totalEnergySoFar(), intervalSec);
     if (capW < 0.0) {
         for (std::size_t i = 0; i < n; ++i)
-            if (tenants[i].core.state == TaskState::kSuspended)
+            if (tenants[i].task.state == TaskState::kSuspended)
                 resumeTenant(std::uint32_t(i));
         return;
     }
@@ -742,19 +692,20 @@ FleetSim::enforceBudget(double nowSec, double intervalSec)
     active.clear();
     for (std::size_t i = 0; i < n; ++i) {
         const TenantRt &rt = tenants[i];
+        const serve_core::Task &t = rt.task;
         // No pod yet: an arrival on the boundary (or within kEps past
         // it) is placed only after this round.
-        if (rt.pod == kNoPod || rt.core.state == TaskState::kDone ||
-            rt.arrival > nowSec + kEps)
+        if (rt.pod == kNoPod || t.state == TaskState::kDone ||
+            t.arrivalSec > nowSec + kEps)
             continue;
         const IterationCost &c = costOf(pods[rt.pod].type, rt.cls);
         const double iso = 1.0 / c.seconds;
         const double sustained =
-            rt.rate > 0.0 ? std::min(rt.rate, iso) : iso;
+            t.rateSps > 0.0 ? std::min(t.rateSps, iso) : iso;
         TenantPowerView v;
         v.watts = sustained * c.energyJ;
-        v.priority = rt.priority;
-        v.arrivalSec = rt.arrival;
+        v.priority = t.priority;
+        v.arrivalSec = t.arrivalSec;
         views.push_back(v);
         active.push_back(std::uint32_t(i));
     }
@@ -771,13 +722,13 @@ FleetSim::enforceBudget(double nowSec, double intervalSec)
             ++rt.suspensions;
             ++out.suspensions;
             bumpCluster(wSuspensions, nowSec);
-            if (rt.core.state != TaskState::kSuspended)
+            if (rt.task.state != TaskState::kSuspended)
                 suspendTenant(active[k]);
             if (control)
                 control->instant(nowSec,
                                  "suspend " + trace.jobs[active[k]].name,
                                  "budget");
-        } else if (rt.core.state == TaskState::kSuspended) {
+        } else if (rt.task.state == TaskState::kSuspended) {
             resumeTenant(active[k]);
             bumpCluster(wResumes, nowSec);
             if (control)
@@ -840,11 +791,9 @@ FleetSim::migrate(std::uint32_t idx, std::size_t srcP,
     // Off the air until the state transfer lands (and, open loop,
     // until its next step is due anyway).
     rt.gateUntil = nowSec + mc.seconds;
-    const double due =
-        rt.rate > 0.0 ? rt.arrival + double(rt.core.done) / rt.rate
-                      : rt.arrival;
     serve_core::gate(*this, dst.core, idx,
-                     std::max(due, rt.gateUntil));
+                     std::max(serve_core::nextDueSec(rt.task),
+                              rt.gateUntil));
 }
 
 /**
@@ -857,11 +806,11 @@ void
 FleetSim::closeStay(std::uint32_t idx)
 {
     TenantRt &rt = tenants[idx];
-    const double *lat = rt.inArena ? latArena.data() + rt.latOff
-                                   : rt.latencySec.data();
+    const std::span<const double> lat = serve_core::samples(rt.task);
     std::vector<double> &run = pods[rt.pod].latencySec;
-    run.insert(run.end(), lat + rt.stayStart, lat + rt.core.done);
-    rt.stayStart = rt.core.done;
+    run.insert(run.end(), lat.begin() + std::ptrdiff_t(rt.stayStart),
+               lat.end());
+    rt.stayStart = rt.task.done;
 }
 
 std::size_t
@@ -898,11 +847,11 @@ FleetSim::rebalanceRound(double nowSec, double widthSec)
         for (std::size_t m = 0; m < src.members.size(); ++m) {
             const std::uint32_t idx = src.members[m];
             const TenantRt &rt = tenants[idx];
-            if (rt.pod != hot || rt.core.state == TaskState::kDone)
+            if (rt.pod != hot || rt.task.state == TaskState::kDone)
                 continue; // stale entry: compact it away
             src.members[keep++] = idx;
-            if (rt.core.state != TaskState::kReady &&
-                rt.core.state != TaskState::kGated)
+            if (rt.task.state != TaskState::kReady &&
+                rt.task.state != TaskState::kGated)
                 continue;
             const double busy =
                 rt.busyStamp == epochId ? rt.epochBusySec : 0.0;
@@ -967,23 +916,19 @@ FleetSim::run(int threads)
                 costOf(std::uint32_t(t), std::uint32_t(c)).seconds);
     std::size_t lat_slots = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        const TenantJob &job = trace.jobs[i];
         TenantRt &rt = tenants[i];
-        rt.arrival = job.arrivalSec;
-        rt.depart = job.departSec;
-        rt.rate = job.qosStepsPerSec;
-        rt.qosDeadline = job.qosDeadlineSec;
-        rt.steps = job.steps;
-        rt.priority = job.priority;
+        rt.task = taskOf(trace.jobs[i]);
         rt.cls = jobCls[i];
-        rt.core.lastCompletionSec = job.arrivalSec;
-        const std::uint64_t slots =
-            latencySlots(job, min_step[rt.cls], wall);
-        rt.inArena = slots > 0;
-        rt.latOff = lat_slots;
-        lat_slots += slots;
+        lat_slots += latencySlots(rt.task, min_step[rt.cls], wall);
     }
     latArena.resize(lat_slots);
+    double *slice = latArena.data();
+    for (TenantRt &rt : tenants)
+        if (const std::uint64_t slots =
+                latencySlots(rt.task, min_step[rt.cls], wall)) {
+            rt.task.slots = slice;
+            slice += slots;
+        }
     pods.resize(spec.pods.size());
     for (std::size_t p = 0; p < pods.size(); ++p) {
         pods[p].type = podType[p];
@@ -994,7 +939,7 @@ FleetSim::run(int threads)
     if (telemetry) {
         prioValues.clear();
         for (const TenantRt &rt : tenants)
-            prioValues.push_back(rt.priority);
+            prioValues.push_back(rt.task.priority);
         std::sort(prioValues.begin(), prioValues.end());
         prioValues.erase(
             std::unique(prioValues.begin(), prioValues.end()),
@@ -1002,7 +947,7 @@ FleetSim::run(int threads)
         for (TenantRt &rt : tenants)
             rt.prioSlot = std::uint32_t(
                 std::lower_bound(prioValues.begin(), prioValues.end(),
-                                 rt.priority) -
+                                 rt.task.priority) -
                 prioValues.begin());
         for (PodRt &pod : pods) {
             pod.obsEdgeSec = -kInf; // arm the hot-path edge compare
@@ -1118,16 +1063,16 @@ FleetSim::run(int threads)
             unfinished > 0) {
             bool all_suspended = true;
             for (const TenantRt &rt : tenants)
-                if (rt.admitted && rt.core.state != TaskState::kDone &&
-                    rt.core.state != TaskState::kSuspended) {
+                if (rt.admitted && rt.task.state != TaskState::kDone &&
+                    rt.task.state != TaskState::kSuspended) {
                     all_suspended = false;
                     break;
                 }
             if (all_suspended) {
                 for (TenantRt &rt : tenants)
                     if (rt.admitted &&
-                        rt.core.state != TaskState::kDone)
-                        rt.core.state = TaskState::kDone;
+                        rt.task.state != TaskState::kDone)
+                        rt.task.state = TaskState::kDone;
                 unfinished = 0;
                 break;
             }
@@ -1172,8 +1117,8 @@ FleetSim::assemble(int threads)
         m.job = job;
         m.finalPod = rt.pod;
         m.admitted = rt.admitted;
-        m.stepsDone = rt.core.done;
-        m.completed = rt.core.completed;
+        m.stepsDone = rt.task.done;
+        m.completed = rt.task.completed;
         m.switchesIn = rt.switchesIn;
         m.migrations = rt.migrations;
         m.migrationSec = rt.migSec;
@@ -1199,18 +1144,18 @@ FleetSim::assemble(int threads)
             cost.resolvedBatch > 0 ? cost.resolvedBatch : job.batch;
 
         const SessionOutcome end =
-            sessionOutcome(job, rt.core, out.makespanSec, wall);
+            sessionOutcome(rt.task, out.makespanSec, wall);
         m.departed = end.departed;
         m.endSec = end.endSec;
         m.achievedStepsPerSec = end.achievedStepsPerSec;
         m.qosAttainmentPct = end.qosAttainmentPct;
         m.isolatedStepsPerSec = safeRatio(1.0, cost.seconds);
 
-        m.stepLatency =
-            rt.inArena
-                ? computeLatencyStatsScratch(
-                      latArena.data() + rt.latOff, rt.core.done)
-                : computeLatencyStats(std::move(rt.latencySec));
+        const std::span<double> lat = serve_core::samples(rt.task);
+        m.stepLatency = computeLatencyStatsScratch(lat.data(), lat.size());
+        // The pods' runs hold copies: free an overflow store before
+        // the pods' radix scratch below grows the arena.
+        std::vector<double>().swap(rt.task.overflow);
     });
     for (std::size_t i = 0; i < n; ++i) {
         const FleetTenantMetrics &m = out.tenants[i];
@@ -1241,11 +1186,11 @@ FleetSim::assemble(int threads)
     std::vector<char> run_sorted(pods.size(), 0);
     {
     obs::ScopedPhase pods_phase("assemble_pods");
-    // latArena is dead once the tenant rows have read their slices:
-    // here it is the pods' disjoint radix scratch, in assemble_agg the
-    // merged fleet-wide run. Only sessions on their overflow vector,
-    // whose samples live outside it, can push the step count past its
-    // size.
+    // latArena is dead once the tenant rows have read their slices,
+    // and no task's `slots` is read after that: here it is the pods'
+    // disjoint radix scratch, in assemble_agg the merged fleet-wide
+    // run. Only sessions on their overflow vector, whose samples live
+    // outside it, can push the step count past its size.
     if (latArena.size() < total_lat) {
         std::vector<double>().swap(latArena);
         latArena.resize(total_lat);
@@ -1328,15 +1273,7 @@ FleetSim::assemble(int threads)
             "fleet.plan_cache.hit_rate",
             safeRatio(double(out.planHits),
                       double(out.planHits + out.planMisses)));
-        const serve_core::Counters &c = out.coreCounters;
-        metrics.addCounter("serve_core.steps", c.steps);
-        metrics.addCounter("serve_core.dispatches", c.dispatches);
-        metrics.addCounter("serve_core.coalesced_quanta",
-                           c.coalescedQuanta);
-        metrics.addCounter("serve_core.promotions", c.promotions);
-        metrics.addCounter("serve_core.idle_jumps", c.idleJumps);
-        metrics.addCounter("serve_core.context_switches", c.switches);
-        metrics.addCounter("serve_core.retired", c.retired);
+        publishCoreCounters(out.coreCounters);
         // A histogram keeps counts, min and max only, so it cannot
         // tell the sorted runs from the input order.
         for (const PodRt &pod : pods)

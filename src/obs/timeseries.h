@@ -81,8 +81,8 @@ double windowUpperEdge(std::int64_t w, double windowSec,
  *                    wait (fleet only)
  *   serviceSec    -- the step's own execution time
  *
- * Invariant (enforced by decomposeLatency, checked per step by the
- * engines): reconstructLatency(c) == the step's emitted latency,
+ * Invariant (enforced by decomposeLatencyAudited, checked per step by
+ * the engines): reconstructLatency(c) == the step's emitted latency,
  * bitwise, so the existing p50/p95/p99 columns are untouched.
  */
 struct LatencyComponents
@@ -101,7 +101,7 @@ reconstructLatency(const LatencyComponents &c)
            c.serviceSec;
 }
 
-/** Out-of-line fixup ladder (see decomposeLatency). */
+/** Out-of-line fixup ladder (see decomposeLatencyAudited). */
 LatencyComponents decomposeLatencySlow(double totalSec,
                                        double serviceSec,
                                        double switchOverlapSec,
@@ -110,31 +110,15 @@ LatencyComponents decomposeLatencySlow(double totalSec,
 /**
  * Split `totalSec` (the step latency the engines already emit) into
  * components, given the measured service time and the switch /
- * migration stall overlaps. The queue-wait component is the residual,
- * nudged by ulps where needed so the fixed-order reconstruction is
- * bitwise equal to `totalSec` -- never approximately. The common
- * serve-core case (no switch, no migration stall ahead of the step)
- * stays on this inline two-op path.
- */
-inline LatencyComponents
-decomposeLatency(double totalSec, double serviceSec,
-                 double switchOverlapSec, double migOverlapSec)
-{
-    if (switchOverlapSec == 0.0 && migOverlapSec == 0.0) {
-        const double q = totalSec - serviceSec;
-        if (q + serviceSec == totalSec)
-            return {q, 0.0, 0.0, serviceSec};
-    }
-    return decomposeLatencySlow(totalSec, serviceSec,
-                                switchOverlapSec, migOverlapSec);
-}
-
-/**
- * decomposeLatency plus the per-step exactness audit in one pass:
- * true means reconstructLatency(*out) equals `totalSec`. On the
- * stall-free fast path the check q + s == totalSec IS the
- * reconstruction (the zero components add nothing), so the engines'
- * per-step audit costs no extra arithmetic there.
+ * migration stall overlaps, and audit the split: true means
+ * reconstructLatency(*out) equals `totalSec`. The queue-wait component
+ * is the residual, nudged by ulps where needed so the fixed-order
+ * reconstruction is bitwise equal to `totalSec` -- never
+ * approximately. The common serve-core case (no switch, no migration
+ * stall ahead of the step) stays on this inline two-op path, where
+ * the check q + s == totalSec IS the reconstruction (the zero
+ * components add nothing), so the engines' per-step audit costs no
+ * extra arithmetic there.
  */
 inline bool
 decomposeLatencyAudited(double totalSec, double serviceSec,

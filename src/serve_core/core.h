@@ -48,8 +48,9 @@
  * The one choice left to the caller is `Config::rateGates`, closed
  * loop or open loop.
  *
- * Clients provide task scalars, costs, and billing through a duck-typed
- * interface (see `runUntil` for the expected members).  Cross-executor
+ * Clients provide `Task` records, costs, and billing through a
+ * duck-typed interface (see `runUntil` for the expected members); the
+ * core records each step's latency into the task.  Cross-executor
  * safety: every staleness check calls `client.owns(ex, idx)` *first*,
  * because ownership is only written at sequential epoch boundaries and
  * is therefore race-free to read while another executor concurrently
@@ -60,6 +61,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/small_vector.h"
@@ -224,9 +226,22 @@ class GatedHeap
     SmallVector<GateEntry, 8> heap_;
 };
 
-/** Scheduling state the core owns for each task. */
-struct TaskCore
+/** One task: the session's scheduling facts, the state the core keeps
+ *  for it, and the store its step latencies go to. */
+struct Task
 {
+    // Facts, filled once by the client (see taskOf in tenant/serve.h).
+    double arrivalSec = 0.0;
+    /** Hard departure; 0 = none. */
+    double departSec = 0.0;
+    /** Open-loop step rate; > 0 gates steps and sets their deadlines. */
+    double rateSps = 0.0;
+    /** Deadline of the whole budget when there is no rate; 0 = none. */
+    double qosDeadlineSec = 0.0;
+    /** Step budget; 0 = unbounded. */
+    std::uint64_t stepLimit = 0;
+    int priority = 0;
+
     TaskState state = TaskState::kPending;
     /** Bumped whenever the task leaves a queue, invalidating stale
      *  gated-heap entries that still carry the old generation. */
@@ -236,10 +251,35 @@ struct TaskCore
 
     std::uint64_t done = 0;
     std::uint64_t metDeadlines = 0;
+    /** End of step `done`; read only once done > 0. */
     double lastCompletionSec = 0.0;
     bool completed = false;
     double completionSec = 0.0;
+
+    /** Step k's latency lands in slots[k - 1] when the caller gave the
+     *  task slots in its arena (see latencySlots in tenant/serve.h),
+     *  else it is appended to `overflow`. */
+    double *slots = nullptr;
+    std::vector<double> overflow;
 };
+
+/** The step latencies recorded for `t` so far, in step order. */
+inline std::span<double>
+samples(Task &t)
+{
+    if (t.slots)
+        return {t.slots, std::size_t(t.done)};
+    return t.overflow;
+}
+
+/** When `t`'s next step is due: open loop, arrival + done / rate;
+ *  untargeted, its arrival (any time from then on). */
+inline double
+nextDueSec(const Task &t)
+{
+    return t.rateSps > 0.0 ? t.arrivalSec + double(t.done) / t.rateSps
+                           : t.arrivalSec;
+}
 
 /** Per-executor event accounting, surfaced to the perf benches. */
 struct Counters
@@ -316,17 +356,14 @@ struct Config
     bool coalesce = true;
 };
 
-/** Deadline of step `k` (1-based) of task `idx`; +inf if untargeted. */
-template <class Client>
+/** Deadline of step `k` (1-based) of `t`; +inf if untargeted. */
 inline double
-stepDeadlineSec(const Client &c, std::uint32_t idx, std::uint64_t k)
+stepDeadlineSec(const Task &t, std::uint64_t k)
 {
-    const double rate = c.rateSps(idx);
-    if (rate > 0.0)
-        return c.arrivalSec(idx) + double(k) / rate;
-    const double d = c.qosDeadlineSec(idx);
-    if (d > 0.0)
-        return d;
+    if (t.rateSps > 0.0)
+        return t.arrivalSec + double(k) / t.rateSps;
+    if (t.qosDeadlineSec > 0.0)
+        return t.qosDeadlineSec;
     return kInfSec;
 }
 
@@ -335,19 +372,20 @@ inline ReadyKey
 makeKey(const Client &c, Executor &ex, const Config &cfg,
         std::uint32_t idx)
 {
+    const Task &t = c.task(idx);
     ReadyKey key;
     key.idx = idx;
     switch (cfg.policy) {
       case SchedPolicy::kFifo:
-        key.k1 = c.arrivalSec(idx);
+        key.k1 = t.arrivalSec;
         break;
       case SchedPolicy::kPriority:
-        key.k1 = -double(c.priority(idx));
-        key.k2 = c.arrivalSec(idx);
+        key.k1 = -double(t.priority);
+        key.k2 = t.arrivalSec;
         break;
       case SchedPolicy::kEdf:
-        key.k1 = stepDeadlineSec(c, idx, c.core(idx).done + 1);
-        key.k2 = c.arrivalSec(idx);
+        key.k1 = stepDeadlineSec(t, t.done + 1);
+        key.k2 = t.arrivalSec;
         break;
       case SchedPolicy::kRoundRobin:
         key.seq = ++ex.rrSeq;
@@ -364,17 +402,17 @@ inline void
 enqueueReadyT(Client &c, Executor &ex, const Config &cfg,
               std::uint32_t idx)
 {
-    TaskCore &tc = c.core(idx);
+    Task &t = c.task(idx);
     if constexpr (kSteady) {
         ReadyKey key;
         key.idx = idx;
         key.seq = ++ex.rrSeq;
-        tc.readyKey = key;
+        t.readyKey = key;
     } else {
-        tc.readyKey = makeKey(c, ex, cfg, idx);
+        t.readyKey = makeKey(c, ex, cfg, idx);
     }
-    tc.state = TaskState::kReady;
-    ex.ready.insert(tc.readyKey);
+    t.state = TaskState::kReady;
+    ex.ready.insert(t.readyKey);
 }
 
 /** Park `idx` until `dueSec`; a fresh generation invalidates any older
@@ -383,10 +421,10 @@ template <class Client>
 inline void
 gate(Client &c, Executor &ex, std::uint32_t idx, double dueSec)
 {
-    TaskCore &tc = c.core(idx);
-    ++tc.gen;
-    tc.state = TaskState::kGated;
-    ex.gated.push({dueSec, idx, tc.gen});
+    Task &t = c.task(idx);
+    ++t.gen;
+    t.state = TaskState::kGated;
+    ex.gated.push({dueSec, idx, t.gen});
 }
 
 /** Pull `idx` out of its executor's queues (suspension, migration).
@@ -395,17 +433,17 @@ template <class Client>
 inline void
 unschedule(Client &c, Executor &ex, std::uint32_t idx)
 {
-    TaskCore &tc = c.core(idx);
-    if (tc.state == TaskState::kReady)
-        ex.ready.erase(tc.readyKey);
-    ++tc.gen; // invalidates any gated entry
+    Task &t = c.task(idx);
+    if (t.state == TaskState::kReady)
+        ex.ready.erase(t.readyKey);
+    ++t.gen; // invalidates any gated entry
 }
 
 template <class Client>
 inline void
 retire(Client &c, Executor &ex, std::uint32_t idx)
 {
-    c.core(idx).state = TaskState::kDone;
+    c.task(idx).state = TaskState::kDone;
     ++ex.counters.retired;
     c.onRetire(ex, idx);
 }
@@ -424,11 +462,11 @@ promoteT(Client &c, Executor &ex, const Config &cfg)
         // migrated away and its new executor's epoch is concurrently
         // mutating its generation/state.
         if (!c.owns(ex, idx) ||
-            c.core(idx).state != TaskState::kPending) {
+            c.task(idx).state != TaskState::kPending) {
             ++ex.arrCursor;
             continue;
         }
-        if (c.arrivalSec(idx) > ex.nowSec + kEps)
+        if (c.task(idx).arrivalSec > ex.nowSec + kEps)
             break;
         ++ex.arrCursor;
         ++ex.counters.promotions;
@@ -438,8 +476,8 @@ promoteT(Client &c, Executor &ex, const Config &cfg)
         const GateEntry &top = ex.gated.top();
         // `owns` first -- see the arrival scan for the rationale.
         if (!c.owns(ex, top.idx) ||
-            top.gen != c.core(top.idx).gen ||
-            c.core(top.idx).state != TaskState::kGated) {
+            top.gen != c.task(top.idx).gen ||
+            c.task(top.idx).state != TaskState::kGated) {
             ex.gated.pop();
             continue;
         }
@@ -461,11 +499,11 @@ nextArrivalSec(Client &c, Executor &ex)
     while (ex.arrCursor < ex.arrivals.size()) {
         const std::uint32_t idx = ex.arrivals[ex.arrCursor];
         if (!c.owns(ex, idx) ||
-            c.core(idx).state != TaskState::kPending) {
+            c.task(idx).state != TaskState::kPending) {
             ++ex.arrCursor;
             continue;
         }
-        return c.arrivalSec(idx);
+        return c.task(idx).arrivalSec;
     }
     return kInfSec;
 }
@@ -478,8 +516,8 @@ nextGateDueSec(Client &c, Executor &ex)
     while (!ex.gated.empty()) {
         const GateEntry &top = ex.gated.top();
         if (!c.owns(ex, top.idx) ||
-            top.gen != c.core(top.idx).gen ||
-            c.core(top.idx).state != TaskState::kGated) {
+            top.gen != c.task(top.idx).gen ||
+            c.task(top.idx).state != TaskState::kGated) {
             ex.gated.pop();
             continue;
         }
@@ -504,17 +542,16 @@ nextEventSec(Client &c, Executor &ex)
  *
  * `Client` provides, duck-typed:
  *   bool   owns(const Executor &, uint32_t idx) const
- *   double arrivalSec(idx) / departSec(idx) / rateSps(idx) /
- *          qosDeadlineSec(idx) const;  uint64_t stepLimit(idx) const;
- *   int    priority(idx) const
+ *   Task  &task(idx)  (and a const overload)
  *   double stepSeconds(const Executor &, idx) const
  *   double switchSeconds(const Executor &) const
- *   TaskCore &core(idx)  (and a const overload)
  *   void   onSwitch(Executor &, idx)      -- bill the context switch
  *   void   onStep(Executor &, idx, stepStartSec, latencySec,
  *                 eligibleSec, switchLeadSec)
  *   void   onRetire(Executor &, idx)
  *
+ * The core stores each step's latency in its task (see Task::slots)
+ * just before onStep, which gets it too, for telemetry and tracing.
  * onStep's eligibleSec is the latency reference point (latencySec ==
  * nowSec - eligibleSec at the call); switchLeadSec is the context
  * switch billed immediately ahead of this step (nonzero only on a
@@ -580,8 +617,8 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
             if (ex.gated.size() == 1) {
                 const GateEntry &top = ex.gated.top();
                 if (c.owns(ex, top.idx) &&
-                    top.gen == c.core(top.idx).gen &&
-                    c.core(top.idx).state == TaskState::kGated &&
+                    top.gen == c.task(top.idx).gen &&
+                    c.task(top.idx).state == TaskState::kGated &&
                     ex.last == std::size_t(top.idx) &&
                     top.dueSec < t1 - kEps &&
                     nextArr() > top.dueSec + kEps)
@@ -604,13 +641,13 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
             // The scan's fit checks, for the lone candidate (lead is
             // zero: the task is already resident).
             const double fstep = c.stepSeconds(ex, fidx);
-            const double fdep = c.departSec(fidx);
+            const double fdep = c.task(fidx).departSec;
             if ((fdep > 0.0 && ex.nowSec + fstep > fdep + kEps) ||
                 (wall > 0.0 && ex.nowSec + fstep > wall + kEps)) {
                 retire(c, ex, fidx);
                 continue;
             }
-            c.core(fidx).state = TaskState::kReady;
+            c.task(fidx).state = TaskState::kReady;
             pick = fidx;
         }
 
@@ -626,7 +663,7 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
                     (ex.last != kNoTask && ex.last != std::size_t(idx))
                         ? sw
                         : 0.0;
-                const double dep = c.departSec(idx);
+                const double dep = c.task(idx).departSec;
                 if ((dep > 0.0 &&
                      ex.nowSec + lead + step_sec > dep + kEps) ||
                     (wall > 0.0 &&
@@ -656,13 +693,14 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
         ex.last = pick;
 
         const std::uint32_t pidx = std::uint32_t(pick);
-        TaskCore &tc = c.core(pidx);
+        Task &t = c.task(pidx);
         const double step_sec = c.stepSeconds(ex, pidx);
-        const double arrival = c.arrivalSec(pidx);
-        const double dep = c.departSec(pidx);
-        const double rate = c.rateSps(pidx);
+        const double arrival = t.arrivalSec;
+        const double dep = t.departSec;
+        const double rate = t.rateSps;
         const bool rate_gated = rate_gates && rate > 0.0;
-        const std::uint64_t limit = c.stepLimit(pidx);
+        const std::uint64_t limit = t.stepLimit;
+        double *const slots = t.slots;
         // `arrival + done/rate` changes only when `done` does; caching
         // the latest value saves the deadline check, the coalesce
         // check and the end-of-dispatch transition their own FP
@@ -685,7 +723,7 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
             // The runner must be able to step again; otherwise the
             // dispatch-end transition (retire / gate / re-enqueue)
             // must run.
-            if (limit > 0 && tc.done >= limit)
+            if (limit > 0 && t.done >= limit)
                 return false;
             if (wall > 0.0 && ex.nowSec + step_sec > wall + kEps)
                 return false;
@@ -693,7 +731,7 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
                 return false;
             if (rate_gated &&
                 (due_cached ? due_cache
-                            : arrival + double(tc.done) / rate) >
+                            : arrival + double(t.done) / rate) >
                     ex.nowSec + kEps)
                 return false;
             if (nextArr() <= ex.nowSec + kEps)
@@ -710,7 +748,7 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
         while (dispatching) {
             std::uint64_t q = 0;
             for (; q < quantum; ++q) {
-                if (limit > 0 && tc.done >= limit) {
+                if (limit > 0 && t.done >= limit) {
                     dispatching = false;
                     break;
                 }
@@ -727,7 +765,7 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
                 if (rate_gated) {
                     due = due_cached
                               ? due_cache
-                              : arrival + double(tc.done) / rate;
+                              : arrival + double(t.done) / rate;
                     if (due > ex.nowSec + kEps) {
                         dispatching = false;
                         break; // next step not issued yet
@@ -741,31 +779,36 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
                     rate_gated
                         ? due
                         : std::max(arrival,
-                                   tc.done > 0 ? tc.lastCompletionSec
-                                               : arrival);
+                                   t.done > 0 ? t.lastCompletionSec
+                                              : arrival);
                 const double step_start = ex.nowSec;
                 ex.nowSec += step_sec;
-                ++tc.done;
+                ++t.done;
                 ++ex.counters.steps;
-                c.onStep(ex, pidx, step_start, ex.nowSec - eligible,
-                         eligible, switch_lead);
+                const double latency = ex.nowSec - eligible;
+                if (slots)
+                    slots[t.done - 1] = latency;
+                else
+                    t.overflow.push_back(latency);
+                c.onStep(ex, pidx, step_start, latency, eligible,
+                         switch_lead);
                 switch_lead = 0.0; // only the dispatch's first step
-                tc.lastCompletionSec = ex.nowSec;
+                t.lastCompletionSec = ex.nowSec;
                 double deadline;
                 if (rate > 0.0) {
                     // stepDeadlineSec's rate branch, computed here so
                     // the due cache picks up the new `done`'s value.
-                    deadline = arrival + double(tc.done) / rate;
+                    deadline = arrival + double(t.done) / rate;
                     due_cache = deadline;
                     due_cached = true;
                 } else {
-                    deadline = stepDeadlineSec(c, pidx, tc.done);
+                    deadline = stepDeadlineSec(t, t.done);
                 }
                 if (ex.nowSec <= deadline + kEps)
-                    ++tc.metDeadlines;
-                if (limit > 0 && tc.done >= limit) {
-                    tc.completed = true;
-                    tc.completionSec = ex.nowSec;
+                    ++t.metDeadlines;
+                if (limit > 0 && t.done >= limit) {
+                    t.completed = true;
+                    t.completionSec = ex.nowSec;
                     dispatching = false;
                     break;
                 }
@@ -775,7 +818,7 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
                 }
                 // Preemption point: a new arrival is waiting.
                 if (ex.arrCursor < ex.arrivals.size() &&
-                    c.arrivalSec(ex.arrivals[ex.arrCursor]) <=
+                    c.task(ex.arrivals[ex.arrCursor]).arrivalSec <=
                         ex.nowSec + kEps) {
                     dispatching = false;
                     break;
@@ -788,14 +831,14 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
             ++ex.counters.coalescedQuanta;
         }
 
-        if (tc.completed) {
+        if (t.completed) {
             retire(c, ex, pidx);
         } else if (dep > 0.0 && ex.nowSec + step_sec > dep + kEps) {
             retire(c, ex, pidx);
         } else if (rate_gated) {
             const double due =
                 due_cached ? due_cache
-                           : arrival + double(tc.done) / rate;
+                           : arrival + double(t.done) / rate;
             if (due > ex.nowSec + kEps)
                 gate(c, ex, pidx, due);
             else

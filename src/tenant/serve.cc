@@ -24,7 +24,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kEps = 1e-9;
 
 /** Per-tenant billing state the serve loop tracks beside the core's
- *  scheduling state (serve_core::TaskCore). */
+ *  task record (serve_core::Task). */
 struct TenantRun
 {
     bool started = false;
@@ -32,23 +32,13 @@ struct TenantRun
     double energyJ = 0.0;
     std::uint64_t switchesIn = 0;
 
-    /** Whether the tenant has slots in ServeClient::latArena (see
-     *  latencySlots); step k's latency then lands in slot
-     *  latOff + k - 1. */
-    bool inArena = false;
-    std::size_t latOff = 0;
-
-    /** Overflow store for tenants without arena slots, whose sample
-     *  count has no a-priori cap. */
-    std::vector<double> latencySec;
-
     /** Windowed latency decomposition (telemetry runs only). */
     obs::ComponentWindows windows;
 };
 
-/** serve_core client for the single-executor tenant serve loop: task
- *  scalars come straight from the jobs, billing lands on TenantRun
- *  and the run-level ServeResult accumulators. */
+/** serve_core client for the single-executor tenant serve loop: one
+ *  task per job, billing on TenantRun and the run-level ServeResult
+ *  accumulators. */
 struct ServeClient
 {
     const std::vector<TenantJob> &jobs;
@@ -56,7 +46,7 @@ struct ServeClient
     const SwitchCost &sw;
     ServeResult &out;
     std::vector<TenantRun> &run;
-    std::vector<serve_core::TaskCore> cores;
+    std::vector<serve_core::Task> tasks;
 
     /** Per-tenant step-latency slices, packed in tenant order (the
      *  fleet's FleetSim::latArena layout), sized once before the loop. */
@@ -76,35 +66,22 @@ struct ServeClient
                 const std::vector<IterationCost> &c,
                 const SwitchCost &s, ServeResult &o,
                 std::vector<TenantRun> &r)
-        : jobs(j), costs(c), sw(s), out(o), run(r), cores(j.size())
+        : jobs(j), costs(c), sw(s), out(o), run(r)
     {
+        tasks.reserve(jobs.size());
+        for (const TenantJob &job : jobs)
+            tasks.push_back(taskOf(job));
     }
 
     bool owns(const serve_core::Executor &, std::uint32_t) const
     {
         return true; // single executor; tasks never move
     }
-    double arrivalSec(std::uint32_t i) const
+    serve_core::Task &task(std::uint32_t i) { return tasks[i]; }
+    const serve_core::Task &task(std::uint32_t i) const
     {
-        return jobs[i].arrivalSec;
+        return tasks[i];
     }
-    double departSec(std::uint32_t i) const
-    {
-        return jobs[i].departSec;
-    }
-    double rateSps(std::uint32_t i) const
-    {
-        return jobs[i].qosStepsPerSec;
-    }
-    double qosDeadlineSec(std::uint32_t i) const
-    {
-        return jobs[i].qosDeadlineSec;
-    }
-    std::uint64_t stepLimit(std::uint32_t i) const
-    {
-        return jobs[i].steps;
-    }
-    int priority(std::uint32_t i) const { return jobs[i].priority; }
     double stepSeconds(const serve_core::Executor &,
                        std::uint32_t i) const
     {
@@ -113,19 +90,6 @@ struct ServeClient
     double switchSeconds(const serve_core::Executor &) const
     {
         return sw.seconds;
-    }
-    serve_core::TaskCore &core(std::uint32_t i) { return cores[i]; }
-    const serve_core::TaskCore &core(std::uint32_t i) const
-    {
-        return cores[i];
-    }
-
-    /** Tenant i's step latencies: its arena slice, or its overflow. */
-    std::span<double> samples(std::size_t i)
-    {
-        if (run[i].inArena)
-            return {latArena.data() + run[i].latOff, cores[i].done};
-        return run[i].latencySec;
     }
 
     void onSwitch(serve_core::Executor &ex, std::uint32_t i)
@@ -153,11 +117,6 @@ struct ServeClient
             run[i].firstStartSec = stepStartSec;
         }
         run[i].energyJ += costs[i].energyJ;
-        // The core bumps `done` before this hook: step `done` just ran.
-        if (run[i].inArena)
-            latArena[run[i].latOff + cores[i].done - 1] = latencySec;
-        else
-            run[i].latencySec.push_back(latencySec);
         lastActiveSec = ex.nowSec;
         if (telemetry) {
             obs::LatencyComponents comp;
@@ -272,58 +231,85 @@ tenantScenario(const AcceleratorConfig &config, int chips,
     return s;
 }
 
+serve_core::Task
+taskOf(const TenantJob &job)
+{
+    serve_core::Task t;
+    t.arrivalSec = job.arrivalSec;
+    t.departSec = job.departSec;
+    t.rateSps = job.qosStepsPerSec;
+    t.qosDeadlineSec = job.qosDeadlineSec;
+    t.stepLimit = job.steps;
+    t.priority = job.priority;
+    return t;
+}
+
 SessionOutcome
-sessionOutcome(const TenantJob &job, const serve_core::TaskCore &core,
-               double makespanSec, double wallLimitSec)
+sessionOutcome(const serve_core::Task &t, double makespanSec,
+               double wallLimitSec)
 {
     SessionOutcome o;
     // Departed: the session ended with steps outstanding and its
     // departure (not the wall budget) is what ended it.
     o.departed =
-        !core.completed && job.departSec > 0.0 &&
-        (wallLimitSec <= 0.0 || job.departSec < wallLimitSec + kEps);
-    o.endSec = core.completed
-                   ? core.completionSec
-                   : (o.departed ? std::min(job.departSec, makespanSec)
+        !t.completed && t.departSec > 0.0 &&
+        (wallLimitSec <= 0.0 || t.departSec < wallLimitSec + kEps);
+    o.endSec = t.completed
+                   ? t.completionSec
+                   : (o.departed ? std::min(t.departSec, makespanSec)
                                  : makespanSec);
-    const double window = std::max(0.0, o.endSec - job.arrivalSec);
-    o.achievedStepsPerSec = window > 0.0 ? double(core.done) / window
-                                         : (core.done > 0 ? kInf : 0.0);
+    const double window = std::max(0.0, o.endSec - t.arrivalSec);
+    o.achievedStepsPerSec = window > 0.0 ? double(t.done) / window
+                                         : (t.done > 0 ? kInf : 0.0);
 
     // QoS attainment: of the steps the target demanded by endSec, the
     // share that met their deadline.
     double demanded = kNaN;
-    if (job.qosStepsPerSec > 0.0) {
-        demanded = core.completed ? double(job.steps)
-                                  : std::floor(window * job.qosStepsPerSec);
-        if (job.steps > 0)
-            demanded = std::min(demanded, double(job.steps));
-    } else if (job.qosDeadlineSec > 0.0) {
+    if (t.rateSps > 0.0) {
+        demanded = t.completed ? double(t.stepLimit)
+                               : std::floor(window * t.rateSps);
+        if (t.stepLimit > 0)
+            demanded = std::min(demanded, double(t.stepLimit));
+    } else if (t.qosDeadlineSec > 0.0) {
         // Deadline targets are validated to have bounded steps;
         // nothing is demanded until the deadline has passed.
-        if (core.completed || job.qosDeadlineSec <= o.endSec)
-            demanded = double(job.steps);
+        if (t.completed || t.qosDeadlineSec <= o.endSec)
+            demanded = double(t.stepLimit);
     }
     o.qosAttainmentPct =
         std::isfinite(demanded) && demanded > 0.0
-            ? 100.0 * std::min(1.0, double(core.metDeadlines) / demanded)
+            ? 100.0 * std::min(1.0, double(t.metDeadlines) / demanded)
             : kNaN;
     return o;
 }
 
 std::uint64_t
-latencySlots(const TenantJob &job, double minStepSec, double wallLimitSec)
+latencySlots(const serve_core::Task &t, double minStepSec,
+             double wallLimitSec)
 {
-    if (job.steps == 0)
+    if (t.stepLimit == 0)
         return 0;
-    double endSec = job.departSec > 0.0 ? job.departSec : kInf;
+    double endSec = t.departSec > 0.0 ? t.departSec : kInf;
     if (wallLimitSec > 0.0)
         endSec = std::min(endSec, wallLimitSec);
     // Back-to-back steps from the arrival at the cheapest cost are the
     // most any schedule can fit before the session's end.
-    return job.arrivalSec + double(job.steps) * minStepSec <= endSec + kEps
-               ? job.steps
+    return t.arrivalSec + double(t.stepLimit) * minStepSec <= endSec + kEps
+               ? t.stepLimit
                : 0;
+}
+
+void
+publishCoreCounters(const serve_core::Counters &c)
+{
+    auto &metrics = obs::MetricsRegistry::instance();
+    metrics.addCounter("serve_core.steps", c.steps);
+    metrics.addCounter("serve_core.dispatches", c.dispatches);
+    metrics.addCounter("serve_core.coalesced_quanta", c.coalescedQuanta);
+    metrics.addCounter("serve_core.promotions", c.promotions);
+    metrics.addCounter("serve_core.idle_jumps", c.idleJumps);
+    metrics.addCounter("serve_core.context_switches", c.switches);
+    metrics.addCounter("serve_core.retired", c.retired);
 }
 
 ServeResult
@@ -436,19 +422,22 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
     cfg.rateGates = spec.opts.openLoop;
 
     // Shed tenants never enter the engine, and reserve no slots.
+    std::vector<serve_core::Task> &tasks = client.tasks;
     serve_core::Executor ex;
     std::size_t lat_slots = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!admitted[i])
-            continue;
-        ex.arrivals.push_back(std::uint32_t(i));
-        const std::uint64_t slots =
-            latencySlots(jobs[i], costs[i].seconds, wall);
-        run[i].inArena = slots > 0;
-        run[i].latOff = lat_slots;
-        lat_slots += slots;
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        if (admitted[i]) {
+            ex.arrivals.push_back(std::uint32_t(i));
+            lat_slots += latencySlots(tasks[i], costs[i].seconds, wall);
+        }
     client.latArena.resize(lat_slots);
+    double *slice = client.latArena.data();
+    for (const std::uint32_t i : ex.arrivals) // still in tenant order
+        if (const std::uint64_t slots =
+                latencySlots(tasks[i], costs[i].seconds, wall)) {
+            tasks[i].slots = slice;
+            slice += slots;
+        }
     std::stable_sort(ex.arrivals.begin(), ex.arrivals.end(),
                      [&](std::uint32_t a, std::uint32_t b) {
                          return jobs[a].arrivalSec < jobs[b].arrivalSec;
@@ -489,22 +478,13 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
     // these totals are a pure function of the simulated work.
     if (auto &metrics = obs::MetricsRegistry::instance();
         metrics.enabled()) {
-        const serve_core::Counters &c = out.coreCounters;
-        metrics.addCounter("serve_core.steps", c.steps);
-        metrics.addCounter("serve_core.dispatches", c.dispatches);
-        metrics.addCounter("serve_core.coalesced_quanta",
-                           c.coalescedQuanta);
-        metrics.addCounter("serve_core.promotions", c.promotions);
-        metrics.addCounter("serve_core.idle_jumps", c.idleJumps);
-        metrics.addCounter("serve_core.context_switches", c.switches);
-        metrics.addCounter("serve_core.retired", c.retired);
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::span<const double> lat = client.samples(i);
+        publishCoreCounters(out.coreCounters);
+        for (serve_core::Task &t : tasks) {
+            const std::span<const double> lat = serve_core::samples(t);
             metrics.recordValues("serve.step_latency_sec", lat.data(),
                                  lat.size());
         }
     }
-    const std::vector<serve_core::TaskCore> &cores = client.cores;
 
     // Per-tenant metrics; the latency stats reorder each tenant's
     // samples in place.
@@ -520,10 +500,10 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
         m.resolvedBatch = costs[i].resolvedBatch > 0
                               ? costs[i].resolvedBatch
                               : jobs[i].batch;
-        m.stepsDone = cores[i].done;
-        m.completed = cores[i].completed;
+        m.stepsDone = tasks[i].done;
+        m.completed = tasks[i].completed;
         const SessionOutcome end =
-            sessionOutcome(jobs[i], cores[i], out.makespanSec, wall);
+            sessionOutcome(tasks[i], out.makespanSec, wall);
         m.departed = end.departed;
         m.endSec = end.endSec;
         m.achievedStepsPerSec = end.achievedStepsPerSec;
@@ -539,7 +519,7 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
             ++qos_count;
         }
 
-        const std::span<double> lat = client.samples(i);
+        const std::span<double> lat = serve_core::samples(tasks[i]);
         m.stepLatency = computeLatencyStatsScratch(lat.data(), lat.size());
 
         m.energyJ = run[i].energyJ;
@@ -556,15 +536,16 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
     // Each tenant's stats left its finite samples at the front of its
     // store. The slices pack down first, in tenant order: a slice never
     // lands past its own start, so it never overwrites one not yet
-    // moved. The overflow runs, which occupy no slots, go after them.
+    // moved. The overflow runs, which occupy no slots, go after them;
+    // growing the arena may move it, so no task's slots is read after
+    // that, and a task with slots left its overflow vector empty.
     std::vector<double> &arena = client.latArena;
     std::size_t packed = 0;
     std::size_t overflow = 0;
     for (std::size_t i = 0; i < n; ++i) {
         const std::size_t count = out.tenants[i].stepLatency.count;
-        if (run[i].inArena) {
-            std::memmove(arena.data() + packed,
-                         arena.data() + run[i].latOff,
+        if (tasks[i].slots) {
+            std::memmove(arena.data() + packed, tasks[i].slots,
                          count * sizeof(double));
             packed += count;
         } else {
@@ -573,9 +554,9 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
     }
     arena.resize(packed + overflow);
     for (std::size_t i = 0; i < n; ++i)
-        if (!run[i].inArena) {
+        if (!tasks[i].overflow.empty()) {
             const std::size_t count = out.tenants[i].stepLatency.count;
-            std::copy_n(run[i].latencySec.begin(), count,
+            std::copy_n(tasks[i].overflow.begin(), count,
                         arena.begin() + std::ptrdiff_t(packed));
             packed += count;
         }

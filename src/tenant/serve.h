@@ -263,28 +263,32 @@ struct SessionOutcome
     double qosAttainmentPct = 0.0;
 };
 
+/** The serve-core task of `job`: its scheduling facts, fresh state. */
+serve_core::Task taskOf(const TenantJob &job);
+
 /**
  * The session-end rule the tenant loop and the fleet share: the
- * outcome of `job`, whose serve-core state is `core`, in a run whose
- * last work ended at `makespanSec` under the wall budget
- * `wallLimitSec` (0 = none).
+ * outcome of `task` in a run whose last work ended at `makespanSec`
+ * under the wall budget `wallLimitSec` (0 = none).
  */
-SessionOutcome sessionOutcome(const TenantJob &job,
-                              const serve_core::TaskCore &core,
+SessionOutcome sessionOutcome(const serve_core::Task &task,
                               double makespanSec, double wallLimitSec);
 
 /**
  * The latency-slot rule the tenant loop and the fleet share: how many
- * slots `job` reserves in its loop's step-latency arena, where step k
- * lands in the session's slot k - 1. A bounded session gets one slot
- * per budgeted step when that whole budget can run before its
- * departure or the wall budget `wallLimitSec` (0 = none) at its
+ * slots `task` reserves in its loop's step-latency arena, where the
+ * core stores step k in the task's slot k - 1. A bounded session gets
+ * one slot per budgeted step when that whole budget can run before
+ * its departure or the wall budget `wallLimitSec` (0 = none) at its
  * cheapest step cost `minStepSec`; any other session gets none and
- * keeps its samples in an overflow vector, so a budget the run can
+ * keeps its samples in its overflow vector, so a budget the run can
  * never reach reserves nothing.
  */
-std::uint64_t latencySlots(const TenantJob &job, double minStepSec,
+std::uint64_t latencySlots(const serve_core::Task &task, double minStepSec,
                            double wallLimitSec);
+
+/** Add a run's serve-core event counters to the metrics registry. */
+void publishCoreCounters(const serve_core::Counters &c);
 
 /** A result echoing `spec`'s inputs, with no tenant rows yet. */
 ServeResult serveHeader(const ServeSpec &spec);

@@ -303,20 +303,20 @@ TEST(ServeLoop, RejectsBadSpecs)
 TEST(ServeLoop, LatencySlotsCoverOnlyABudgetThatCanRun)
 {
     // 10 steps of 1 s from t=2 end at t=12.
-    TenantJob j = job("a", 2.0, 10, 0.0);
-    EXPECT_EQ(latencySlots(j, 1.0, 0.0), 10u) << "no wall, no departure";
-    EXPECT_EQ(latencySlots(j, 1.0, 12.0), 10u) << "ends on the wall";
-    EXPECT_EQ(latencySlots(j, 1.0, 11.5), 0u) << "wall too early";
-    EXPECT_EQ(latencySlots(j, 0.5, 11.5), 10u) << "cheaper steps fit";
-    j.departSec = 11.0;
-    EXPECT_EQ(latencySlots(j, 1.0, 0.0), 0u) << "departs too early";
-    EXPECT_EQ(latencySlots(j, 1.0, 20.0), 0u)
+    serve_core::Task t = taskOf(job("a", 2.0, 10, 0.0));
+    EXPECT_EQ(latencySlots(t, 1.0, 0.0), 10u) << "no wall, no departure";
+    EXPECT_EQ(latencySlots(t, 1.0, 12.0), 10u) << "ends on the wall";
+    EXPECT_EQ(latencySlots(t, 1.0, 11.5), 0u) << "wall too early";
+    EXPECT_EQ(latencySlots(t, 0.5, 11.5), 10u) << "cheaper steps fit";
+    t.departSec = 11.0;
+    EXPECT_EQ(latencySlots(t, 1.0, 0.0), 0u) << "departs too early";
+    EXPECT_EQ(latencySlots(t, 1.0, 20.0), 0u)
         << "the departure binds before the wall";
-    j.departSec = 0.0;
-    j.steps = 0;
-    EXPECT_EQ(latencySlots(j, 1.0, 20.0), 0u) << "unbounded";
-    j.steps = 1000000000000ull;
-    EXPECT_EQ(latencySlots(j, 1e-3, 0.5), 0u) << "huge budget";
+    t.departSec = 0.0;
+    t.stepLimit = 0;
+    EXPECT_EQ(latencySlots(t, 1.0, 20.0), 0u) << "unbounded";
+    t.stepLimit = 1000000000000ull;
+    EXPECT_EQ(latencySlots(t, 1e-3, 0.5), 0u) << "huge budget";
 }
 
 TEST(ServeLoop, BudgetFarPastTheWallReplaysEveryStepOnce)

@@ -26,8 +26,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <random>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -268,55 +270,43 @@ TEST_F(ServeCoreGolden, MigratingUnboundedSessionsMatchPreRefactorBytes)
 /** Minimal serve_core client: fixed per-task costs, a billing log. */
 struct MiniClient
 {
-    struct Task
-    {
-        double arrival = 0.0;
-        double depart = 0.0;
-        double rate = 0.0;
-        std::uint64_t steps = 0;
-        int priority = 0;
-        double costSec = 0.0;
-    };
-
-    std::vector<Task> tasks;
-    std::vector<serve_core::TaskCore> cores;
+    std::vector<serve_core::Task> tasks;
+    /** Seconds per step, one per task. */
+    std::vector<double> costSec;
     double switchSec = 0.0005;
 
     /** Chronological (idx, stepStartSec, latencySec) billing log. */
     std::vector<std::tuple<std::uint32_t, double, double>> stepLog;
     std::vector<std::uint32_t> switchLog;
 
-    explicit MiniClient(std::vector<Task> t)
-        : tasks(std::move(t)), cores(tasks.size())
+    /** Append a task of `steps` steps of `cost` s arriving at
+     *  `arrival`; the reference is valid until the next add. */
+    serve_core::Task &add(double arrival, std::uint64_t steps, double cost)
     {
+        tasks.emplace_back();
+        tasks.back().arrivalSec = arrival;
+        tasks.back().stepLimit = steps;
+        costSec.push_back(cost);
+        return tasks.back();
     }
 
     bool owns(const serve_core::Executor &, std::uint32_t) const
     {
         return true;
     }
-    double arrivalSec(std::uint32_t i) const { return tasks[i].arrival; }
-    double departSec(std::uint32_t i) const { return tasks[i].depart; }
-    double rateSps(std::uint32_t i) const { return tasks[i].rate; }
-    double qosDeadlineSec(std::uint32_t) const { return 0.0; }
-    std::uint64_t stepLimit(std::uint32_t i) const
+    serve_core::Task &task(std::uint32_t i) { return tasks[i]; }
+    const serve_core::Task &task(std::uint32_t i) const
     {
-        return tasks[i].steps;
+        return tasks[i];
     }
-    int priority(std::uint32_t i) const { return tasks[i].priority; }
     double stepSeconds(const serve_core::Executor &,
                        std::uint32_t i) const
     {
-        return tasks[i].costSec;
+        return costSec[i];
     }
     double switchSeconds(const serve_core::Executor &) const
     {
         return switchSec;
-    }
-    serve_core::TaskCore &core(std::uint32_t i) { return cores[i]; }
-    const serve_core::TaskCore &core(std::uint32_t i) const
-    {
-        return cores[i];
     }
     void onSwitch(serve_core::Executor &, std::uint32_t i)
     {
@@ -340,37 +330,25 @@ freshExecutor(const MiniClient &c)
         ex.arrivals[i] = std::uint32_t(i);
     std::stable_sort(ex.arrivals.begin(), ex.arrivals.end(),
                      [&](std::uint32_t a, std::uint32_t b) {
-                         return c.tasks[a].arrival < c.tasks[b].arrival;
+                         return c.tasks[a].arrivalSec <
+                                c.tasks[b].arrivalSec;
                      });
     return ex;
 }
 
-std::vector<MiniClient::Task>
-mixedTasks()
+MiniClient
+mixedClient()
 {
-    std::vector<MiniClient::Task> tasks;
-    for (int i = 0; i < 6; ++i) {
-        MiniClient::Task t;
-        t.arrival = 0.002 * double(i);
-        t.steps = 40 + std::uint64_t(7 * i);
-        t.costSec = 0.0009 + 0.0001 * double(i % 3);
-        t.priority = i % 2;
-        tasks.push_back(t);
-    }
+    MiniClient c;
+    for (int i = 0; i < 6; ++i)
+        c.add(0.002 * double(i), 40 + std::uint64_t(7 * i),
+              0.0009 + 0.0001 * double(i % 3))
+            .priority = i % 2;
     // Sparse stragglers that run alone (pure coalescing regime) and
     // one rate-gated task (gate/promotion regime).
-    MiniClient::Task solo;
-    solo.arrival = 1.0;
-    solo.steps = 64;
-    solo.costSec = 0.001;
-    tasks.push_back(solo);
-    MiniClient::Task gated;
-    gated.arrival = 0.001;
-    gated.steps = 30;
-    gated.rate = 20.0;
-    gated.costSec = 0.0012;
-    tasks.push_back(gated);
-    return tasks;
+    c.add(1.0, 64, 0.001);
+    c.add(0.001, 30, 0.0012).rateSps = 20.0;
+    return c;
 }
 
 /**
@@ -387,12 +365,12 @@ void
 expectCoalescingEquivalence(serve_core::Config cfg)
 {
     cfg.coalesce = true;
-    MiniClient one(mixedTasks());
+    MiniClient one = mixedClient();
     serve_core::Executor exOne = freshExecutor(one);
     serve_core::runUntil(one, exOne, cfg, serve_core::kInfSec);
 
     cfg.coalesce = false;
-    MiniClient single(mixedTasks());
+    MiniClient single = mixedClient();
     serve_core::Executor exSingle = freshExecutor(single);
     serve_core::runUntil(single, exSingle, cfg, serve_core::kInfSec);
 
@@ -417,10 +395,10 @@ expectCoalescingEquivalence(serve_core::Config cfg)
             << std::get<2>(single.stepLog[s]) << ")";
     EXPECT_EQ(one.switchLog, single.switchLog);
     for (std::size_t i = 0; i < one.tasks.size(); ++i) {
-        EXPECT_EQ(one.cores[i].done, single.cores[i].done) << "task " << i;
-        EXPECT_EQ(one.cores[i].completed, single.cores[i].completed);
-        EXPECT_EQ(one.cores[i].completionSec,
-                  single.cores[i].completionSec);
+        EXPECT_EQ(one.tasks[i].done, single.tasks[i].done) << "task " << i;
+        EXPECT_EQ(one.tasks[i].completed, single.tasks[i].completed);
+        EXPECT_EQ(one.tasks[i].completionSec,
+                  single.tasks[i].completionSec);
     }
 }
 
@@ -447,6 +425,44 @@ TEST(ServeCoreCoalescing, EdfModeMultiQuantumAdvanceEqualsSingleSteps)
     cfg.policy = SchedPolicy::kEdf;
     cfg.quantumIters = 2;
     expectCoalescingEquivalence(cfg);
+}
+
+// ------------------------------------------------ latency recording
+
+// The core stores each step's latency in its task: step k in slot
+// k - 1 of a task given slots, else in its overflow vector. Either way
+// samples() must read back what onStep was told, in step order, and a
+// task with slots must write nothing past its budget.
+TEST(ServeCoreLatencies, CoreRecordsEveryStepInSlotsOrOverflow)
+{
+    MiniClient c;
+    c.add(0.0, 12, 0.001);
+    c.add(0.0005, 9, 0.0015).rateSps = 500.0;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<double> arena(12 + 1, nan); // a sentinel past the budget
+    c.tasks[0].slots = arena.data();
+
+    serve_core::Config cfg;
+    cfg.quantumIters = 2;
+    serve_core::Executor ex = freshExecutor(c);
+    serve_core::runUntil(c, ex, cfg, serve_core::kInfSec);
+
+    for (std::uint32_t i = 0; i < 2; ++i) {
+        std::vector<double> logged;
+        for (const auto &[idx, start, latency] : c.stepLog)
+            if (idx == i)
+                logged.push_back(latency);
+        const std::span<double> got = serve_core::samples(c.tasks[i]);
+        ASSERT_EQ(got.size(), c.tasks[i].stepLimit) << "task " << i;
+        EXPECT_TRUE(std::equal(got.begin(), got.end(), logged.begin(),
+                               logged.end()))
+            << "task " << i << ": samples differ from onStep's";
+    }
+    EXPECT_GT(c.switchLog.size(), 2u) << "the tasks never interleaved";
+    EXPECT_EQ(serve_core::samples(c.tasks[0]).data(), arena.data());
+    EXPECT_TRUE(c.tasks[0].overflow.empty());
+    EXPECT_EQ(c.tasks[1].overflow.size(), 9u);
+    EXPECT_TRUE(std::isnan(arena.back())) << "wrote past the budget";
 }
 
 // ------------------------------------------------- ready-set ordering
@@ -565,29 +581,18 @@ TEST(ServeCoreReadySet, MatchesStdSetUnderRandomOperations)
 
 // ------------------------------------------- thread-count determinism
 
-/**
- * The CI acceptance run distilled in-process: a generated diurnal
- * trace on a heterogeneous fleet must emit bit-identical CSV/JSON
- * whether epochs run on 1 or 4 worker threads. Running it in-process
- * (instead of via the CLI) puts the epoch parallelism under TSan in
- * the sanitizer job.
- */
-TEST(ServeCoreDeterminism, FleetEmittersAreByteStableAcrossThreadCounts)
+/** Run `genText`'s trace on `spec` with 1 and 4 engine threads and
+ *  expect the fleet emitters to write the same bytes; the 1-thread
+ *  result goes to *one. */
+void
+expectFleetBytesStable(const std::string &genText, const FleetSpec &spec,
+                       SweepRunner &runner, FleetResult *one)
 {
+    SCOPED_TRACE(genText);
     std::string err;
-    const auto gen = parseTraceGenSpec(
-        "diurnal:rate=18,horizon=4,seed=11,qos=3,hold=3,cap=120", &err);
+    const auto gen = parseTraceGenSpec(genText, &err);
     ASSERT_TRUE(gen.has_value()) << err;
     const ArrivalTrace trace = generateTrace(*gen);
-
-    const auto diva_pods = parsePodTemplate("df=DiVa,count=2", &err);
-    ASSERT_TRUE(diva_pods.has_value()) << err;
-    const auto os_pods = parsePodTemplate("df=OS", &err);
-    ASSERT_TRUE(os_pods.has_value()) << err;
-    FleetSpec spec = buildFleet({*diva_pods, *os_pods});
-    spec.placement = PlacementKind::kLoadAware;
-    spec.rebalance.enabled = true;
-    spec.controlIntervalSec = 0.5;
 
     auto emitAll = [](const FleetResult &r) {
         std::ostringstream os;
@@ -597,16 +602,52 @@ TEST(ServeCoreDeterminism, FleetEmittersAreByteStableAcrossThreadCounts)
         return os.str();
     };
 
-    SweepOptions opts;
-    opts.threads = 2;
-    SweepRunner runner(opts);
-    const FleetResult one = simulateFleet(spec, trace, runner, 1);
-    ASSERT_TRUE(one.ok()) << one.error;
+    *one = simulateFleet(spec, trace, runner, 1);
+    ASSERT_TRUE(one->ok()) << one->error;
     const FleetResult four = simulateFleet(spec, trace, runner, 4);
     ASSERT_TRUE(four.ok()) << four.error;
 
-    EXPECT_TRUE(emitAll(one) == emitAll(four))
+    EXPECT_TRUE(emitAll(*one) == emitAll(four))
         << "fleet emitters diverged across engine thread counts";
+}
+
+/**
+ * The CI acceptance run distilled in-process: generated traces on a
+ * fleet must emit bit-identical CSV/JSON whether epochs run on 1 or 4
+ * worker threads. Running it in-process (instead of via the CLI) puts
+ * the epoch parallelism under TSan in the sanitizer job. The first
+ * trace's sessions all record into arena slots; the second's are
+ * unbounded, so the core appends their samples to overflow vectors,
+ * and first-fit plus rebalancing moves those sessions between pods.
+ */
+TEST(ServeCoreDeterminism, FleetEmittersAreByteStableAcrossThreadCounts)
+{
+    std::string err;
+    const auto diva_pods = parsePodTemplate("df=DiVa,count=2", &err);
+    ASSERT_TRUE(diva_pods.has_value()) << err;
+    const auto os_pods = parsePodTemplate("df=OS", &err);
+    ASSERT_TRUE(os_pods.has_value()) << err;
+    FleetSpec spec = buildFleet({*diva_pods, *os_pods});
+    spec.placement = PlacementKind::kLoadAware;
+    spec.rebalance.enabled = true;
+    spec.controlIntervalSec = 0.5;
+
+    SweepOptions opts;
+    opts.threads = 2;
+    SweepRunner runner(opts);
+    FleetResult one;
+    expectFleetBytesStable(
+        "diurnal:rate=18,horizon=4,seed=11,qos=3,hold=3,cap=120", spec,
+        runner, &one);
+
+    FleetSpec unbounded = buildFleet({defaultPodGroup(4)});
+    unbounded.placement = PlacementKind::kFirstFit;
+    unbounded.rebalance.enabled = true;
+    unbounded.controlIntervalSec = 1.0;
+    expectFleetBytesStable(
+        "poisson:rate=40,horizon=10,seed=5,qos=2,steps=0,hold=3,cap=300",
+        unbounded, runner, &one);
+    EXPECT_GT(one.migrations, 0u) << "no overflow samples changed pods";
 }
 
 // ------------------------------------------------ one serve semantics
