@@ -18,10 +18,6 @@ namespace
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/** Below this, a comparison sort beats the radix passes' setup, and a
- *  merge slice is too small to be worth a pool lane. */
-constexpr std::size_t kRadixMin = 4096;
-
 /** The raw bits of `v`. */
 std::uint64_t
 doubleBits(double v)
@@ -235,8 +231,8 @@ statsOverBuffer(double *s, std::size_t n)
     // sample, whose raw bits do not order like its value; std::sort
     // takes that set.  new[] (not vector) keeps the scratch
     // uninitialized: the radix passes write every slot they read.
-    std::unique_ptr<double[]> scratch(n >= kRadixMin ? new double[n]
-                                                     : nullptr);
+    std::unique_ptr<double[]> scratch(
+        n >= kRadixSortMin ? new double[n] : nullptr);
     if (!sortPositiveRun(s, n, scratch.get()))
         std::sort(s, s + n);
     return sortedRunStats(s, n);
@@ -374,7 +370,7 @@ computeLatencyStatsScratch(double *samples, std::size_t count)
 bool
 sortPositiveRun(double *run, std::size_t n, double *scratch)
 {
-    if (n >= kRadixMin)
+    if (n >= kRadixSortMin)
         return radixSortPositive(run, n, scratch);
     if (!std::all_of(run, run + n, [](double v) { return v > 0.0; }))
         return false;
@@ -414,13 +410,14 @@ mergeSortedRuns(const std::vector<std::span<const double>> &runs,
     if (n == 0)
         return sortedRunStats(out, 0);
 
-    // One value-range slice per lane, kRadixMin samples or more each.
-    // Slice k opens, in every run, at the first occurrence of the
-    // union's (k*n/slices)-th smallest sample, so it holds exactly the
-    // values in [edge k, edge k+1): a tie never straddles two slices,
-    // and the merged array does not depend on the slice count.
+    // One value-range slice per lane, kRadixSortMin samples or more
+    // each: a smaller slice is not worth a pool lane. Slice k opens,
+    // in every run, at the first occurrence of the union's
+    // (k*n/slices)-th smallest sample, so it holds exactly the values
+    // in [edge k, edge k+1): a tie never straddles two slices, and the
+    // merged array does not depend on the slice count.
     const std::size_t slices = std::clamp<std::size_t>(
-        n / kRadixMin, 1, std::size_t(std::max(threads, 1)));
+        n / kRadixSortMin, 1, std::size_t(std::max(threads, 1)));
     std::vector<std::size_t> cut((slices + 1) * R, 0); // [k * R + r]
     for (std::size_t r = 0; r < R; ++r)
         cut[slices * R + r] = runs[r].size();

@@ -20,11 +20,14 @@
  *     consecutive samples once; any other set is sorted (a radix sort
  *     for a long strictly positive run, std::sort otherwise) and
  *     ranked by index;
- *   - one sample set split into runs (the fleet's per-pod step
- *     latencies): each run sorts in place (sortPositiveRun) and is
- *     ranked by index (sortedRunStats), then the sorted runs merge on
- *     TaskPool lanes into one ascending array (mergeSortedRuns) that
- *     yields the union's stats with no further sort.
+ *   - one sample set split into runs (the fleet's step latencies):
+ *     each run sorts in place (sortPositiveRun) and is ranked by index
+ *     (sortedRunStats), then the sorted runs merge on TaskPool lanes
+ *     into one ascending array (mergeSortedRuns) that yields the
+ *     union's stats with no further sort. A run is a pod's whole run
+ *     or, when the pod's run is long, one of its pieces: the pieces
+ *     sort on separate lanes, and the pod's stats come from merging
+ *     its pieces.
  */
 
 #ifndef DIVA_COMMON_PERCENTILE_H
@@ -83,14 +86,17 @@ LatencyStats computeLatencyStats(std::vector<double> samples);
 LatencyStats computeLatencyStatsScratch(double *samples,
                                         std::size_t count);
 
+/** sortPositiveRun radix-sorts runs of this many samples or more. */
+inline constexpr std::size_t kRadixSortMin = 4096;
+
 /**
  * Sort `run` (n samples) ascending in place and return true if every
  * sample is > 0; on any other sample (NaN included) return false with
- * the run untouched. Runs of 4,096 samples or more take an LSD radix
- * sort over the raw bits that ping-pongs between `run` and `scratch`
- * (room for n doubles, contents clobbered); shorter runs take
- * std::sort. A positive double has one bit pattern per value, so the
- * result is exactly std::sort's.
+ * the run untouched. Runs of kRadixSortMin samples or more take an LSD
+ * radix sort over the raw bits that ping-pongs between `run` and
+ * `scratch` (room for n doubles, contents clobbered); shorter runs
+ * take std::sort. A positive double has one bit pattern per value, so
+ * the result is exactly std::sort's.
  */
 bool sortPositiveRun(double *run, std::size_t n, double *scratch);
 

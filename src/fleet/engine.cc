@@ -4,11 +4,14 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <queue>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 
 #include "arrivals/admission.h"
+#include "common/logging.h"
 #include "common/task_pool.h"
 #include "fleet/energy_budget.h"
 #include "fleet/migration.h"
@@ -141,9 +144,14 @@ struct PodRt
     std::uint64_t epochSteps = 0;
     std::size_t finishedThisEpoch = 0;
 
-    /** The step latencies served here, gathered from the sessions'
-     *  slices stay by stay (FleetSim::closeStay). */
-    std::vector<double> latencySec;
+    /** Samples of the stays migrate() closed here (FleetSim::
+     *  closeStay), in migration order. */
+    std::vector<double> closedLat;
+
+    /** The step latencies served here, `steps` of them: closedLat,
+     *  then each session's last stay in trace order. Allocated and
+     *  filled at assembly (FleetSim::gatherRuns). */
+    std::unique_ptr<double[]> run;
 
     // Windowed telemetry (telemetry runs only). All pod-owned:
     // written by whichever worker runs this pod's epoch -- the pod
@@ -196,8 +204,11 @@ struct FleetSim
     /** Per-tenant step-latency slices, packed by arrival order, that
      *  tenants[i].task.slots points into (latencySlots' slots). Direct
      *  indexed stores -- pods write disjoint tenants' slices -- replace
-     *  200k per-tenant realloc chains on the hot path. */
-    std::vector<double> latArena;
+     *  200k per-tenant realloc chains on the hot path. new[] leaves
+     *  its latArenaSize slots uninitialized: a slot is read only after
+     *  its step wrote it, so the epochs' lanes touch its pages first. */
+    std::unique_ptr<double[]> latArena;
+    std::size_t latArenaSize = 0;
 
     // Placement projection (sequential, arrival-ordered).
     std::vector<PodLoadView> loadViews;
@@ -374,6 +385,7 @@ struct FleetSim
     void migrate(std::uint32_t idx, std::size_t srcP, std::size_t dstP,
                  double nowSec);
     void closeStay(std::uint32_t idx);
+    void gatherRuns(int threads);
 
     double globalNextEventSec();
     double totalEnergySoFar() const;
@@ -798,19 +810,68 @@ FleetSim::migrate(std::uint32_t idx, std::size_t srcP,
 
 /**
  * Append tenant `idx`'s samples of its stay on its current pod, steps
- * [stayStart, done), to that pod's run, and open the next stay at
- * `done`. Sequential only: it runs in migrate() at epoch boundaries
- * and once per session in assemble().
+ * [stayStart, done), to that pod's closed stays, and open the next
+ * stay at `done`. Sequential only: it runs in migrate() at epoch
+ * boundaries.
  */
 void
 FleetSim::closeStay(std::uint32_t idx)
 {
     TenantRt &rt = tenants[idx];
     const std::span<const double> lat = serve_core::samples(rt.task);
-    std::vector<double> &run = pods[rt.pod].latencySec;
-    run.insert(run.end(), lat.begin() + std::ptrdiff_t(rt.stayStart),
-               lat.end());
+    std::vector<double> &closed = pods[rt.pod].closedLat;
+    closed.insert(closed.end(),
+                  lat.begin() + std::ptrdiff_t(rt.stayStart), lat.end());
     rt.stayStart = rt.task.done;
+}
+
+/**
+ * Build every pod's run: its closed stays, then each placed session's
+ * last stay in trace order, the order a sequential closeStay over the
+ * sessions would give. The last stays gather in three passes over one
+ * contiguous tenant range per lane: count each (range, pod) pair's
+ * samples, turn the counts into write offsets in range order, then
+ * copy. A run holds exactly its pod's steps, so it is sized once.
+ */
+void
+FleetSim::gatherRuns(int threads)
+{
+    TaskPool &pool = TaskPool::shared();
+    const std::size_t P = pods.size();
+    const std::size_t ranges = std::size_t(std::max(threads, 1));
+    auto first = [&](std::size_t c) { return n * c / ranges; };
+    std::vector<std::size_t> at(ranges * P, 0); // [range * P + pod]
+    pool.parallelFor(ranges, threads, [&](std::size_t c) {
+        std::size_t *count = &at[c * P];
+        for (std::size_t i = first(c); i < first(c + 1); ++i)
+            if (const TenantRt &rt = tenants[i]; rt.pod != kNoPod)
+                count[rt.pod] += rt.task.done - rt.stayStart;
+    });
+    for (std::size_t p = 0; p < P; ++p) {
+        PodRt &pod = pods[p];
+        std::size_t off = pod.closedLat.size();
+        for (std::size_t c = 0; c < ranges; ++c)
+            off += std::exchange(at[c * P + p], off);
+        DIVA_ASSERT(off == pod.steps, "pod ", p, " gathered ", off,
+                    " latencies for ", pod.steps, " steps");
+        pod.run.reset(new double[off]);
+        std::copy(pod.closedLat.begin(), pod.closedLat.end(),
+                  pod.run.get());
+        std::vector<double>().swap(pod.closedLat);
+    }
+    pool.parallelFor(ranges, threads, [&](std::size_t c) {
+        std::size_t *to = &at[c * P];
+        for (std::size_t i = first(c); i < first(c + 1); ++i) {
+            TenantRt &rt = tenants[i];
+            if (rt.pod == kNoPod)
+                continue;
+            const std::span<const double> lat =
+                serve_core::samples(rt.task).subspan(rt.stayStart);
+            std::copy(lat.begin(), lat.end(),
+                      pods[rt.pod].run.get() + to[rt.pod]);
+            to[rt.pod] += lat.size();
+        }
+    });
 }
 
 std::size_t
@@ -921,8 +982,9 @@ FleetSim::run(int threads)
         rt.cls = jobCls[i];
         lat_slots += latencySlots(rt.task, min_step[rt.cls], wall);
     }
-    latArena.resize(lat_slots);
-    double *slice = latArena.data();
+    latArena.reset(new double[lat_slots]);
+    latArenaSize = lat_slots;
+    double *slice = latArena.get();
     for (TenantRt &rt : tenants)
         if (const std::uint64_t slots =
                 latencySlots(rt.task, min_step[rt.cls], wall)) {
@@ -1095,14 +1157,12 @@ FleetSim::assemble(int threads)
 
     {
     obs::ScopedPhase tenants_phase("assemble_tenants");
-    // Each pod's run still lacks its sessions' last stays: gather them
-    // before the tenant rows reorder their slices. A run holds exactly
-    // the pod's steps, so it is sized once.
-    for (PodRt &pod : pods)
-        pod.latencySec.reserve(pod.steps);
-    for (std::size_t i = 0; i < n; ++i)
-        if (tenants[i].pod != kNoPod)
-            closeStay(std::uint32_t(i));
+    // The pods' runs still lack their sessions' last stays: gather
+    // them before the tenant rows reorder their slices.
+    {
+        obs::ScopedPhase gather_phase("assemble_gather");
+        gatherRuns(threads);
+    }
     // Each row is a pure function of its own tenant's runtime state
     // (the latency stats sort disjoint arena ranges in place),
     // so rows build in parallel; the floating-point QoS accumulators
@@ -1175,30 +1235,68 @@ FleetSim::assemble(int threads)
     out.meanQosAttainmentPct =
         qos_count > 0 ? qos_sum / double(qos_count) : kNaN;
 
-    // Step latencies: each pod sorts its run in place and reads its
-    // stats by index; the fleet-wide stats then merge the sorted runs.
+    // Step latencies: every pod run sorts in place, in pieces of at
+    // most max(kRadixSortMin, total / lanes) samples, so a hot pod's
+    // run spreads over the lanes; a pod reads its stats by index off
+    // its sorted run, or off the merge of its sorted pieces, and the
+    // fleet-wide stats merge every piece. One lane never splits a run.
+    TaskPool &pool = TaskPool::shared();
+    const std::size_t P = pods.size();
     std::size_t total_lat = 0;
-    std::vector<std::size_t> lat_off(pods.size());
-    for (std::size_t p = 0; p < pods.size(); ++p) {
-        lat_off[p] = total_lat;
-        total_lat += pods[p].latencySec.size();
+    for (const PodRt &pod : pods)
+        total_lat += pod.steps;
+    const std::size_t lanes = std::size_t(std::max(threads, 1));
+    const std::size_t piece_len =
+        std::max(kRadixSortMin, (total_lat + lanes - 1) / lanes);
+    // Pod p owns pieces [pod_piece[p], pod_piece[p + 1]), which tile its
+    // run in order; piece j's radix scratch sits at its offset in the
+    // pods' concatenation, scratch_at[j], in latArena.
+    std::vector<std::span<double>> pieces;
+    std::vector<std::size_t> scratch_at;
+    std::vector<std::size_t> pod_piece(P + 1, 0);
+    for (std::size_t p = 0, at = 0; p < P; ++p) {
+        const std::size_t len = pods[p].steps;
+        const std::size_t k = (len + piece_len - 1) / piece_len;
+        for (std::size_t j = 0; j < k; ++j) {
+            const std::size_t from = len * j / k, to = len * (j + 1) / k;
+            pieces.emplace_back(pods[p].run.get() + from, to - from);
+            scratch_at.push_back(at + from);
+        }
+        pod_piece[p + 1] = pieces.size();
+        at += len;
     }
-    std::vector<char> run_sorted(pods.size(), 0);
+    std::vector<char> piece_sorted(pieces.size(), 0);
+    std::vector<char> run_sorted(P, 0);
     {
     obs::ScopedPhase pods_phase("assemble_pods");
     // latArena is dead once the tenant rows have read their slices,
-    // and no task's `slots` is read after that: here it is the pods'
-    // disjoint radix scratch, in assemble_agg the merged fleet-wide
-    // run. Only sessions on their overflow vector, whose samples live
-    // outside it, can push the step count past its size.
-    if (latArena.size() < total_lat) {
-        std::vector<double>().swap(latArena);
-        latArena.resize(total_lat);
+    // and no task's `slots` is read after that: here it is the pieces'
+    // disjoint radix scratch, then the multi-piece pods' merged runs,
+    // and in assemble_agg the merged fleet-wide run. Only sessions on
+    // their overflow vector, whose samples live outside it, can push
+    // the step count past its size.
+    if (latArenaSize < total_lat) {
+        latArena.reset();
+        latArena.reset(new double[total_lat]);
+        latArenaSize = total_lat;
     }
+    {
+        obs::ScopedPhase sort_phase("assemble_sort");
+        pool.parallelFor(pieces.size(), threads, [&](std::size_t j) {
+            piece_sorted[j] = sortPositiveRun(
+                pieces[j].data(), pieces[j].size(),
+                latArena.get() + scratch_at[j]);
+        });
+    }
+    for (std::size_t p = 0; p < P; ++p)
+        run_sorted[p] = std::all_of(
+            piece_sorted.begin() + std::ptrdiff_t(pod_piece[p]),
+            piece_sorted.begin() + std::ptrdiff_t(pod_piece[p + 1]),
+            [](char ok) { return ok != 0; });
     // Same split as the tenant rows: per-pod rows build in parallel,
     // totals accumulate sequentially afterwards.
-    out.pods.resize(pods.size());
-    TaskPool::shared().parallelFor(pods.size(), threads, [&](std::size_t p) {
+    out.pods.resize(P);
+    pool.parallelFor(P, threads, [&](std::size_t p) {
         PodRt &pod = pods[p];
         const PodSpec &ps = spec.pods[p];
         FleetPodReport &r = out.pods[p];
@@ -1224,18 +1322,31 @@ FleetSim::assemble(int threads)
             pod_qos_count[p] > 0
                 ? pod_qos_sum[p] / double(pod_qos_count[p])
                 : kNaN;
-        std::vector<double> &lat = pod.latencySec;
-        if (sortPositiveRun(lat.data(), lat.size(),
-                            latArena.data() + lat_off[p])) {
-            run_sorted[p] = 1;
-            r.stepLatency = sortedRunStats(lat.data(), lat.size());
-        } else {
+        const double *lat = pod.run.get();
+        if (!run_sorted[p]) {
             // A NaN or non-positive latency takes the exact fallback,
-            // on a copy: the refused run stays as it was for the
-            // fleet-wide fallback below.
-            r.stepLatency = computeLatencyStats(lat);
+            // on a copy: the run, whose refused pieces stay as they
+            // were, is left whole for the fleet-wide fallback below.
+            r.stepLatency = computeLatencyStats(
+                std::vector<double>(lat, lat + pod.steps));
+        } else if (pod_piece[p + 1] - pod_piece[p] <= 1) {
+            r.stepLatency = sortedRunStats(lat, pod.steps);
         }
     });
+    {
+        // A pod sorted in several pieces merges them on every lane into
+        // its own slice of latArena, the pieces' spent radix scratch.
+        obs::ScopedPhase merge_phase("assemble_pod_merge");
+        for (std::size_t p = 0; p < P; ++p) {
+            if (!run_sorted[p] || pod_piece[p + 1] - pod_piece[p] <= 1)
+                continue;
+            const std::vector<std::span<const double>> own(
+                pieces.begin() + std::ptrdiff_t(pod_piece[p]),
+                pieces.begin() + std::ptrdiff_t(pod_piece[p + 1]));
+            out.pods[p].stepLatency = mergeSortedRuns(
+                own, latArena.get() + scratch_at[pod_piece[p]], threads);
+        }
+    }
     for (const PodRt &pod : pods) {
         out.totalEnergyJ += pod.energyJ;
         out.contextSwitches += pod.switches;
@@ -1278,19 +1389,16 @@ FleetSim::assemble(int threads)
         // tell the sorted runs from the input order.
         for (const PodRt &pod : pods)
             metrics.recordValues("fleet.step_latency_sec",
-                                 pod.latencySec.data(),
-                                 pod.latencySec.size());
+                                 pod.run.get(), pod.steps);
     }
     {
         obs::ScopedPhase agg_phase("assemble_agg");
-        if (std::all_of(run_sorted.begin(), run_sorted.end(),
+        if (std::all_of(piece_sorted.begin(), piece_sorted.end(),
                         [](char ok) { return ok != 0; })) {
-            std::vector<std::span<const double>> runs;
-            runs.reserve(pods.size());
-            for (const PodRt &pod : pods)
-                runs.emplace_back(pod.latencySec);
+            const std::vector<std::span<const double>> runs(
+                pieces.begin(), pieces.end());
             out.aggStepLatency =
-                mergeSortedRuns(runs, latArena.data(), threads);
+                mergeSortedRuns(runs, latArena.get(), threads);
         } else {
             // The concatenation of sorted and refused runs: the stats
             // sort it anyway, and a step latency (now - eligible after
@@ -1299,8 +1407,8 @@ FleetSim::assemble(int threads)
             std::vector<double> all_lat;
             all_lat.reserve(total_lat);
             for (const PodRt &pod : pods)
-                all_lat.insert(all_lat.end(), pod.latencySec.begin(),
-                               pod.latencySec.end());
+                all_lat.insert(all_lat.end(), pod.run.get(),
+                               pod.run.get() + pod.steps);
             out.aggStepLatency =
                 computeLatencyStats(std::move(all_lat));
         }

@@ -7,8 +7,9 @@
  * per-tenant sums, energy-budget preemption ordering, partial-SRAM
  * working-set switch costs, spec/trace validation, and
  * byte-determinism of the fleet emitters across engine thread counts
- * and warm plan caches -- including runs whose step latencies no radix
- * sort takes -- and runs whose step budgets outrun the wall.
+ * and warm plan caches -- including a hot pod whose latency run sorts
+ * in lane-sized pieces and runs whose step latencies no radix sort
+ * takes -- and runs whose step budgets outrun the wall.
  */
 
 #include <algorithm>
@@ -666,10 +667,10 @@ TEST(FleetDeterminism, EmittersAreByteIdenticalAcrossThreads)
 
 TEST(FleetDeterminism, SortedRunMergeIsByteIdenticalAcrossThreads)
 {
-    // Enough steps that the fleet-wide latency stats merge the sorted
-    // pod runs on up to 8 lanes (a lane per 4,096 samples), with
-    // first-fit stacking and rebalance migrations moving sessions
-    // between pod runs.
+    // Enough steps (8 x 4,096 or more) that the fleet-wide merge of the
+    // sorted runs takes a value range of 4,096 samples or more on each
+    // of up to 8 lanes, with first-fit stacking and rebalance
+    // migrations moving sessions between pod runs.
     std::string err;
     const auto gen = parseTraceGenSpec(
         "diurnal:rate=50,horizon=60,seed=5,cap=2400", &err);
@@ -709,6 +710,53 @@ TEST(FleetDeterminism, SortedRunMergeIsByteIdenticalAcrossThreads)
     }
 }
 
+TEST(FleetDeterminism, HotPodRunSortedInPiecesMatchesTheWholeRun)
+{
+    // First-fit stacks nearly every step on one pod. Assembly cuts a
+    // run longer than max(4,096, steps / threads) into pieces that sort
+    // on separate lanes and merge for the pod's stats: two radix-sorted
+    // pieces at 2 threads, four at 4, eight std::sort-ed ones at 8,
+    // while one thread sorts the run whole. Every byte must match.
+    std::string err;
+    const auto gen = parseTraceGenSpec(
+        "diurnal:rate=80,horizon=30,seed=7,cap=2000", &err);
+    ASSERT_TRUE(gen.has_value()) << err;
+    const ArrivalTrace t = generateTrace(*gen);
+
+    FleetSpec spec = fleetOf({podsOf("df=DiVa"), podsOf("df=OS")},
+                             PlacementKind::kFirstFit);
+    spec.rebalance.enabled = true;
+    spec.controlIntervalSec = 1.0;
+
+    std::string serial;
+    for (int threads : {1, 2, 4, 8}) {
+        SweepOptions opts;
+        opts.threads = threads;
+        SweepRunner runner(opts);
+        const FleetResult r = simulateFleet(spec, t, runner, threads);
+        ASSERT_TRUE(r.ok()) << r.error;
+        ASSERT_EQ(r.pods.size(), 2u);
+        EXPECT_GT(r.migrations, 0u);
+        // The hot pod's run holds more than 3 x 4,096 samples and more
+        // than half of all steps, so it is cut at every thread count
+        // above one.
+        const std::uint64_t hot = r.pods[0].stepLatency.count;
+        EXPECT_EQ(hot, r.pods[0].stepsDone);
+        EXPECT_GT(hot, 3 * kRadixSortMin);
+        EXPECT_GT(2 * hot, r.totalSteps);
+        EXPECT_EQ(r.aggStepLatency.count, r.totalSteps);
+
+        std::ostringstream os;
+        writeFleetTenantCsv(os, r);
+        writeFleetPodCsv(os, r);
+        writeFleetJson(os, r, true);
+        if (threads == 1)
+            serial = os.str();
+        else
+            EXPECT_EQ(os.str(), serial) << threads << " threads";
+    }
+}
+
 TEST(FleetDeterminism, RefusedLatencyRunsTakeTheExactFallback)
 {
     // Near 1e17 s one ulp of the clock is 16 s, so every ~ms step is
@@ -736,6 +784,48 @@ TEST(FleetDeterminism, RefusedLatencyRunsTakeTheExactFallback)
         ASSERT_EQ(r.pods.size(), 2u);
         EXPECT_EQ(r.pods[0].stepLatency.count, 120u);
         EXPECT_EQ(r.aggStepLatency.count, 120u);
+        for (const LatencyStats *s :
+             {&r.pods[0].stepLatency, &r.aggStepLatency})
+            for (const double v : {s->meanSec, s->p50Sec, s->p95Sec,
+                                   s->p99Sec, s->maxSec})
+                EXPECT_EQ(v, 0.0) << threads << " threads";
+
+        std::ostringstream os;
+        writeFleetPodCsv(os, r);
+        writeFleetJson(os, r, true);
+        if (threads == 1)
+            serial = os.str();
+        else
+            EXPECT_EQ(os.str(), serial) << threads << " threads";
+    }
+}
+
+TEST(FleetDeterminism, RefusedPiecesOfALongRunTakeTheExactFallback)
+{
+    // RefusedLatencyRunsTakeTheExactFallback at 30,000 steps: the
+    // all-zero run of pod 0 is cut into pieces at 2 and 4 threads, the
+    // radix sort refuses every piece, and the pod row and the
+    // fleet-wide stats take the exact fallback over the run as the
+    // refused pieces left it.
+    std::string err;
+    const auto gen = parseTraceGenSpec(
+        "poisson:rate=4,horizon=4,seed=3,cap=6,steps=5000,qos=0", &err);
+    ASSERT_TRUE(gen.has_value()) << err;
+    ArrivalTrace t = generateTrace(*gen);
+    for (TenantJob &j : t.jobs)
+        j.arrivalSec += 1e17;
+    const FleetSpec spec = buildFleet({defaultPodGroup(2)});
+
+    std::string serial;
+    for (int threads : {1, 2, 4}) {
+        SweepOptions opts;
+        opts.threads = threads;
+        SweepRunner runner(opts);
+        const FleetResult r = simulateFleet(spec, t, runner, threads);
+        ASSERT_TRUE(r.ok()) << r.error;
+        ASSERT_EQ(r.pods.size(), 2u);
+        EXPECT_EQ(r.pods[0].stepLatency.count, 30000u);
+        EXPECT_EQ(r.aggStepLatency.count, 30000u);
         for (const LatencyStats *s :
              {&r.pods[0].stepLatency, &r.aggStepLatency})
             for (const double v : {s->meanSec, s->p50Sec, s->p95Sec,

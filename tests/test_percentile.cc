@@ -6,13 +6,15 @@
  * where interpolation would invent values that never occurred; the
  * distinct-value census on both sides of each edge of its rule; and
  * the sorted-runs helpers behind the fleet's per-pod and fleet-wide
- * stats, checked bit for bit against a sort reference.
+ * stats, whole runs and runs cut into pieces, checked bit for bit
+ * against a sort reference.
  */
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <string>
@@ -400,6 +402,94 @@ TEST(PercentileRuns, SortedRunsAndTheirMergeMatchSortReference)
             EXPECT_TRUE(arena == sortedAll) << what;
         }
     }
+}
+
+TEST(PercentileRuns, PiecesOfOneRunMergeToTheWholeRunsStats)
+{
+    // The fleet sorts a long pod run in pieces, one per lane, and reads
+    // the pod's stats off the merge of its sorted pieces. Wherever the
+    // cuts fall, that must match the sort reference of the whole run
+    // bit for bit, and the merged array must be the sorted run.
+    std::uint64_t lcg = 0x2545f4914f6cdd1dULL;
+    auto next = [&lcg]() {
+        lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+        return lcg >> 33;
+    };
+    std::vector<double> run(30000);
+    for (double &v : run)
+        v = 0.001 + double(next() % (1u << 20)) * 1e-6;
+    // A block of 3,000 ties in the middle of the run.
+    std::fill(run.begin() + 12000, run.begin() + 15000, 0.0042);
+    const LatencyStats want = sortReference(run);
+    std::vector<double> sortedRun = run;
+    std::sort(sortedRun.begin(), sortedRun.end());
+
+    // Interior cut points, ascending; a repeated point cuts an empty
+    // piece.
+    struct Cuts
+    {
+        std::string name;
+        std::vector<std::size_t> at;
+    };
+    std::vector<Cuts> cases = {
+        {"one piece", {}},
+        {"cuts inside the ties", {12500, 13000, 14999}},
+        {"a 1-sample and an empty piece", {7000, 7001, 7001}},
+        {"4,095 and 4,096 samples across the radix edge",
+         {kRadixSortMin - 1, 2 * kRadixSortMin - 1}},
+    };
+    for (int seed = 0; seed < 4; ++seed) {
+        Cuts c{"seeded cuts " + std::to_string(seed), {}};
+        for (std::uint64_t k = 2 + next() % 7; k > 0; --k)
+            c.at.push_back(next() % (run.size() + 1));
+        std::sort(c.at.begin(), c.at.end());
+        cases.push_back(c);
+    }
+
+    for (const Cuts &c : cases) {
+        std::vector<std::size_t> edges = {0};
+        edges.insert(edges.end(), c.at.begin(), c.at.end());
+        edges.push_back(run.size());
+        for (int lanes : {1, 2, 4, 8}) {
+            const std::string what =
+                c.name + ", " + std::to_string(lanes) + " lanes";
+            std::vector<double> pieces = run;
+            std::vector<double> scratch(run.size());
+            std::vector<std::span<const double>> spans;
+            for (std::size_t k = 0; k + 1 < edges.size(); ++k) {
+                double *piece = pieces.data() + edges[k];
+                const std::size_t len = edges[k + 1] - edges[k];
+                ASSERT_TRUE(sortPositiveRun(piece, len,
+                                            scratch.data() + edges[k]))
+                    << what;
+                EXPECT_TRUE(std::is_sorted(piece, piece + len)) << what;
+                spans.emplace_back(piece, len);
+            }
+            std::vector<double> merged(run.size());
+            expectSameStats(mergeSortedRuns(spans, merged.data(), lanes),
+                            want, what);
+            EXPECT_TRUE(merged == sortedRun) << what;
+        }
+    }
+
+    // One refused piece (it holds a zero) among sorted ones: the run is
+    // left partly sorted, and the exact fallback over it must still
+    // give the whole run's stats.
+    std::vector<double> refused = run;
+    refused[20000] = 0.0;
+    std::vector<double> pieces = refused;
+    std::vector<double> scratch(run.size());
+    const std::size_t edges[] = {0, 10000, 18000, 26000, run.size()};
+    for (std::size_t k = 0; k + 1 < std::size(edges); ++k)
+        EXPECT_EQ(sortPositiveRun(pieces.data() + edges[k],
+                                  edges[k + 1] - edges[k],
+                                  scratch.data() + edges[k]),
+                  k != 2)
+            << "piece " << k;
+    EXPECT_TRUE(std::equal(pieces.begin() + 18000, pieces.begin() + 26000,
+                           refused.begin() + 18000));
+    expectSameStats(computeLatencyStats(pieces), sortReference(refused),
+                    "one refused piece");
 }
 
 TEST(PercentileRuns, NonPositiveRunIsLeftInInputOrder)
