@@ -31,9 +31,7 @@ namespace
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/** Float slack for wall-budget and deadline comparisons. */
-constexpr double kEps = 1e-9;
-
+using serve_core::kEps;
 using serve_core::TaskState;
 
 /** FNV-1a over the fields that identify a job class.  Buckets only --

@@ -6,13 +6,14 @@
  * placement policy, an optional migration/rebalance loop and an
  * optional fleet energy budget.
  *
- * Unlike the single-pod serve loop (which rescans every tenant per
- * quantum), each pod here keeps its runnable tenants in policy-ordered
- * queues with O(log n) updates, so million-session fleets replay in
- * seconds. Time advances in *control epochs*: within an epoch pods
- * simulate independently (and in parallel across worker threads --
- * their state is disjoint, so the simulation is byte-deterministic
- * whatever the thread count); at epoch boundaries the cluster level
+ * Each pod is one executor of the event core the single-pod serve loop
+ * also runs (src/serve_core/core.h): its runnable tenants sit in
+ * policy-ordered queues with O(log n) updates, so million-session
+ * fleets replay in seconds. Time advances in *control epochs*: within
+ * an epoch pods simulate independently (and in parallel across worker
+ * threads -- their state is disjoint, so the simulation is
+ * byte-deterministic whatever the thread count); at epoch boundaries
+ * the cluster level
  * runs, in order: energy-budget enforcement, then rebalance
  * migrations, then placement of the next epoch's arrivals.
  *

@@ -6,8 +6,7 @@
  * (src/tenant/serve.cc) and the fleet engine's per-pod simulation
  * (src/fleet/engine.cc).
  *
- * The core replaces the old per-quantum all-tenant scan loops with a
- * logical priority queue of events:
+ * The core serves a logical priority queue of events:
  *
  *   arrival         a placed task's arrival time is reached
  *                   (sorted arrival list consumed by a cursor)
@@ -38,23 +37,25 @@
  * the same task.  The core skips that scheduler round trip and keeps
  * stepping (counted in `Counters::coalescedQuanta`).  Time still
  * accumulates serially, one `now += stepSeconds` per iteration, so
- * every emitted double is bit-identical to the one-quantum-at-a-time
- * loops this file replaced.
+ * every emitted double is bit-identical to a run that takes the round
+ * trip at every expiry (`Config::coalesce` off).
  *
  * The tenant loop and the fleet follow the same event rules: round
  * robin in enqueue order, preemption by any arrival at or before
  * `now`, idle jumps to the next arrival or gate due, and retirement of
  * a task whose next step no longer fits its departure or the wall.
- * The one choice left to the caller is `Config::rateGates`, closed
- * loop or open loop.
+ * One dispatch loop, `runUntil`, serves every policy, quantum and loop
+ * mode; the one choice left to the caller is `Config::rateGates`,
+ * closed loop or open loop.
  *
  * Clients provide `Task` records, costs, and billing through a
  * duck-typed interface (see `runUntil` for the expected members); the
  * core records each step's latency into the task.  Cross-executor
- * safety: every staleness check calls `client.owns(ex, idx)` *first*,
- * because ownership is only written at sequential epoch boundaries and
- * is therefore race-free to read while another executor concurrently
- * mutates the task's generation or state.
+ * safety: the staleness rules (`nextArrivalSec`, `nextGateDueSec`)
+ * call `client.owns(ex, idx)` *first*, because ownership is only
+ * written at sequential epoch boundaries and is therefore race-free to
+ * read while another executor concurrently mutates the task's
+ * generation or state.
  */
 
 #include <algorithm>
@@ -394,23 +395,12 @@ makeKey(const Client &c, Executor &ex, const Config &cfg,
     return key;
 }
 
-/** `kSteady` statically selects the round-robin key (see runUntil):
- *  the policy switch folds away and the key is just the next sequence
- *  number. */
-template <bool kSteady, class Client>
+template <class Client>
 inline void
-enqueueReadyT(Client &c, Executor &ex, const Config &cfg,
-              std::uint32_t idx)
+enqueueReady(Client &c, Executor &ex, const Config &cfg, std::uint32_t idx)
 {
     Task &t = c.task(idx);
-    if constexpr (kSteady) {
-        ReadyKey key;
-        key.idx = idx;
-        key.seq = ++ex.rrSeq;
-        t.readyKey = key;
-    } else {
-        t.readyKey = makeKey(c, ex, cfg, idx);
-    }
+    t.readyKey = makeKey(c, ex, cfg, idx);
     t.state = TaskState::kReady;
     ex.ready.insert(t.readyKey);
 }
@@ -448,56 +438,20 @@ retire(Client &c, Executor &ex, std::uint32_t idx)
     c.onRetire(ex, idx);
 }
 
-/** Serve every arrival and gate-due event at or before `ex.nowSec`. */
-template <bool kSteady, class Client>
-inline void
-promoteT(Client &c, Executor &ex, const Config &cfg)
-{
-    while (ex.arrCursor < ex.arrivals.size()) {
-        const std::uint32_t idx = ex.arrivals[ex.arrCursor];
-        // Stale entries (task migrated, suspended or rejected before
-        // its first run here) are consumed without effect.  `owns` is
-        // tested first: ownership is only written at sequential epoch
-        // boundaries, so that read is race-free even when the task
-        // migrated away and its new executor's epoch is concurrently
-        // mutating its generation/state.
-        if (!c.owns(ex, idx) ||
-            c.task(idx).state != TaskState::kPending) {
-            ++ex.arrCursor;
-            continue;
-        }
-        if (c.task(idx).arrivalSec > ex.nowSec + kEps)
-            break;
-        ++ex.arrCursor;
-        ++ex.counters.promotions;
-        enqueueReadyT<kSteady>(c, ex, cfg, idx);
-    }
-    while (!ex.gated.empty()) {
-        const GateEntry &top = ex.gated.top();
-        // `owns` first -- see the arrival scan for the rationale.
-        if (!c.owns(ex, top.idx) ||
-            top.gen != c.task(top.idx).gen ||
-            c.task(top.idx).state != TaskState::kGated) {
-            ex.gated.pop();
-            continue;
-        }
-        if (top.dueSec > ex.nowSec + kEps)
-            break;
-        const std::uint32_t idx = top.idx;
-        ex.gated.pop();
-        ++ex.counters.promotions;
-        enqueueReadyT<kSteady>(c, ex, cfg, idx);
-    }
-}
-
-/** Next pending arrival on this executor; +inf if none.  Consumes
- *  stale cursor entries exactly like `promoteT` would. */
+/** Next pending arrival on this executor; +inf if none.  Stale
+ *  entries (the task migrated, or was suspended or rejected before its
+ *  first run here) are consumed without effect: an entry is live while
+ *  the task is owned here and still pending. */
 template <class Client>
 inline double
 nextArrivalSec(Client &c, Executor &ex)
 {
     while (ex.arrCursor < ex.arrivals.size()) {
         const std::uint32_t idx = ex.arrivals[ex.arrCursor];
+        // `owns` first: ownership is only written at sequential epoch
+        // boundaries, so that read is race-free even when the task
+        // migrated away and its new executor's epoch is concurrently
+        // mutating its generation/state.
         if (!c.owns(ex, idx) ||
             c.task(idx).state != TaskState::kPending) {
             ++ex.arrCursor;
@@ -508,13 +462,16 @@ nextArrivalSec(Client &c, Executor &ex)
     return kInfSec;
 }
 
-/** Next valid gate-due on this executor; +inf if none. */
+/** Next valid gate-due on this executor; +inf if none.  Stale entries
+ *  are popped: an entry is live while its task is owned here, has the
+ *  entry's generation and is still gated. */
 template <class Client>
 inline double
 nextGateDueSec(Client &c, Executor &ex)
 {
     while (!ex.gated.empty()) {
         const GateEntry &top = ex.gated.top();
+        // `owns` first -- see nextArrivalSec for the rationale.
         if (!c.owns(ex, top.idx) ||
             top.gen != c.task(top.idx).gen ||
             c.task(top.idx).state != TaskState::kGated) {
@@ -533,6 +490,34 @@ inline double
 nextEventSec(Client &c, Executor &ex)
 {
     return std::min(nextArrivalSec(c, ex), nextGateDueSec(c, ex));
+}
+
+/** Serve every arrival and gate-due event at or before `ex.nowSec`:
+ *  the arrivals first, in arrival order, then the gates, in due order. */
+template <class Client>
+inline void
+promote(Client &c, Executor &ex, const Config &cfg)
+{
+    while (nextArrivalSec(c, ex) <= ex.nowSec + kEps) {
+        ++ex.counters.promotions;
+        enqueueReady(c, ex, cfg, ex.arrivals[ex.arrCursor++]);
+    }
+    while (nextGateDueSec(c, ex) <= ex.nowSec + kEps) {
+        const std::uint32_t idx = ex.gated.top().idx;
+        ex.gated.pop();
+        ++ex.counters.promotions;
+        enqueueReady(c, ex, cfg, idx);
+    }
+}
+
+/** Whether a step of `stepSec` that starts at `startSec` ends by `t`'s
+ *  departure and by the wall (0 = none, for either). */
+inline bool
+stepFits(const Task &t, double startSec, double stepSec, double wallSec)
+{
+    const double endSec = startSec + stepSec;
+    return !(t.departSec > 0.0 && endSec > t.departSec + kEps) &&
+           !(wallSec > 0.0 && endSec > wallSec + kEps);
 }
 
 /**
@@ -561,71 +546,34 @@ nextEventSec(Client &c, Executor &ex)
  *
  * switchSeconds must be constant over one runUntil call (both clients
  * derive it from the executor's fixed hardware type); it is read once.
- *
- * `kSteady` marks the fleet's steady-state serve configuration (round
- * robin, rate gates, quantum 1, coalescing); open-loop tenant replays
- * with the same settings take it too.  runUntil checks the
- * configuration once per call and dispatches here, so in this
- * instantiation every cfg test below folds to a constant and the dead
- * branches drop out of the per-event code.  Both instantiations make
- * bit-identical serve decisions for any config.
  */
-template <bool kSteady, class Client>
+template <class Client>
 inline void
-runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
+runUntil(Client &c, Executor &ex, const Config &cfg, double t1)
 {
     const double wall = cfg.wallLimitSec;
-    const bool coalesce = kSteady || cfg.coalesce;
-    const bool rate_gates = kSteady || cfg.rateGates;
-    const std::uint64_t quantum = kSteady ? 1 : cfg.quantumIters;
     const double sw = c.switchSeconds(ex);
 
-    // Cache of nextArrivalSec.  The next pending arrival's time can
-    // only change when `promote` consumes it, and promote consumes
-    // arrivals exactly when they are <= now + kEps -- the invalidation
-    // test below.  Nothing else inside one runUntil call moves a task
-    // into or out of kPending (placement runs between epochs), so a
-    // cached value that survives the test is the value nextArrivalSec
-    // would return.  Saves a tenant-table load per event on replays.
-    double next_arr = 0.0;
-    bool next_arr_known = false;
-    auto nextArr = [&]() {
-        if (!next_arr_known) {
-            next_arr = nextArrivalSec(c, ex);
-            next_arr_known = true;
-        }
-        return next_arr;
-    };
-
     for (;;) {
-        if (next_arr_known && next_arr <= ex.nowSec + kEps)
-            next_arr_known = false; // promote is about to consume it
-        promoteT<kSteady>(c, ex, cfg);
+        promote(c, ex, cfg);
         if (ex.nowSec + kEps >= t1)
             break;
 
         std::size_t pick = kNoTask;
         if (ex.ready.empty()) {
+            const double arr = nextArrivalSec(c, ex);
+            const double due = nextGateDueSec(c, ex);
             // Fast path for the open-loop steady state: one gated task
             // alone on the executor, its due time the next event, no
             // task change pending.  Replays the generic idle-jump ->
             // promote -> dispatch transition sequence (same counters,
-            // same clock writes, same fit checks) without the
-            // next-event and ready-set machinery, which on a fleet
-            // replay is the bulk of all serve-core events.
-            bool fast = false;
-            if (ex.gated.size() == 1) {
-                const GateEntry &top = ex.gated.top();
-                if (c.owns(ex, top.idx) &&
-                    top.gen == c.task(top.idx).gen &&
-                    c.task(top.idx).state == TaskState::kGated &&
-                    ex.last == std::size_t(top.idx) &&
-                    top.dueSec < t1 - kEps &&
-                    nextArr() > top.dueSec + kEps)
-                    fast = true;
-            }
-            if (!fast) {
-                const double ev = nextEventSec(c, ex);
+            // same clock writes, same fit test) without the ready-set
+            // machinery, which on a fleet replay is the bulk of all
+            // serve-core events.
+            if (!(ex.gated.size() == 1 &&
+                  ex.last == std::size_t(ex.gated.top().idx) &&
+                  due < t1 - kEps && arr > due + kEps)) {
+                const double ev = std::min(arr, due);
                 if (!(ev < t1 - kEps))
                     break; // epoch end, or no event left
                 if (ev > ex.nowSec)
@@ -634,40 +582,32 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
                 continue;
             }
             const std::uint32_t fidx = ex.gated.top().idx;
-            ex.nowSec = ex.gated.top().dueSec;
+            ex.nowSec = due;
             ++ex.counters.idleJumps;
             ex.gated.pop();
             ++ex.counters.promotions;
-            // The scan's fit checks, for the lone candidate (lead is
+            // The scan's fit test, for the lone candidate (lead is
             // zero: the task is already resident).
-            const double fstep = c.stepSeconds(ex, fidx);
-            const double fdep = c.task(fidx).departSec;
-            if ((fdep > 0.0 && ex.nowSec + fstep > fdep + kEps) ||
-                (wall > 0.0 && ex.nowSec + fstep > wall + kEps)) {
+            if (!stepFits(c.task(fidx), ex.nowSec, c.stepSeconds(ex, fidx),
+                          wall)) {
                 retire(c, ex, fidx);
                 continue;
             }
             c.task(fidx).state = TaskState::kReady;
             pick = fidx;
-        }
-
-        // Pick the first ready task (in policy order) that can still
-        // run a step.  Tasks that can never run again -- their next
-        // step would end past their departure, or past the wall --
-        // retire on the spot.
-        if (pick == kNoTask) {
+        } else {
+            // Pick the first ready task (in policy order) that can
+            // still run a step.  Tasks that can never run again --
+            // their next step would end past their departure, or past
+            // the wall -- retire on the spot.
             for (auto it = ex.ready.begin(); it != ex.ready.end();) {
                 const std::uint32_t idx = it->idx;
-                const double step_sec = c.stepSeconds(ex, idx);
                 const double lead =
                     (ex.last != kNoTask && ex.last != std::size_t(idx))
                         ? sw
                         : 0.0;
-                const double dep = c.task(idx).departSec;
-                if ((dep > 0.0 &&
-                     ex.nowSec + lead + step_sec > dep + kEps) ||
-                    (wall > 0.0 &&
-                     ex.nowSec + lead + step_sec > wall + kEps)) {
+                if (!stepFits(c.task(idx), ex.nowSec + lead,
+                              c.stepSeconds(ex, idx), wall)) {
                     it = ex.ready.erase(it);
                     retire(c, ex, idx);
                     continue;
@@ -695,169 +635,72 @@ runUntilT(Client &c, Executor &ex, const Config &cfg, double t1)
         const std::uint32_t pidx = std::uint32_t(pick);
         Task &t = c.task(pidx);
         const double step_sec = c.stepSeconds(ex, pidx);
-        const double arrival = t.arrivalSec;
-        const double dep = t.departSec;
-        const double rate = t.rateSps;
-        const bool rate_gated = rate_gates && rate > 0.0;
-        const std::uint64_t limit = t.stepLimit;
-        double *const slots = t.slots;
-        // `arrival + done/rate` changes only when `done` does; caching
-        // the latest value saves the deadline check, the coalesce
-        // check and the end-of-dispatch transition their own FP
-        // divisions.  Reuse of the identical expression cannot change
-        // a byte.
-        double due_cache = 0.0;
-        bool due_cached = false;
+        const bool rate_gated = cfg.rateGates && t.rateSps > 0.0;
 
-        // Whether the quantum-expiry re-pick is a guaranteed no-op:
-        // no other ready task, no promotable event, boundary not hit.
-        // Then re-enqueue + promote + pick hands the engine straight
-        // back to this task and the round trip can be skipped.
-        auto canCoalesce = [&]() {
-            if (!coalesce)
-                return false;
-            if (!ex.ready.empty())
-                return false;
-            if (ex.nowSec + kEps >= t1)
-                return false;
-            // The runner must be able to step again; otherwise the
-            // dispatch-end transition (retire / gate / re-enqueue)
-            // must run.
-            if (limit > 0 && t.done >= limit)
-                return false;
-            if (wall > 0.0 && ex.nowSec + step_sec > wall + kEps)
-                return false;
-            if (dep > 0.0 && ex.nowSec + step_sec > dep + kEps)
-                return false;
-            if (rate_gated &&
-                (due_cached ? due_cache
-                            : arrival + double(t.done) / rate) >
-                    ex.nowSec + kEps)
-                return false;
-            if (nextArr() <= ex.nowSec + kEps)
-                return false;
-            if (nextGateDueSec(c, ex) <= ex.nowSec + kEps)
-                return false;
-            return true;
-        };
-
-        // Run quanta, ending early on completion, on the epoch/wall
-        // boundary, on departure, on the open-loop gate, or when a
-        // new arrival makes a fresh scheduling decision due.
-        bool dispatching = true;
-        while (dispatching) {
-            std::uint64_t q = 0;
-            for (; q < quantum; ++q) {
-                if (limit > 0 && t.done >= limit) {
-                    dispatching = false;
-                    break;
-                }
-                if (wall > 0.0 &&
-                    ex.nowSec + step_sec > wall + kEps) {
-                    dispatching = false;
-                    break;
-                }
-                if (dep > 0.0 && ex.nowSec + step_sec > dep + kEps) {
-                    dispatching = false;
-                    break;
-                }
-                double due = 0.0;
-                if (rate_gated) {
-                    due = due_cached
-                              ? due_cache
-                              : arrival + double(t.done) / rate;
-                    if (due > ex.nowSec + kEps) {
-                        dispatching = false;
-                        break; // next step not issued yet
-                    }
-                }
-                // Latency reference: the open-loop due time, or
-                // (closed loop) the moment the step became eligible --
-                // arrival for the first step, the previous completion
-                // after that.
-                const double eligible =
-                    rate_gated
-                        ? due
-                        : std::max(arrival,
-                                   t.done > 0 ? t.lastCompletionSec
-                                              : arrival);
-                const double step_start = ex.nowSec;
-                ex.nowSec += step_sec;
-                ++t.done;
-                ++ex.counters.steps;
-                const double latency = ex.nowSec - eligible;
-                if (slots)
-                    slots[t.done - 1] = latency;
-                else
-                    t.overflow.push_back(latency);
-                c.onStep(ex, pidx, step_start, latency, eligible,
-                         switch_lead);
-                switch_lead = 0.0; // only the dispatch's first step
-                t.lastCompletionSec = ex.nowSec;
-                double deadline;
-                if (rate > 0.0) {
-                    // stepDeadlineSec's rate branch, computed here so
-                    // the due cache picks up the new `done`'s value.
-                    deadline = arrival + double(t.done) / rate;
-                    due_cache = deadline;
-                    due_cached = true;
-                } else {
-                    deadline = stepDeadlineSec(t, t.done);
-                }
-                if (ex.nowSec <= deadline + kEps)
-                    ++t.metDeadlines;
-                if (limit > 0 && t.done >= limit) {
-                    t.completed = true;
-                    t.completionSec = ex.nowSec;
-                    dispatching = false;
-                    break;
-                }
-                if (ex.nowSec + kEps >= t1) {
-                    dispatching = false;
-                    break;
-                }
-                // Preemption point: a new arrival is waiting.
-                if (ex.arrCursor < ex.arrivals.size() &&
-                    c.task(ex.arrivals[ex.arrCursor]).arrivalSec <=
-                        ex.nowSec + kEps) {
-                    dispatching = false;
-                    break;
-                }
+        // Run steps until completion, the epoch/wall boundary, the
+        // departure, the open-loop gate or a new arrival ends the
+        // dispatch.  A quantum expiry re-picks this task when no other
+        // task is ready and no event is due (the step's own tests rule
+        // out the rest), so that round trip is skipped.
+        for (std::uint64_t q = 0;; ++q) {
+            if (!stepFits(t, ex.nowSec, step_sec, wall))
+                break;
+            double due = 0.0;
+            if (rate_gated) {
+                due = nextDueSec(t);
+                if (due > ex.nowSec + kEps)
+                    break; // next step not issued yet
             }
-            if (!dispatching)
-                break;
-            if (!canCoalesce())
-                break;
-            ++ex.counters.coalescedQuanta;
-        }
-
-        if (t.completed) {
-            retire(c, ex, pidx);
-        } else if (dep > 0.0 && ex.nowSec + step_sec > dep + kEps) {
-            retire(c, ex, pidx);
-        } else if (rate_gated) {
-            const double due =
-                due_cached ? due_cache
-                           : arrival + double(t.done) / rate;
-            if (due > ex.nowSec + kEps)
-                gate(c, ex, pidx, due);
+            if (q == cfg.quantumIters) {
+                if (!cfg.coalesce || !ex.ready.empty() ||
+                    nextGateDueSec(c, ex) <= ex.nowSec + kEps)
+                    break;
+                ++ex.counters.coalescedQuanta;
+                q = 0;
+            }
+            // Latency reference: the open-loop due time, or (closed
+            // loop) the moment the step became eligible -- arrival for
+            // the first step, the previous completion after that.
+            const double eligible =
+                rate_gated ? due
+                           : std::max(t.arrivalSec,
+                                      t.done > 0 ? t.lastCompletionSec
+                                                 : t.arrivalSec);
+            const double step_start = ex.nowSec;
+            ex.nowSec += step_sec;
+            ++t.done;
+            ++ex.counters.steps;
+            const double latency = ex.nowSec - eligible;
+            if (t.slots)
+                t.slots[t.done - 1] = latency;
             else
-                enqueueReadyT<kSteady>(c, ex, cfg, pidx);
-        } else {
-            enqueueReadyT<kSteady>(c, ex, cfg, pidx);
+                t.overflow.push_back(latency);
+            c.onStep(ex, pidx, step_start, latency, eligible, switch_lead);
+            switch_lead = 0.0; // only the dispatch's first step
+            t.lastCompletionSec = ex.nowSec;
+            if (ex.nowSec <= stepDeadlineSec(t, t.done) + kEps)
+                ++t.metDeadlines;
+            if (t.stepLimit > 0 && t.done >= t.stepLimit) {
+                t.completed = true;
+                t.completionSec = ex.nowSec;
+                break;
+            }
+            if (ex.nowSec + kEps >= t1)
+                break;
+            // Preemption point: a new arrival is waiting.
+            if (nextArrivalSec(c, ex) <= ex.nowSec + kEps)
+                break;
         }
-    }
-}
 
-template <class Client>
-inline void
-runUntil(Client &c, Executor &ex, const Config &cfg, double t1)
-{
-    if (cfg.policy == SchedPolicy::kRoundRobin && cfg.rateGates &&
-        cfg.coalesce && cfg.quantumIters == 1)
-        runUntilT<true>(c, ex, cfg, t1);
-    else
-        runUntilT<false>(c, ex, cfg, t1);
+        const double due = nextDueSec(t);
+        if (t.completed ||
+            (t.departSec > 0.0 && ex.nowSec + step_sec > t.departSec + kEps))
+            retire(c, ex, pidx);
+        else if (rate_gated && due > ex.nowSec + kEps)
+            gate(c, ex, pidx, due);
+        else
+            enqueueReady(c, ex, cfg, pidx);
+    }
 }
 
 } // namespace serve_core

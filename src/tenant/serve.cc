@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <span>
 
@@ -19,9 +18,6 @@ namespace
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/** Float slack for wall-budget and deadline comparisons. */
-constexpr double kEps = 1e-9;
 
 /** Per-tenant billing state the serve loop tracks beside the core's
  *  task record (serve_core::Task). */
@@ -49,7 +45,8 @@ struct ServeClient
     std::vector<serve_core::Task> tasks;
 
     /** Per-tenant step-latency slices, packed in tenant order (the
-     *  fleet's FleetSim::latArena layout), sized once before the loop. */
+     *  fleet's FleetSim::latArena layout), sized and NaN-filled once
+     *  before the loop. */
     std::vector<double> latArena;
 
     obs::TraceTrack *trace = nullptr;
@@ -253,7 +250,8 @@ sessionOutcome(const serve_core::Task &t, double makespanSec,
     // departure (not the wall budget) is what ended it.
     o.departed =
         !t.completed && t.departSec > 0.0 &&
-        (wallLimitSec <= 0.0 || t.departSec < wallLimitSec + kEps);
+        (wallLimitSec <= 0.0 ||
+         t.departSec < wallLimitSec + serve_core::kEps);
     o.endSec = t.completed
                    ? t.completionSec
                    : (o.departed ? std::min(t.departSec, makespanSec)
@@ -294,7 +292,8 @@ latencySlots(const serve_core::Task &t, double minStepSec,
         endSec = std::min(endSec, wallLimitSec);
     // Back-to-back steps from the arrival at the cheapest cost are the
     // most any schedule can fit before the session's end.
-    return t.arrivalSec + double(t.stepLimit) * minStepSec <= endSec + kEps
+    return t.arrivalSec + double(t.stepLimit) * minStepSec <=
+                   endSec + serve_core::kEps
                ? t.stepLimit
                : 0;
 }
@@ -430,7 +429,7 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
             ex.arrivals.push_back(std::uint32_t(i));
             lat_slots += latencySlots(tasks[i], costs[i].seconds, wall);
         }
-    client.latArena.resize(lat_slots);
+    client.latArena.assign(lat_slots, kNaN);
     double *slice = client.latArena.data();
     for (const std::uint32_t i : ex.arrivals) // still in tenant order
         if (const std::uint64_t slots =
@@ -532,35 +531,15 @@ runServeLoop(const ServeSpec &spec, const std::vector<IterationCost> &costs,
     out.meanQosAttainmentPct =
         qos_count > 0 ? qos_sum / double(qos_count) : kNaN;
 
-    // The aggregate reads every tenant's samples off one packed arena.
-    // Each tenant's stats left its finite samples at the front of its
-    // store. The slices pack down first, in tenant order: a slice never
-    // lands past its own start, so it never overwrites one not yet
-    // moved. The overflow runs, which occupy no slots, go after them;
-    // growing the arena may move it, so no task's slots is read after
-    // that, and a task with slots left its overflow vector empty.
+    // The aggregate reads every tenant's samples off the arena, with
+    // the overflow runs appended: the slots a departed or wall-cut
+    // tenant left unused still hold NaN, which the stats drop. Growing
+    // the arena may move it, so no task's slots is read after that.
     std::vector<double> &arena = client.latArena;
-    std::size_t packed = 0;
-    std::size_t overflow = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t count = out.tenants[i].stepLatency.count;
-        if (tasks[i].slots) {
-            std::memmove(arena.data() + packed, tasks[i].slots,
-                         count * sizeof(double));
-            packed += count;
-        } else {
-            overflow += count;
-        }
-    }
-    arena.resize(packed + overflow);
-    for (std::size_t i = 0; i < n; ++i)
-        if (!tasks[i].overflow.empty()) {
-            const std::size_t count = out.tenants[i].stepLatency.count;
-            std::copy_n(tasks[i].overflow.begin(), count,
-                        arena.begin() + std::ptrdiff_t(packed));
-            packed += count;
-        }
-    out.aggStepLatency = computeLatencyStatsScratch(arena.data(), packed);
+    for (const serve_core::Task &t : tasks)
+        arena.insert(arena.end(), t.overflow.begin(), t.overflow.end());
+    out.aggStepLatency =
+        computeLatencyStatsScratch(arena.data(), arena.size());
     return out;
 }
 

@@ -11,7 +11,10 @@
  * one serve semantics -- an open-loop diva_serve trace replay and a
  * one-pod fleet must give every tenant the same results; (5) ready-set
  * order -- the head-indexed ReadySet must iterate exactly like a
- * std::set<ReadyKey> under random operation sequences.
+ * std::set<ReadyKey> under random operation sequences; (6) stale
+ * entries -- arrival and gate entries whose task left the executor's
+ * care are consumed without effect, and an event at exactly now + kEps
+ * is due.
  *
  * The golden tests run the tool binaries out of the build directory
  * (ctest's working directory) against fixtures under
@@ -150,9 +153,9 @@ TEST_F(ServeCoreGolden, PodTimeSharingServeMatchesPreRefactorBytes)
 }
 
 // Two bounded tenants keep their samples in arena slices and an
-// unbounded one in its overflow vector; the aggregate packs all three
-// into one run, so its stats pin that no slice is overwritten before
-// it is read.
+// unbounded one in its overflow vector; the aggregate reads all three
+// off the arena with the overflow run appended, so its stats pin that
+// every sample is counted once and no unused slot is counted.
 TEST_F(ServeCoreGolden, MixedArenaAndOverflowServeMatchesBytes)
 {
     ASSERT_EQ(runQuiet("./diva_serve --quiet "
@@ -267,12 +270,15 @@ TEST_F(ServeCoreGolden, MigratingUnboundedSessionsMatchPreRefactorBytes)
 
 // ---------------------------------------------- coalescing equivalence
 
-/** Minimal serve_core client: fixed per-task costs, a billing log. */
+/** Minimal serve_core client: fixed per-task costs, an owner per task,
+ *  a billing log. */
 struct MiniClient
 {
     std::vector<serve_core::Task> tasks;
     /** Seconds per step, one per task. */
     std::vector<double> costSec;
+    /** Id of the executor that owns each task. */
+    std::vector<std::size_t> owner;
     double switchSec = 0.0005;
 
     /** Chronological (idx, stepStartSec, latencySec) billing log. */
@@ -287,12 +293,13 @@ struct MiniClient
         tasks.back().arrivalSec = arrival;
         tasks.back().stepLimit = steps;
         costSec.push_back(cost);
+        owner.push_back(0);
         return tasks.back();
     }
 
-    bool owns(const serve_core::Executor &, std::uint32_t) const
+    bool owns(const serve_core::Executor &ex, std::uint32_t i) const
     {
-        return true;
+        return owner[i] == ex.id;
     }
     serve_core::Task &task(std::uint32_t i) { return tasks[i]; }
     const serve_core::Task &task(std::uint32_t i) const
@@ -410,6 +417,12 @@ TEST(ServeCoreCoalescing, FleetModeMultiQuantumAdvanceEqualsSingleSteps)
     expectCoalescingEquivalence(cfg);
 }
 
+TEST(ServeCoreCoalescing, FleetSteadyStateMultiQuantumAdvanceEqualsSingleSteps)
+{
+    // Round robin, rate gates and quantum 1: the fleet's default.
+    expectCoalescingEquivalence(serve_core::Config{});
+}
+
 TEST(ServeCoreCoalescing, TenantModeMultiQuantumAdvanceEqualsSingleSteps)
 {
     serve_core::Config cfg;
@@ -425,6 +438,95 @@ TEST(ServeCoreCoalescing, EdfModeMultiQuantumAdvanceEqualsSingleSteps)
     cfg.policy = SchedPolicy::kEdf;
     cfg.quantumIters = 2;
     expectCoalescingEquivalence(cfg);
+}
+
+// ------------------------------------------------------ stale entries
+
+/**
+ * One-step tasks on executor 0, each of whose queue entries is live or
+ * went stale. Arrivals, in list order: 0 is owned by executor 1, 1 was
+ * suspended, 2 arrives at 1.0, 3 at exactly 1.0 + kEps and 4 one ulp
+ * past that. Gates: 5 was gated at 1.0005 and then again at 3.0, so
+ * its first entry's generation moved; 6 is due at 1.0 + kEps, 7 one
+ * ulp past it and 8 at 1.0008, behind 5's stale entry. Round robin
+ * keeps the ready set in promotion order.
+ */
+struct StaleEntryFixture
+{
+    MiniClient c;
+    serve_core::Executor ex;
+    serve_core::Config cfg;
+
+    StaleEntryFixture()
+    {
+        const double at = 1.0 + serve_core::kEps;
+        const double past = std::nextafter(at, serve_core::kInfSec);
+        for (const double arrival : {0.5, 0.5, 1.0, at, past}) {
+            c.add(arrival, 1, 0.001);
+            ex.arrivals.push_back(std::uint32_t(c.tasks.size() - 1));
+        }
+        c.owner[0] = 1;
+        c.tasks[1].state = serve_core::TaskState::kSuspended;
+        for (int gated = 0; gated < 4; ++gated)
+            c.add(0.0, 1, 0.001).rateSps = 1.0;
+        serve_core::gate(c, ex, 5, 1.0005);
+        serve_core::gate(c, ex, 5, 3.0);
+        serve_core::gate(c, ex, 6, at);
+        serve_core::gate(c, ex, 7, past);
+        serve_core::gate(c, ex, 8, 1.0008);
+    }
+
+    std::vector<std::uint32_t> readyOrder()
+    {
+        std::vector<std::uint32_t> order;
+        for (const serve_core::ReadyKey &k : ex.ready)
+            order.push_back(k.idx);
+        return order;
+    }
+};
+
+// promote consumes the stale entries without effect, serves arrivals
+// before gates, and takes an event at exactly now + kEps but not one an
+// ulp past it; a stale gate entry on top must not hide a live one due
+// behind it.
+TEST(ServeCoreStaleEntries, PromoteSkipsStaleEntriesAndStopsPastNowPlusEps)
+{
+    StaleEntryFixture f;
+    f.ex.nowSec = 1.0;
+    serve_core::promote(f.c, f.ex, f.cfg);
+    EXPECT_EQ(f.readyOrder(), (std::vector<std::uint32_t>{2, 3, 6}));
+    EXPECT_EQ(f.ex.counters.promotions, 3u);
+    EXPECT_EQ(f.ex.arrCursor, 4u);
+
+    f.ex.nowSec = 1.001;
+    serve_core::promote(f.c, f.ex, f.cfg);
+    EXPECT_EQ(f.readyOrder(),
+              (std::vector<std::uint32_t>{2, 3, 6, 4, 7, 8}));
+    EXPECT_EQ(f.ex.counters.promotions, 6u);
+    EXPECT_EQ(f.ex.arrCursor, f.ex.arrivals.size());
+    ASSERT_EQ(f.ex.gated.size(), 1u) << "5's stale entry was not popped";
+    EXPECT_EQ(f.ex.gated.top().dueSec, 3.0);
+    EXPECT_EQ(f.c.tasks[0].state, serve_core::TaskState::kPending);
+    EXPECT_EQ(f.c.tasks[1].state, serve_core::TaskState::kSuspended);
+    EXPECT_EQ(f.ex.counters.idleJumps, 0u);
+}
+
+// The whole run: one idle jump to the first live arrival, one to 5's
+// live gate, and every live task served once in promotion order.
+TEST(ServeCoreStaleEntries, RunServesLiveEntriesInPromotionOrder)
+{
+    StaleEntryFixture f;
+    serve_core::runUntil(f.c, f.ex, f.cfg, serve_core::kInfSec);
+    std::vector<std::uint32_t> order;
+    for (const auto &[idx, start, latency] : f.c.stepLog)
+        order.push_back(idx);
+    EXPECT_EQ(order, (std::vector<std::uint32_t>{2, 3, 6, 4, 7, 8, 5}));
+    EXPECT_EQ(std::get<1>(f.c.stepLog.front()), 1.0);
+    EXPECT_EQ(f.ex.counters.promotions, 7u);
+    EXPECT_EQ(f.ex.counters.idleJumps, 2u);
+    EXPECT_EQ(f.ex.counters.retired, 7u);
+    EXPECT_EQ(f.c.tasks[0].done, 0u);
+    EXPECT_EQ(f.c.tasks[1].done, 0u);
 }
 
 // ------------------------------------------------ latency recording
