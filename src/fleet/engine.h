@@ -195,7 +195,7 @@ struct FleetResult
      * serve_core event counters summed over every pod (steps,
      * dispatches, coalesced quanta, promotions, idle jumps, switches,
      * retires). Reporting-only: not emitted in CSV/JSON, surfaced by
-     * bench_fleet.
+     * --metrics-out and perfbench's serve_core.* metrics.
      */
     serve_core::Counters coreCounters;
 

@@ -5,8 +5,7 @@
  * barriers). Unlike metrics and traces, phase timings are *meant* to
  * vary run to run -- they measure the machine -- so they are never
  * mixed into deterministic outputs; they go to a stderr table
- * (--profile) and into the BENCH_*.json envelope where
- * ci/check_bench.py tracks them.
+ * (--profile) and into perfbench's per-layer metrics (--trace 1).
  *
  * Disabled (the default), a ScopedPhase is one relaxed atomic load
  * and no clock reads.

@@ -29,11 +29,13 @@ namespace diva
 namespace
 {
 
-/** Header line identifying the file and its record layout version. */
+/** Header line identifying the file, its record layout version and
+ *  the model revision that priced its records. */
 std::string
 headerLine()
 {
-    return "diva-sweep-cache v" + std::to_string(DiskCache::kFormatVersion);
+    return "diva-sweep-cache v" + std::to_string(DiskCache::kFormatVersion) +
+           " model " + std::to_string(DiskCache::kModelRevision);
 }
 
 /** FNV-1a 64-bit, printed as fixed-width hex in the record prefix. */
@@ -218,9 +220,9 @@ DiskCache::load()
         if (first) {
             first = false;
             if (line != headerLine()) {
-                // Foreign or future format: never half-parse it. Keep
-                // nothing and replace the file wholesale on the next
-                // append.
+                // Foreign format or another model revision: never
+                // half-parse or serve it. Keep nothing and replace the
+                // file wholesale on the next append.
                 rewrite_needed_ = true;
                 break;
             }

@@ -6,9 +6,10 @@
  * backed by one append-only text file, so repeated diva_sweep
  * invocations skip already-simulated scenarios. Design points:
  *
- *  - Versioned: the file starts with a format header; a file written
- *    by an incompatible version is ignored wholesale and rewritten on
- *    the next append, never half-parsed.
+ *  - Versioned: the file starts with a header naming the record
+ *    format and the model revision; a file written by another format
+ *    or by another revision of the model is ignored wholesale and
+ *    rewritten on the next append, never half-parsed or served.
  *  - Corruption-tolerant load: every record carries an FNV-1a checksum
  *    of its payload; torn, truncated, or edited lines, and records
  *    holding values no successful run produces (a batch below 1, a
@@ -55,6 +56,13 @@ class DiskCache
   public:
     /** Bump when the record layout changes; old files are discarded. */
     static constexpr int kFormatVersion = 1;
+
+    /**
+     * Revision of the priced model. Bump it in every change that moves
+     * a priced number (cycles, energy, memory, area, ...), so that
+     * stores holding the old numbers are discarded, not served.
+     */
+    static constexpr int kModelRevision = 1;
 
     /**
      * Open (creating if needed) the cache under `dir`. The directory

@@ -235,7 +235,8 @@ struct ServeResult
     /**
      * serve_core event counters for this run (steps, dispatches,
      * coalesced quanta, promotions, idle jumps, switches, retires).
-     * Reporting-only: not emitted in CSV/JSON, surfaced by bench_serve.
+     * Reporting-only: not emitted in CSV/JSON, surfaced by
+     * --metrics-out and perfbench's serve_core.* metrics.
      */
     serve_core::Counters coreCounters;
 

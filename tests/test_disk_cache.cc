@@ -206,28 +206,44 @@ TEST(DiskCache, SkipsCorruptLinesButKeepsValidOnes)
     EXPECT_EQ(reloaded.size(), 4u);
 }
 
+/** Replace the first line of the store at `path` with `header`. */
+void
+replaceHeader(const std::string &path, const std::string &header)
+{
+    std::ifstream in(path);
+    std::string line;
+    std::getline(in, line);
+    std::ostringstream rest;
+    rest << in.rdbuf();
+    in.close();
+    std::ofstream out(path, std::ios::trunc);
+    out << header << '\n' << rest.str();
+}
+
+// A store of a future record format, and a valid store written before
+// the header named a model revision (whose records a superseded model
+// priced), are both ignored wholesale and rewritten.
 TEST(DiskCache, ForeignVersionIsIgnoredThenRewritten)
 {
-    const std::string dir = freshCacheDir("version");
-    std::string path;
-    {
+    for (const std::string header :
+         {"diva-sweep-cache v999", "diva-sweep-cache v1"}) {
+        SCOPED_TRACE(header);
+        const std::string dir = freshCacheDir("version");
+        std::string path;
+        {
+            DiskCache cache(dir);
+            cache.append({{"old-key", sampleResult(0)}});
+            path = cache.filePath();
+        }
+        replaceHeader(path, header);
         DiskCache cache(dir);
-        cache.append({{"old-format-key", sampleResult(0)}});
-        path = cache.filePath();
+        EXPECT_EQ(cache.size(), 0u); // nothing half-parsed or served
+        EXPECT_EQ(cache.append({{"new-key", sampleResult(1)}}), 1u);
+        DiskCache reloaded(dir);
+        EXPECT_EQ(reloaded.size(), 1u);
+        EXPECT_TRUE(reloaded.contains("new-key"));
+        EXPECT_EQ(reloaded.corruptLinesSkipped(), 0u);
     }
-    // Pretend a future version wrote the file.
-    {
-        std::ofstream out(path, std::ios::trunc);
-        out << "diva-sweep-cache v999\n"
-            << "some future record format\n";
-    }
-    DiskCache cache(dir);
-    EXPECT_EQ(cache.size(), 0u); // foreign file: nothing half-parsed
-    EXPECT_EQ(cache.append({{"new-key", sampleResult(1)}}), 1u);
-    DiskCache reloaded(dir);
-    EXPECT_EQ(reloaded.size(), 1u);
-    EXPECT_TRUE(reloaded.contains("new-key"));
-    EXPECT_EQ(reloaded.corruptLinesSkipped(), 0u);
 }
 
 /** 2 configs x 1 model x 2 algos, cheap to simulate. */
